@@ -30,13 +30,10 @@ from .optimizer import DescentConfig, DescentHistory, armijo_step, run_descent
 from .wavelets import (
     FilterPair,
     WaveletBasis,
-    basis_column,
     daubechies_filters,
-    dwt2_forward,
-    dwt2_inverse,
-    dwt_forward,
-    dwt_inverse,
     make_basis,
+    transform_forward,
+    transform_inverse,
 )
 
 __version__ = "0.1.0"

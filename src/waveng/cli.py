@@ -13,7 +13,10 @@ import numpy as np
 
 from . import experiments
 from .experiments import PRESET_IDS, RunOverrides, load_preset, run_experiment
+from .grid import make_grid
 from .losses import KLForm
+from .optimizer import DescentConfig
+from .wavelets import make_basis
 
 __all__ = ["main", "build_parser", "selftest"]
 
@@ -46,6 +49,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         preset = load_preset(args.preset)
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
+        return 2
+    try:
+        make_basis(make_grid(preset.dim, preset.n), order=args.wavelet_order, levels=args.levels)
+        DescentConfig(max_iterations=args.max_iter, gap_tolerance=args.gap_tol)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     kl_form = KLForm.PLAIN if args.kl_form == "plain" else KLForm.MASS_CORRECTED
     overrides = RunOverrides(
@@ -88,12 +97,12 @@ def _cmd_list() -> int:
 
 def selftest() -> int:
     """Small invariant battery; prints one line per check."""
-    from .grid import make_grid, reference_measure, uniform_density
+    from .grid import reference_measure, uniform_density
     from .losses import LossSpec, combined_eval
     from .metrics import apply_combined_metric, build_precomp
     from .operators import laplacian_apply
     from .optimizer import run_descent
-    from .wavelets import dense_matrix, make_basis, transform_forward, transform_inverse
+    from .wavelets import dense_matrix, transform_forward, transform_inverse
     from .experiments import build_potential
 
     rng = np.random.default_rng(7)

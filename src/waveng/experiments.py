@@ -15,7 +15,7 @@ assembled from formatted strings with a fixed palette.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -312,9 +312,3 @@ def write_svg(report: RunReport, path) -> str:
     p.write_bytes(svg_text(report).encode("utf-8"))
     return str(p)
 
-
-def rerun_with(preset_id: str, **override_kwargs) -> RunReport:
-    """Convenience: load a preset and run it with keyword overrides."""
-    preset = load_preset(preset_id)
-    overrides = replace(RunOverrides(), **override_kwargs)
-    return run_experiment(preset, overrides)

@@ -9,11 +9,13 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
   wavelet-transformed Hessian of the combined loss,
       d_i = alpha1 / (H1 p)_i + alpha2 / (H2 p)_i + alpha3 * h3_i.
 
-H1 rows hold the squared entries of the differentiated basis columns, H2
-rows the squared basis columns, and h3 the diagonal of the
-wavelet-transformed Laplacian.  All three are assembled once per basis from
-the sparse columns; each metric application is then two sparse matvecs plus
-two O(total) transforms.
+H1 rows hold the squared entries of the differentiated 1D basis columns,
+H2 rows the squared 1D basis columns, and h3 the diagonal of the
+wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
+sparse basis matrix W and of DW, formed once per basis.  In 2D each diagonal
+is a two-sided product of these 1D factors with the n x n density array, so
+no n^2 x n^2 matrix is ever built.  Each metric application is then a few
+sparse products plus the two wavelet transforms.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -32,14 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Density, Grid
-from .operators import laplacian_pinv_apply
-from .wavelets import (
-    WaveletBasis,
-    _column_window,
-    _window_to_sparse,
-    transform_forward,
-    transform_inverse,
-)
+from .operators import laplacian_pinv_apply, weighted_flux_apply
+from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
 __all__ = [
     "MetricPrecomp",
@@ -67,10 +63,12 @@ class MetricKind(str, Enum):
 
 @dataclass(frozen=True)
 class MetricPrecomp:
-    """Sparse Hessian-diagonal data for one (grid, basis) pair.
+    """Sparse Hessian-diagonal factors for one basis.
 
-    H1 and H2 are CSR with rows indexed by wavelet index and columns by
-    site, so the per-step products H1 @ p and H2 @ p are row-major matvecs.
+    H1 and H2 are n x n CSR with rows indexed by 1D wavelet index and
+    columns by 1D site, and h3 has length n.  In 1D they give the diagonals
+    directly; in 2D the tensor basis turns them into two-sided products on
+    the n x n density array (see h1_apply, h2_apply and h3_diagonal).
     """
 
     basis: WaveletBasis
@@ -82,77 +80,48 @@ class MetricPrecomp:
     def nnz(self) -> tuple[int, int]:
         return (self.h1.nnz, self.h2.nnz)
 
+    def h1_apply(self, p: np.ndarray) -> np.ndarray:
+        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
+        if self.basis.grid.dim == 1:
+            return self.h1 @ p
+        n = self.basis.grid.n
+        pm = p.reshape(n, n)
+        return (self.h2 @ (self.h1 @ pm).T + self.h1 @ (self.h2 @ pm).T).T.reshape(n * n)
 
-def _sparse_diff(n: int, col) -> tuple[np.ndarray, np.ndarray]:
-    """Forward difference of a sparse column, as (indices, values).
+    def h2_apply(self, p: np.ndarray) -> np.ndarray:
+        """diag(W^T diag(p) W): H2 p, or H2 P H2^T in 2D."""
+        if self.basis.grid.dim == 1:
+            return self.h2 @ p
+        n = self.basis.grid.n
+        return (self.h2 @ (self.h2 @ p.reshape(n, n)).T).T.reshape(n * n)
 
-    Exploits that cascade columns occupy one circular window: rebuild the
-    window, difference it with one zero pad on each side, and fold back.
-    """
-    start, vals = col
-    if len(vals) >= n:
-        dense = np.zeros(n)
-        np.add.at(dense, (start + np.arange(len(vals))) % n, vals)
-        dv = n * (np.roll(dense, -1) - dense)
-        idx = np.nonzero(dv)[0]
-        return idx, dv[idx]
-    ext = np.concatenate([[0.0], vals, [0.0]])
-    dv = n * (ext[1:] - ext[:-1])  # support starts one site left of the window
-    folded = _window_to_sparse(n, start - 1, dv)
-    return folded.indices, folded.values
-
-
-def _assemble_1d(basis: WaveletBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    n = basis.grid.n
-    rows_h1: list[np.ndarray] = []
-    cols_h1: list[np.ndarray] = []
-    vals_h1: list[np.ndarray] = []
-    rows_h2: list[np.ndarray] = []
-    cols_h2: list[np.ndarray] = []
-    vals_h2: list[np.ndarray] = []
-    h3 = np.zeros(n)
-    for i in range(n):
-        window = _column_window(basis, i)
-        col = _window_to_sparse(n, *window)
-        rows_h2.append(np.full(len(col.indices), i))
-        cols_h2.append(col.indices)
-        vals_h2.append(col.values**2)
-        didx, dvals = _sparse_diff(n, window)
-        rows_h1.append(np.full(len(didx), i))
-        cols_h1.append(didx)
-        vals_h1.append(dvals**2)
-        h3[i] = float(np.sum(dvals**2))
-    h1 = sp.coo_matrix(
-        (np.concatenate(vals_h1), (np.concatenate(rows_h1), np.concatenate(cols_h1))),
-        shape=(n, n),
-    ).tocsr()
-    h2 = sp.coo_matrix(
-        (np.concatenate(vals_h2), (np.concatenate(rows_h2), np.concatenate(cols_h2))),
-        shape=(n, n),
-    ).tocsr()
-    return h1, h2, h3
+    def h3_diagonal(self) -> np.ndarray:
+        """diag(W^T (-Delta) W): h3, or h3 added coordinatewise in 2D."""
+        if self.basis.grid.dim == 1:
+            return self.h3
+        return np.add.outer(self.h3, self.h3).ravel()
 
 
 def build_precomp(basis: WaveletBasis, grid: Grid | None = None) -> MetricPrecomp:
-    """Assemble H1, H2, h3 for a basis.
+    """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
-    1D: differentiate and square each sparse basis column.  2D: the tensor
-    structure of the basis factors every column as an outer product, so the
-    squared matrices are Kronecker products of the 1D ones:
-    H2_2d = H2 x H2, H1_2d = H1 x H2 + H2 x H1, and h3 adds coordinatewise.
+    o is the entrywise product and D the forward difference scaled by n, so
+    h3, the column sums of (DW)^2, is the diagonal of W^T D^T D W.  The
+    2D diagonals follow from these factors alone because every 2D basis
+    column is an outer product of two 1D columns.  The exactly constant
+    scaling column of a full-depth basis differences to exact zeros, which
+    leaves its H1 row with no stored entries and its h3 entry 0.0.
     """
     if grid is not None and grid != basis.grid:
         raise ValueError("grid does not match basis")
-    grid = basis.grid
-    h1_1d, h2_1d, h3_1d = _assemble_1d(basis)
-    if grid.dim == 1:
-        h1, h2, h3 = h1_1d, h2_1d, h3_1d
-    else:
-        h2 = sp.kron(h2_1d, h2_1d, format="csr")
-        h1 = (sp.kron(h1_1d, h2_1d) + sp.kron(h2_1d, h1_1d)).tocsr()
-        h3 = np.add.outer(h3_1d, h3_1d).ravel()
-    h1.eliminate_zeros()
-    h2.eliminate_zeros()
+    n = basis.grid.n
+    w = basis.matrix
+    dw = n * (w[(np.arange(n) + 1) % n] - w)
+    dw.eliminate_zeros()
+    dw2 = dw.multiply(dw)
+    h1 = dw2.T.tocsr()
+    h2 = w.multiply(w).T.tocsr()
+    h3 = np.asarray(dw2.sum(axis=0)).ravel()
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
 
 
@@ -176,11 +145,11 @@ def apply_combined_metric(
     d = np.zeros(basis.grid.total)
     with np.errstate(divide="ignore"):
         if a1 > 0:
-            d += a1 / (pre.h1 @ pv)
+            d += a1 / pre.h1_apply(pv)
         if a2 > 0:
-            d += a2 / (pre.h2 @ pv)
+            d += a2 / pre.h2_apply(pv)
     if a3 > 0:
-        d += a3 * pre.h3
+        d += a3 * pre.h3_diagonal()
     c = transform_forward(basis, g)
     with np.errstate(divide="ignore"):
         scale = np.where(d > 0.0, 1.0 / d, 0.0)  # d = +inf -> 0, d = 0 -> 0
@@ -196,13 +165,7 @@ def apply_wasserstein_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarr
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (grid.total,):
         raise ValueError(f"gradient shape {g.shape} does not match grid ({grid.total},)")
-    x = g.reshape(grid.shape)
-    px = pv.reshape(grid.shape)
-    out = np.zeros_like(x)
-    for axis in range(grid.dim):
-        flux = px * (np.roll(x, -1, axis=axis) - x)
-        out += np.roll(flux, 1, axis=axis) - flux
-    return (grid.n**2 * out).reshape(grid.total)
+    return weighted_flux_apply(pv.reshape(grid.shape), g.reshape(grid.shape)).reshape(grid.total)
 
 
 def apply_fisher_rao_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarray:

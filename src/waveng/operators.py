@@ -25,6 +25,7 @@ __all__ = [
     "diff_adjoint_apply",
     "laplacian_apply",
     "laplacian_pinv_apply",
+    "weighted_flux_apply",
     "weighted_elliptic_pinv_apply",
 ]
 
@@ -99,6 +100,15 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     return (grid.n**2 * out).reshape(grid.total)
 
 
+def weighted_flux_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_a D_a^T diag(w) D_a x on arrays of the grid's shape (n along every axis)."""
+    out = np.zeros_like(x)
+    for axis in range(x.ndim):
+        flux = w * (np.roll(x, -1, axis=axis) - x)
+        out += np.roll(flux, 1, axis=axis) - flux
+    return x.shape[0] ** 2 * out
+
+
 def _laplacian_symbol(grid: Grid) -> np.ndarray:
     """Eigenvalues of -Delta on the rfft grid (axis-0 full, last axis half)."""
     n = grid.n
@@ -147,16 +157,7 @@ def weighted_elliptic_pinv_apply(
         raise ValueError("weight density must be strictly positive")
 
     shape = grid.shape
-    n = grid.n
     wx = wv.reshape(shape)
-
-    def operator(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for axis in range(grid.dim):
-            flux = wx * (np.roll(x, -1, axis=axis) - x)
-            out += np.roll(flux, 1, axis=axis) - flux
-        return n**2 * out
-
     inv_symbol = _inverse_symbol(np.mean(wv) * _laplacian_symbol(grid))
     axes = tuple(range(grid.dim))
 
@@ -177,7 +178,7 @@ def weighted_elliptic_pinv_apply(
     rz = float(np.vdot(r, z))
     limit = cfg.iteration_cap(grid)
     for iteration in range(1, limit + 1):
-        ap = operator(p)
+        ap = weighted_flux_apply(wx, p)
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap

@@ -14,6 +14,7 @@ loop with synthetic objectives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,10 +45,13 @@ class DescentConfig:
     max_halvings: int = 60
 
     def __post_init__(self) -> None:
-        if self.gap_tolerance <= 0:
-            raise ValueError("gap_tolerance must be positive")
+        if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0):
+            raise ValueError(f"gap_tolerance must be finite and positive, got {self.gap_tolerance}")
         if self.max_iterations < 0 or self.max_halvings < 1:
-            raise ValueError("iteration limits must be positive")
+            raise ValueError(
+                f"max_iterations must be >= 0 and max_halvings >= 1, "
+                f"got {self.max_iterations} and {self.max_halvings}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
-"""Periodized orthogonal Daubechies wavelet transforms on power-of-two grids.
+"""Periodized orthogonal Daubechies wavelet bases on power-of-two grids.
 
-The transform is the classic two-channel filter-bank cascade with circular
-(periodic) convolution at every level, so the implied n x n basis matrix W is
-exactly orthogonal for any decomposition depth.  Coefficient layout is
-[detail level 1 (finest, n/2) | detail level 2 (n/4) | ... | detail level L
-| scaling level L], which makes the last slot the coarsest scaling function.
+A 1D basis is stored once as the sparse n x n matrix W whose columns are the
+basis functions.  W is the product of per-level sparse synthesis matrices
+with circular (periodic) wrap, so it is exactly orthogonal for any
+decomposition depth and holds O(n log n) nonzeros; this is the matrix form
+of the fast wavelet transform (Beylkin, Coifman & Rokhlin 1991).  Column
+layout is [detail level 1 (finest, n/2) | detail level 2 (n/4) | ... |
+detail level L | scaling level L], which makes the last column the coarsest
+scaling function.
 
-Analysis convention: a_j = sum_r h[r] v[(2j+r) mod m], i.e. the lowpass
-window for output j starts at site 2j.  Highpass is the alternating flip
+Synthesis convention: tap r of the coefficient at position j of a level of
+length m lands on site (2j+r) mod m, so analysis reads
+a_j = sum_r h[r] v[(2j+r) mod m].  Highpass is the alternating flip
 g[i] = (-1)^i h[2k-1-i].  Filters are derived by spectral factorization at
 50-digit precision so orthogonality holds to double-precision roundoff.
 
-Columns of W are additionally available in sparse form (basis_column) by
-cascading a unit coefficient while tracking only its circular support
-window; cost is proportional to the support, not to n.
+In 2D the basis is the tensor product of the 1D basis with itself.  It is
+never materialized: on the n x n site array X the analysis is W^T X W and
+the synthesis W C W^T.
 """
 
 from __future__ import annotations
@@ -22,21 +26,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import Grid
+from .operators import _check_length
 
 __all__ = [
     "FilterPair",
     "WaveletBasis",
-    "CoeffVector",
-    "SparseColumn",
     "daubechies_filters",
     "make_basis",
-    "dwt_forward",
-    "dwt_inverse",
-    "dwt2_forward",
-    "dwt2_inverse",
-    "basis_column",
+    "transform_forward",
+    "transform_inverse",
     "dense_matrix",
 ]
 
@@ -116,299 +117,88 @@ def _poly_mul(a: list, b: list) -> list:
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """Filter pair plus decomposition layout for one grid.
+    """Filter pair, decomposition depth and the 1D basis matrix for one grid.
 
-    `segments` lists (offset, length) pairs for the 1D coefficient vector:
-    detail levels 1..L followed by the level-L scaling block.  In 2D the
-    basis is the full tensor product of the 1D basis with itself and the
-    coefficient array has length n^2, indexed (i1, i2) -> i1*n + i2.
+    `matrix` is the n x n CSR matrix W of the 1D basis.  In 2D the basis is
+    the full tensor product of the 1D basis with itself and the coefficient
+    array has length n^2, indexed (i1, i2) -> i1*n + i2 like the sites.
     """
 
     grid: Grid
     filters: FilterPair
     levels: int
-    segments: tuple[tuple[int, int], ...] = field(repr=False)
+    matrix: sp.csr_matrix = field(repr=False, compare=False)
 
 
 def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> WaveletBasis:
     """Build a periodized wavelet basis on the grid.
 
     Default depth is the full cascade (levels = log2 n), which ends in a
-    single scaling slot whose basis vector is exactly constant; the metric
-    construction relies on that slot to freeze total mass.  Coarse levels
-    whose segment is shorter than the filter wrap the filter modulo the
-    segment length, which preserves exact orthogonality.  The default order
-    (3 vanishing moments) is the smallest at which the combined-metric
+    single scaling column that is stored as exactly 1/sqrt(n); the metric
+    construction relies on its discrete derivative vanishing exactly to
+    freeze total mass.  Coarse levels shorter than the filter wrap it modulo
+    the level length, which preserves exact orthogonality.  The default
+    order (3 vanishing moments) is the smallest at which the combined-metric
     descent behaves well on the 2D benchmarks.
     """
     filters = daubechies_filters(order)
-    max_levels = int(np.log2(grid.n))
+    n = grid.n
+    max_levels = int(np.log2(n))
     if levels is None:
         levels = max_levels
     if not 1 <= levels <= max_levels:
-        raise ValueError(f"levels must be in [1, {max_levels}] for n={grid.n}")
-    segments = []
-    offset = 0
-    m = grid.n
+        raise ValueError(f"levels must be in [1, {max_levels}] for n={n}")
+    approx = sp.identity(n, format="csr")  # scaling functions of the current level
+    columns = []
+    m = n
     for _ in range(levels):
+        columns.append(approx @ _synthesis_matrix(filters.highpass, m))
+        approx = approx @ _synthesis_matrix(filters.lowpass, m)
         m //= 2
-        segments.append((offset, m))
-        offset += m
-    segments.append((offset, m))  # scaling block, same length as coarsest detail
-    return WaveletBasis(grid=grid, filters=filters, levels=levels, segments=tuple(segments))
+    if m == 1:  # full depth: replace the roundoff-level constant by the exact one
+        approx = sp.csr_matrix(np.full((n, 1), 1.0 / np.sqrt(n)))
+    w = sp.hstack(columns + [approx], format="csr")
+    w.eliminate_zeros()
+    w.sort_indices()
+    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w)
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    """Wavelet coefficients of one vector, in basis layout order."""
+def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
+    """m x m/2 matrix with tap r of column j at row (2j+r) mod m.
 
-    basis: WaveletBasis
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.basis.grid.total,):
-            raise ValueError(
-                f"coefficient vector has shape {values.shape}, expected ({self.basis.grid.total},)"
-            )
-
-
-@dataclass(frozen=True)
-class SparseColumn:
-    """Nonzeros of one basis column (or its derivative): sorted site indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-
-def _wrap_filter(f: np.ndarray, m: int) -> np.ndarray:
-    """Fold a filter modulo m (no-op when it already fits)."""
-    if len(f) <= m:
-        return f
-    w = np.zeros(m)
-    for i, v in enumerate(f):
-        w[i % m] += v
-    return w
-
-
-def _analysis_level(v: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One cascade level on the last axis of a (..., m) array, m even."""
-    m = v.shape[-1]
-    hw = _wrap_filter(h, m)
-    gw = _wrap_filter(g, m)
-    even = v[..., 0::2]
-    a = hw[0] * even
-    d = gw[0] * even
-    for r in range(1, len(hw)):
-        idx = (np.arange(0, m, 2) + r) % m
-        shifted = v[..., idx]
-        a = a + hw[r] * shifted
-        d = d + gw[r] * shifted
-    return a, d
-
-
-def _synthesis_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inverse of _analysis_level; output length 2*len(a) on the last axis."""
-    m = 2 * a.shape[-1]
-    hw = _wrap_filter(h, m)
-    gw = _wrap_filter(g, m)
-    v = np.zeros(a.shape[:-1] + (m,))
-    base = np.arange(0, m, 2)
-    for r in range(len(hw)):
-        idx = (base + r) % m  # distinct for fixed r, so fancy += is safe
-        v[..., idx] += hw[r] * a + gw[r] * d
-    return v
-
-
-def _forward_values(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
-    """Wavelet analysis of (..., n) arrays along the last axis."""
-    h, g = basis.filters.lowpass, basis.filters.highpass
-    out = np.empty_like(v, dtype=np.float64)
-    a = np.asarray(v, dtype=np.float64)
-    for level in range(basis.levels):
-        a, d = _analysis_level(a, h, g)
-        off, length = basis.segments[level]
-        out[..., off : off + length] = d
-    off, length = basis.segments[basis.levels]
-    out[..., off : off + length] = a
-    return out
-
-
-def _inverse_values(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
-    """Wavelet synthesis of (..., n) coefficient arrays along the last axis."""
-    h, g = basis.filters.lowpass, basis.filters.highpass
-    c = np.asarray(c, dtype=np.float64)
-    off, length = basis.segments[basis.levels]
-    a = c[..., off : off + length]
-    for level in range(basis.levels - 1, -1, -1):
-        off, length = basis.segments[level]
-        a = _synthesis_level(a, c[..., off : off + length], h, g)
-    return a
-
-
-def dwt_forward(v: np.ndarray, basis: WaveletBasis) -> CoeffVector:
-    """Decompose a 1D signal: computes W^T v via the cascade, O(n)."""
-    if basis.grid.dim != 1:
-        raise ValueError("dwt_forward requires a 1D basis; use dwt2_forward in 2D")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (basis.grid.n,):
-        raise ValueError(f"signal shape {v.shape} does not match grid ({basis.grid.n},)")
-    return CoeffVector(basis, _forward_values(basis, v))
-
-
-def dwt_inverse(c: CoeffVector) -> np.ndarray:
-    """Reconstruct a 1D signal: computes W c via the cascade, O(n)."""
-    if c.basis.grid.dim != 1:
-        raise ValueError("dwt_inverse requires a 1D basis; use dwt2_inverse in 2D")
-    return _inverse_values(c.basis, c.values)
-
-
-def _forward2(basis: WaveletBasis, flat: np.ndarray) -> np.ndarray:
-    n = basis.grid.n
-    x = flat.reshape(n, n)
-    rows = _forward_values(basis, x)  # transform s2 (last axis)
-    cols = _forward_values(basis, rows.T).T  # transform s1
-    return cols.reshape(n * n)
-
-
-def _inverse2(basis: WaveletBasis, flat: np.ndarray) -> np.ndarray:
-    n = basis.grid.n
-    c = flat.reshape(n, n)
-    rows = _inverse_values(basis, c.T).T
-    return _inverse_values(basis, rows).reshape(n * n)
-
-
-def dwt2_forward(v: np.ndarray, basis: WaveletBasis) -> CoeffVector:
-    """Tensor-product 2D analysis: 1D transform of every row, then column."""
-    if basis.grid.dim != 2:
-        raise ValueError("dwt2_forward requires a 2D basis")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (basis.grid.total,):
-        raise ValueError(f"signal shape {v.shape} does not match grid ({basis.grid.total},)")
-    return CoeffVector(basis, _forward2(basis, v))
-
-
-def dwt2_inverse(c: CoeffVector) -> np.ndarray:
-    """Inverse of dwt2_forward."""
-    if c.basis.grid.dim != 2:
-        raise ValueError("dwt2_inverse requires a 2D basis")
-    return _inverse2(c.basis, c.values)
+    Taps of a filter longer than m land on the same row more than once;
+    COO duplicate summation folds them, wrapping the filter modulo m.
+    """
+    j = np.arange(m // 2)
+    rows = (2 * j[None, :] + np.arange(len(f))[:, None]) % m
+    cols = np.broadcast_to(j, rows.shape)
+    vals = np.broadcast_to(f[:, None], rows.shape)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m // 2)).tocsr()
 
 
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
-    """Dimension-dispatching analysis on raw arrays (internal fast path)."""
-    v = np.asarray(v, dtype=np.float64)
+    """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
+    v = _check_length(basis.grid, v)
+    wt = basis.matrix.T
     if basis.grid.dim == 1:
-        return _forward_values(basis, v)
-    return _forward2(basis, v)
+        return wt @ v
+    n = basis.grid.n
+    return (wt @ (wt @ v.reshape(n, n)).T).T.reshape(n * n)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
-    """Dimension-dispatching synthesis on raw arrays (internal fast path)."""
-    c = np.asarray(c, dtype=np.float64)
+    """Wavelet synthesis: W c in 1D, W C W^T on the n x n coefficient array in 2D."""
+    c = _check_length(basis.grid, c)
+    w = basis.matrix
     if basis.grid.dim == 1:
-        return _inverse_values(basis, c)
-    return _inverse2(basis, c)
-
-
-def _locate(basis: WaveletBasis, i: int) -> tuple[int, int, int]:
-    """Map a 1D coefficient index to (level, is_scaling, position)."""
-    for level, (off, length) in enumerate(basis.segments):
-        if off <= i < off + length:
-            return min(level + 1, basis.levels), int(level == basis.levels), i - off
-    raise IndexError(f"coefficient index {i} out of range")
-
-
-def _column_window(basis: WaveletBasis, i: int) -> tuple[int, np.ndarray]:
-    """Circular support window (start, values) of 1D basis column i.
-
-    The unit coefficient is synthesized level by level; the window start
-    doubles per level and its length grows by the filter length, collapsing
-    to the full circle once it wraps.  A full-depth basis has a single
-    scaling slot whose column is exactly the constant vector; that case is
-    returned in closed form so discrete derivatives of it vanish exactly.
-    """
+        return w @ c
     n = basis.grid.n
-    level, is_scaling, pos = _locate(basis, i)
-    seg_len = basis.segments[basis.levels][1]
-    if is_scaling and seg_len == 1:
-        return 0, np.full(n, 1.0 / np.sqrt(n))
-    h, g = basis.filters.lowpass, basis.filters.highpass
-    start, vals = pos, np.array([1.0])
-    m = basis.grid.n >> level  # length of the level holding slot i
-    first = h if is_scaling else g
-    while m < n:
-        vals, start = _sparse_upconv(vals, start, 2 * m, first)
-        first = h
-        m *= 2
-    return start % n, vals
-
-
-def _sparse_upconv(vals: np.ndarray, start: int, m2: int, f: np.ndarray) -> tuple[np.ndarray, int]:
-    """Upsample-and-filter a support window from level length m2/2 to m2."""
-    fw = _wrap_filter(f, m2)
-    L = len(vals)
-    out_len = 2 * L - 2 + len(fw)
-    if out_len <= m2:
-        out = np.zeros(out_len)
-        for r, c in enumerate(fw):
-            out[r : r + 2 * L - 1 : 2] += c * vals
-        return out, 2 * start
-    out = np.zeros(m2)
-    base = (2 * start + 2 * np.arange(L)) % m2
-    for r, c in enumerate(fw):
-        np.add.at(out, (base + r) % m2, c * vals)
-    return out, 0
-
-
-def _window_to_sparse(n: int, start: int, vals: np.ndarray) -> SparseColumn:
-    """Fold a circular window onto 0..n-1, sort, and drop exact zeros."""
-    if len(vals) >= n:
-        dense = np.zeros(n)
-        np.add.at(dense, (start + np.arange(len(vals))) % n, vals)
-        idx = np.nonzero(dense)[0]
-        return SparseColumn(indices=idx, values=dense[idx])
-    idx = (start + np.arange(len(vals))) % n
-    order = np.argsort(idx)
-    idx, vals = idx[order], vals[order]
-    keep = vals != 0.0
-    return SparseColumn(indices=idx[keep], values=vals[keep])
-
-
-def basis_column(basis: WaveletBasis, i: int) -> SparseColumn:
-    """Sparse column i of the basis matrix W.
-
-    1D columns come from the windowed cascade; 2D columns are outer
-    products of the two 1D factors, with sites flattened as s1*n + s2.
-    """
-    total = basis.grid.total
-    if not 0 <= i < total:
-        raise IndexError(f"column index {i} out of range [0, {total})")
-    n = basis.grid.n
-    if basis.grid.dim == 1:
-        start, vals = _column_window(basis, i)
-        return _window_to_sparse(n, start, vals)
-    i1, i2 = divmod(i, n)
-    col1 = _window_to_sparse(n, *_column_window(basis, i1))
-    col2 = _window_to_sparse(n, *_column_window(basis, i2))
-    sites = (col1.indices[:, None] * n + col2.indices[None, :]).ravel()
-    values = np.outer(col1.values, col2.values).ravel()
-    keep = values != 0.0
-    return SparseColumn(indices=sites[keep], values=values[keep])
+    return (w @ (w @ c.reshape(n, n)).T).T.reshape(n * n)
 
 
 def dense_matrix(basis: WaveletBasis) -> np.ndarray:
-    """Assemble W densely by synthesizing every unit coefficient; O(total^2).
-
-    Intended for small-n verification only.
-    """
-    total = basis.grid.total
+    """The basis matrix as a dense array (W, or W x W in 2D); small n only."""
+    w = basis.matrix.toarray()
     if basis.grid.dim == 1:
-        return _inverse_values(basis, np.eye(total)).T
-    cols = np.empty((total, total))
-    for i in range(total):
-        e = np.zeros(total)
-        e[i] = 1.0
-        cols[:, i] = transform_inverse(basis, e)
-    return cols
+        return w
+    return np.kron(w, w)

@@ -63,3 +63,19 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--wavelet-order", "11", "order"),
+            ("--levels", "20", "levels"),
+            ("--max-iter", "-1", "max_iterations"),
+            ("--gap-tol", "0", "gap_tolerance"),
+            ("--gap-tol", "nan", "gap_tolerance"),
+        ],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, flag, value, message):
+        code = main(["run", "--preset", "1d-1", flag, value, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -42,9 +42,8 @@ class TestBuildPrecomp:
     def test_h2_column_sums_one(self):
         for dim, n in [(1, 64), (2, 8)]:
             pre = build_precomp(make_basis(make_grid(dim, n), order=2))
-            np.testing.assert_allclose(
-                np.asarray(pre.h2.sum(axis=0)).ravel(), 1.0, atol=1e-10
-            )
+            sums = [pre.h2_apply(e).sum() for e in np.eye(n**dim)]
+            np.testing.assert_allclose(sums, 1.0, atol=1e-10)
 
     def test_h2_of_uniform_density(self):
         grid = make_grid(1, 64)
@@ -56,13 +55,17 @@ class TestBuildPrecomp:
         for dim, n in [(1, 32), (2, 8)]:
             pre = build_precomp(make_basis(make_grid(dim, n), order=2))
             np.testing.assert_allclose(
-                pre.h3, np.asarray(pre.h1.sum(axis=1)).ravel(), atol=1e-10
+                pre.h3_diagonal(), pre.h1_apply(np.ones(n**dim)), atol=1e-10
             )
 
     def test_constant_column_rows_exactly_zero(self):
         pre = build_precomp(make_basis(make_grid(1, 64), order=3))
         assert pre.h1[63].nnz == 0
         assert pre.h3[63] == 0.0
+        pre2 = build_precomp(make_basis(make_grid(2, 16), order=3))
+        p = random_density(pre2.basis.grid, np.random.default_rng(39)).values
+        assert pre2.h1_apply(p)[-1] == 0.0
+        assert pre2.h3_diagonal()[-1] == 0.0
 
     def test_entries_nonnegative(self):
         pre = build_precomp(make_basis(make_grid(1, 32), order=2))
@@ -98,10 +101,10 @@ class TestDiagonalIdentities:
         p = random_density(grid, rng).values
         d1, d2 = dense_diff(grid, 0), dense_diff(grid, 1)
         weighted = d1.T @ np.diag(p) @ d1 + d2.T @ np.diag(p) @ d2
-        np.testing.assert_allclose(pre.h1 @ p, np.diag(w.T @ weighted @ w), atol=1e-10)
-        np.testing.assert_allclose(pre.h2 @ p, np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
+        np.testing.assert_allclose(pre.h1_apply(p), np.diag(w.T @ weighted @ w), atol=1e-10)
+        np.testing.assert_allclose(pre.h2_apply(p), np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
         lap = np.column_stack([laplacian_apply(grid, w[:, i]) for i in range(grid.total)])
-        np.testing.assert_allclose(pre.h3, np.diag(w.T @ lap), atol=1e-10)
+        np.testing.assert_allclose(pre.h3_diagonal(), np.diag(w.T @ lap), atol=1e-10)
 
 
 class TestScaling:
