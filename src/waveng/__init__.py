@@ -21,7 +21,6 @@ from .operators import (
     EllipticSolveConfig,
     EllipticSolveError,
     diff_apply,
-    diff_operator,
     laplacian_apply,
     laplacian_pinv_apply,
     weighted_elliptic_pinv_apply,

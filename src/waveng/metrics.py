@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .grid import Density, Grid
 from .operators import laplacian_pinv_apply, weighted_flux_apply
-from .wavelets import WaveletBasis, transform_forward, transform_inverse
+from .wavelets import WaveletBasis, tensor_apply, transform_forward, transform_inverse
 
 __all__ = [
     "MetricPrecomp",
@@ -82,18 +82,12 @@ class MetricPrecomp:
 
     def h1_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
-        if self.basis.grid.dim == 1:
-            return self.h1 @ p
-        n = self.basis.grid.n
-        pm = p.reshape(n, n)
-        return (self.h2 @ (self.h1 @ pm).T + self.h1 @ (self.h2 @ pm).T).T.reshape(n * n)
+        axes = range(self.basis.grid.dim)
+        return sum(tensor_apply([self.h1 if b == a else self.h2 for b in axes], p) for a in axes)
 
     def h2_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T diag(p) W): H2 p, or H2 P H2^T in 2D."""
-        if self.basis.grid.dim == 1:
-            return self.h2 @ p
-        n = self.basis.grid.n
-        return (self.h2 @ (self.h2 @ p.reshape(n, n)).T).T.reshape(n * n)
+        return tensor_apply([self.h2] * self.basis.grid.dim, p)
 
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3, or h3 added coordinatewise in 2D."""
@@ -102,7 +96,7 @@ class MetricPrecomp:
         return np.add.outer(self.h3, self.h3).ravel()
 
 
-def build_precomp(basis: WaveletBasis, grid: Grid | None = None) -> MetricPrecomp:
+def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
     o is the entrywise product and D the forward difference scaled by n, so
@@ -112,8 +106,6 @@ def build_precomp(basis: WaveletBasis, grid: Grid | None = None) -> MetricPrecom
     scaling column of a full-depth basis differences to exact zeros, which
     leaves its H1 row with no stored entries and its h3 entry 0.0.
     """
-    if grid is not None and grid != basis.grid:
-        raise ValueError("grid does not match basis")
     n = basis.grid.n
     w = basis.matrix
     dw = n * (w[(np.arange(n) + 1) % n] - w)

@@ -17,10 +17,8 @@ import numpy as np
 from .grid import Density, Grid
 
 __all__ = [
-    "DiffOperator",
     "EllipticSolveConfig",
     "EllipticSolveError",
-    "diff_operator",
     "diff_apply",
     "diff_adjoint_apply",
     "laplacian_apply",
@@ -40,14 +38,6 @@ class EllipticSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DiffOperator:
-    """Forward difference along one axis: (Dv)_s = n (v_{s+1} - v_s)."""
-
-    grid: Grid
-    axis: int = 0
-
-
-@dataclass(frozen=True)
 class EllipticSolveConfig:
     rel_tolerance: float = 1e-10
     max_iterations: int | None = None  # defaults to 10 * n * dim
@@ -62,12 +52,6 @@ class EllipticSolveConfig:
         return 10 * grid.n * grid.dim
 
 
-def diff_operator(grid: Grid, axis: int = 0) -> DiffOperator:
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
-    return DiffOperator(grid=grid, axis=axis)
-
-
 def _check_length(grid: Grid, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (grid.total,):
@@ -75,19 +59,23 @@ def _check_length(grid: Grid, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def diff_apply(op: DiffOperator, v: np.ndarray) -> np.ndarray:
-    """Apply D with periodic wrap along the operator's axis."""
-    grid = op.grid
-    v = _check_length(grid, v)
-    x = v.reshape(grid.shape)
-    return (grid.n * (np.roll(x, -1, axis=op.axis) - x)).reshape(grid.total)
+def _check_axis(grid: Grid, axis: int) -> None:
+    if not 0 <= axis < grid.dim:
+        raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
 
-def diff_adjoint_apply(op: DiffOperator, u: np.ndarray) -> np.ndarray:
-    """Apply D^T: (D^T u)_s = n (u_{s-1} - u_s)."""
-    grid = op.grid
-    u = _check_length(grid, u)
-    x = u.reshape(grid.shape)
-    return (grid.n * (np.roll(x, 1, axis=op.axis) - x)).reshape(grid.total)
+
+def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
+    _check_axis(grid, axis)
+    x = _check_length(grid, v).reshape(grid.shape)
+    return (grid.n * (np.roll(x, -1, axis=axis) - x)).reshape(grid.total)
+
+
+def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
+    _check_axis(grid, axis)
+    x = _check_length(grid, u).reshape(grid.shape)
+    return (grid.n * (np.roll(x, 1, axis=axis) - x)).reshape(grid.total)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:

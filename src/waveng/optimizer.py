@@ -36,12 +36,13 @@ __all__ = [
 LossLike = LossSpec | Callable[[np.ndarray], LossEval]
 MetricFn = Callable[[Density, np.ndarray], np.ndarray]
 
+ARMIJO_COEFFICIENT = 0.5  # the 1/2 of eta/2 in the condition of the module docstring
+
 
 @dataclass(frozen=True)
 class DescentConfig:
     max_iterations: int = 2000
     gap_tolerance: float = 1e-10  # on E(p) - E(mu)
-    armijo_coefficient: float = 0.5  # fixed by the scheme; exposed for reading only
     max_halvings: int = 60
 
     def __post_init__(self) -> None:
@@ -154,7 +155,7 @@ def armijo_step(
             eta *= 0.5
             continue
         trial_ev = loss_fn(trial)
-        if trial_ev.value - ev.value <= -cfg.armijo_coefficient * eta * slope:
+        if trial_ev.value - ev.value <= -ARMIJO_COEFFICIENT * eta * slope:
             next_p = Density(p.grid, trial)
             diag = StepDiagnostics(
                 accepted=True, eta=eta, halvings=halvings, slope=slope,
@@ -174,26 +175,22 @@ def run_descent(
     loss: LossLike,
     metric: MetricFn,
     cfg: DescentConfig | None = None,
-    reference_value: float | None = None,
-    reference: Density | None = None,
 ) -> DescentHistory:
     """Iterate armijo_step from p0 until the loss gap closes.
 
     The gap is E(p^k) - E(mu); for a LossSpec the reference value E(mu) is
-    computed once up front (zero for the mass-corrected combined loss).
-    Terminates on gap <= cfg.gap_tolerance (converged), cfg.max_iterations,
-    or a stalled line search.
+    computed once up front (zero for the mass-corrected combined loss), and
+    for a callable loss it is zero with no reference density to measure
+    distance to.  Terminates on gap <= cfg.gap_tolerance (converged),
+    cfg.max_iterations, or a stalled line search.
     """
     if cfg is None:
         cfg = DescentConfig()
     if p0.min <= 0.0:
         raise ValueError("initial density must be strictly positive")
     loss_fn = _as_loss_fn(loss)
-    if isinstance(loss, LossSpec):
-        reference = loss.mu if reference is None else reference
-        if reference_value is None:
-            reference_value = loss_fn(reference.values).value
-    ref_value = 0.0 if reference_value is None else float(reference_value)
+    reference = loss.mu if isinstance(loss, LossSpec) else None
+    ref_value = 0.0 if reference is None else float(loss_fn(reference.values).value)
 
     history = DescentHistory(reference_value=ref_value)
 

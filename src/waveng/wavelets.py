@@ -38,6 +38,7 @@ __all__ = [
     "make_basis",
     "transform_forward",
     "transform_inverse",
+    "tensor_apply",
     "dense_matrix",
 ]
 
@@ -176,24 +177,28 @@ def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m // 2)).tocsr()
 
 
+def tensor_apply(factors: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
+    """Apply one 1D sparse factor along each axis of the flattened site array.
+
+    One factor A gives A v; two give A0 X A1^T on the array X of v, which is
+    the Kronecker product A0 (x) A1 applied without forming it.
+    """
+    if len(factors) == 1:
+        return factors[0] @ v
+    a0, a1 = factors
+    return (a1 @ (a0 @ v.reshape(a0.shape[1], a1.shape[1])).T).T.reshape(-1)
+
+
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
     """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
     v = _check_length(basis.grid, v)
-    wt = basis.matrix.T
-    if basis.grid.dim == 1:
-        return wt @ v
-    n = basis.grid.n
-    return (wt @ (wt @ v.reshape(n, n)).T).T.reshape(n * n)
+    return tensor_apply([basis.matrix.T] * basis.grid.dim, v)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
     """Wavelet synthesis: W c in 1D, W C W^T on the n x n coefficient array in 2D."""
     c = _check_length(basis.grid, c)
-    w = basis.matrix
-    if basis.grid.dim == 1:
-        return w @ c
-    n = basis.grid.n
-    return (w @ (w @ c.reshape(n, n)).T).T.reshape(n * n)
+    return tensor_apply([basis.matrix] * basis.grid.dim, c)
 
 
 def dense_matrix(basis: WaveletBasis) -> np.ndarray:

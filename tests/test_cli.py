@@ -48,6 +48,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "combined" in out and "wrote" in out
 
+    def test_out_dir_that_is_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
+        # rejected before any descent runs
+        def fail_if_run(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr("waveng.cli.run_experiment", fail_if_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["run", "--preset", "1d-1", "--out-dir", str(blocker)]) == 2
+        assert "taken" in capsys.readouterr().err
+        assert main(["run", "--preset", "1d-1", "--out-dir", str(blocker / "sub")]) == 2
+
+    def test_selftest_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest"])
+        assert excinfo.value.code == 2
+
     def test_run_respects_kl_form_flag(self, tmp_path):
         code = main(
             [

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ class TestCsv:
         paths = write_csv(report, tmp_path)
         assert len(paths) == 3
         for path in paths:
-            lines = open(path, "rb").read().decode().splitlines()
+            lines = Path(path).read_bytes().decode().splitlines()
             assert lines[0] == CSV_HEADER
             name = path.split("_", 1)[-1].rsplit(".", 1)[0]
 
@@ -175,8 +177,8 @@ class TestSvg:
         report2 = run_experiment(load_preset("1d-1"), FAST)
         p1 = write_svg(report1, tmp_path / "one.svg")
         p2 = write_svg(report2, tmp_path / "two.svg")
-        b1 = open(p1, "rb").read()
-        assert b1 == open(p2, "rb").read()
+        b1 = Path(p1).read_bytes()
+        assert b1 == Path(p2).read_bytes()
         text = b1.decode()
         assert text.count("<polyline") == 3
         for name in ("wasserstein", "fisher_rao", "combined"):

@@ -79,6 +79,10 @@ class TestRunDescent:
         hist = run_descent(p0, quadratic_loss, identity_metric, DescentConfig(gap_tolerance=1e-12))
         assert hist.status == "converged"
         assert hist.final_gap <= 1e-12
+        # a callable loss has reference value 0 and no reference density
+        assert hist.reference_value == 0.0
+        np.testing.assert_array_equal(hist.column("gap"), hist.column("loss"))
+        assert np.all(np.isnan(hist.column("distance_to_reference")))
 
     def test_fixed_point_terminates_at_iteration_zero(self):
         grid, mu, spec, metric = sin_setup()
