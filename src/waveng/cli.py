@@ -75,8 +75,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name in (kind.value for kind in preset.metrics):
         if name in report.histories:
             hist = report.histories[name]
+            status = f"{hist.status} ({hist.stall_reason})" if hist.stall_reason else hist.status
             print(
-                f"{preset.id} {name}: {hist.status} after {hist.iterations} iterations, "
+                f"{preset.id} {name}: {status} after {hist.iterations} iterations, "
                 f"final gap {hist.final_gap:.3e} ({report.wall_times[name]:.2f}s)"
             )
         else:

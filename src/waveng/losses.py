@@ -3,15 +3,22 @@
 Terms: a weighted semi-H^{-1} transport surrogate (quadratic in p - mu with
 the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
 divergence to mu (plain or mass-corrected), and the Dirichlet energy of
-p - mu.  Infeasible densities (any site <= 0) evaluate to +inf so that a
-backtracking line search can reject them uniformly instead of catching
-exceptions.
+p - mu.  Every term vanishes at mu, so E(mu) = 0.  Infeasible densities
+(any site <= 0) evaluate to +inf so that a backtracking line search can
+reject them uniformly instead of catching exceptions.
+
+With r = p - mu the transport and Dirichlet terms together are the
+quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
+by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
+so `along_line` forms Q s once (one K-solve) and prices every trial step
+with the KL term alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +33,8 @@ __all__ = [
     "e2_eval",
     "e3_eval",
     "combined_eval",
+    "quadratic_apply",
+    "along_line",
 ]
 
 
@@ -64,10 +73,17 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class LossEval:
-    """Loss value and its Euclidean gradient (None when value is +inf)."""
+    """Loss value and its Euclidean gradient (None when value is +inf).
+
+    `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
+    quadratic terms of a combined loss, already included in value and
+    gradient; combined_eval and along_line set it, other losses leave it
+    None.
+    """
 
     value: float
     gradient: np.ndarray | None
+    quadratic: tuple[float, np.ndarray] | None = None
 
     @property
     def feasible(self) -> bool:
@@ -120,22 +136,69 @@ def e3_eval(p: Density | np.ndarray, mu: Density) -> LossEval:
     return LossEval(value=0.5 * float(r @ a), gradient=a)
 
 
-def combined_eval(p: Density | np.ndarray, spec: LossSpec) -> LossEval:
-    """Alpha-weighted sum of the three terms; zero-alpha terms never run."""
-    value = 0.0
-    gradient = np.zeros(spec.grid.total)
+def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
+    """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v."""
+    out = np.zeros(spec.grid.total)
+    if spec.alpha1 > 0:
+        out += spec.alpha1 * weighted_elliptic_pinv_apply(spec.mu, v, spec.solve_config)
+    if spec.alpha3 > 0:
+        out += spec.alpha3 * laplacian_apply(spec.grid, v)
+    return out
+
+
+def _quadratic_eval(p: Density | np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
+    r = _values(p) - spec.mu.values
+    qr = quadratic_apply(spec, r)
+    return 0.5 * float(r @ qr), qr
+
+
+def _add_kl(p: np.ndarray, spec: LossSpec, quadratic: tuple[float, np.ndarray]) -> LossEval:
+    """The combined loss at p from its quadratic part plus the KL term."""
+    value, gradient = quadratic
     if spec.alpha2 > 0:
         ev = e2_eval(p, spec.mu, spec.kl_form)
         if not ev.feasible:
             return LossEval(value=np.inf, gradient=None)
-        value += spec.alpha2 * ev.value
-        gradient += spec.alpha2 * ev.gradient
-    if spec.alpha1 > 0:
-        ev = e1_eval(p, spec.mu, spec.solve_config)
-        value += spec.alpha1 * ev.value
-        gradient += spec.alpha1 * ev.gradient
-    if spec.alpha3 > 0:
-        ev = e3_eval(p, spec.mu)
-        value += spec.alpha3 * ev.value
-        gradient += spec.alpha3 * ev.gradient
-    return LossEval(value=value, gradient=gradient)
+        value = spec.alpha2 * ev.value + value
+        gradient = spec.alpha2 * ev.gradient + gradient
+    return LossEval(value=value, gradient=gradient, quadratic=quadratic)
+
+
+def combined_eval(p: Density | np.ndarray, spec: LossSpec) -> LossEval:
+    """Alpha-weighted sum of the three terms; zero-alpha terms never run.
+
+    The sum is alpha2 E2 + q with q = alpha1 E1 + alpha3 E3 formed as
+    r^T Q r / 2, and q with its gradient Q r is also returned as
+    `quadratic`.
+    """
+    return _add_kl(_values(p), spec, _quadratic_eval(p, spec))
+
+
+def along_line(
+    spec: LossSpec, p: Density | np.ndarray, ev: LossEval, s: np.ndarray
+) -> Callable[[float], LossEval]:
+    """The combined loss along p - eta s as a function of eta.
+
+    ev is the evaluation at p.  The quadratic part is priced in closed form,
+
+        q(r - eta s) = q(r) - eta <s, Q r> + eta^2 / 2 <s, Q s>,
+        grad q(r - eta s) = Q r - eta Q s,
+
+    so Q s is formed once here and each call costs one KL evaluation.  The
+    quadratic part of ev is reused; an ev without one has it recomputed.  A
+    trial point with a site <= 0 evaluates to +inf whatever the alphas.
+    """
+    pv = _values(p)
+    qv, qr = ev.quadratic if ev.quadratic is not None else _quadratic_eval(pv, spec)
+    qs = quadratic_apply(spec, s)
+    s_qr = float(s @ qr)
+    s_qs = float(s @ qs)
+
+    def at(eta: float) -> LossEval:
+        trial = pv - eta * s
+        if trial.min() <= 0.0:
+            return LossEval(value=np.inf, gradient=None)
+        quadratic = (qv - eta * s_qr + 0.5 * eta * eta * s_qs, qr - eta * qs)
+        return _add_kl(trial, spec, quadratic)
+
+    return at

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .grid import Density, Grid
 from .operators import laplacian_pinv_apply, weighted_flux_apply
-from .wavelets import WaveletBasis, tensor_apply, transform_forward, transform_inverse
+from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
 __all__ = [
     "MetricPrecomp",
@@ -82,12 +82,31 @@ class MetricPrecomp:
 
     def h1_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
-        axes = range(self.basis.grid.dim)
-        return sum(tensor_apply([self.h1 if b == a else self.h2 for b in axes], p) for a in axes)
+        return self.diagonals(p, h2=False)[0]
 
     def h2_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T diag(p) W): H2 p, or H2 P H2^T in 2D."""
-        return tensor_apply([self.h2] * self.basis.grid.dim, p)
+        return self.diagonals(p, h1=False)[1]
+
+    def diagonals(
+        self, p: np.ndarray, h1: bool = True, h2: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(H1 p, H2 p) as in h1_apply and h2_apply, None for one not asked for.
+
+        In 2D both need the product H2 P (H2 P H1^T and H2 P H2^T), which is
+        formed once.
+        """
+        if self.basis.grid.dim == 1:
+            return (self.h1 @ p if h1 else None, self.h2 @ p if h2 else None)
+        n = self.basis.grid.n
+        x = p.reshape(n, n)
+        h2x = self.h2 @ x
+        h1p = h2p = None
+        if h1:
+            h1p = ((self.h2 @ (self.h1 @ x).T).T + (self.h1 @ h2x.T).T).reshape(-1)
+        if h2:
+            h2p = (self.h2 @ h2x.T).T.reshape(-1)
+        return h1p, h2p
 
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3, or h3 added coordinatewise in 2D."""
@@ -135,11 +154,12 @@ def apply_combined_metric(
     a1, a2, a3 = alphas
     basis = pre.basis
     d = np.zeros(basis.grid.total)
+    h1p, h2p = pre.diagonals(pv, h1=a1 > 0, h2=a2 > 0)
     with np.errstate(divide="ignore"):
         if a1 > 0:
-            d += a1 / pre.h1_apply(pv)
+            d += a1 / h1p
         if a2 > 0:
-            d += a2 / pre.h2_apply(pv)
+            d += a2 / h2p
     if a3 > 0:
         d += a3 * pre.h3_diagonal()
     c = transform_forward(basis, g)

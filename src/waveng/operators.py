@@ -3,9 +3,10 @@
 D is the forward difference scaled by n, so D^T D is the standard 3-point
 periodic Laplacian and the null space of D is exactly the constants.  The
 weighted operator D^T diag(w) D (summed over axes in 2D) is inverted on the
-mean-zero subspace with preconditioned conjugate gradients; the
-constant-coefficient Laplacian pseudo-inverse is applied directly by
-trigonometric (FFT) diagonalization and also serves as the preconditioner.
+mean-zero subspace: in 1D in closed form with two cumulative sums, in 2D
+with preconditioned conjugate gradients.  The constant-coefficient Laplacian
+pseudo-inverse is applied directly by trigonometric (FFT) diagonalization
+and also serves as the 2D preconditioner.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ __all__ = [
 
 
 class EllipticSolveError(RuntimeError):
-    """Raised when the subspace CG solve fails to reach its tolerance."""
+    """Raised when a weighted elliptic solve misses its residual tolerance.
+
+    `iterations` is the CG iteration count in 2D and 0 for the closed-form
+    1D solve.
+    """
 
     def __init__(self, message: str, achieved_residual: float, iterations: int):
         super().__init__(message)
@@ -131,10 +136,13 @@ def weighted_elliptic_pinv_apply(
 ) -> np.ndarray:
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
-    Preconditioned CG restricted to the mean-zero subspace; the
-    preconditioner is the constant-coefficient operator mean(w) * (-Delta)
-    inverted spectrally.  Raises EllipticSolveError when the relative
-    residual has not reached cfg.rel_tolerance within the iteration cap.
+    P projects out the constant mode.  1D is solved in closed form in O(n)
+    (see _closed_form_1d); 2D by preconditioned CG on the mean-zero
+    subspace, preconditioned by the constant-coefficient operator
+    mean(w) * (-Delta) inverted spectrally.  Raises EllipticSolveError when
+    the residual misses cfg.rel_tolerance: in 1D the backward error of the
+    closed form's true residual (see _closed_form_1d); in 2D the CG residual
+    against rel_tolerance * ||P rhs||, within the iteration cap.
     """
     if cfg is None:
         cfg = EllipticSolveConfig()
@@ -143,7 +151,57 @@ def weighted_elliptic_pinv_apply(
     wv = w.values
     if wv.min() <= 0.0:
         raise ValueError("weight density must be strictly positive")
+    b = rhs - rhs.mean()
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(grid.total)
+    if grid.dim == 1:
+        return _closed_form_1d(wv, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
+    return _pcg_2d(grid, wv, b, bnorm, cfg)
 
+
+def _closed_form_1d(
+    w: np.ndarray, b: np.ndarray, rhs_norm: float, rel_tolerance: float
+) -> np.ndarray:
+    """Solve D^T diag(w) D x = b for mean-zero b by integrating twice.
+
+    The flux f = w D x satisfies D^T f = b, so f = c - cumsum(b) / n; the
+    constant c is the one that closes the periodic loop, sum (D x) = 0,
+    i.e. sum f / w = 0.  Then x is the running sum of f / (n w) with its
+    mean removed.
+
+    The true residual is gated as a normwise backward error: it must be at
+    most rel_tolerance * (||rhs|| + ||L|| ||x||), with ||L|| <= 4 n^2 max(w).
+    The ||L|| ||x|| term is there because rounding x itself to float64
+    leaves a residual of about eps ||L|| ||x||; for a smooth rhs at
+    n = 4096 that alone is about 2e-10 ||rhs||.  ||rhs|| rather than ||b||
+    keeps a rhs that is constant up to roundoff (b of roundoff size) from
+    failing.
+    """
+    n = b.size
+    inv_w = 1.0 / w
+    f = -np.cumsum(b) / n
+    f -= (f @ inv_w) / inv_w.sum()
+    step = f * inv_w / n
+    x = np.concatenate(([0.0], np.cumsum(step[:-1])))
+    x -= x.mean()
+    residual = weighted_flux_apply(w, x) - b
+    rnorm = float(np.linalg.norm(residual - residual.mean()))
+    scale = rhs_norm + 4.0 * n**2 * float(w.max()) * float(np.linalg.norm(x))
+    if not rnorm <= rel_tolerance * scale:
+        raise EllipticSolveError(
+            f"closed-form elliptic solve: backward error {rnorm / scale:.3e} "
+            f"exceeds tolerance {rel_tolerance:.3e}",
+            achieved_residual=rnorm / scale,
+            iterations=0,
+        )
+    return x
+
+
+def _pcg_2d(
+    grid: Grid, wv: np.ndarray, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig
+) -> np.ndarray:
+    """Preconditioned CG for the mean-zero b on the 2D grid."""
     shape = grid.shape
     wx = wv.reshape(shape)
     inv_symbol = _inverse_symbol(np.mean(wv) * _laplacian_symbol(grid))
@@ -152,11 +210,7 @@ def weighted_elliptic_pinv_apply(
     def precondition(r: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
 
-    b = rhs.reshape(shape)
-    b = b - b.mean()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(grid.total)
+    b = b.reshape(shape)
     tol = cfg.rel_tolerance * bnorm
 
     x = np.zeros(shape)

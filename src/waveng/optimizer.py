@@ -10,6 +10,11 @@ failed trial.  A step with nonpositive directional slope <s, g> stalls the
 run rather than ascending.  Loss arguments may be a LossSpec or any
 callable mapping a value vector to a LossEval, which lets tests drive the
 loop with synthetic objectives.
+
+For a LossSpec the trials go through `losses.along_line`, which prices the
+quadratic terms in closed form: a step costs one K-solve (for Q s) however
+many halvings it takes, and the accepted point carries its quadratic part
+to the next step, which therefore needs no solve to get its gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Density
-from .losses import LossEval, LossSpec, combined_eval
+from .losses import LossEval, LossSpec, along_line, combined_eval
 from .metrics import MetricInfeasibleError
 
 __all__ = [
@@ -116,7 +121,8 @@ def armijo_step(
 
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
-    `evaluated` lets the caller pass a precomputed LossEval at p.
+    `evaluated` lets the caller pass a precomputed LossEval at p; for a
+    LossSpec its quadratic part, when present, saves a K-solve.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -144,19 +150,18 @@ def armijo_step(
             value_before=ev.value, value_after=ev.value,
             reason="non-descent direction",
         )
-    # density descent must stay in the metrics' domain (positive orthant);
-    # nonpositive trials are rejected exactly like +inf losses.  Callable
-    # losses own their feasibility through the values they return.
-    guard_positive = isinstance(loss, LossSpec)
+    # a LossSpec's line search rejects nonpositive trials as +inf, keeping
+    # the descent in the metrics' domain (positive orthant); callable losses
+    # own their feasibility through the values they return.
+    if isinstance(loss, LossSpec):
+        trial_eval = along_line(loss, p, ev, s)
+    else:
+        trial_eval = lambda eta: loss(p.values - eta * s)
     eta = 1.0
     for halvings in range(cfg.max_halvings + 1):
-        trial = p.values - eta * s
-        if guard_positive and trial.min() <= 0.0:
-            eta *= 0.5
-            continue
-        trial_ev = loss_fn(trial)
+        trial_ev = trial_eval(eta)
         if trial_ev.value - ev.value <= -ARMIJO_COEFFICIENT * eta * slope:
-            next_p = Density(p.grid, trial)
+            next_p = Density(p.grid, p.values - eta * s)
             diag = StepDiagnostics(
                 accepted=True, eta=eta, halvings=halvings, slope=slope,
                 value_before=ev.value, value_after=trial_ev.value,
@@ -178,11 +183,11 @@ def run_descent(
 ) -> DescentHistory:
     """Iterate armijo_step from p0 until the loss gap closes.
 
-    The gap is E(p^k) - E(mu); for a LossSpec the reference value E(mu) is
-    computed once up front (zero for the mass-corrected combined loss), and
-    for a callable loss it is zero with no reference density to measure
-    distance to.  Terminates on gap <= cfg.gap_tolerance (converged),
-    cfg.max_iterations, or a stalled line search.
+    The gap is E(p^k) - E(mu).  The reference value is 0: every term of a
+    LossSpec vanishes at mu, and a callable loss is measured against 0 with
+    no reference density to measure distance to.  Terminates on
+    gap <= cfg.gap_tolerance (converged), cfg.max_iterations, or a stalled
+    line search.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -190,9 +195,7 @@ def run_descent(
         raise ValueError("initial density must be strictly positive")
     loss_fn = _as_loss_fn(loss)
     reference = loss.mu if isinstance(loss, LossSpec) else None
-    ref_value = 0.0 if reference is None else float(loss_fn(reference.values).value)
-
-    history = DescentHistory(reference_value=ref_value)
+    history = DescentHistory()
 
     def record(k: int, ev: LossEval, p: Density, eta: float, halvings: int) -> None:
         dist = float(np.linalg.norm(p.values - reference.values)) if reference is not None else np.nan
@@ -200,7 +203,7 @@ def run_descent(
             IterationRecord(
                 iteration=k,
                 loss=ev.value,
-                gap=ev.value - ref_value,
+                gap=ev.value - history.reference_value,
                 eta=eta,
                 halvings=halvings,
                 mass=p.mass,
@@ -214,7 +217,7 @@ def run_descent(
     if not ev.feasible:
         raise ValueError("loss is infeasible at the initial density")
     record(0, ev, p, 0.0, 0)
-    if ev.value - ref_value <= cfg.gap_tolerance:
+    if ev.value - history.reference_value <= cfg.gap_tolerance:
         history.status = "converged"
         return history
 
@@ -226,7 +229,7 @@ def run_descent(
             return history
         p, ev = p_next, ev_next
         record(k, ev, p, diag.eta, diag.halvings)
-        if ev.value - ref_value <= cfg.gap_tolerance:
+        if ev.value - history.reference_value <= cfg.gap_tolerance:
             history.status = "converged"
             return history
     history.status = "max_iter"

@@ -120,15 +120,18 @@ def _poly_mul(a: list, b: list) -> list:
 class WaveletBasis:
     """Filter pair, decomposition depth and the 1D basis matrix for one grid.
 
-    `matrix` is the n x n CSR matrix W of the 1D basis.  In 2D the basis is
-    the full tensor product of the 1D basis with itself and the coefficient
-    array has length n^2, indexed (i1, i2) -> i1*n + i2 like the sites.
+    `matrix` is the n x n CSR matrix W of the 1D basis and `matrix_t` its
+    transpose, stored as CSR once so that an analysis does not build the
+    transposed view on every call.  In 2D the basis is the full tensor
+    product of the 1D basis with itself and the coefficient array has
+    length n^2, indexed (i1, i2) -> i1*n + i2 like the sites.
     """
 
     grid: Grid
     filters: FilterPair
     levels: int
     matrix: sp.csr_matrix = field(repr=False, compare=False)
+    matrix_t: sp.csr_matrix = field(repr=False, compare=False)
 
 
 def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> WaveletBasis:
@@ -161,7 +164,7 @@ def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> Wavelet
     w = sp.hstack(columns + [approx], format="csr")
     w.eliminate_zeros()
     w.sort_indices()
-    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w)
+    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w, matrix_t=w.T.tocsr())
 
 
 def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
@@ -192,7 +195,7 @@ def tensor_apply(factors: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
     """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
     v = _check_length(basis.grid, v)
-    return tensor_apply([basis.matrix.T] * basis.grid.dim, v)
+    return tensor_apply([basis.matrix_t] * basis.grid.dim, v)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import pytest
 
 from waveng.cli import main
+from waveng.experiments import RunReport
+from waveng.optimizer import DescentHistory, IterationRecord
 
 
 class TestCli:
@@ -47,6 +49,27 @@ class TestCli:
         }
         out = capsys.readouterr().out
         assert "combined" in out and "wrote" in out
+
+    def test_run_prints_stall_reason(self, tmp_path, capsys, monkeypatch):
+        stalled = DescentHistory(
+            records=[IterationRecord(0, 1.0, 1.0, 0.0, 0, 1.0, 0.5, 0.0)],
+            status="stalled",
+            stall_reason="line search exhausted max_halvings",
+        )
+
+        def fake_run(preset, overrides):
+            report = RunReport(preset=preset, overrides=overrides)
+            for kind in preset.metrics:
+                report.histories[kind.value] = stalled
+                report.wall_times[kind.value] = 0.0
+            return report
+
+        monkeypatch.setattr("waveng.cli.run_experiment", fake_run)
+        assert main(["run", "--preset", "1d-1", "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "1d-1 combined: stalled (line search exhausted max_halvings) after 0 iterations" in out
+        )
 
     def test_out_dir_that_is_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected before any descent runs

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waveng.grid import Density, make_grid
 from waveng.operators import (
@@ -160,16 +162,49 @@ class TestWeightedPinv:
             weighted_elliptic_pinv_apply(Density(grid, wv), np.ones(16))
 
     def test_nonconvergence_reports_residual(self):
-        grid = make_grid(1, 64)
+        # 2D, where max_iterations caps the CG loop
+        grid = make_grid(2, 16)
         rng = np.random.default_rng(25)
-        wv = rng.uniform(0.5, 2.0, 64)
+        wv = rng.uniform(0.5, 2.0, grid.total)
         w = Density(grid, wv / wv.sum())
         cfg = EllipticSolveConfig(rel_tolerance=1e-14, max_iterations=1)
         with pytest.raises(EllipticSolveError) as excinfo:
-            weighted_elliptic_pinv_apply(w, rng.standard_normal(64), cfg)
+            weighted_elliptic_pinv_apply(w, rng.standard_normal(grid.total), cfg)
         assert excinfo.value.achieved_residual > 0
         assert excinfo.value.iterations == 1
+
+    def test_1d_residual_gate(self):
+        # the closed-form 1D solve has no iterations to cap; its residual is
+        # still checked against the tolerance
+        grid = make_grid(1, 64)
+        rng = np.random.default_rng(26)
+        wv = rng.uniform(0.5, 2.0, 64)
+        w = Density(grid, wv / wv.sum())
+        rhs = rng.standard_normal(64)
+        weighted_elliptic_pinv_apply(w, rhs)  # the default tolerance passes
+        with pytest.raises(EllipticSolveError) as excinfo:
+            weighted_elliptic_pinv_apply(w, rhs, EllipticSolveConfig(rel_tolerance=1e-300))
+        assert excinfo.value.achieved_residual > 1e-300
+        assert excinfo.value.iterations == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EllipticSolveConfig(rel_tolerance=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+@example(8, 0)
+def test_1d_solve_matches_dense_pinv(log2n, seed):
+    """The closed-form 1D solve against pinv of the dense D^T diag(w) D."""
+    n = 2**log2n
+    grid = make_grid(1, n)
+    rng = np.random.default_rng(seed)
+    wv = rng.uniform(0.05, 1.0, n)
+    w = Density(grid, wv / wv.sum())
+    rhs = rng.standard_normal(n)
+    d = np.array([diff_apply(grid, e) for e in np.eye(n)]).T
+    dense = d.T @ np.diag(w.values) @ d
+    want = np.linalg.pinv(dense) @ rhs
+    got = weighted_elliptic_pinv_apply(w, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

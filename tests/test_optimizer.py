@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density, Potential
-from waveng.losses import LossEval, LossSpec
+from waveng.losses import LossEval, LossSpec, combined_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
+from waveng.operators import EllipticSolveConfig
 from waveng.optimizer import DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
@@ -70,6 +72,64 @@ class TestArmijoStep:
         p_next, _, diag = armijo_step(mu, spec, metric)
         assert not diag.accepted  # zero gradient -> zero direction -> stall
         assert np.max(np.abs(p_next.values - mu.values)) <= 1e-10
+
+
+def preset_setup(preset_id, solve_config=EllipticSolveConfig()):
+    preset = load_preset(preset_id)
+    grid = make_grid(preset.dim, preset.n)
+    mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+    spec = LossSpec(*preset.alphas, mu=mu, solve_config=solve_config)
+    pre = build_precomp(make_basis(grid))
+    metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=preset.alphas)
+    return grid, spec, metric
+
+
+def assert_matches_fresh(ev, p, spec, rtol):
+    """The evaluation carried by the line search against combined_eval at p."""
+    fresh = combined_eval(p, spec)
+    assert abs(ev.value - fresh.value) <= rtol * abs(fresh.value)
+    assert np.linalg.norm(ev.gradient - fresh.gradient) <= rtol * np.linalg.norm(fresh.gradient)
+    (qv, qg), (fresh_qv, fresh_qg) = ev.quadratic, fresh.quadratic
+    assert abs(qv - fresh_qv) <= rtol * abs(fresh_qv)
+    assert np.linalg.norm(qg - fresh_qg) <= rtol * np.linalg.norm(fresh_qg)
+
+
+class TestLineSearch:
+    """A LossSpec's trials price the quadratic terms in closed form."""
+
+    @pytest.mark.parametrize("preset_id", ["1d-4", "2d-4"])
+    def test_one_step_carries_fresh_evaluation(self, preset_id):
+        # the 2D CG solves are tightened below the default 1e-10 so that the
+        # comparison measures the carried update, not the CG error of both sides
+        grid, spec, metric = preset_setup(preset_id, EllipticSolveConfig(rel_tolerance=1e-13))
+        p = uniform_density(grid)
+        p_next, ev, diag = armijo_step(p, spec, metric)
+        assert diag.accepted
+        assert_matches_fresh(ev, p_next, spec, 1e-12)
+
+    def test_carried_evaluation_after_2000_steps(self):
+        grid, spec, _ = preset_setup("1d-4")
+        wasserstein = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
+        p = uniform_density(grid)
+        ev = combined_eval(p, spec)
+        for _ in range(2000):
+            p, ev, diag = armijo_step(p, spec, wasserstein, evaluated=ev)
+            assert diag.accepted
+        assert_matches_fresh(ev, p, spec, 1e-9)
+
+    def test_evaluated_without_quadratic_part(self):
+        grid, spec, metric = preset_setup("1d-4")
+        p = uniform_density(grid)
+        ev = combined_eval(p, spec)
+        bare = LossEval(value=ev.value, gradient=ev.gradient)
+        p_a, ev_a, diag_a = armijo_step(p, spec, metric, evaluated=ev)
+        p_b, ev_b, diag_b = armijo_step(p, spec, metric, evaluated=bare)
+        assert diag_a == diag_b and diag_a.accepted
+        np.testing.assert_array_equal(p_a.values, p_b.values)
+        assert ev_a.value == ev_b.value
+        np.testing.assert_array_equal(ev_a.gradient, ev_b.gradient)
+        assert ev_a.quadratic[0] == ev_b.quadratic[0]
+        np.testing.assert_array_equal(ev_a.quadratic[1], ev_b.quadratic[1])
 
 
 class TestRunDescent:
