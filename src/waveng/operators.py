@@ -4,9 +4,9 @@ D is the forward difference scaled by n, so D^T D is the standard 3-point
 periodic Laplacian and the null space of D is exactly the constants.  The
 weighted operator D^T diag(w) D (summed over axes in 2D) is inverted on the
 mean-zero subspace: in 1D in closed form with two cumulative sums, in 2D
-with preconditioned conjugate gradients.  The constant-coefficient Laplacian
-pseudo-inverse is applied directly by trigonometric (FFT) diagonalization
-and also serves as the 2D preconditioner.
+with conjugate gradients preconditioned by the Laplacian pseudo-inverse
+scaled by 1/sqrt(w) on both sides.  The constant-coefficient Laplacian
+pseudo-inverse is applied directly by trigonometric (FFT) diagonalization.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def weighted_elliptic_pinv_apply(
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
     P projects out the constant mode.  1D is solved in closed form in O(n)
-    (see _closed_form_1d); 2D by preconditioned CG on the mean-zero
-    subspace, preconditioned by the constant-coefficient operator
-    mean(w) * (-Delta) inverted spectrally.  Raises EllipticSolveError when
+    (see _closed_form_1d); 2D by CG on the mean-zero subspace,
+    preconditioned by P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one FFT
+    pair per iteration (see _pcg_2d).  Raises EllipticSolveError when
     the residual misses cfg.rel_tolerance: in 1D the backward error of the
     closed form's true residual (see _closed_form_1d); in 2D the CG residual
     against rel_tolerance * ||P rhs||, within the iteration cap.
@@ -201,14 +201,25 @@ def _closed_form_1d(
 def _pcg_2d(
     grid: Grid, wv: np.ndarray, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig
 ) -> np.ndarray:
-    """Preconditioned CG for the mean-zero b on the 2D grid."""
+    """Preconditioned CG for the mean-zero b on the 2D grid.
+
+    The preconditioner is M^-1 = P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w)
+    and P the mean-zero projection.  This is the ground-state transform:
+    S^-1 L_w S^-1 is -Delta plus the potential Delta(sqrt w) / sqrt w, which
+    does not grow with n for a smooth w, so the iteration count follows how
+    rough w is, not n.  M^-1 is positive definite on the mean-zero subspace
+    (S^-1 r is constant only for r proportional to sqrt w, which has positive
+    mean) and costs one FFT pair.
+    """
     shape = grid.shape
     wx = wv.reshape(shape)
-    inv_symbol = _inverse_symbol(np.mean(wv) * _laplacian_symbol(grid))
+    s_inv = 1.0 / np.sqrt(wx)
+    inv_symbol = _inverse_symbol(_laplacian_symbol(grid))
     axes = tuple(range(grid.dim))
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
+        z = s_inv * np.fft.irfftn(np.fft.rfftn(s_inv * r) * inv_symbol, s=shape, axes=axes)
+        return z - z.mean()
 
     b = b.reshape(shape)
     tol = cfg.rel_tolerance * bnorm

@@ -12,8 +12,9 @@ scaling function.
 Synthesis convention: tap r of the coefficient at position j of a level of
 length m lands on site (2j+r) mod m, so analysis reads
 a_j = sum_r h[r] v[(2j+r) mod m].  Highpass is the alternating flip
-g[i] = (-1)^i h[2k-1-i].  Filters are derived by spectral factorization at
-50-digit precision so orthogonality holds to double-precision roundoff.
+g[i] = (-1)^i h[2k-1-i].  The lowpass taps are a committed table of a
+50-digit spectral factorization rounded once to float64, so orthogonality
+holds to double-precision roundoff.
 
 In 2D the basis is the tensor product of the 1D basis with itself.  It is
 never materialized: on the n x n site array X the analysis is W^T X W and
@@ -57,63 +58,88 @@ class FilterPair:
         return 2 * self.order
 
 
+# Lowpass taps h[0 .. 2k-1] for k = 1 .. 10 vanishing moments as float.hex
+# strings.  Orders 2-10 are the spectral factorization of the binomial
+# half-band polynomial in 50-digit arithmetic, rounded once to float64
+# (tests/filter_reference.py re-derives them and checks every bit); order 1
+# is the Haar pair 1/sqrt(2).  Published tables carry too few digits for the
+# 1e-12 orthogonality checks used here.
+_LOWPASS_HEX: dict[int, tuple[str, ...]] = {
+    1: ("0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"),
+    2: (
+        "0x1.ee8dd4748bf15p-2", "0x1.ac4bdd6e3fd71p-1", "0x1.cb0bf0b6b7109p-3",
+        "-0x1.0907dc1930690p-3",
+    ),
+    3: (
+        "0x1.54a796e50d264p-2", "0x1.9d20e247d28bbp-1", "0x1.d6ea20bf0f744p-2",
+        "-0x1.1480a85c59629p-3", "-0x1.5df7ab50d483cp-4", "0x1.2092e373789b9p-5",
+    ),
+    4: (
+        "0x1.d7d052af15ec0p-3", "0x1.6e005ea45d748p-1", "0x1.4302cdd3de43ap-1",
+        "-0x1.ca7c6f9db5bfbp-6", "-0x1.7f0c1b7c604d4p-3", "0x1.f94e2196383a9p-6",
+        "0x1.0d60ac768117bp-5", "-0x1.5b41730b72e29p-7",
+    ),
+    5: (
+        "0x1.47e3c41a7b911p-3", "0x1.35291c2c4b00cp-1", "0x1.72d89143b54f5p-1",
+        "0x1.1b80373befcc6p-3", "-0x1.f0384d3f81474p-3", "-0x1.0826648a8dc74p-5",
+        "0x1.3dbb9b52515aap-4", "-0x1.990ad4579f2e8p-8", "-0x1.9c3eff3294128p-7",
+        "0x1.b5385e04e3c09p-9",
+    ),
+    6: (
+        "0x1.c8def24dc3952p-4", "0x1.fa7eaf64539a9p-2", "0x1.80949fa3bc0bbp-1",
+        "0x1.42d0fcfa92f21p-2", "-0x1.cf63dd26916f1p-3", "-0x1.09c33622722ebp-3",
+        "0x1.8f5dd7f4e1752p-4", "0x1.c2ef43d612549p-6", "-0x1.02b856404e8cep-5",
+        "0x1.225f71210a7c1p-11", "0x1.391514c62a31bp-8", "-0x1.1a6873b7a6466p-10",
+    ),
+    7: (
+        "0x1.3ee1cba38b6b1p-4", "0x1.960e674303003p-2", "0x1.7550cd294c1fep-1",
+        "0x1.e10e9ba294ddcp-2", "-0x1.26b830e491e33p-3", "-0x1.cad37bbd5ab97p-3",
+        "0x1.241522ca7821cp-4", "0x1.4a30727f2fa53p-4", "-0x1.378a8eecf45ccp-5",
+        "-0x1.0f8eaa8ffe709p-6", "0x1.9b45682a50d70p-7", "0x1.c271f584373d4p-12",
+        "-0x1.d84a0f9cb2f31p-10", "0x1.72e5533fa10d3p-12",
+    ),
+    8: (
+        "0x1.bdc64ada308ddp-5", "0x1.4061690b4c31ep-2", "0x1.59ec459923760p-1",
+        "0x1.2bb39bedb5e28p-1", "-0x1.03581459a95c6p-6", "-0x1.22d4f8724d56fp-2",
+        "0x1.ef6f9caf662b0p-12", "0x1.07acbb163ba09p-3", "-0x1.1c9420f07509dp-6",
+        "-0x1.692bc518a7fe2p-5", "0x1.ca215cd5b85b4p-7", "0x1.1e978df35f5fcp-7",
+        "-0x1.3f2ef6d3ac74ap-8", "-0x1.9ac501798e65dp-12", "0x1.622148e2ef341p-11",
+        "-0x1.ecbbbc88e3fc3p-14",
+    ),
+    9: (
+        "0x1.37ef3e540da7cp-5", "0x1.f35f9808bc2a0p-3", "0x1.35ab60603a288p-1",
+        "0x1.5088101e8fe35p-1", "0x1.10c9ca803fb22p-3", "-0x1.2c4ff66fd53efp-2",
+        "-0x1.8ca8ebcdc98fcp-4", "0x1.303621e43e771p-3", "0x1.f768d94677997p-6",
+        "-0x1.1506294f451a2p-4", "0x1.07231a6b6ca0dp-12", "0x1.6e5f9be058887p-6",
+        "-0x1.358a39f783bbfp-8", "-0x1.1897b64b3bfb6p-8", "0x1.e4597bbfc711fp-10",
+        "0x1.e3276a3bc510bp-13", "-0x1.0833da803978ap-12", "0x1.4a11ba1ad31b5p-15",
+    ),
+    10: (
+        "0x1.b4f6549dc7ae3p-6", "0x1.8162d69198cfep-3", "0x1.0ded5071bf874p-1",
+        "0x1.607db4062d775p-1", "0x1.1feba4923f567p-2", "-0x1.ffaf7b6c111e3p-3",
+        "-0x1.914c47c1ca802p-3", "0x1.04da377a0ae83p-3", "0x1.7d29b819fd18dp-4",
+        "-0x1.246e307349ac4p-4", "-0x1.e2a1dd5152b25p-6", "0x1.1014069cb8f3cp-5",
+        "0x1.d8b7db3e21714p-9", "-0x1.5fb466d770edcp-7", "0x1.6dc8787ae38ddp-10",
+        "0x1.0526072a98cd8p-9", "-0x1.67962098c50f0p-11", "-0x1.e87f555dc50ddp-14",
+        "0x1.888a11cfae433p-14", "-0x1.bd12a2a1a43dbp-17",
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def daubechies_filters(order: int) -> FilterPair:
     """Daubechies filter pair with `order` vanishing moments, 1 <= order <= 10.
 
-    Computed by spectral factorization of the binomial half-band polynomial
-    in 50-digit arithmetic, then rounded once to float64; published tables
-    carry too few digits for the 1e-12 orthogonality checks used here.
     Ordering matches the convention with h[0] = (1+sqrt 3)/(4 sqrt 2) for
     order 2.
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order}")
     order = int(order)
-    if order == 1:
-        lowpass = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    else:
-        lowpass = _daubechies_lowpass_mp(order)
+    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[order]])
     i = np.arange(2 * order)
     highpass = (-1.0) ** i * lowpass[::-1]
     return FilterPair(order=order, lowpass=lowpass, highpass=highpass)
-
-
-def _daubechies_lowpass_mp(k: int) -> np.ndarray:
-    """Spectral factorization of P(y) = sum_m C(k-1+m, m) y^m at high precision."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        # roots of P in y, then the |z| < 1 root of z + 1/z = 2 - 4y per y-root
-        coeffs = [mp.binomial(k - 1 + m, m) for m in range(k)]  # ascending in y
-        y_roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=120)
-        z_roots = []
-        for y in y_roots:
-            b = 2 - 4 * y
-            disc = mp.sqrt(b * b - 4)
-            z1 = (b + disc) / 2
-            z2 = (b - disc) / 2
-            z_roots.append(z1 if abs(z1) < 1 else z2)
-        # h(z) = c * (1+z)^k * prod (z - z_i), expanded in ascending powers
-        poly = [mp.mpc(1)]
-        for _ in range(k):
-            poly = _poly_mul(poly, [mp.mpc(1), mp.mpc(1)])
-        for z0 in z_roots:
-            poly = _poly_mul(poly, [-z0, mp.mpc(1)])
-        vals = [mp.re(c) for c in poly]
-        total = sum(vals)
-        scale = mp.sqrt(2) / total
-        # descending-power ordering puts the largest tap first for k = 2
-        h = [float(v * scale) for v in reversed(vals)]
-    return np.array(h, dtype=np.float64)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,22 @@ class TestRunDescent:
         assert combined_hist.status == "converged"
         assert fisher_hist.status != "converged"
 
+    @pytest.mark.parametrize("preset_id", ["2d-2", "2d-4"])
+    def test_wasserstein_count_independent_of_solver_tolerance(self, preset_id):
+        # the Wasserstein direction D^T diag(p) D g amplifies the error of the
+        # K-solve inside g; the iteration count must come from the problem,
+        # not from how accurately the solver happens to converge
+        counts = []
+        for tol in (1e-8, 1e-10, 1e-12):
+            grid, spec, _ = preset_setup(preset_id, EllipticSolveConfig(rel_tolerance=tol))
+            p0 = uniform_density(grid)
+            target = 1e-6 * combined_eval(p0, spec).value
+            wasserstein = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
+            hist = run_descent(p0, spec, wasserstein, DescentConfig(200, target))
+            assert hist.status == "converged"
+            counts.append(hist.iterations)
+        assert len(set(counts)) == 1, counts
+
     def test_rejects_nonpositive_start(self):
         grid = make_grid(1, 16)
         values = np.full(16, 1.0 / 16)

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cascade_reference import loop_matrix
+from filter_reference import daubechies_lowpass_mp
 from waveng.grid import make_grid
 from waveng.wavelets import (
     daubechies_filters,
@@ -42,6 +47,29 @@ class TestFilters:
     def test_unsupported_order(self, order):
         with pytest.raises(ValueError):
             daubechies_filters(order)
+
+    def test_haar_table_entry_bits(self):
+        want = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        assert daubechies_filters(1).lowpass.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", range(2, 11))
+    def test_table_equals_mpmath_derivation(self, order):
+        want = daubechies_lowpass_mp(order)
+        assert daubechies_filters(order).lowpass.tobytes() == want.tobytes()
+
+    def test_basis_builds_without_mpmath(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from waveng.grid import make_grid\n"
+            "from waveng.wavelets import make_basis\n"
+            "for order in range(1, 11):\n"
+            "    make_basis(make_grid(2, 32), order=order)\n"
+            "if 'mpmath' in sys.modules:\n"
+            "    sys.exit('mpmath was imported')\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 class TestForwardTransform:
