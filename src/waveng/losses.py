@@ -11,19 +11,29 @@ With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and prices every trial step
-with the KL term alone.
+with the KL term alone.  Because mu is fixed, each LossSpec keeps one
+WeightedLaplacian of mu for all its K-solves: the 2D solve's set-up is
+built on the first nonzero right-hand side and reused for the rest of the
+run.  Nothing is built for a zero right-hand side (E(mu) itself), for
+alpha1 = 0 or in 1D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .grid import Density, Grid
-from .operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
+from .operators import (
+    EllipticSolveConfig,
+    WeightedLaplacian,
+    laplacian_apply,
+    weighted_elliptic_pinv_apply,
+)
 
 __all__ = [
     "KLForm",
@@ -69,6 +79,11 @@ class LossSpec:
     @property
     def grid(self) -> Grid:
         return self.mu.grid
+
+    @cached_property
+    def weighted_laplacian(self) -> WeightedLaplacian:
+        """L_mu, whose 2D solve set-up is built once per spec, on first use."""
+        return WeightedLaplacian(self.mu)
 
 
 @dataclass(frozen=True)
@@ -140,7 +155,9 @@ def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v."""
     out = np.zeros(spec.grid.total)
     if spec.alpha1 > 0:
-        out += spec.alpha1 * weighted_elliptic_pinv_apply(spec.mu, v, spec.solve_config)
+        out += spec.alpha1 * weighted_elliptic_pinv_apply(
+            spec.weighted_laplacian, v, spec.solve_config
+        )
     if spec.alpha3 > 0:
         out += spec.alpha3 * laplacian_apply(spec.grid, v)
     return out

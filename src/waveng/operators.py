@@ -2,31 +2,51 @@
 
 D is the forward difference scaled by n, so D^T D is the standard 3-point
 periodic Laplacian and the null space of D is exactly the constants.  The
-weighted operator D^T diag(w) D (summed over axes in 2D) is inverted on the
+weighted operator L_w = sum_a D_a^T diag(w) D_a is inverted on the
 mean-zero subspace: in 1D in closed form with two cumulative sums, in 2D
 with conjugate gradients preconditioned by the Laplacian pseudo-inverse
-scaled by 1/sqrt(w) on both sides.  The constant-coefficient Laplacian
-pseudo-inverse is applied directly by trigonometric (FFT) diagonalization.
+scaled by 1/sqrt(w) on both sides.  A WeightedLaplacian holds L_w
+assembled as a CSR matrix, the part of that 2D solve fixed by w, built on
+first use and kept, so a caller with a fixed w (the loss's mu) pays for it
+once per run.
+
+The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
+periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
+n <= 64 dense products in the real periodic eigenbasis (the fast
+diagonalization method), otherwise the FFT with its inverse symbol
+computed once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import Density, Grid
 
 __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
+    "WeightedLaplacian",
     "diff_apply",
     "diff_adjoint_apply",
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
+    "weighted_laplacian_matrix",
     "weighted_elliptic_pinv_apply",
 ]
+
+# Largest n whose 2D (-Delta)^+ plan uses dense eigenbasis products instead
+# of the FFT.  Dense vs FFT per 2D application (one BLAS thread, 2-vCPU Xeon
+# VM): 64-69 vs 106-136 us at 64^2, 430-520 vs 290-380 us at 128^2,
+# 4.0 vs 1.5 ms at 256^2.
+DENSE_PLAN_MAX_N = 64
 
 
 class EllipticSolveError(RuntimeError):
@@ -48,8 +68,10 @@ class EllipticSolveConfig:
     max_iterations: int | None = None  # defaults to 10 * n * dim
 
     def __post_init__(self) -> None:
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
+            raise ValueError(f"rel_tolerance must be finite and positive, got {self.rel_tolerance}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be None or >= 1, got {self.max_iterations}")
 
     def iteration_cap(self, grid: Grid) -> int:
         if self.max_iterations is not None:
@@ -102,62 +124,144 @@ def weighted_flux_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x.shape[0] ** 2 * out
 
 
-def _laplacian_symbol(grid: Grid) -> np.ndarray:
-    """Eigenvalues of -Delta on the rfft grid (axis-0 full, last axis half)."""
-    n = grid.n
-    lam_full = 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2
-    lam_half = lam_full[: n // 2 + 1]
-    if grid.dim == 1:
-        return lam_half
-    return lam_full[:, None] + lam_half[None, :]
+def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
+    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D).
+
+    Row s holds n^2 sum_a (w_s + w_{s-e_a}) on the diagonal, -n^2 w_s at
+    s + e_a and -n^2 w_{s-e_a} at s - e_a: the weighted_flux_apply stencil.
+    """
+    grid = w.grid
+    wx = w.values.reshape(grid.shape)
+    sites = np.arange(grid.total).reshape(grid.shape)
+    diag = np.zeros(grid.shape)
+    cols, vals = [sites], [diag]
+    for axis in range(grid.dim):
+        w_back = np.roll(wx, 1, axis=axis)
+        diag += wx + w_back
+        cols += [np.roll(sites, -1, axis=axis), np.roll(sites, 1, axis=axis)]
+        vals += [-wx, -w_back]
+    data = grid.n**2 * np.stack(vals, axis=-1).ravel()
+    indptr = np.arange(0, data.size + 1, len(vals))
+    matrix = sp.csr_matrix((data, np.stack(cols, axis=-1).ravel(), indptr), shape=(grid.total,) * 2)
+    matrix.sort_indices()
+    return matrix
 
 
-def _inverse_symbol(symbol: np.ndarray) -> np.ndarray:
+class WeightedLaplacian:
+    """L_w for one strictly positive weight density w, with its 2D solve set-up.
+
+    `matrix` (L_w as CSR, see weighted_laplacian_matrix) is built on first
+    use and kept; making a WeightedLaplacian builds nothing.  Only a 2D
+    solve with a nonzero right-hand side uses it.
+    """
+
+    def __init__(self, w: Density):
+        if w.values.min() <= 0.0:
+            raise ValueError("weight density must be strictly positive")
+        self.w = w
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return weighted_laplacian_matrix(self.w)
+
+
+def _laplacian_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalue 4 n^2 sin^2(pi k / n) of the 1D -Delta for each wavenumber k < n."""
+    return 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+
+
+def _pinv_symbol(lam: np.ndarray) -> np.ndarray:
+    """1 / lam, with 0 for the zero (constant) mode."""
     with np.errstate(divide="ignore"):
-        inv = np.where(symbol > 0.0, 1.0 / symbol, 0.0)
-    return inv
+        return np.where(lam > 0.0, 1.0 / lam, 0.0)
+
+
+def _real_periodic_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real eigenvectors of the 1D periodic -Delta (as columns) and their eigenvalues.
+
+    Columns: the constant, then cos and sin of each wavenumber 0 < k < n/2,
+    then the alternating mode k = n/2.
+    """
+    s = np.arange(n)
+    k = np.arange(1, n // 2)
+    angles = 2.0 * np.pi * np.outer(s, k) / n
+    pairs = np.sqrt(2.0 / n) * np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    q = np.column_stack(
+        [np.full(n, 1.0 / math.sqrt(n)), pairs.reshape(n, -1), (-1.0) ** s / math.sqrt(n)]
+    )
+    lam = _laplacian_eigenvalues(n)
+    return q, np.concatenate(([0.0], np.repeat(lam[k], 2), [lam[n // 2]]))
+
+
+@functools.cache
+def _laplacian_pinv_plan(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """(-Delta)^+ as a map on flat vectors, with every grid-fixed array built once.
+
+    On a 2D grid with n <= DENSE_PLAN_MAX_N it is Q ((Q^T X Q) / Lambda) Q^T
+    on the n x n array X, with Q the real periodic eigenbasis and
+    Lambda_ij = lam_i + lam_j.  Otherwise it is the real FFT pair with the
+    inverse symbol.  Both drop the constant mode, so the output has zero mean
+    up to roundoff.  Plans stay cached for the life of the process; one
+    holds O(n^2) floats (about 100 KB at n = 64).
+    """
+    n, shape = grid.n, grid.shape
+    if grid.dim == 2 and n <= DENSE_PLAN_MAX_N:
+        q, lam = _real_periodic_eigenbasis(n)
+        qt = np.ascontiguousarray(q.T)
+        inv = _pinv_symbol(lam[:, None] + lam[None, :])
+        return lambda v: (q @ ((qt @ v.reshape(shape) @ q) * inv) @ qt).reshape(grid.total)
+    lam = _laplacian_eigenvalues(n)
+    half = lam[: n // 2 + 1]
+    inv = _pinv_symbol(half if grid.dim == 1 else lam[:, None] + half[None, :])
+    axes = tuple(range(grid.dim))
+
+    def fft_apply(v: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(v.reshape(shape)) * inv
+        return np.fft.irfftn(spec, s=shape, axes=axes).reshape(grid.total)
+
+    return fft_apply
 
 
 def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of (-Delta) x = P rhs via FFT diagonalization.
+    """Minimum-norm solution of (-Delta) x = P rhs by the grid's cached plan.
 
     P projects out the constant mode, so constant input maps to zero and the
     output always has zero mean.
     """
-    rhs = _check_length(grid, rhs)
-    inv = _inverse_symbol(_laplacian_symbol(grid))
-    axes = tuple(range(grid.dim))
-    spec = np.fft.rfftn(rhs.reshape(grid.shape)) * inv
-    return np.fft.irfftn(spec, s=grid.shape, axes=axes).reshape(grid.total)
+    return _laplacian_pinv_plan(grid)(_check_length(grid, rhs))
 
 
 def weighted_elliptic_pinv_apply(
-    w: Density, rhs: np.ndarray, cfg: EllipticSolveConfig | None = None
+    w: Density | WeightedLaplacian, rhs: np.ndarray, cfg: EllipticSolveConfig | None = None
 ) -> np.ndarray:
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
-    P projects out the constant mode.  1D is solved in closed form in O(n)
-    (see _closed_form_1d); 2D by CG on the mean-zero subspace,
-    preconditioned by P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one FFT
-    pair per iteration (see _pcg_2d).  Raises EllipticSolveError when
-    the residual misses cfg.rel_tolerance: in 1D the backward error of the
-    closed form's true residual (see _closed_form_1d); in 2D the CG residual
-    against rel_tolerance * ||P rhs||, within the iteration cap.
+    P projects out the constant mode.  Pass w's WeightedLaplacian instead of
+    w to reuse its 2D set-up across solves; given a density, the set-up is
+    built for this one solve.  1D is solved in closed form in O(n) (see
+    _closed_form_1d); 2D by CG on the mean-zero subspace, preconditioned by
+    P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one sparse matvec and one
+    (-Delta)^+ plan application per iteration (see _pcg_2d).  Raises
+    ValueError for a right-hand side that is not finite, and
+    EllipticSolveError when the residual misses cfg.rel_tolerance: in 1D the
+    backward error of the closed form's true residual (see _closed_form_1d);
+    in 2D the CG residual against rel_tolerance * ||P rhs||, within the
+    iteration cap.
     """
     if cfg is None:
         cfg = EllipticSolveConfig()
-    grid = w.grid
+    op = w if isinstance(w, WeightedLaplacian) else WeightedLaplacian(w)
+    grid = op.w.grid
     rhs = _check_length(grid, rhs)
-    wv = w.values
-    if wv.min() <= 0.0:
-        raise ValueError("weight density must be strictly positive")
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must be finite")
     b = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(grid.total)
     if grid.dim == 1:
-        return _closed_form_1d(wv, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
-    return _pcg_2d(grid, wv, b, bnorm, cfg)
+        return _closed_form_1d(op.w.values, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
+    return _pcg_2d(op, b, bnorm, cfg)
 
 
 def _closed_form_1d(
@@ -199,7 +303,7 @@ def _closed_form_1d(
 
 
 def _pcg_2d(
-    grid: Grid, wv: np.ndarray, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig
+    op: WeightedLaplacian, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig
 ) -> np.ndarray:
     """Preconditioned CG for the mean-zero b on the 2D grid.
 
@@ -209,29 +313,28 @@ def _pcg_2d(
     does not grow with n for a smooth w, so the iteration count follows how
     rough w is, not n.  M^-1 is positive definite on the mean-zero subspace
     (S^-1 r is constant only for r proportional to sqrt w, which has positive
-    mean) and costs one FFT pair.
+    mean).  An iteration costs one CSR matvec with L_w and one application of
+    the grid's cached (-Delta)^+ plan.
     """
-    shape = grid.shape
-    wx = wv.reshape(shape)
-    s_inv = 1.0 / np.sqrt(wx)
-    inv_symbol = _inverse_symbol(_laplacian_symbol(grid))
-    axes = tuple(range(grid.dim))
+    grid = op.w.grid
+    a = op.matrix
+    s_inv = 1.0 / np.sqrt(op.w.values)
+    laplacian_pinv = _laplacian_pinv_plan(grid)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        z = s_inv * np.fft.irfftn(np.fft.rfftn(s_inv * r) * inv_symbol, s=shape, axes=axes)
+        z = s_inv * laplacian_pinv(s_inv * r)
         return z - z.mean()
 
-    b = b.reshape(shape)
     tol = cfg.rel_tolerance * bnorm
 
-    x = np.zeros(shape)
+    x = np.zeros(grid.total)
     r = b.copy()
     z = precondition(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
     limit = cfg.iteration_cap(grid)
     for iteration in range(1, limit + 1):
-        ap = weighted_flux_apply(wx, p)
+        ap = a @ p
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
@@ -239,7 +342,7 @@ def _pcg_2d(
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             x -= x.mean()
-            return x.reshape(grid.total)
+            return x
         z = precondition(r)
         rz_next = float(np.vdot(r, z))
         p = z + (rz_next / rz) * p

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from waveng import operators
+from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density, Potential
 from waveng.losses import KLForm, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
+from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
+from waveng.optimizer import DescentConfig, run_descent
+from waveng.wavelets import make_basis
 
 
 def sin_measure(n: int) -> Density:
@@ -189,3 +194,47 @@ class TestCombined:
             LossSpec(0.0, 0.0, 0.0, mu=mu)
         with pytest.raises(ValueError):
             LossSpec(-1.0, 0.0, 1.0, mu=mu)
+
+
+class TestSolveSetUp:
+    """The mu-weighted operator behind E1 is assembled once per LossSpec, on first use."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        assemble = operators.weighted_laplacian_matrix
+
+        def counting(w):
+            calls.append(w)
+            return assemble(w)
+
+        monkeypatch.setattr(operators, "weighted_laplacian_matrix", counting)
+        return calls
+
+    @staticmethod
+    def descend(preset_id, kinds, spec=None):
+        preset = load_preset(preset_id)
+        grid = make_grid(preset.dim, preset.n)
+        if spec is None:
+            mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+            spec = LossSpec(*preset.alphas, mu=mu)
+        precomp = build_precomp(make_basis(grid))
+        for kind in kinds:
+            metric = metric_apply_fn(kind, grid, precomp=precomp, alphas=preset.alphas)
+            run_descent(uniform_density(grid), spec, metric, DescentConfig(max_iterations=3))
+        return spec
+
+    def test_once_over_2d_descents(self, builds):
+        spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
+        assert len(builds) == 1 and builds[0] is spec.mu
+        self.descend("2d-4", [MetricKind.COMBINED], spec=spec)
+        assert len(builds) == 1
+
+    def test_never_for_zero_rhs_alpha1_zero_or_1d(self, builds):
+        preset = load_preset("2d-4")
+        grid = make_grid(preset.dim, preset.n)
+        mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+        assert combined_eval(mu, LossSpec(*preset.alphas, mu=mu)).value == 0.0
+        self.descend("2d-3", [MetricKind.COMBINED])  # alpha1 = 0
+        self.descend("1d-4", [MetricKind.COMBINED])  # closed-form 1D solve
+        assert builds == []

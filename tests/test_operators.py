@@ -6,18 +6,37 @@ from hypothesis import strategies as st
 from waveng.experiments import build_potential
 from waveng.grid import Density, make_grid, reference_measure
 from waveng.operators import (
+    DENSE_PLAN_MAX_N,
     EllipticSolveConfig,
     EllipticSolveError,
+    WeightedLaplacian,
     diff_adjoint_apply,
     diff_apply,
     laplacian_apply,
     laplacian_pinv_apply,
     weighted_elliptic_pinv_apply,
+    weighted_flux_apply,
+    weighted_laplacian_matrix,
 )
 
 
 def circulant_eigenvalue(n: int, k: int) -> float:
     return 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
+
+
+def dense_weighted_laplacian(grid, wv: np.ndarray) -> np.ndarray:
+    """sum_a D_a^T diag(w) D_a as a dense matrix, built column by column from diff_apply."""
+    eye = np.eye(grid.total)
+    dense = np.zeros((grid.total, grid.total))
+    for axis in range(grid.dim):
+        d = np.array([diff_apply(grid, e, axis) for e in eye]).T
+        dense += d.T @ np.diag(wv) @ d
+    return dense
+
+
+def random_weight(grid, seed: int) -> Density:
+    wv = np.random.default_rng(seed).uniform(0.05, 1.0, grid.total)
+    return Density(grid, wv / wv.sum())
 
 
 class TestDiff:
@@ -102,6 +121,67 @@ class TestLaplacianPinv:
         r = rng.standard_normal(grid.total)
         back = laplacian_apply(grid, laplacian_pinv_apply(grid, r))
         np.testing.assert_allclose(back, r - r.mean(), atol=1e-8)
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (1, 128), (1, 256), (2, 16)])
+    def test_matches_dense_pinv(self, dim, n):
+        # 1D always uses the FFT; 2D at n = 16 the dense eigenbasis plan
+        grid = make_grid(dim, n)
+        dense = np.array([laplacian_apply(grid, e) for e in np.eye(grid.total)]).T
+        r = np.random.default_rng(28).standard_normal(grid.total)
+        want = np.linalg.pinv(dense) @ r
+        got = laplacian_pinv_apply(grid, r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(got.mean()) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [DENSE_PLAN_MAX_N, 2 * DENSE_PLAN_MAX_N])
+    def test_2d_matches_dense_eigendecomposition(self, n):
+        # the dense n^2 x n^2 pinv is too large here; the 2D Laplacian is
+        # L1 (x) I + I (x) L1, so its pinv is diagonal in the Kronecker
+        # square of the dense 1D Laplacian's eigenvectors from eigh
+        grid = make_grid(2, n)
+        lam, v = np.linalg.eigh(
+            np.array([laplacian_apply(make_grid(1, n), e) for e in np.eye(n)]).T
+        )
+        total = lam[:, None] + lam[None, :]
+        inv = np.where(total > 1e-6 * total.max(), 1.0 / np.maximum(total, 1e-300), 0.0)
+        r = np.random.default_rng(29).standard_normal((n, n))
+        want = v @ ((v.T @ r @ v) * inv) @ v.T
+        got = laplacian_pinv_apply(grid, r.ravel()).reshape(n, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            laplacian_pinv_apply(make_grid(2, 8), np.zeros(8))
+
+
+class TestWeightedLaplacianMatrix:
+    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 32), (2, 4), (2, 16)])
+    def test_matches_dense_and_stencil(self, dim, n):
+        grid = make_grid(dim, n)
+        w = random_weight(grid, 30)
+        a = weighted_laplacian_matrix(w)
+        assert a.format == "csr"
+        assert a.nnz == (2 * dim + 1) * grid.total
+        dense = dense_weighted_laplacian(grid, w.values)
+        np.testing.assert_allclose(a.toarray(), dense, rtol=1e-14, atol=0.0)
+        x = np.random.default_rng(31).standard_normal(grid.total)
+        stencil = weighted_flux_apply(w.values.reshape(grid.shape), x.reshape(grid.shape))
+        assert np.max(np.abs(a @ x - stencil.ravel())) <= 1e-14 * np.max(np.abs(stencil))
+
+    def test_set_up_is_lazy_and_reused(self):
+        grid = make_grid(2, 16)
+        w = random_weight(grid, 32)
+        op = WeightedLaplacian(w)
+        assert "matrix" not in vars(op)
+        weighted_elliptic_pinv_apply(op, np.zeros(grid.total))  # zero rhs: nothing built
+        assert "matrix" not in vars(op)
+        rhs = np.random.default_rng(33).standard_normal(grid.total)
+        first = weighted_elliptic_pinv_apply(op, rhs)
+        matrix = op.matrix
+        np.testing.assert_array_equal(weighted_elliptic_pinv_apply(op, rhs), first)
+        assert op.matrix is matrix
+        # the one-shot form builds its own set-up and gives the same bits
+        np.testing.assert_array_equal(weighted_elliptic_pinv_apply(w, rhs), first)
 
 
 class TestWeightedPinv:
@@ -189,8 +269,27 @@ class TestWeightedPinv:
         assert excinfo.value.iterations == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EllipticSolveConfig(rel_tolerance=0.0)
+        for kwargs in (
+            {"rel_tolerance": 0.0},
+            {"rel_tolerance": -1e-10},
+            {"rel_tolerance": float("nan")},
+            {"rel_tolerance": float("inf")},
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+        ):
+            with pytest.raises(ValueError):
+                EllipticSolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, dim, n, bad):
+        # rejected before any arithmetic: no RuntimeWarning (an error under
+        # the suite's filter) and no CG run to the iteration cap
+        grid = make_grid(dim, n)
+        rhs = np.random.default_rng(36).standard_normal(grid.total)
+        rhs[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weighted_elliptic_pinv_apply(random_weight(grid, 37), rhs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
