@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Density, Grid, Potential, make_grid, reference_measure, site_coordinates, uniform_density
+from .grid import Grid, Potential, make_grid, reference_measure, site_coordinates, uniform_density
 from .losses import KLForm, LossSpec
-from .metrics import MetricKind, MetricPrecomp, build_precomp, metric_apply_fn
+from .metrics import MetricKind, build_precomp, metric_apply_fn
 from .operators import EllipticSolveConfig
 from .optimizer import DescentConfig, DescentHistory, run_descent
 from .wavelets import make_basis
@@ -130,9 +130,6 @@ class RunReport:
     histories: dict[str, DescentHistory] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     wall_times: dict[str, float] = field(default_factory=dict)
-    initial: Density | None = None
-    mu: Density | None = None
-    precomp: MetricPrecomp | None = None
 
 
 def run_experiment(preset: ExperimentPreset, overrides: RunOverrides | None = None) -> RunReport:
@@ -152,7 +149,7 @@ def run_experiment(preset: ExperimentPreset, overrides: RunOverrides | None = No
     cfg = DescentConfig(
         max_iterations=overrides.max_iterations, gap_tolerance=overrides.gap_tolerance
     )
-    report = RunReport(preset=preset, overrides=overrides, initial=p0, mu=mu, precomp=precomp)
+    report = RunReport(preset=preset, overrides=overrides)
     for kind in preset.metrics:
         metric = metric_apply_fn(kind, grid, precomp=precomp, alphas=preset.alphas)
         started = time.perf_counter()

@@ -14,12 +14,14 @@ so `along_line` forms Q s once (one K-solve) and prices every trial step
 with the KL term alone.  Because mu is fixed, each LossSpec keeps one
 WeightedLaplacian of mu for all its K-solves: the 2D solve's set-up is
 built on the first nonzero right-hand side and reused for the rest of the
-run.  Nothing is built for a zero right-hand side (E(mu) itself), for
-alpha1 = 0 or in 1D.
+run, and never for alpha1 = 0 or in 1D.  The grid's difference matrices
+and -Delta (cached in `operators`) are likewise built on the first nonzero
+Q v.  Q 0 = 0 touches no operator, so evaluating E(mu) builds nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -65,8 +67,8 @@ class LossSpec:
     solve_config: EllipticSolveConfig = EllipticSolveConfig()
 
     def __post_init__(self) -> None:
-        if min(self.alpha1, self.alpha2, self.alpha3) < 0:
-            raise ValueError("alpha coefficients must be nonnegative")
+        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
+            raise ValueError(f"alphas must be finite and nonnegative, got {self.alphas}")
         if max(self.alpha1, self.alpha2, self.alpha3) == 0:
             raise ValueError("at least one alpha must be positive")
         if self.mu.min <= 0:
@@ -154,6 +156,8 @@ def e3_eval(p: Density | np.ndarray, mu: Density) -> LossEval:
 def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v."""
     out = np.zeros(spec.grid.total)
+    if not v.any():  # Q 0 = 0 with no operator built, so E(mu) builds nothing
+        return out
     if spec.alpha1 > 0:
         out += spec.alpha1 * weighted_elliptic_pinv_apply(
             spec.weighted_laplacian, v, spec.solve_config

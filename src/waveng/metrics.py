@@ -12,10 +12,12 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
-sparse basis matrix W and of DW, formed once per basis.  In 2D each diagonal
-is a two-sided product of these 1D factors with the n x n density array, so
-no n^2 x n^2 matrix is ever built.  Each metric application is then a few
-sparse products plus the two wavelet transforms.
+sparse basis matrix W and of DW, formed once per basis, with D the
+difference matrix of `operators`, so this module writes no stencil of its
+own.  In 2D each diagonal applies one 1D factor per axis through
+`wavelets.tensor_apply`, the rule the transforms use, so no n^2 x n^2
+matrix is ever built.  Each metric application is then a few sparse
+products plus the two wavelet transforms.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -26,6 +28,7 @@ h3 = 0) is treated as pseudo-inverse, 1/0 := 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -34,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Density, Grid
-from .operators import laplacian_pinv_apply, weighted_flux_apply
-from .wavelets import WaveletBasis, transform_forward, transform_inverse
+from .operators import difference_matrices, laplacian_pinv_apply, weighted_flux_apply
+from .wavelets import WaveletBasis, tensor_apply, transform_forward, transform_inverse
 
 __all__ = [
     "MetricPrecomp",
@@ -66,9 +69,10 @@ class MetricPrecomp:
     """Sparse Hessian-diagonal factors for one basis.
 
     H1 and H2 are n x n CSR with rows indexed by 1D wavelet index and
-    columns by 1D site, and h3 has length n.  In 1D they give the diagonals
-    directly; in 2D the tensor basis turns them into two-sided products on
-    the n x n density array (see h1_apply, h2_apply and h3_diagonal).
+    columns by 1D site, and h3 has length n.  Every diagonal applies one of
+    them per axis, which in 1D is the factor itself and in 2D a two-sided
+    product on the n x n density array (see h1_apply, h2_apply and
+    h3_diagonal).
     """
 
     basis: WaveletBasis
@@ -81,53 +85,39 @@ class MetricPrecomp:
         return (self.h1.nnz, self.h2.nnz)
 
     def h1_apply(self, p: np.ndarray) -> np.ndarray:
-        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
-        return self.diagonals(p, h2=False)[0]
+        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D.
+
+        Term a applies H1 along axis a and H2 along the others.
+        """
+        dim = self.basis.grid.dim
+        return sum(
+            tensor_apply([self.h1 if b == a else self.h2 for b in range(dim)], p)
+            for a in range(dim)
+        )
 
     def h2_apply(self, p: np.ndarray) -> np.ndarray:
-        """diag(W^T diag(p) W): H2 p, or H2 P H2^T in 2D."""
-        return self.diagonals(p, h1=False)[1]
-
-    def diagonals(
-        self, p: np.ndarray, h1: bool = True, h2: bool = True
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(H1 p, H2 p) as in h1_apply and h2_apply, None for one not asked for.
-
-        In 2D both need the product H2 P (H2 P H1^T and H2 P H2^T), which is
-        formed once.
-        """
-        if self.basis.grid.dim == 1:
-            return (self.h1 @ p if h1 else None, self.h2 @ p if h2 else None)
-        n = self.basis.grid.n
-        x = p.reshape(n, n)
-        h2x = self.h2 @ x
-        h1p = h2p = None
-        if h1:
-            h1p = ((self.h2 @ (self.h1 @ x).T).T + (self.h1 @ h2x.T).T).reshape(-1)
-        if h2:
-            h2p = (self.h2 @ h2x.T).T.reshape(-1)
-        return h1p, h2p
+        """diag(W^T diag(p) W): H2 along every axis, H2 p or H2 P H2^T in 2D."""
+        return tensor_apply([self.h2] * self.basis.grid.dim, p)
 
     def h3_diagonal(self) -> np.ndarray:
-        """diag(W^T (-Delta) W): h3, or h3 added coordinatewise in 2D."""
-        if self.basis.grid.dim == 1:
-            return self.h3
-        return np.add.outer(self.h3, self.h3).ravel()
+        """diag(W^T (-Delta) W): h3 added coordinatewise over the axes."""
+        return functools.reduce(np.add.outer, [self.h3] * self.basis.grid.dim).ravel()
 
 
 def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
-    o is the entrywise product and D the forward difference scaled by n, so
-    h3, the column sums of (DW)^2, is the diagonal of W^T D^T D W.  The
-    2D diagonals follow from these factors alone because every 2D basis
-    column is an outer product of two 1D columns.  The exactly constant
-    scaling column of a full-depth basis differences to exact zeros, which
-    leaves its H1 row with no stored entries and its h3 entry 0.0.
+    o is the entrywise product and D the 1D forward difference of
+    operators.difference_matrices, so h3, the column sums of (DW)^2, is the
+    diagonal of W^T D^T D W.  The 2D diagonals follow from these factors
+    alone because every 2D basis column is an outer product of two 1D
+    columns.  The exactly constant scaling column of a full-depth basis
+    differences to exact zeros, which leaves its H1 row with no stored
+    entries and its h3 entry 0.0.
     """
-    n = basis.grid.n
     w = basis.matrix
-    dw = n * (w[(np.arange(n) + 1) % n] - w)
+    d, _ = difference_matrices(Grid(dim=1, n=basis.grid.n))[0]
+    dw = d @ w
     dw.eliminate_zeros()
     dw2 = dw.multiply(dw)
     h1 = dw2.T.tocsr()
@@ -154,12 +144,11 @@ def apply_combined_metric(
     a1, a2, a3 = alphas
     basis = pre.basis
     d = np.zeros(basis.grid.total)
-    h1p, h2p = pre.diagonals(pv, h1=a1 > 0, h2=a2 > 0)
     with np.errstate(divide="ignore"):
         if a1 > 0:
-            d += a1 / h1p
+            d += a1 / pre.h1_apply(pv)
         if a2 > 0:
-            d += a2 / h2p
+            d += a2 / pre.h2_apply(pv)
     if a3 > 0:
         d += a3 * pre.h3_diagonal()
     c = transform_forward(basis, g)
@@ -177,7 +166,7 @@ def apply_wasserstein_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarr
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (grid.total,):
         raise ValueError(f"gradient shape {g.shape} does not match grid ({grid.total},)")
-    return weighted_flux_apply(pv.reshape(grid.shape), g.reshape(grid.shape)).reshape(grid.total)
+    return weighted_flux_apply(grid, pv, g)
 
 
 def apply_fisher_rao_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -207,7 +196,7 @@ def metric_apply_fn(
             raise ValueError("combined metric requires a precomp and alphas")
         return lambda p, g: apply_combined_metric(precomp, alphas, p, g)
     if kind is MetricKind.WASSERSTEIN:
-        return lambda p, g: apply_wasserstein_metric(p, g)
+        return apply_wasserstein_metric
     if kind is MetricKind.FISHER_RAO:
-        return lambda p, g: apply_fisher_rao_metric(p, g)
+        return apply_fisher_rao_metric
     return lambda p, g: apply_mahalanobis_metric(grid, g)

@@ -1,14 +1,15 @@
 """Periodic difference operators and elliptic pseudo-inverse solves.
 
-D is the forward difference scaled by n, so D^T D is the standard 3-point
-periodic Laplacian and the null space of D is exactly the constants.  The
-weighted operator L_w = sum_a D_a^T diag(w) D_a is inverted on the
-mean-zero subspace: in 1D in closed form with two cumulative sums, in 2D
-with conjugate gradients preconditioned by the Laplacian pseudo-inverse
-scaled by 1/sqrt(w) on both sides.  A WeightedLaplacian holds L_w
-assembled as a CSR matrix, the part of that 2D solve fixed by w, built on
-first use and kept, so a caller with a fixed w (the loss's mu) pays for it
-once per run.
+D_a is the forward difference along axis a scaled by n, written once as a
+cached CSR matrix (`difference_matrices`); the differences, -Delta =
+sum_a D_a^T D_a, the weighted flux, its matrix L_w = sum_a D_a^T diag(w) D_a
+and the metric precompute's DW are all products with it.  L_w is
+inverted on the mean-zero subspace: in 1D in closed form with two
+cumulative sums, in 2D with conjugate gradients preconditioned by the
+Laplacian pseudo-inverse scaled by 1/sqrt(w) on both sides.  A
+WeightedLaplacian holds L_w as CSR, the part of that 2D solve fixed by w,
+built on first use and kept, so a caller with a fixed w (the loss's mu)
+pays for it once per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
@@ -33,6 +34,7 @@ __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
     "WeightedLaplacian",
+    "difference_matrices",
     "diff_apply",
     "diff_adjoint_apply",
     "laplacian_apply",
@@ -91,59 +93,64 @@ def _check_axis(grid: Grid, axis: int) -> None:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
 
 
+@functools.cache
+def difference_matrices(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """(D_a, D_a^T) as CSR for each axis a, cached per grid for the life of the process.
+
+    Row s of D_a holds -n at s and +n at s + e_a (wrapping), so
+    (D_a v)_s = n (v_{s+e_a} - v_s) and D_a annihilates exactly the constants.
+    Every caller shares the cached matrices, so treat them as read-only.
+    """
+    sites = np.arange(grid.total).reshape(grid.shape)
+    indptr = np.arange(0, 2 * grid.total + 1, 2)
+    pairs = []
+    for axis in range(grid.dim):
+        cols = np.stack([sites, np.roll(sites, -1, axis=axis)], axis=-1).ravel()
+        data = np.tile([-float(grid.n), float(grid.n)], grid.total)
+        d = sp.csr_matrix((data, cols, indptr), shape=(grid.total,) * 2)
+        d.sort_indices()
+        pairs.append((d, d.T.tocsr()))
+    return tuple(pairs)
+
+
+@functools.cache
+def _axis_laplacians(grid: Grid) -> tuple[sp.csr_matrix, ...]:
+    """D_a^T D_a as CSR for each axis a, cached per grid; -Delta is their sum.
+
+    Summed term by term, not as one 5-point matrix: a 3-point row sums a
+    constant to exactly zero, a 5-point one need not where it wraps.
+    """
+    return tuple(dt @ d for d, dt in difference_matrices(grid))
+
+
 def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
     _check_axis(grid, axis)
-    x = _check_length(grid, v).reshape(grid.shape)
-    return (grid.n * (np.roll(x, -1, axis=axis) - x)).reshape(grid.total)
+    return difference_matrices(grid)[axis][0] @ _check_length(grid, v)
 
 
 def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
     _check_axis(grid, axis)
-    x = _check_length(grid, u).reshape(grid.shape)
-    return (grid.n * (np.roll(x, 1, axis=axis) - x)).reshape(grid.total)
+    return difference_matrices(grid)[axis][1] @ _check_length(grid, u)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly."""
     v = _check_length(grid, v)
-    x = v.reshape(grid.shape)
-    out = np.zeros_like(x)
-    for axis in range(grid.dim):
-        out += 2.0 * x - np.roll(x, 1, axis=axis) - np.roll(x, -1, axis=axis)
-    return (grid.n**2 * out).reshape(grid.total)
+    return sum(a @ v for a in _axis_laplacians(grid))
 
 
-def weighted_flux_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_a D_a^T diag(w) D_a x on arrays of the grid's shape (n along every axis)."""
-    out = np.zeros_like(x)
-    for axis in range(x.ndim):
-        flux = w * (np.roll(x, -1, axis=axis) - x)
-        out += np.roll(flux, 1, axis=axis) - flux
-    return x.shape[0] ** 2 * out
+def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time."""
+    return sum(dt @ (w * (d @ x)) for d, dt in difference_matrices(grid))
 
 
 def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
-    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D).
-
-    Row s holds n^2 sum_a (w_s + w_{s-e_a}) on the diagonal, -n^2 w_s at
-    s + e_a and -n^2 w_{s-e_a} at s - e_a: the weighted_flux_apply stencil.
-    """
-    grid = w.grid
-    wx = w.values.reshape(grid.shape)
-    sites = np.arange(grid.total).reshape(grid.shape)
-    diag = np.zeros(grid.shape)
-    cols, vals = [sites], [diag]
-    for axis in range(grid.dim):
-        w_back = np.roll(wx, 1, axis=axis)
-        diag += wx + w_back
-        cols += [np.roll(sites, -1, axis=axis), np.roll(sites, 1, axis=axis)]
-        vals += [-wx, -w_back]
-    data = grid.n**2 * np.stack(vals, axis=-1).ravel()
-    indptr = np.arange(0, data.size + 1, len(vals))
-    matrix = sp.csr_matrix((data, np.stack(cols, axis=-1).ravel(), indptr), shape=(grid.total,) * 2)
-    matrix.sort_indices()
+    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D)."""
+    scale = sp.diags(w.values, format="csr")
+    matrix = sum(dt @ (scale @ d) for d, dt in difference_matrices(w.grid))
+    matrix.sort_indices()  # the column order a CG matvec sums in
     return matrix
 
 
@@ -260,12 +267,12 @@ def weighted_elliptic_pinv_apply(
     if bnorm == 0.0:
         return np.zeros(grid.total)
     if grid.dim == 1:
-        return _closed_form_1d(op.w.values, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
+        return _closed_form_1d(op.w, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
     return _pcg_2d(op, b, bnorm, cfg)
 
 
 def _closed_form_1d(
-    w: np.ndarray, b: np.ndarray, rhs_norm: float, rel_tolerance: float
+    w: Density, b: np.ndarray, rhs_norm: float, rel_tolerance: float
 ) -> np.ndarray:
     """Solve D^T diag(w) D x = b for mean-zero b by integrating twice.
 
@@ -283,15 +290,15 @@ def _closed_form_1d(
     failing.
     """
     n = b.size
-    inv_w = 1.0 / w
+    inv_w = 1.0 / w.values
     f = -np.cumsum(b) / n
     f -= (f @ inv_w) / inv_w.sum()
     step = f * inv_w / n
     x = np.concatenate(([0.0], np.cumsum(step[:-1])))
     x -= x.mean()
-    residual = weighted_flux_apply(w, x) - b
+    residual = weighted_flux_apply(w.grid, w.values, x) - b
     rnorm = float(np.linalg.norm(residual - residual.mean()))
-    scale = rhs_norm + 4.0 * n**2 * float(w.max()) * float(np.linalg.norm(x))
+    scale = rhs_norm + 4.0 * n**2 * float(w.values.max()) * float(np.linalg.norm(x))
     if not rnorm <= rel_tolerance * scale:
         raise EllipticSolveError(
             f"closed-form elliptic solve: backward error {rnorm / scale:.3e} "

@@ -187,12 +187,14 @@ def run_descent(
     LossSpec vanishes at mu, and a callable loss is measured against 0 with
     no reference density to measure distance to.  Terminates on
     gap <= cfg.gap_tolerance (converged), cfg.max_iterations, or a stalled
-    line search.
+    line search.  For a LossSpec, p0 must lie on the grid of its mu.
     """
     if cfg is None:
         cfg = DescentConfig()
     if p0.min <= 0.0:
         raise ValueError("initial density must be strictly positive")
+    if isinstance(loss, LossSpec) and p0.grid != loss.mu.grid:
+        raise ValueError(f"start grid {p0.grid} is not the loss grid {loss.mu.grid}")
     loss_fn = _as_loss_fn(loss)
     reference = loss.mu if isinstance(loss, LossSpec) else None
     history = DescentHistory()

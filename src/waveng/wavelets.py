@@ -54,9 +54,6 @@ class FilterPair:
     lowpass: np.ndarray
     highpass: np.ndarray
 
-    def __len__(self) -> int:
-        return 2 * self.order
-
 
 # Lowpass taps h[0 .. 2k-1] for k = 1 .. 10 vanishing moments as float.hex
 # strings.  Orders 2-10 are the spectral factorization of the binomial

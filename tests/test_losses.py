@@ -195,6 +195,16 @@ class TestCombined:
         with pytest.raises(ValueError):
             LossSpec(-1.0, 0.0, 1.0, mu=mu)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, slot, bad):
+        # a nan alpha used to drop its term silently (nan > 0 is False) and
+        # an inf alpha to make every density infeasible
+        alphas = [1.0, 1e-3, 1e-4]
+        alphas[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LossSpec(*alphas, mu=sin_measure(16))
+
 
 class TestSolveSetUp:
     """The mu-weighted operator behind E1 is assembled once per LossSpec, on first use."""
@@ -238,3 +248,19 @@ class TestSolveSetUp:
         self.descend("2d-3", [MetricKind.COMBINED])  # alpha1 = 0
         self.descend("1d-4", [MetricKind.COMBINED])  # closed-form 1D solve
         assert builds == []
+
+    @pytest.mark.parametrize("preset_id", ["1d-4", "2d-4"])
+    def test_loss_at_mu_builds_no_difference_operator(self, preset_id):
+        # the grid's D_a and -Delta are cached per grid; E(mu) must not build
+        # them, so a benchmark's set-up does not pay for them
+        caches = (operators.difference_matrices, operators._axis_laplacians)
+        for cache in caches:
+            cache.cache_clear()
+        preset = load_preset(preset_id)
+        grid = make_grid(preset.dim, preset.n)
+        mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+        spec = LossSpec(*preset.alphas, mu=mu)
+        assert combined_eval(mu, spec).value == 0.0
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        run_descent(uniform_density(grid), spec, lambda p, g: g, DescentConfig(max_iterations=1))
+        assert [cache.cache_info().currsize for cache in caches] == [1, 1]

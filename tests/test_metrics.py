@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stencil_reference as ref
 from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
     MetricInfeasibleError,
@@ -66,6 +67,19 @@ class TestBuildPrecomp:
         assert pre2.h1_apply(p)[-1] == 0.0
         assert pre2.h3_diagonal()[-1] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_h1_h3_match_row_shift_bitwise(self, order, dim):
+        # DW from the difference matrix against n (next row of W - W); the
+        # whole of H1 is compared, the rows built from D's wrap row included
+        for n in (8, 16, 32, 64, 128, 256, 512):
+            basis = make_basis(make_grid(dim, n), order=order)
+            pre = build_precomp(basis)
+            h1, h3 = ref.h1_h3(basis.matrix)
+            assert pre.h1.nnz == h1.nnz
+            np.testing.assert_array_equal(pre.h1.toarray(), h1.toarray())
+            np.testing.assert_array_equal(pre.h3, h3)
+
     def test_entries_nonnegative(self):
         pre = build_precomp(make_basis(make_grid(1, 32), order=2))
         assert pre.h1.data.min() >= 0 and pre.h2.data.min() >= 0 and pre.h3.min() >= 0
@@ -104,6 +118,17 @@ class TestDiagonalIdentities:
         np.testing.assert_allclose(pre.h2_apply(p), np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
         lap = np.column_stack([laplacian_apply(grid, w[:, i]) for i in range(grid.total)])
         np.testing.assert_allclose(pre.h3_diagonal(), np.diag(w.T @ lap), atol=1e-10)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 10])
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_2d_tensor_rule_matches_hand_products_bitwise(self, n, order):
+        grid = make_grid(2, n)
+        pre = build_precomp(make_basis(grid, order=order))
+        p = random_density(grid, np.random.default_rng(52 + n + order)).values
+        h1p, h2p = ref.diagonals_2d(pre.h1, pre.h2, p)
+        np.testing.assert_array_equal(pre.h1_apply(p), h1p)
+        np.testing.assert_array_equal(pre.h2_apply(p), h2p)
+        np.testing.assert_array_equal(pre.h3_diagonal(), np.add.outer(pre.h3, pre.h3).ravel())
 
 
 class TestScaling:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stencil_reference as ref
 from waveng.experiments import build_potential
 from waveng.grid import Density, make_grid, reference_measure
 from waveng.operators import (
@@ -18,6 +19,10 @@ from waveng.operators import (
     weighted_flux_apply,
     weighted_laplacian_matrix,
 )
+
+
+# (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
+STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64)]
 
 
 def circulant_eigenvalue(n: int, k: int) -> float:
@@ -84,6 +89,11 @@ class TestLaplacian:
     def test_constant(self):
         grid = make_grid(2, 8)
         assert np.all(laplacian_apply(grid, np.full(64, 1.23)) == 0.0)
+        # every size and constant, the rows that wrap included
+        for dim, n in STENCIL_CASES:
+            grid = make_grid(dim, n)
+            for c in np.random.default_rng(64).uniform(-10.0, 10.0, 20):
+                assert not laplacian_apply(grid, np.full(grid.total, c)).any()
 
     def test_1d_eigenvector(self):
         grid = make_grid(1, 128)
@@ -100,6 +110,42 @@ class TestLaplacian:
         lam = circulant_eigenvalue(n, k) + circulant_eigenvalue(n, m)
         out = laplacian_apply(grid, v)
         assert np.max(np.abs(out - lam * v)) <= 1e-8 * lam
+
+
+class TestStencilOracles:
+    """The difference-matrix operators against the np.roll stencils of stencil_reference."""
+
+    @pytest.mark.parametrize("dim,n", STENCIL_CASES)
+    def test_flux_bitwise(self, dim, n):
+        grid = make_grid(dim, n)
+        rng = np.random.default_rng(60 + n + dim)
+        w = random_weight(grid, 61 + n).values
+        x = rng.standard_normal(grid.total)
+        want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
+        np.testing.assert_array_equal(weighted_flux_apply(grid, w, x), want)
+
+    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 32), (2, 4), (2, 16)])
+    def test_weighted_matrix_entries_bitwise(self, dim, n):
+        # column j of L_w is the stencil applied to the unit vector e_j
+        grid = make_grid(dim, n)
+        w = random_weight(grid, 62 + n).values.reshape(grid.shape)
+        dense = np.column_stack(
+            [ref.flux_apply(w, e.reshape(grid.shape)).ravel() for e in np.eye(grid.total)]
+        )
+        got = weighted_laplacian_matrix(Density(grid, w.ravel()))
+        assert got.has_sorted_indices  # a CG matvec sums each row in column order
+        assert got.nnz == np.count_nonzero(dense)
+        np.testing.assert_array_equal(got.toarray(), dense)
+
+    @pytest.mark.parametrize("dim,n", STENCIL_CASES)
+    def test_laplacian_to_roundoff(self, dim, n):
+        # summed term by term, not in the stencil's order: equal to roundoff,
+        # two float64 epsilons of the largest entry
+        grid = make_grid(dim, n)
+        x = np.random.default_rng(63 + n + dim).standard_normal(grid.total)
+        want = ref.laplacian_apply(x.reshape(grid.shape)).ravel()
+        got = laplacian_apply(grid, x)
+        assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 class TestLaplacianPinv:
@@ -165,8 +211,8 @@ class TestWeightedLaplacianMatrix:
         dense = dense_weighted_laplacian(grid, w.values)
         np.testing.assert_allclose(a.toarray(), dense, rtol=1e-14, atol=0.0)
         x = np.random.default_rng(31).standard_normal(grid.total)
-        stencil = weighted_flux_apply(w.values.reshape(grid.shape), x.reshape(grid.shape))
-        assert np.max(np.abs(a @ x - stencil.ravel())) <= 1e-14 * np.max(np.abs(stencil))
+        stencil = weighted_flux_apply(grid, w.values, x)
+        assert np.max(np.abs(a @ x - stencil)) <= 1e-14 * np.max(np.abs(stencil))
 
     def test_set_up_is_lazy_and_reused(self):
         grid = make_grid(2, 16)

@@ -213,6 +213,14 @@ class TestRunDescent:
         with pytest.raises(ValueError):
             run_descent(Density(grid, values), spec, metric)
 
+    def test_rejects_start_on_another_grid(self):
+        # same site count (16), different grid: 1D n = 16 against 2D 4 x 4
+        grid = make_grid(2, 4)
+        mu = reference_measure(grid, Potential(grid, np.linspace(0.0, 1.0, 16)))
+        spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
+        with pytest.raises(ValueError, match="grid"):
+            run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
+
     def test_history_columns(self):
         grid, mu, spec, metric = sin_setup(16)
         hist = run_descent(uniform_density(grid), spec, metric, DescentConfig(max_iterations=3))
