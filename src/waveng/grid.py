@@ -1,9 +1,13 @@
-"""Periodic uniform grids on [0,1]^d and probability densities over them.
+"""Periodic uniform grids on [0,1]^d, densities over them, and the tensor rule.
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A density is a nonnegative mass-per-site vector;
 normalized densities sum to one.  Reference measures are Boltzmann weights
 of a potential, exp(-V)/Z.
+
+Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
+operator is a Kronecker product of 1D matrices, one per axis, and
+`tensor_apply` applies it in this layout without forming the product.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -20,6 +25,10 @@ __all__ = [
     "site_coordinates",
     "reference_measure",
     "uniform_density",
+    "check_vector",
+    "site_values",
+    "axis_apply",
+    "tensor_apply",
 ]
 
 NORMALIZATION_TOL = 1e-12
@@ -131,3 +140,37 @@ def reference_measure(grid: Grid, potential: Potential) -> Density:
 def uniform_density(grid: Grid) -> Density:
     """Uniform density, 1/total at every site."""
     return Density(grid, np.full(grid.total, 1.0 / grid.total), normalized=True)
+
+
+def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v as float64; raises ValueError unless it holds one value per site."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (grid.total,):
+        raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
+    return v
+
+
+def site_values(p: Density | np.ndarray) -> np.ndarray:
+    """The site values of a density, or an array of them, as float64."""
+    return p.values if isinstance(p, Density) else np.asarray(p, dtype=np.float64)
+
+
+def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:
+    """Apply the 1D matrix A along `axis` of the site array of a dim-D grid.
+
+    In 2D: (A (x) I) v = A X on axis 0, (I (x) A) v = X A^T on axis 1, X the array of v.
+    """
+    if not 0 <= axis < dim:
+        raise ValueError(f"axis {axis} invalid for a {dim}D grid")
+    if dim == 1:
+        return a @ v
+    if axis == 0:
+        return (a @ v.reshape(a.shape[1], -1)).reshape(-1)
+    return (a @ v.reshape(-1, a.shape[1]).T).T.reshape(-1)
+
+
+def tensor_apply(factors: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
+    """Apply factor a along axis a for every axis: A0 v, or (A0 (x) A1) v = A0 X A1^T in 2D."""
+    for axis, a in enumerate(factors):
+        v = axis_apply(a, v, axis, len(factors))
+    return v

@@ -14,8 +14,8 @@ so `along_line` forms Q s once (one K-solve) and prices every trial step
 with the KL term alone.  Because mu is fixed, each LossSpec keeps one
 WeightedLaplacian of mu for all its K-solves: the 2D solve's set-up is
 built on the first nonzero right-hand side and reused for the rest of the
-run, and never for alpha1 = 0 or in 1D.  The grid's difference matrices
-and -Delta (cached in `operators`) are likewise built on the first nonzero
+run, and never for alpha1 = 0 or in 1D.  The 1D difference matrices
+(cached per n in `operators`) are likewise built on the first nonzero
 Q v.  Q 0 = 0 touches no operator, so evaluating E(mu) builds nothing.
 """
 
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Density, Grid
+from .grid import Density, Grid, site_values
 from .operators import (
     EllipticSolveConfig,
     WeightedLaplacian,
@@ -107,10 +107,6 @@ class LossEval:
         return np.isfinite(self.value)
 
 
-def _values(p: Density | np.ndarray) -> np.ndarray:
-    return p.values if isinstance(p, Density) else np.asarray(p, dtype=np.float64)
-
-
 def e1_eval(
     p: Density | np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None
 ) -> LossEval:
@@ -120,7 +116,7 @@ def e1_eval(
     pseudo-inverse of the mu-weighted elliptic operator.  The constant
     component of p - mu is annihilated by K and contributes nothing.
     """
-    r = _values(p) - mu.values
+    r = site_values(p) - mu.values
     x = weighted_elliptic_pinv_apply(mu, r, cfg)
     return LossEval(value=0.5 * float(r @ x), gradient=x)
 
@@ -135,7 +131,7 @@ def e2_eval(
     minimizer; gradient log(p/mu).  Values agree whenever the masses agree.
     Any site with p <= 0 yields value +inf.
     """
-    pv = _values(p)
+    pv = site_values(p)
     if pv.min() <= 0.0:
         return LossEval(value=np.inf, gradient=None)
     log_ratio = np.log(pv / mu.values)
@@ -148,7 +144,7 @@ def e2_eval(
 
 def e3_eval(p: Density | np.ndarray, mu: Density) -> LossEval:
     """Dirichlet energy of p - mu: value (p-mu)^T A (p-mu) / 2 with A = -Delta."""
-    r = _values(p) - mu.values
+    r = site_values(p) - mu.values
     a = laplacian_apply(mu.grid, r)
     return LossEval(value=0.5 * float(r @ a), gradient=a)
 
@@ -168,7 +164,7 @@ def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_eval(p: Density | np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
-    r = _values(p) - spec.mu.values
+    r = site_values(p) - spec.mu.values
     qr = quadratic_apply(spec, r)
     return 0.5 * float(r @ qr), qr
 
@@ -192,7 +188,7 @@ def combined_eval(p: Density | np.ndarray, spec: LossSpec) -> LossEval:
     r^T Q r / 2, and q with its gradient Q r is also returned as
     `quadratic`.
     """
-    return _add_kl(_values(p), spec, _quadratic_eval(p, spec))
+    return _add_kl(site_values(p), spec, _quadratic_eval(p, spec))
 
 
 def along_line(
@@ -209,7 +205,7 @@ def along_line(
     quadratic part of ev is reused; an ev without one has it recomputed.  A
     trial point with a site <= 0 evaluates to +inf whatever the alphas.
     """
-    pv = _values(p)
+    pv = site_values(p)
     qv, qr = ev.quadratic if ev.quadratic is not None else _quadratic_eval(pv, spec)
     qs = quadratic_apply(spec, s)
     s_qr = float(s @ qr)

@@ -12,12 +12,12 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
-sparse basis matrix W and of DW, formed once per basis, with D the
+sparse basis matrix W and of DW, formed once per basis, with D the 1D
 difference matrix of `operators`, so this module writes no stencil of its
 own.  In 2D each diagonal applies one 1D factor per axis through
-`wavelets.tensor_apply`, the rule the transforms use, so no n^2 x n^2
-matrix is ever built.  Each metric application is then a few sparse
-products plus the two wavelet transforms.
+`grid.tensor_apply`, the rule of the transforms and differences, so no
+n^2 x n^2 matrix is ever built.  Each metric application is then a few
+sparse products plus the two wavelet transforms.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid
-from .operators import difference_matrices, laplacian_pinv_apply, weighted_flux_apply
-from .wavelets import WaveletBasis, tensor_apply, transform_forward, transform_inverse
+from .grid import Density, Grid, site_values, tensor_apply
+from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
+from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
 __all__ = [
     "MetricPrecomp",
@@ -108,7 +108,7 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
     o is the entrywise product and D the 1D forward difference of
-    operators.difference_matrices, so h3, the column sums of (DW)^2, is the
+    operators.difference_matrix, so h3, the column sums of (DW)^2, is the
     diagonal of W^T D^T D W.  The 2D diagonals follow from these factors
     alone because every 2D basis column is an outer product of two 1D
     columns.  The exactly constant scaling column of a full-depth basis
@@ -116,8 +116,7 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     entries and its h3 entry 0.0.
     """
     w = basis.matrix
-    d, _ = difference_matrices(Grid(dim=1, n=basis.grid.n))[0]
-    dw = d @ w
+    dw = difference_matrix(basis.grid.n)[0] @ w
     dw.eliminate_zeros()
     dw2 = dw.multiply(dw)
     h1 = dw2.T.tocsr()
@@ -127,7 +126,7 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
 
 
 def _positive_values(p: Density | np.ndarray) -> np.ndarray:
-    pv = p.values if isinstance(p, Density) else np.asarray(p, dtype=np.float64)
+    pv = site_values(p)
     if pv.min() <= 0.0:
         raise MetricInfeasibleError("metric requires a strictly positive density")
     return pv
@@ -171,7 +170,7 @@ def apply_wasserstein_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarr
 
 def apply_fisher_rao_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarray:
     """Entrywise diag(p) g."""
-    pv = p.values if isinstance(p, Density) else np.asarray(p, dtype=np.float64)
+    pv = site_values(p)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != pv.shape:
         raise ValueError(f"gradient shape {g.shape} does not match density {pv.shape}")
@@ -189,14 +188,26 @@ def metric_apply_fn(
     precomp: MetricPrecomp | None = None,
     alphas: tuple[float, float, float] | None = None,
 ) -> Callable[[Density, np.ndarray], np.ndarray]:
-    """Bind a metric kind to a (density, gradient) -> direction callable."""
+    """Bind a metric kind to a (density, gradient) -> direction callable.
+
+    The combined and Mahalanobis callables reject a Density on another grid.
+    """
     kind = MetricKind(kind)
-    if kind is MetricKind.COMBINED:
-        if precomp is None or alphas is None:
-            raise ValueError("combined metric requires a precomp and alphas")
-        return lambda p, g: apply_combined_metric(precomp, alphas, p, g)
     if kind is MetricKind.WASSERSTEIN:
         return apply_wasserstein_metric
     if kind is MetricKind.FISHER_RAO:
         return apply_fisher_rao_metric
-    return lambda p, g: apply_mahalanobis_metric(grid, g)
+    if kind is MetricKind.COMBINED:
+        if precomp is None or alphas is None:
+            raise ValueError("combined metric requires a precomp and alphas")
+        if precomp.basis.grid != grid:
+            raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
+
+    def bound(p: Density, g: np.ndarray) -> np.ndarray:
+        if isinstance(p, Density) and p.grid != grid:
+            raise ValueError(f"density grid {p.grid} is not the metric grid {grid}")
+        if kind is MetricKind.COMBINED:
+            return apply_combined_metric(precomp, alphas, p, g)
+        return apply_mahalanobis_metric(grid, g)
+
+    return bound

@@ -1,15 +1,16 @@
 """Periodic difference operators and elliptic pseudo-inverse solves.
 
-D_a is the forward difference along axis a scaled by n, written once as a
-cached CSR matrix (`difference_matrices`); the differences, -Delta =
-sum_a D_a^T D_a, the weighted flux, its matrix L_w = sum_a D_a^T diag(w) D_a
-and the metric precompute's DW are all products with it.  L_w is
-inverted on the mean-zero subspace: in 1D in closed form with two
-cumulative sums, in 2D with conjugate gradients preconditioned by the
-Laplacian pseudo-inverse scaled by 1/sqrt(w) on both sides.  A
-WeightedLaplacian holds L_w as CSR, the part of that 2D solve fixed by w,
-built on first use and kept, so a caller with a fixed w (the loss's mu)
-pays for it once per run.
+D is the 1D forward difference scaled by n, cached as n x n CSR with D^T
+and D^T D (`difference_matrix`); D_a applies it along axis a by the tensor
+rule of `grid`, so the differences, -Delta = sum_a D_a^T D_a and the
+weighted flux hold no 2D matrix, and the metric precompute's DW is D W.
+Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
+Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
+closed form with two cumulative sums, in 2D with conjugate gradients
+preconditioned by the Laplacian pseudo-inverse scaled by 1/sqrt(w) on both
+sides.  A WeightedLaplacian holds L_w as CSR, the part of that 2D solve
+fixed by w, built on first use and kept, so a caller with a fixed w (the
+loss's mu) pays for it once per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
@@ -28,13 +29,13 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid
+from .grid import Density, Grid, axis_apply, check_vector
 
 __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
     "WeightedLaplacian",
-    "difference_matrices",
+    "difference_matrix",
     "diff_apply",
     "diff_adjoint_apply",
     "laplacian_apply",
@@ -81,75 +82,60 @@ class EllipticSolveConfig:
         return 10 * grid.n * grid.dim
 
 
-def _check_length(grid: Grid, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (grid.total,):
-        raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
-    return v
-
-
-def _check_axis(grid: Grid, axis: int) -> None:
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
-
-
 @functools.cache
-def difference_matrices(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-    """(D_a, D_a^T) as CSR for each axis a, cached per grid for the life of the process.
+def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """(D, D^T, D^T D) for n sites as n x n CSR, cached per n for the life of the process.
 
-    Row s of D_a holds -n at s and +n at s + e_a (wrapping), so
-    (D_a v)_s = n (v_{s+e_a} - v_s) and D_a annihilates exactly the constants.
+    Row s of D holds -n at s and +n at s + 1 (wrapping), so
+    (D v)_s = n (v_{s+1} - v_s) and D annihilates exactly the constants.
     Every caller shares the cached matrices, so treat them as read-only.
     """
-    sites = np.arange(grid.total).reshape(grid.shape)
-    indptr = np.arange(0, 2 * grid.total + 1, 2)
-    pairs = []
-    for axis in range(grid.dim):
-        cols = np.stack([sites, np.roll(sites, -1, axis=axis)], axis=-1).ravel()
-        data = np.tile([-float(grid.n), float(grid.n)], grid.total)
-        d = sp.csr_matrix((data, cols, indptr), shape=(grid.total,) * 2)
-        d.sort_indices()
-        pairs.append((d, d.T.tocsr()))
-    return tuple(pairs)
-
-
-@functools.cache
-def _axis_laplacians(grid: Grid) -> tuple[sp.csr_matrix, ...]:
-    """D_a^T D_a as CSR for each axis a, cached per grid; -Delta is their sum.
-
-    Summed term by term, not as one 5-point matrix: a 3-point row sums a
-    constant to exactly zero, a 5-point one need not where it wraps.
-    """
-    return tuple(dt @ d for d, dt in difference_matrices(grid))
+    sites = np.arange(n)
+    cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
+    data = np.tile([-float(n), float(n)], n)
+    d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    d.sort_indices()
+    dt = d.T.tocsr()
+    return d, dt, dt @ d
 
 
 def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
-    _check_axis(grid, axis)
-    return difference_matrices(grid)[axis][0] @ _check_length(grid, v)
+    return axis_apply(difference_matrix(grid.n)[0], check_vector(grid, v), axis, grid.dim)
 
 
 def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
-    _check_axis(grid, axis)
-    return difference_matrices(grid)[axis][1] @ _check_length(grid, u)
+    return axis_apply(difference_matrix(grid.n)[1], check_vector(grid, u), axis, grid.dim)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly."""
-    v = _check_length(grid, v)
-    return sum(a @ v for a in _axis_laplacians(grid))
+    """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly.
+
+    Summed axis by axis, not as one 5-point matrix: a 3-point row sums a
+    constant to exactly zero, a 5-point one need not where it wraps.
+    """
+    v = check_vector(grid, v)
+    _, _, dtd = difference_matrix(grid.n)
+    return sum(axis_apply(dtd, v, axis, grid.dim) for axis in range(grid.dim))
 
 
 def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time."""
-    return sum(dt @ (w * (d @ x)) for d, dt in difference_matrices(grid))
+    d, dt, _ = difference_matrix(grid.n)
+    dim = grid.dim
+    return sum(axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim) for a in range(dim))
 
 
 def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
-    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D)."""
+    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D).
+
+    In 2D, D_a = D (x) I or I (x) D exists only while L_w is assembled.
+    """
+    d, eye = difference_matrix(w.grid.n)[0], sp.identity(w.grid.n, format="csr")
+    lifted = [d] if w.grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     scale = sp.diags(w.values, format="csr")
-    matrix = sum(dt @ (scale @ d) for d, dt in difference_matrices(w.grid))
+    matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
     return matrix
 
@@ -235,7 +221,7 @@ def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     P projects out the constant mode, so constant input maps to zero and the
     output always has zero mean.
     """
-    return _laplacian_pinv_plan(grid)(_check_length(grid, rhs))
+    return _laplacian_pinv_plan(grid)(check_vector(grid, rhs))
 
 
 def weighted_elliptic_pinv_apply(
@@ -259,7 +245,7 @@ def weighted_elliptic_pinv_apply(
         cfg = EllipticSolveConfig()
     op = w if isinstance(w, WeightedLaplacian) else WeightedLaplacian(w)
     grid = op.w.grid
-    rhs = _check_length(grid, rhs)
+    rhs = check_vector(grid, rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must be finite")
     b = rhs - rhs.mean()

@@ -90,7 +90,6 @@ class DescentHistory:
     records: list[IterationRecord] = field(default_factory=list)
     status: str = "max_iter"  # converged | max_iter | stalled
     stall_reason: str = ""
-    reference_value: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -183,7 +182,7 @@ def run_descent(
 ) -> DescentHistory:
     """Iterate armijo_step from p0 until the loss gap closes.
 
-    The gap is E(p^k) - E(mu).  The reference value is 0: every term of a
+    The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of a
     LossSpec vanishes at mu, and a callable loss is measured against 0 with
     no reference density to measure distance to.  Terminates on
     gap <= cfg.gap_tolerance (converged), cfg.max_iterations, or a stalled
@@ -205,7 +204,7 @@ def run_descent(
             IterationRecord(
                 iteration=k,
                 loss=ev.value,
-                gap=ev.value - history.reference_value,
+                gap=ev.value,
                 eta=eta,
                 halvings=halvings,
                 mass=p.mass,
@@ -219,7 +218,7 @@ def run_descent(
     if not ev.feasible:
         raise ValueError("loss is infeasible at the initial density")
     record(0, ev, p, 0.0, 0)
-    if ev.value - history.reference_value <= cfg.gap_tolerance:
+    if ev.value <= cfg.gap_tolerance:
         history.status = "converged"
         return history
 
@@ -231,7 +230,7 @@ def run_descent(
             return history
         p, ev = p_next, ev_next
         record(k, ev, p, diag.eta, diag.halvings)
-        if ev.value - history.reference_value <= cfg.gap_tolerance:
+        if ev.value <= cfg.gap_tolerance:
             history.status = "converged"
             return history
     history.status = "max_iter"

@@ -17,8 +17,8 @@ g[i] = (-1)^i h[2k-1-i].  The lowpass taps are a committed table of a
 holds to double-precision roundoff.
 
 In 2D the basis is the tensor product of the 1D basis with itself.  It is
-never materialized: on the n x n site array X the analysis is W^T X W and
-the synthesis W C W^T.
+never materialized: on the n x n site array X, `grid.tensor_apply` gives
+the analysis W^T X W and the synthesis W C W^T.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid
-from .operators import _check_length
+from .grid import Grid, check_vector, tensor_apply
 
 __all__ = [
     "FilterPair",
@@ -39,7 +38,6 @@ __all__ = [
     "make_basis",
     "transform_forward",
     "transform_inverse",
-    "tensor_apply",
     "dense_matrix",
 ]
 
@@ -203,27 +201,15 @@ def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m // 2)).tocsr()
 
 
-def tensor_apply(factors: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
-    """Apply one 1D sparse factor along each axis of the flattened site array.
-
-    One factor A gives A v; two give A0 X A1^T on the array X of v, which is
-    the Kronecker product A0 (x) A1 applied without forming it.
-    """
-    if len(factors) == 1:
-        return factors[0] @ v
-    a0, a1 = factors
-    return (a1 @ (a0 @ v.reshape(a0.shape[1], a1.shape[1])).T).T.reshape(-1)
-
-
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
     """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
-    v = _check_length(basis.grid, v)
+    v = check_vector(basis.grid, v)
     return tensor_apply([basis.matrix_t] * basis.grid.dim, v)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
     """Wavelet synthesis: W c in 1D, W C W^T on the n x n coefficient array in 2D."""
-    c = _check_length(basis.grid, c)
+    c = check_vector(basis.grid, c)
     return tensor_apply([basis.matrix] * basis.grid.dim, c)
 
 

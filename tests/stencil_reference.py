@@ -4,7 +4,7 @@ Each function writes the periodic forward difference out by hand (array
 shifts, or a permutation of the rows of W), so it shares no code with the
 difference matrices of `waveng.operators`.  The 2D Hessian diagonals are the
 two-sided products written out term by term instead of through
-`wavelets.tensor_apply`.
+`grid.tensor_apply`.
 """
 
 import numpy as np

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from waveng.grid import (
     Density,
+    axis_apply,
     boltzmann_weights,
+    check_vector,
     make_grid,
     reference_measure,
     site_coordinates,
+    site_values,
+    tensor_apply,
     uniform_density,
     Potential,
 )
@@ -116,3 +121,60 @@ class TestDensityValidation:
         values[0] = np.nan
         with pytest.raises(ValueError):
             Density(grid, values)
+
+
+def random_factor(n: int, seed: int) -> sp.csr_matrix:
+    """A sparse n x n matrix with a nonzero diagonal; almost surely not symmetric."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=0.4, random_state=rng) + sp.diags(rng.uniform(1, 2, n))
+    return sp.csr_matrix(a)
+
+
+class TestTensorRule:
+    """axis_apply and tensor_apply against dense Kronecker products."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_1d_is_the_factor(self, n):
+        a = random_factor(n, n)
+        v = np.random.default_rng(1).standard_normal(n)
+        assert np.abs(a.toarray() - a.toarray().T).max() > 0.1
+        np.testing.assert_allclose(axis_apply(a, v, 0, 1), a.toarray() @ v, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(tensor_apply([a], v), a.toarray() @ v, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_2d_matches_kron(self, n):
+        a0, a1 = random_factor(n, 2 * n), random_factor(n, 2 * n + 1)
+        d0, d1, eye = a0.toarray(), a1.toarray(), np.eye(n)
+        assert min(np.abs(d - d.T).max() for d in (d0, d1)) > 0.1
+        v = np.random.default_rng(2).standard_normal(n * n)
+        cases = [
+            (axis_apply(a0, v, 0, 2), np.kron(d0, eye) @ v),
+            (axis_apply(a1, v, 1, 2), np.kron(eye, d1) @ v),
+            (tensor_apply([a0, a1], v), np.kron(d0, d1) @ v),
+        ]
+        for got, want in cases:
+            assert got.shape == (n * n,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axis,dim", [(1, 1), (-1, 1), (2, 2), (-1, 2)])
+    def test_invalid_axis(self, axis, dim):
+        with pytest.raises(ValueError, match="axis"):
+            axis_apply(random_factor(4, 0), np.zeros(4**dim), axis, dim)
+
+
+class TestSiteVectors:
+    def test_check_vector(self):
+        grid = make_grid(2, 4)
+        out = check_vector(grid, [1] * 16)
+        assert out.dtype == np.float64 and out.shape == (16,)
+        with pytest.raises(ValueError, match="grid"):
+            check_vector(grid, np.zeros(15))
+        with pytest.raises(ValueError, match="grid"):
+            check_vector(grid, np.zeros((4, 4)))
+
+    def test_site_values(self):
+        p = uniform_density(make_grid(1, 8))
+        assert site_values(p) is p.values
+        out = site_values([1, 2, 3])
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])

@@ -251,16 +251,27 @@ class TestSolveSetUp:
 
     @pytest.mark.parametrize("preset_id", ["1d-4", "2d-4"])
     def test_loss_at_mu_builds_no_difference_operator(self, preset_id):
-        # the grid's D_a and -Delta are cached per grid; E(mu) must not build
+        # the 1D D, D^T and D^T D are cached per n; E(mu) must not build
         # them, so a benchmark's set-up does not pay for them
-        caches = (operators.difference_matrices, operators._axis_laplacians)
-        for cache in caches:
-            cache.cache_clear()
+        cache = operators.difference_matrix
+        cache.cache_clear()
         preset = load_preset(preset_id)
         grid = make_grid(preset.dim, preset.n)
         mu = reference_measure(grid, build_potential(grid, preset.potential_id))
         spec = LossSpec(*preset.alphas, mu=mu)
         assert combined_eval(mu, spec).value == 0.0
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        assert cache.cache_info().currsize == 0
         run_descent(uniform_density(grid), spec, lambda p, g: g, DescentConfig(max_iterations=1))
-        assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+        assert cache.cache_info().currsize == 1
+
+    def test_difference_cache_holds_only_1d_matrices(self):
+        # no 2D D_a or D_a^T D_a outlives the call that used it, L_w's included
+        cache = operators.difference_matrix
+        cache.cache_clear()
+        spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
+        assert spec.weighted_laplacian.matrix.shape == (spec.grid.total,) * 2
+        info = cache.cache_info()
+        n = spec.grid.n
+        matrices = cache(n)
+        assert info.currsize == 1 and cache.cache_info().hits == info.hits + 1
+        assert [m.shape for m in matrices] == [(n, n)] * 3

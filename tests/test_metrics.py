@@ -296,3 +296,9 @@ class TestMetricProperties:
     def test_dispatcher_requires_precomp(self):
         with pytest.raises(ValueError):
             metric_apply_fn(MetricKind.COMBINED, make_grid(1, 16))
+
+    def test_dispatcher_rejects_precomp_of_another_grid(self):
+        # same site count (16): a 1D n = 16 basis bound to a 2D 4 x 4 grid
+        pre = build_precomp(make_basis(make_grid(1, 16)))
+        with pytest.raises(ValueError, match="grid"):
+            metric_apply_fn(MetricKind.COMBINED, make_grid(2, 4), precomp=pre, alphas=(1.0, 0.0, 0.0))

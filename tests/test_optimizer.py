@@ -139,8 +139,7 @@ class TestRunDescent:
         hist = run_descent(p0, quadratic_loss, identity_metric, DescentConfig(gap_tolerance=1e-12))
         assert hist.status == "converged"
         assert hist.final_gap <= 1e-12
-        # a callable loss has reference value 0 and no reference density
-        assert hist.reference_value == 0.0
+        # a callable loss is measured against 0 and has no reference density
         np.testing.assert_array_equal(hist.column("gap"), hist.column("loss"))
         assert np.all(np.isnan(hist.column("distance_to_reference")))
 
@@ -220,6 +219,19 @@ class TestRunDescent:
         spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
         with pytest.raises(ValueError, match="grid"):
             run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
+
+    @pytest.mark.parametrize("kind", [MetricKind.COMBINED, MetricKind.MAHALANOBIS])
+    def test_rejects_metric_bound_to_another_grid(self, kind):
+        # same site count (16), different grid: a metric bound to 1D n = 16
+        # must refuse a 2D 4 x 4 density
+        grid, other = make_grid(2, 4), make_grid(1, 16)
+        alphas = (1.0, 1e-3, 1e-4)
+        mu = reference_measure(grid, Potential(grid, np.linspace(0.0, 1.0, 16)))
+        metric = metric_apply_fn(kind, other, precomp=build_precomp(make_basis(other)), alphas=alphas)
+        with pytest.raises(ValueError, match="grid"):
+            metric(mu, np.ones(16))
+        with pytest.raises(ValueError, match="grid"):
+            run_descent(uniform_density(grid), LossSpec(*alphas, mu=mu), metric)
 
     def test_history_columns(self):
         grid, mu, spec, metric = sin_setup(16)
