@@ -2,8 +2,10 @@
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A density is a nonnegative mass-per-site vector;
-normalized densities sum to one.  Reference measures are Boltzmann weights
-of a potential, exp(-V)/Z.
+normalized densities sum to one.  A Density is read-only and compared and
+hashed by identity, so a cache can key on it (`operators` keeps L_w per
+weight density).  Reference measures are Boltzmann weights of a potential,
+exp(-V)/Z.
 
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
 operator is a Kronecker product of 1D matrices, one per axis, and
@@ -54,16 +56,22 @@ class Grid:
         return (self.n,) * self.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density:
-    """Mass-per-site vector over a grid; treat values as read-only."""
+    """Mass-per-site vector over a grid.
+
+    `values` is a read-only view of the array passed in, so a cache keyed
+    on the density does not go stale through it.  Equality and hash are by
+    identity: two densities with equal values are distinct.
+    """
 
     grid: Grid
     values: np.ndarray
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64).view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
             raise ValueError(

@@ -11,12 +11,13 @@ With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and prices every trial step
-with the KL term alone.  Because mu is fixed, each LossSpec keeps one
-WeightedLaplacian of mu for all its K-solves: the 2D solve's set-up is
-built on the first nonzero right-hand side and reused for the rest of the
-run, and never for alpha1 = 0 or in 1D.  The 1D difference matrices
-(cached per n in `operators`) are likewise built on the first nonzero
-Q v.  Q 0 = 0 touches no operator, so evaluating E(mu) builds nothing.
+with the KL term alone.  A LossSpec holds no state: every K-solve passes
+mu itself, and `operators` caches the 2D solve's set-up, L_mu, per weight
+density (by identity), so it is built on the first nonzero right-hand side
+and reused for the rest of the run, and never for alpha1 = 0 or in 1D.
+The 1D difference matrices (cached per n in `operators`) are likewise
+built on the first nonzero Q v.  Q 0 = 0 touches no operator, so
+evaluating E(mu) builds nothing.
 """
 
 from __future__ import annotations
@@ -24,22 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .grid import Density, Grid, site_values
-from .operators import (
-    EllipticSolveConfig,
-    WeightedLaplacian,
-    laplacian_apply,
-    weighted_elliptic_pinv_apply,
-)
+from .operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
 
 __all__ = [
     "KLForm",
     "LossSpec",
+    "check_alphas",
     "LossEval",
     "e1_eval",
     "e2_eval",
@@ -67,10 +63,7 @@ class LossSpec:
     solve_config: EllipticSolveConfig = EllipticSolveConfig()
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
-            raise ValueError(f"alphas must be finite and nonnegative, got {self.alphas}")
-        if max(self.alpha1, self.alpha2, self.alpha3) == 0:
-            raise ValueError("at least one alpha must be positive")
+        check_alphas(self.alphas)
         if self.mu.min <= 0:
             raise ValueError("reference measure must be strictly positive")
 
@@ -82,10 +75,13 @@ class LossSpec:
     def grid(self) -> Grid:
         return self.mu.grid
 
-    @cached_property
-    def weighted_laplacian(self) -> WeightedLaplacian:
-        """L_mu, whose 2D solve set-up is built once per spec, on first use."""
-        return WeightedLaplacian(self.mu)
+
+def check_alphas(alphas: tuple[float, float, float]) -> None:
+    """Raise ValueError unless every alpha is finite and >= 0 and one is positive."""
+    if not all(math.isfinite(a) and a >= 0 for a in alphas):
+        raise ValueError(f"alphas must be finite and nonnegative, got {alphas}")
+    if max(alphas) == 0:
+        raise ValueError("at least one alpha must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,7 @@ def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     if not v.any():  # Q 0 = 0 with no operator built, so E(mu) builds nothing
         return out
     if spec.alpha1 > 0:
-        out += spec.alpha1 * weighted_elliptic_pinv_apply(
-            spec.weighted_laplacian, v, spec.solve_config
-        )
+        out += spec.alpha1 * weighted_elliptic_pinv_apply(spec.mu, v, spec.solve_config)
     if spec.alpha3 > 0:
         out += spec.alpha3 * laplacian_apply(spec.grid, v)
     return out

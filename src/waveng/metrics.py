@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Density, Grid, site_values, tensor_apply
+from .losses import check_alphas
 from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
@@ -190,22 +191,24 @@ def metric_apply_fn(
 ) -> Callable[[Density, np.ndarray], np.ndarray]:
     """Bind a metric kind to a (density, gradient) -> direction callable.
 
-    The combined and Mahalanobis callables reject a Density on another grid.
+    Every callable rejects a Density on another grid.  The combined metric
+    needs a precomp on this grid and alphas that LossSpec would accept.
     """
     kind = MetricKind(kind)
-    if kind is MetricKind.WASSERSTEIN:
-        return apply_wasserstein_metric
-    if kind is MetricKind.FISHER_RAO:
-        return apply_fisher_rao_metric
     if kind is MetricKind.COMBINED:
         if precomp is None or alphas is None:
             raise ValueError("combined metric requires a precomp and alphas")
         if precomp.basis.grid != grid:
             raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
+        check_alphas(alphas)
 
     def bound(p: Density, g: np.ndarray) -> np.ndarray:
         if isinstance(p, Density) and p.grid != grid:
             raise ValueError(f"density grid {p.grid} is not the metric grid {grid}")
+        if kind is MetricKind.WASSERSTEIN:
+            return apply_wasserstein_metric(p, g)
+        if kind is MetricKind.FISHER_RAO:
+            return apply_fisher_rao_metric(p, g)
         if kind is MetricKind.COMBINED:
             return apply_combined_metric(precomp, alphas, p, g)
         return apply_mahalanobis_metric(grid, g)

@@ -8,9 +8,9 @@ Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
 Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
 closed form with two cumulative sums, in 2D with conjugate gradients
 preconditioned by the Laplacian pseudo-inverse scaled by 1/sqrt(w) on both
-sides.  A WeightedLaplacian holds L_w as CSR, the part of that 2D solve
-fixed by w, built on first use and kept, so a caller with a fixed w (the
-loss's mu) pays for it once per run.
+sides.  L_w as CSR, the part of that 2D solve fixed by w, is cached for the
+last weight density it was built for (a Density is keyed by identity), so a
+caller with a fixed w (the loss's mu) pays for it once per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ from .grid import Density, Grid, axis_apply, check_vector
 __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
-    "WeightedLaplacian",
     "difference_matrix",
     "diff_apply",
     "diff_adjoint_apply",
@@ -73,8 +73,9 @@ class EllipticSolveConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
             raise ValueError(f"rel_tolerance must be finite and positive, got {self.rel_tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be None or >= 1, got {self.max_iterations}")
+        cap = self.max_iterations
+        if cap is not None and not (isinstance(cap, Integral) and cap >= 1):
+            raise ValueError(f"max_iterations must be None or an integer >= 1, got {cap}")
 
     def iteration_cap(self, grid: Grid) -> int:
         if self.max_iterations is not None:
@@ -127,10 +128,13 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum(axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim) for a in range(dim))
 
 
+@functools.lru_cache(maxsize=1)  # a run has one reference measure
 def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
     """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D).
 
-    In 2D, D_a = D (x) I or I (x) D exists only while L_w is assembled.
+    Cached for the last w it was called with, so every 2D solve with one
+    weight density shares one assembly; treat the matrix as read-only.  In
+    2D, D_a = D (x) I or I (x) D exists only while L_w is assembled.
     """
     d, eye = difference_matrix(w.grid.n)[0], sp.identity(w.grid.n, format="csr")
     lifted = [d] if w.grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
@@ -138,24 +142,6 @@ def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
     matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
     return matrix
-
-
-class WeightedLaplacian:
-    """L_w for one strictly positive weight density w, with its 2D solve set-up.
-
-    `matrix` (L_w as CSR, see weighted_laplacian_matrix) is built on first
-    use and kept; making a WeightedLaplacian builds nothing.  Only a 2D
-    solve with a nonzero right-hand side uses it.
-    """
-
-    def __init__(self, w: Density):
-        if w.values.min() <= 0.0:
-            raise ValueError("weight density must be strictly positive")
-        self.w = w
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return weighted_laplacian_matrix(self.w)
 
 
 def _laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -225,17 +211,17 @@ def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 
 def weighted_elliptic_pinv_apply(
-    w: Density | WeightedLaplacian, rhs: np.ndarray, cfg: EllipticSolveConfig | None = None
+    w: Density, rhs: np.ndarray, cfg: EllipticSolveConfig | None = None
 ) -> np.ndarray:
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
-    P projects out the constant mode.  Pass w's WeightedLaplacian instead of
-    w to reuse its 2D set-up across solves; given a density, the set-up is
-    built for this one solve.  1D is solved in closed form in O(n) (see
-    _closed_form_1d); 2D by CG on the mean-zero subspace, preconditioned by
-    P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one sparse matvec and one
-    (-Delta)^+ plan application per iteration (see _pcg_2d).  Raises
-    ValueError for a right-hand side that is not finite, and
+    P projects out the constant mode.  1D is solved in closed form in O(n)
+    (see _closed_form_1d); 2D by CG on the mean-zero subspace, preconditioned
+    by P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one sparse matvec with
+    the cached L_w and one (-Delta)^+ plan application per iteration (see
+    _pcg_2d); L_w is assembled on the first 2D solve with a nonzero
+    right-hand side for this w.  Raises ValueError for a weight density that
+    is not strictly positive or a right-hand side that is not finite, and
     EllipticSolveError when the residual misses cfg.rel_tolerance: in 1D the
     backward error of the closed form's true residual (see _closed_form_1d);
     in 2D the CG residual against rel_tolerance * ||P rhs||, within the
@@ -243,8 +229,9 @@ def weighted_elliptic_pinv_apply(
     """
     if cfg is None:
         cfg = EllipticSolveConfig()
-    op = w if isinstance(w, WeightedLaplacian) else WeightedLaplacian(w)
-    grid = op.w.grid
+    if w.min <= 0.0:
+        raise ValueError("weight density must be strictly positive")
+    grid = w.grid
     rhs = check_vector(grid, rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must be finite")
@@ -253,8 +240,8 @@ def weighted_elliptic_pinv_apply(
     if bnorm == 0.0:
         return np.zeros(grid.total)
     if grid.dim == 1:
-        return _closed_form_1d(op.w, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
-    return _pcg_2d(op, b, bnorm, cfg)
+        return _closed_form_1d(w, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
+    return _pcg_2d(w, b, bnorm, cfg)
 
 
 def _closed_form_1d(
@@ -295,9 +282,7 @@ def _closed_form_1d(
     return x
 
 
-def _pcg_2d(
-    op: WeightedLaplacian, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig
-) -> np.ndarray:
+def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -> np.ndarray:
     """Preconditioned CG for the mean-zero b on the 2D grid.
 
     The preconditioner is M^-1 = P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w)
@@ -309,9 +294,9 @@ def _pcg_2d(
     mean).  An iteration costs one CSR matvec with L_w and one application of
     the grid's cached (-Delta)^+ plan.
     """
-    grid = op.w.grid
-    a = op.matrix
-    s_inv = 1.0 / np.sqrt(op.w.values)
+    grid = w.grid
+    a = weighted_laplacian_matrix(w)
+    s_inv = 1.0 / np.sqrt(w.values)
     laplacian_pinv = _laplacian_pinv_plan(grid)
 
     def precondition(r: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -53,9 +54,10 @@ class DescentConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0):
             raise ValueError(f"gap_tolerance must be finite and positive, got {self.gap_tolerance}")
-        if self.max_iterations < 0 or self.max_halvings < 1:
+        counts = (self.max_iterations, self.max_halvings)
+        if not all(isinstance(c, Integral) for c in counts) or counts[0] < 0 or counts[1] < 1:
             raise ValueError(
-                f"max_iterations must be >= 0 and max_halvings >= 1, "
+                f"max_iterations must be an integer >= 0 and max_halvings an integer >= 1, "
                 f"got {self.max_iterations} and {self.max_halvings}"
             )
 
@@ -75,12 +77,16 @@ class StepDiagnostics:
 class IterationRecord:
     iteration: int
     loss: float
-    gap: float
     eta: float
     halvings: int
     mass: float
     min_value: float
     distance_to_reference: float
+
+    @property
+    def gap(self) -> float:
+        """E(p^k) - E(mu), which is the loss itself (see run_descent)."""
+        return self.loss
 
 
 @dataclass
@@ -204,7 +210,6 @@ def run_descent(
             IterationRecord(
                 iteration=k,
                 loss=ev.value,
-                gap=ev.value,
                 eta=eta,
                 halvings=halvings,
                 mass=p.mass,

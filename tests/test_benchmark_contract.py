@@ -32,9 +32,11 @@ def test_layer_resolves_to_a_callable(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
 
 
-def test_panel_1d_sets_up_descends_and_digests():
+@pytest.mark.parametrize("workload", ["panel-1d", "panel-2d", "wavelet-2d"])
+def test_workload_sets_up_descends_and_digests(workload):
+    # panel-2d is the only workload on the 2D K-solve path
     workloads = load("workloads")
-    problem = workloads.set_up(workloads.WORKLOADS["panel-1d"].preset())
+    problem = workloads.set_up(workloads.WORKLOADS[workload].preset())
     p0 = workloads.smooth_start(problem.grid, 1, 0)
     cfg = DescentConfig(max_iterations=3, gap_tolerance=workloads.gap_tolerance(problem, p0))
     for kind in problem.preset.metrics:

@@ -52,7 +52,7 @@ class TestCli:
 
     def test_run_prints_stall_reason(self, tmp_path, capsys, monkeypatch):
         stalled = DescentHistory(
-            records=[IterationRecord(0, 1.0, 1.0, 0.0, 0, 1.0, 0.5, 0.0)],
+            records=[IterationRecord(0, 1.0, 0.0, 0, 1.0, 0.5, 0.0)],
             status="stalled",
             stall_reason="line search exhausted max_halvings",
         )

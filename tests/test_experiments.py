@@ -134,7 +134,7 @@ class TestCsv:
     def test_two_iterations_three_rows(self):
         hist = DescentHistory(
             records=[
-                IterationRecord(k, 1.0 / (k + 1), 1.0 / (k + 1), 0.5, 1, 1.0, 0.1, 0.0)
+                IterationRecord(k, 1.0 / (k + 1), 0.5, 1, 1.0, 0.1, 0.0)
                 for k in range(3)
             ]
         )
@@ -145,7 +145,7 @@ class TestCsv:
     def test_float_formatting_round_trips(self):
         value = 0.1234567890123456789
         hist = DescentHistory(
-            records=[IterationRecord(0, value, value, value, 0, value, value, 0.0)]
+            records=[IterationRecord(0, value, value, 0, value, value, 0.0)]
         )
         row = history_csv(hist).splitlines()[1].split(",")
         assert float(row[1]) == value

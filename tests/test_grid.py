@@ -122,6 +122,22 @@ class TestDensityValidation:
         with pytest.raises(ValueError):
             Density(grid, values)
 
+    def test_values_are_a_read_only_view(self):
+        # a write through the density would leave its cached L_w stale
+        values = np.full(8, 1 / 8)
+        density = Density(make_grid(1, 8), values)
+        with pytest.raises(ValueError, match="read-only"):
+            density.values[0] = 0.5
+        assert values.flags.writeable
+
+    def test_compared_and_hashed_by_identity(self):
+        # caches key on a density (operators.weighted_laplacian_matrix), so
+        # equal values must not make two densities one key
+        grid = make_grid(2, 4)
+        a, b = uniform_density(grid), uniform_density(grid)
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
 
 def random_factor(n: int, seed: int) -> sp.csr_matrix:
     """A sparse n x n matrix with a nonzero diagonal; almost surely not symmetric."""

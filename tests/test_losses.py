@@ -207,19 +207,14 @@ class TestCombined:
 
 
 class TestSolveSetUp:
-    """The mu-weighted operator behind E1 is assembled once per LossSpec, on first use."""
+    """The mu-weighted operator behind E1 is assembled once per mu, on first use."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        calls = []
-        assemble = operators.weighted_laplacian_matrix
-
-        def counting(w):
-            calls.append(w)
-            return assemble(w)
-
-        monkeypatch.setattr(operators, "weighted_laplacian_matrix", counting)
-        return calls
+    def builds(self):
+        """The L_w cache, emptied: its misses count the assemblies."""
+        cache = operators.weighted_laplacian_matrix
+        cache.cache_clear()
+        return cache
 
     @staticmethod
     def descend(preset_id, kinds, spec=None):
@@ -236,9 +231,20 @@ class TestSolveSetUp:
 
     def test_once_over_2d_descents(self, builds):
         spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
-        assert len(builds) == 1 and builds[0] is spec.mu
+        assert builds.cache_info().misses == 1
+        matrix = builds(spec.mu)  # a hit: the matrix built for this mu
+        assert builds.cache_info().misses == 1
         self.descend("2d-4", [MetricKind.COMBINED], spec=spec)
-        assert len(builds) == 1
+        assert builds.cache_info().misses == 1 and builds(spec.mu) is matrix
+
+    def test_once_over_2d_e1_evaluations(self, builds):
+        preset = load_preset("2d-4")
+        grid = make_grid(preset.dim, preset.n)
+        mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+        p = uniform_density(grid)
+        first = e1_eval(p, mu)
+        np.testing.assert_array_equal(e1_eval(p, mu).gradient, first.gradient)
+        assert builds.cache_info().misses == 1
 
     def test_never_for_zero_rhs_alpha1_zero_or_1d(self, builds):
         preset = load_preset("2d-4")
@@ -247,7 +253,7 @@ class TestSolveSetUp:
         assert combined_eval(mu, LossSpec(*preset.alphas, mu=mu)).value == 0.0
         self.descend("2d-3", [MetricKind.COMBINED])  # alpha1 = 0
         self.descend("1d-4", [MetricKind.COMBINED])  # closed-form 1D solve
-        assert builds == []
+        assert builds.cache_info().misses == 0
 
     @pytest.mark.parametrize("preset_id", ["1d-4", "2d-4"])
     def test_loss_at_mu_builds_no_difference_operator(self, preset_id):
@@ -269,7 +275,7 @@ class TestSolveSetUp:
         cache = operators.difference_matrix
         cache.cache_clear()
         spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
-        assert spec.weighted_laplacian.matrix.shape == (spec.grid.total,) * 2
+        assert operators.weighted_laplacian_matrix(spec.mu).shape == (spec.grid.total,) * 2
         info = cache.cache_info()
         n = spec.grid.n
         matrices = cache(n)

@@ -2,13 +2,15 @@
 
 Draws 1D and 2D grids with n in {4, ..., 64}, Daubechies orders 1-10, every
 decomposition depth, alphas with zeros allowed and random positive
-densities.  Every metric must be symmetric and positive semidefinite.  The
+densities.  Every metric must be symmetric and positive semidefinite, and
+the combined metric must refuse alphas that are all zero.  The
 transport and Mahalanobis metrics always freeze total mass, and the combined
 metric does at full depth with alpha1 > 0.  A few combined-metric descent
 steps must lower the loss at every step and keep the density positive.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +59,10 @@ def test_metrics_symmetric_psd_and_mass_freezing(case):
     else:
         probes = rng.standard_normal((grid.total, PROBES))
     for kind in MetricKind:
+        if kind is MetricKind.COMBINED and max(alpha) == 0:
+            with pytest.raises(ValueError, match="positive"):
+                metric_apply_fn(kind, grid, precomp=pre, alphas=alpha)
+            continue
         metric = metric_apply_fn(kind, grid, precomp=pre, alphas=alpha)
         images = np.column_stack([metric(p, g) for g in probes.T])
         gram = probes.T @ images

@@ -297,6 +297,25 @@ class TestMetricProperties:
         with pytest.raises(ValueError):
             metric_apply_fn(MetricKind.COMBINED, make_grid(1, 16))
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_dispatcher_rejects_bad_alpha(self, slot, bad):
+        # checked as LossSpec checks them: a nan or negative alpha used to
+        # drop its term silently (a1 > 0 is False for both)
+        grid = make_grid(1, 16)
+        alphas = [1.0, 1e-3, 1e-4]
+        alphas[slot] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
+                            alphas=tuple(alphas))
+
+    def test_dispatcher_rejects_all_zero_alphas(self):
+        # used to stall every descent with "non-descent direction"
+        grid = make_grid(1, 16)
+        with pytest.raises(ValueError, match="positive"):
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
+                            alphas=(0.0, 0.0, 0.0))
+
     def test_dispatcher_rejects_precomp_of_another_grid(self):
         # same site count (16): a 1D n = 16 basis bound to a 2D 4 x 4 grid
         pre = build_precomp(make_basis(make_grid(1, 16)))

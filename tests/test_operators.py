@@ -10,7 +10,6 @@ from waveng.operators import (
     DENSE_PLAN_MAX_N,
     EllipticSolveConfig,
     EllipticSolveError,
-    WeightedLaplacian,
     diff_adjoint_apply,
     diff_apply,
     laplacian_apply,
@@ -215,19 +214,21 @@ class TestWeightedLaplacianMatrix:
         assert np.max(np.abs(a @ x - stencil)) <= 1e-14 * np.max(np.abs(stencil))
 
     def test_set_up_is_lazy_and_reused(self):
+        cache = weighted_laplacian_matrix
+        cache.cache_clear()
         grid = make_grid(2, 16)
         w = random_weight(grid, 32)
-        op = WeightedLaplacian(w)
-        assert "matrix" not in vars(op)
-        weighted_elliptic_pinv_apply(op, np.zeros(grid.total))  # zero rhs: nothing built
-        assert "matrix" not in vars(op)
+        weighted_elliptic_pinv_apply(w, np.zeros(grid.total))  # zero rhs: nothing built
+        assert cache.cache_info().currsize == 0
         rhs = np.random.default_rng(33).standard_normal(grid.total)
-        first = weighted_elliptic_pinv_apply(op, rhs)
-        matrix = op.matrix
-        np.testing.assert_array_equal(weighted_elliptic_pinv_apply(op, rhs), first)
-        assert op.matrix is matrix
-        # the one-shot form builds its own set-up and gives the same bits
+        first = weighted_elliptic_pinv_apply(w, rhs)
+        matrix = cache(w)
         np.testing.assert_array_equal(weighted_elliptic_pinv_apply(w, rhs), first)
+        assert cache(w) is matrix and cache.cache_info().misses == 1
+        # a density with equal values is another key, built afresh to the same bits
+        twin = Density(grid, w.values.copy())
+        np.testing.assert_array_equal(weighted_elliptic_pinv_apply(twin, rhs), first)
+        assert cache.cache_info().misses == 2 and cache(twin) is not matrix
 
 
 class TestWeightedPinv:
@@ -288,6 +289,15 @@ class TestWeightedPinv:
         with pytest.raises(ValueError):
             weighted_elliptic_pinv_apply(Density(grid, wv), np.ones(16))
 
+    def test_nonpositive_weight_rejected_before_2d_set_up(self):
+        weighted_laplacian_matrix.cache_clear()
+        grid = make_grid(2, 4)
+        wv = np.full(16, 1 / 16)
+        wv[3] = -1e-3
+        with pytest.raises(ValueError, match="strictly positive"):
+            weighted_elliptic_pinv_apply(Density(grid, wv), np.arange(16.0))
+        assert weighted_laplacian_matrix.cache_info().currsize == 0
+
     def test_nonconvergence_reports_residual(self):
         # 2D, where max_iterations caps the CG loop
         grid = make_grid(2, 16)
@@ -322,6 +332,7 @@ class TestWeightedPinv:
             {"rel_tolerance": float("inf")},
             {"max_iterations": 0},
             {"max_iterations": -3},
+            {"max_iterations": 2.5},
         ):
             with pytest.raises(ValueError):
                 EllipticSolveConfig(**kwargs)

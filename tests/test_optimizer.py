@@ -220,7 +220,7 @@ class TestRunDescent:
         with pytest.raises(ValueError, match="grid"):
             run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
 
-    @pytest.mark.parametrize("kind", [MetricKind.COMBINED, MetricKind.MAHALANOBIS])
+    @pytest.mark.parametrize("kind", list(MetricKind))
     def test_rejects_metric_bound_to_another_grid(self, kind):
         # same site count (16), different grid: a metric bound to 1D n = 16
         # must refuse a 2D 4 x 4 density
@@ -248,3 +248,11 @@ class TestDescentConfig:
             DescentConfig(gap_tolerance=0.0)
         with pytest.raises(ValueError):
             DescentConfig(max_halvings=0)
+        # non-integer counts used to fail mid-descent with a TypeError
+        for kwargs in (
+            {"max_iterations": 2.5},
+            {"max_iterations": float("nan")},
+            {"max_halvings": 2.5},
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                DescentConfig(**kwargs)
