@@ -27,13 +27,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunOverrides()
     run = sub.add_parser("run", help="run one experiment preset")
     run.add_argument("--preset", required=True, help="preset id (see list-presets)")
-    run.add_argument("--wavelet-order", type=int, default=3, metavar="K")
-    run.add_argument("--levels", type=int, default=None, metavar="L",
+    run.add_argument("--wavelet-order", type=int, default=defaults.wavelet_order, metavar="K")
+    run.add_argument("--levels", type=int, default=defaults.levels, metavar="L",
                      help="decomposition depth (default: full)")
-    run.add_argument("--max-iter", type=int, default=2000, metavar="N")
-    run.add_argument("--gap-tol", type=float, default=1e-10, metavar="T")
+    run.add_argument("--max-iter", type=int, default=defaults.max_iterations, metavar="N")
+    run.add_argument("--gap-tol", type=float, default=defaults.gap_tolerance, metavar="T")
     run.add_argument("--kl-form", choices=["plain", "corrected"], default="corrected")
     run.add_argument("--out-dir", default="out", metavar="DIR")
     run.add_argument("--svg", action="store_true", help="also write a convergence chart")

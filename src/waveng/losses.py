@@ -64,6 +64,9 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         check_alphas(self.alphas)
+        object.__setattr__(self, "kl_form", KLForm(self.kl_form))
+        if not isinstance(self.mu, Density):
+            raise TypeError(f"mu must be a Density, got {type(self.mu).__name__}")
         if self.mu.min <= 0:
             raise ValueError("reference measure must be strictly positive")
 
@@ -90,8 +93,8 @@ class LossEval:
 
     `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
     quadratic terms of a combined loss, already included in value and
-    gradient; combined_eval and along_line set it, other losses leave it
-    None.
+    gradient; combined_eval and along_line set it, and along_line needs
+    it.  The single-term evaluations leave it None.
     """
 
     value: float
@@ -157,12 +160,6 @@ def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadratic_eval(p: Density | np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
-    r = site_values(p) - spec.mu.values
-    qr = quadratic_apply(spec, r)
-    return 0.5 * float(r @ qr), qr
-
-
 def _add_kl(p: np.ndarray, spec: LossSpec, quadratic: tuple[float, np.ndarray]) -> LossEval:
     """The combined loss at p from its quadratic part plus the KL term."""
     value, gradient = quadratic
@@ -182,7 +179,10 @@ def combined_eval(p: Density | np.ndarray, spec: LossSpec) -> LossEval:
     r^T Q r / 2, and q with its gradient Q r is also returned as
     `quadratic`.
     """
-    return _add_kl(site_values(p), spec, _quadratic_eval(p, spec))
+    pv = site_values(p)
+    r = pv - spec.mu.values
+    qr = quadratic_apply(spec, r)
+    return _add_kl(pv, spec, (0.5 * float(r @ qr), qr))
 
 
 def along_line(
@@ -196,11 +196,14 @@ def along_line(
         grad q(r - eta s) = Q r - eta Q s,
 
     so Q s is formed once here and each call costs one KL evaluation.  The
-    quadratic part of ev is reused; an ev without one has it recomputed.  A
-    trial point with a site <= 0 evaluates to +inf whatever the alphas.
+    quadratic part (q(r), Q r) is taken from ev, which must come from
+    combined_eval or an earlier along_line.  A trial point with a site <= 0
+    evaluates to +inf whatever the alphas.
     """
+    if ev.quadratic is None:
+        raise ValueError("ev carries no quadratic part: evaluate p with combined_eval")
     pv = site_values(p)
-    qv, qr = ev.quadratic if ev.quadratic is not None else _quadratic_eval(pv, spec)
+    qv, qr = ev.quadratic
     qs = quadratic_apply(spec, s)
     s_qr = float(s @ qr)
     s_qs = float(s @ qs)

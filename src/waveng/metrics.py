@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, site_values, tensor_apply
+from .grid import Density, Grid, check_vector, tensor_apply
 from .losses import check_alphas
 from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
@@ -126,17 +126,16 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
 
 
-def _positive_values(p: Density | np.ndarray) -> np.ndarray:
-    pv = site_values(p)
-    if pv.min() <= 0.0:
+def _positive_values(p: Density) -> np.ndarray:
+    if p.min <= 0.0:
         raise MetricInfeasibleError("metric requires a strictly positive density")
-    return pv
+    return p.values
 
 
 def apply_combined_metric(
     pre: MetricPrecomp,
     alphas: tuple[float, float, float],
-    p: Density | np.ndarray,
+    p: Density,
     g: np.ndarray,
 ) -> np.ndarray:
     """W diag(1/d) W^T g with the division conventions described above."""
@@ -157,25 +156,15 @@ def apply_combined_metric(
     return transform_inverse(basis, scale * c)
 
 
-def apply_wasserstein_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarray:
+def apply_wasserstein_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """sum_a D_a^T diag(p) D_a g: the transport preconditioner at p."""
-    if not isinstance(p, Density):
-        raise TypeError("p must be a Density (carries the grid)")
-    grid = p.grid
-    pv = _positive_values(p)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (grid.total,):
-        raise ValueError(f"gradient shape {g.shape} does not match grid ({grid.total},)")
-    return weighted_flux_apply(grid, pv, g)
+    g = check_vector(p.grid, g)
+    return weighted_flux_apply(p.grid, _positive_values(p), g)
 
 
-def apply_fisher_rao_metric(p: Density | np.ndarray, g: np.ndarray) -> np.ndarray:
+def apply_fisher_rao_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """Entrywise diag(p) g."""
-    pv = site_values(p)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != pv.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match density {pv.shape}")
-    return pv * g
+    return p.values * check_vector(p.grid, g)
 
 
 def apply_mahalanobis_metric(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -191,8 +180,10 @@ def metric_apply_fn(
 ) -> Callable[[Density, np.ndarray], np.ndarray]:
     """Bind a metric kind to a (density, gradient) -> direction callable.
 
-    Every callable rejects a Density on another grid.  The combined metric
-    needs a precomp on this grid and alphas that LossSpec would accept.
+    Every callable takes a Density on this grid: it raises TypeError for
+    anything else, such as a bare array of site values, and ValueError for
+    a Density on another grid.  The combined metric needs a precomp on this
+    grid and alphas that LossSpec would accept.
     """
     kind = MetricKind(kind)
     if kind is MetricKind.COMBINED:
@@ -203,7 +194,9 @@ def metric_apply_fn(
         check_alphas(alphas)
 
     def bound(p: Density, g: np.ndarray) -> np.ndarray:
-        if isinstance(p, Density) and p.grid != grid:
+        if not isinstance(p, Density):
+            raise TypeError(f"p must be a Density, got {type(p).__name__}")
+        if p.grid != grid:
             raise ValueError(f"density grid {p.grid} is not the metric grid {grid}")
         if kind is MetricKind.WASSERSTEIN:
             return apply_wasserstein_metric(p, g)

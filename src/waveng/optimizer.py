@@ -5,16 +5,15 @@ direction s, then halves the step size eta (starting from 1) until
 
     E(p - eta s) - E(p) <= -eta/2 * <s, g>.
 
-Infeasible trial points evaluate to +inf and are rejected like any other
-failed trial.  A step with nonpositive directional slope <s, g> stalls the
-run rather than ascending.  Loss arguments may be a LossSpec or any
-callable mapping a value vector to a LossEval, which lets tests drive the
-loop with synthetic objectives.
+The loss E is the combined loss of a LossSpec.  Infeasible trial points
+evaluate to +inf and are rejected like any other failed trial.  A step
+with nonpositive directional slope <s, g> stalls the run rather than
+ascending.
 
-For a LossSpec the trials go through `losses.along_line`, which prices the
-quadratic terms in closed form: a step costs one K-solve (for Q s) however
-many halvings it takes, and the accepted point carries its quadratic part
-to the next step, which therefore needs no solve to get its gradient.
+The trials go through `losses.along_line`, which prices the quadratic
+terms in closed form: a step costs one K-solve (for Q s) however many
+halvings it takes, and the accepted point carries its quadratic part to
+the next step, which therefore needs no solve to get its gradient.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "run_descent",
 ]
 
-LossLike = LossSpec | Callable[[np.ndarray], LossEval]
 MetricFn = Callable[[Density, np.ndarray], np.ndarray]
 
 ARMIJO_COEFFICIENT = 0.5  # the 1/2 of eta/2 in the condition of the module docstring
@@ -109,59 +107,46 @@ class DescentHistory:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def _as_loss_fn(loss: LossLike) -> Callable[[np.ndarray], LossEval]:
-    if isinstance(loss, LossSpec):
-        return lambda values: combined_eval(values, loss)
-    return loss
-
-
 def armijo_step(
     p: Density,
-    loss: LossLike,
+    spec: LossSpec,
     metric: MetricFn,
     cfg: DescentConfig | None = None,
     evaluated: LossEval | None = None,
-) -> tuple[Density, LossEval | None, StepDiagnostics]:
+) -> tuple[Density, LossEval, StepDiagnostics]:
     """One backtracking step from p.
 
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
-    `evaluated` lets the caller pass a precomputed LossEval at p; for a
-    LossSpec its quadratic part, when present, saves a K-solve.
+    `evaluated` lets the caller pass combined_eval's result at p, whose
+    quadratic part saves a K-solve.
     """
     if cfg is None:
         cfg = DescentConfig()
-    loss_fn = _as_loss_fn(loss)
-    ev = loss_fn(p.values) if evaluated is None else evaluated
-    if not ev.feasible or ev.gradient is None:
-        return p, ev, StepDiagnostics(
-            accepted=False, eta=0.0, halvings=0, slope=np.nan,
-            value_before=ev.value, value_after=ev.value,
-            reason="loss not differentiable at current point",
+    ev = combined_eval(p.values, spec) if evaluated is None else evaluated
+
+    def stall(
+        reason: str, slope: float, eta: float = 0.0, halvings: int = 0
+    ) -> tuple[Density, LossEval, StepDiagnostics]:
+        diag = StepDiagnostics(
+            accepted=False, eta=eta, halvings=halvings, slope=slope,
+            value_before=ev.value, value_after=ev.value, reason=reason,
         )
+        return p, ev, diag
+
+    if not ev.feasible or ev.gradient is None:
+        return stall("loss not differentiable at current point", np.nan)
     g = ev.gradient
     try:
         s = metric(p, g)
     except MetricInfeasibleError as err:
-        return p, ev, StepDiagnostics(
-            accepted=False, eta=0.0, halvings=0, slope=np.nan,
-            value_before=ev.value, value_after=ev.value,
-            reason=f"metric infeasible: {err}",
-        )
+        return stall(f"metric infeasible: {err}", np.nan)
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
-        return p, ev, StepDiagnostics(
-            accepted=False, eta=0.0, halvings=0, slope=slope,
-            value_before=ev.value, value_after=ev.value,
-            reason="non-descent direction",
-        )
-    # a LossSpec's line search rejects nonpositive trials as +inf, keeping
-    # the descent in the metrics' domain (positive orthant); callable losses
-    # own their feasibility through the values they return.
-    if isinstance(loss, LossSpec):
-        trial_eval = along_line(loss, p, ev, s)
-    else:
-        trial_eval = lambda eta: loss(p.values - eta * s)
+        return stall("non-descent direction", slope)
+    # nonpositive trials evaluate to +inf, keeping the descent in the
+    # metrics' domain (the positive orthant)
+    trial_eval = along_line(spec, p, ev, s)
     eta = 1.0
     for halvings in range(cfg.max_halvings + 1):
         trial_ev = trial_eval(eta)
@@ -173,39 +158,31 @@ def armijo_step(
             )
             return next_p, trial_ev, diag
         eta *= 0.5
-    return p, ev, StepDiagnostics(
-        accepted=False, eta=eta, halvings=cfg.max_halvings, slope=slope,
-        value_before=ev.value, value_after=ev.value,
-        reason="line search exhausted max_halvings",
-    )
+    return stall("line search exhausted max_halvings", slope, eta, cfg.max_halvings)
 
 
 def run_descent(
     p0: Density,
-    loss: LossLike,
+    spec: LossSpec,
     metric: MetricFn,
     cfg: DescentConfig | None = None,
 ) -> DescentHistory:
     """Iterate armijo_step from p0 until the loss gap closes.
 
-    The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of a
-    LossSpec vanishes at mu, and a callable loss is measured against 0 with
-    no reference density to measure distance to.  Terminates on
-    gap <= cfg.gap_tolerance (converged), cfg.max_iterations, or a stalled
-    line search.  For a LossSpec, p0 must lie on the grid of its mu.
+    The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of the
+    loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
+    (converged), cfg.max_iterations, or a stalled line search.  p0 must lie
+    on the grid of mu.
     """
     if cfg is None:
         cfg = DescentConfig()
     if p0.min <= 0.0:
         raise ValueError("initial density must be strictly positive")
-    if isinstance(loss, LossSpec) and p0.grid != loss.mu.grid:
-        raise ValueError(f"start grid {p0.grid} is not the loss grid {loss.mu.grid}")
-    loss_fn = _as_loss_fn(loss)
-    reference = loss.mu if isinstance(loss, LossSpec) else None
+    if p0.grid != spec.grid:
+        raise ValueError(f"start grid {p0.grid} is not the loss grid {spec.grid}")
     history = DescentHistory()
 
     def record(k: int, ev: LossEval, p: Density, eta: float, halvings: int) -> None:
-        dist = float(np.linalg.norm(p.values - reference.values)) if reference is not None else np.nan
         history.records.append(
             IterationRecord(
                 iteration=k,
@@ -214,12 +191,12 @@ def run_descent(
                 halvings=halvings,
                 mass=p.mass,
                 min_value=p.min,
-                distance_to_reference=dist,
+                distance_to_reference=float(np.linalg.norm(p.values - spec.mu.values)),
             )
         )
 
     p = p0
-    ev = loss_fn(p.values)
+    ev = combined_eval(p.values, spec)
     if not ev.feasible:
         raise ValueError("loss is infeasible at the initial density")
     record(0, ev, p, 0.0, 0)
@@ -228,7 +205,7 @@ def run_descent(
         return history
 
     for k in range(1, cfg.max_iterations + 1):
-        p_next, ev_next, diag = armijo_step(p, loss, metric, cfg, evaluated=ev)
+        p_next, ev_next, diag = armijo_step(p, spec, metric, cfg, evaluated=ev)
         if not diag.accepted:
             history.status = "stalled"
             history.stall_reason = diag.reason

@@ -205,6 +205,19 @@ class TestCombined:
         with pytest.raises(ValueError, match="finite"):
             LossSpec(*alphas, mu=sin_measure(16))
 
+    @pytest.mark.parametrize("alpha2", [1e-3, 0.0])
+    def test_kl_form_checked_and_stored_as_enum(self, alpha2):
+        # checked at construction, so also when alpha2 = 0 and the KL term
+        # never runs
+        mu = sin_measure(16)
+        with pytest.raises(ValueError, match="bogus"):
+            LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form="bogus")
+        assert LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form="plain").kl_form is KLForm.PLAIN
+
+    def test_mu_must_be_a_density(self):
+        with pytest.raises(TypeError, match="Density"):
+            LossSpec(1.0, 1e-3, 0.0, mu=sin_measure(16).values)
+
 
 class TestSolveSetUp:
     """The mu-weighted operator behind E1 is assembled once per mu, on first use."""

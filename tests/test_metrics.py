@@ -234,9 +234,9 @@ class TestFisherRaoMetric:
 
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(48)
-        p = rng.uniform(0.1, 1.0, 32)
+        p = Density(make_grid(1, 32), rng.uniform(0.1, 1.0, 32))
         g = rng.standard_normal(32)
-        np.testing.assert_array_equal(apply_fisher_rao_metric(p, g), p * g)
+        np.testing.assert_array_equal(apply_fisher_rao_metric(p, g), p.values * g)
 
 
 class TestMahalanobisMetric:
@@ -315,6 +315,23 @@ class TestMetricProperties:
         with pytest.raises(ValueError, match="positive"):
             metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
                             alphas=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_bound_metric_rejects_bare_array(self, kind):
+        # a bare array carries no grid, so neither a 32-site nor a 16-site
+        # array may pass for a density on the bound 32-site grid
+        grid = make_grid(1, 32)
+        metric = metric_apply_fn(kind, grid, precomp=build_precomp(make_basis(grid)),
+                                 alphas=(1.0, 1e-3, 1e-4))
+        for values in (np.full(32, 1 / 32), np.full(16, 1 / 16)):
+            with pytest.raises(TypeError, match="Density"):
+                metric(values, np.ones(values.size))
+
+    @pytest.mark.parametrize("apply", [apply_wasserstein_metric, apply_fisher_rao_metric])
+    def test_rejects_gradient_of_wrong_length(self, apply):
+        p = uniform_density(make_grid(1, 32))
+        with pytest.raises(ValueError, match="shape"):
+            apply(p, np.ones(16))
 
     def test_dispatcher_rejects_precomp_of_another_grid(self):
         # same site count (16): a 1D n = 16 basis bound to a 2D 4 x 4 grid

@@ -10,12 +10,23 @@ from waveng.optimizer import DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
 
-def quadratic_loss(values: np.ndarray) -> LossEval:
-    return LossEval(value=0.5 * float(values @ values), gradient=values.copy())
-
-
 def identity_metric(p, g):
     return g
+
+
+def newton_setup():
+    """E3 alone, the exact quadratic r^T A r / 2, with the Mahalanobis metric A^+.
+
+    p and mu both have unit mass, so r = p - mu has no constant component
+    and the direction A^+ A r is r itself: every step is a Newton step.
+    The Armijo bound at eta = 1 then holds with equality up to rounding,
+    which at n = 16 falls on the accepting side (at n = 64 it does not).
+    """
+    n = 16
+    grid = make_grid(1, n)
+    mu = reference_measure(grid, Potential(grid, np.sin(4 * np.pi * np.arange(n) / n)))
+    spec = LossSpec(0.0, 0.0, 1.0, mu=mu)
+    return uniform_density(grid), mu, spec, metric_apply_fn(MetricKind.MAHALANOBIS, grid)
 
 
 def sin_setup(n=64, alphas=(1.0, 1e-3, 1e-4)):
@@ -29,20 +40,17 @@ def sin_setup(n=64, alphas=(1.0, 1e-3, 1e-4)):
 
 class TestArmijoStep:
     def test_quadratic_accepts_full_step(self):
-        # s = g = p, and E(p - s) - E(p) = -||p||^2/2 meets the Armijo bound
-        # with equality, so eta = 1 is accepted with no halving
-        grid = make_grid(1, 16)
-        p = Density(grid, np.full(16, 1.0 / 16))
-        p_next, ev, diag = armijo_step(p, quadratic_loss, identity_metric)
+        # the Newton step eta = 1 is accepted with no halving and lands on mu
+        p, mu, spec, mahalanobis = newton_setup()
+        p_next, ev, diag = armijo_step(p, spec, mahalanobis)
         assert diag.accepted and diag.eta == 1.0 and diag.halvings == 0
-        np.testing.assert_array_equal(p_next.values, np.zeros(16))
-        assert ev.value == 0.0
+        np.testing.assert_allclose(p_next.values, mu.values, rtol=0.0, atol=1e-15)
+        assert abs(ev.value) <= 1e-14 * diag.value_before
 
     def test_non_descent_direction_stalls(self):
-        grid = make_grid(1, 16)
-        p = Density(grid, np.full(16, 1.0 / 16))
+        p, _, spec, _ = newton_setup()
         ascent = lambda dens, g: -g
-        p_next, _, diag = armijo_step(p, quadratic_loss, ascent)
+        p_next, _, diag = armijo_step(p, spec, ascent)
         assert not diag.accepted and diag.reason == "non-descent direction"
         np.testing.assert_array_equal(p_next.values, p.values)
 
@@ -58,14 +66,15 @@ class TestArmijoStep:
             assert p_next.min > 0
 
     def test_exhausts_max_halvings(self):
-        # a flat loss with a lying gradient can never satisfy sufficient
-        # decrease, so every halving is spent
-        grid = make_grid(1, 16)
-        p = Density(grid, np.full(16, 1.0 / 16))
-        flat_loss = lambda values: LossEval(value=0.0, gradient=np.ones(16))
-        p_next, _, diag = armijo_step(p, flat_loss, identity_metric, DescentConfig(max_halvings=5))
+        # a direction 1e6 times the gradient leaves the positive orthant even
+        # at eta = 2^-5, so every trial is +inf and every halving is spent
+        p, _, spec, _ = newton_setup()
+        huge = lambda dens, g: 1e6 * g
+        p_next, ev, diag = armijo_step(p, spec, huge, DescentConfig(max_halvings=5))
         assert not diag.accepted and diag.halvings == 5
         assert "max_halvings" in diag.reason
+        np.testing.assert_array_equal(p_next.values, p.values)
+        assert ev.value == diag.value_before
 
     def test_fixed_point_at_mu(self):
         grid, mu, spec, metric = sin_setup()
@@ -118,30 +127,26 @@ class TestLineSearch:
         assert_matches_fresh(ev, p, spec, 1e-9)
 
     def test_evaluated_without_quadratic_part(self):
+        # the line search takes q(r) and Q r from the evaluation it is given
+        # and never re-solves for them
         grid, spec, metric = preset_setup("1d-4")
         p = uniform_density(grid)
         ev = combined_eval(p, spec)
         bare = LossEval(value=ev.value, gradient=ev.gradient)
-        p_a, ev_a, diag_a = armijo_step(p, spec, metric, evaluated=ev)
-        p_b, ev_b, diag_b = armijo_step(p, spec, metric, evaluated=bare)
-        assert diag_a == diag_b and diag_a.accepted
-        np.testing.assert_array_equal(p_a.values, p_b.values)
-        assert ev_a.value == ev_b.value
-        np.testing.assert_array_equal(ev_a.gradient, ev_b.gradient)
-        assert ev_a.quadratic[0] == ev_b.quadratic[0]
-        np.testing.assert_array_equal(ev_a.quadratic[1], ev_b.quadratic[1])
+        with pytest.raises(ValueError, match="combined_eval"):
+            armijo_step(p, spec, metric, evaluated=bare)
 
 
 class TestRunDescent:
     def test_converges_on_quadratic(self):
-        grid = make_grid(1, 16)
-        p0 = Density(grid, np.full(16, 1.0 / 16))
-        hist = run_descent(p0, quadratic_loss, identity_metric, DescentConfig(gap_tolerance=1e-12))
-        assert hist.status == "converged"
+        # one Newton step closes the gap of the exact quadratic
+        p0, _, spec, mahalanobis = newton_setup()
+        hist = run_descent(p0, spec, mahalanobis, DescentConfig(gap_tolerance=1e-12))
+        assert hist.status == "converged" and hist.iterations == 1
         assert hist.final_gap <= 1e-12
-        # a callable loss is measured against 0 and has no reference density
         np.testing.assert_array_equal(hist.column("gap"), hist.column("loss"))
-        assert np.all(np.isnan(hist.column("distance_to_reference")))
+        distance = hist.column("distance_to_reference")
+        assert np.all(np.isfinite(distance)) and distance[-1] <= 1e-15
 
     def test_fixed_point_terminates_at_iteration_zero(self):
         grid, mu, spec, metric = sin_setup()
