@@ -6,11 +6,13 @@ rule of `grid`, so the differences, -Delta = sum_a D_a^T D_a and the
 weighted flux hold no 2D matrix, and the metric precompute's DW is D W.
 Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
 Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
-closed form with two cumulative sums, in 2D with conjugate gradients
-preconditioned by the Laplacian pseudo-inverse scaled by 1/sqrt(w) on both
-sides.  L_w as CSR, the part of that 2D solve fixed by w, is cached for the
-last weight density it was built for (a Density is keyed by identity), so a
-caller with a fixed w (the loss's mu) pays for it once per run.
+closed form with two cumulative sums, in 2D by conjugate gradients in the
+ground-state variable y = sqrt(w) x, on S^-1 L_w S^-1 (S = diag sqrt w)
+preconditioned by the Laplacian pseudo-inverse.  S^-1 L_w S^-1 as CSR,
+with sqrt w and 1/sqrt w, is the part of that 2D solve fixed by w; it is
+cached for the last weight density it was built for (a Density is keyed by
+identity), so a caller with a fixed w (the loss's mu) pays for it once per
+run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
@@ -41,7 +43,7 @@ __all__ = [
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
-    "weighted_laplacian_matrix",
+    "ground_state_operator",
     "weighted_elliptic_pinv_apply",
 ]
 
@@ -129,19 +131,30 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
-def weighted_laplacian_matrix(w: Density) -> sp.csr_matrix:
-    """L_w = sum_a D_a^T diag(w) D_a assembled as CSR (3 entries per row in 1D, 5 in 2D).
+def ground_state_operator(w: Density) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """(S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w) with S = diag(sqrt w).
 
-    Cached for the last w it was called with, so every 2D solve with one
-    weight density shares one assembly; treat the matrix as read-only.  In
-    2D, D_a = D (x) I or I (x) D exists only while L_w is assembled.
+    L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (3 entries per row in
+    1D, 5 in 2D, sorted indices) and entry (i, j) is multiplied in place by
+    the one factor 1/sqrt(w_j) * 1/sqrt(w_i), the same for (j, i), so the
+    result is exactly symmetric and the scaling holds one extra array of
+    nnz floats.  In 2D, D_a = D (x) I or I (x) D exists only while L_w is
+    assembled.  Cached for the last w it was called with, so every 2D solve
+    with one weight density shares one assembly; treat the arrays as
+    read-only.
     """
     d, eye = difference_matrix(w.grid.n)[0], sp.identity(w.grid.n, format="csr")
     lifted = [d] if w.grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     scale = sp.diags(w.values, format="csr")
     matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
-    return matrix
+    sqrt_w = np.sqrt(w.values)
+    inv_sqrt_w = 1.0 / sqrt_w
+    # every row holds the same count of entries, so row i of this view is row i of L_w
+    factor = inv_sqrt_w[matrix.indices].reshape(w.grid.total, -1)
+    factor *= inv_sqrt_w[:, None]
+    matrix.data *= factor.ravel()
+    return matrix, sqrt_w, inv_sqrt_w
 
 
 def _laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -216,16 +229,16 @@ def weighted_elliptic_pinv_apply(
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
     P projects out the constant mode.  1D is solved in closed form in O(n)
-    (see _closed_form_1d); 2D by CG on the mean-zero subspace, preconditioned
-    by P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w), one sparse matvec with
-    the cached L_w and one (-Delta)^+ plan application per iteration (see
-    _pcg_2d); L_w is assembled on the first 2D solve with a nonzero
+    (see _closed_form_1d); 2D by CG on A = S^-1 L_w S^-1 with S =
+    diag(sqrt w), preconditioned by (-Delta)^+: one sparse matvec with the
+    cached A and one (-Delta)^+ plan application per iteration (see
+    _pcg_2d); A is assembled on the first 2D solve with a nonzero
     right-hand side for this w.  Raises ValueError for a weight density that
     is not strictly positive or a right-hand side that is not finite, and
     EllipticSolveError when the residual misses cfg.rel_tolerance: in 1D the
     backward error of the closed form's true residual (see _closed_form_1d);
-    in 2D the CG residual against rel_tolerance * ||P rhs||, within the
-    iteration cap.
+    in 2D the CG residual of L_w x = P rhs (unscaled) against
+    rel_tolerance * ||P rhs||, within the iteration cap.
     """
     if cfg is None:
         cfg = EllipticSolveConfig()
@@ -283,51 +296,54 @@ def _closed_form_1d(
 
 
 def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -> np.ndarray:
-    """Preconditioned CG for the mean-zero b on the 2D grid.
+    """Preconditioned CG for the mean-zero b on the 2D grid, in the variable y = S x.
 
-    The preconditioner is M^-1 = P S^-1 (-Delta)^+ S^-1 with S = diag(sqrt w)
-    and P the mean-zero projection.  This is the ground-state transform:
-    S^-1 L_w S^-1 is -Delta plus the potential Delta(sqrt w) / sqrt w, which
-    does not grow with n for a smooth w, so the iteration count follows how
-    rough w is, not n.  M^-1 is positive definite on the mean-zero subspace
-    (S^-1 r is constant only for r proportional to sqrt w, which has positive
-    mean).  An iteration costs one CSR matvec with L_w and one application of
-    the grid's cached (-Delta)^+ plan.
+    With S = diag(sqrt w), L_w x = b is A y = S^-1 b for A = S^-1 L_w S^-1,
+    and CG runs on that system preconditioned by the grid's (-Delta)^+ plan.
+    This is the ground-state transform: A is -Delta plus the potential
+    Delta(sqrt w) / sqrt w, which does not grow with n for a smooth w, so the
+    iteration count follows how rough w is, not n.  It is the same iteration
+    as CG on L_w x = b preconditioned by P S^-1 (-Delta)^+ S^-1: the
+    projections P drop out, because A's null direction sqrt w never enters
+    the residual (the x-space residual is mean-zero) and the constant parts
+    of x's search directions drop out of L_w p and r^T z.  The mean of x is
+    removed once, at the end.
+
+    An iteration costs one CSR matvec with the cached A, one application of
+    the (-Delta)^+ plan, two dot products, one norm and seven elementwise
+    operations, all into existing arrays.  The stopping test is on the
+    unscaled residual, ||S r|| <= rel_tolerance * ||b|| with r the residual
+    of the scaled system.
     """
     grid = w.grid
-    a = weighted_laplacian_matrix(w)
-    s_inv = 1.0 / np.sqrt(w.values)
+    a, sqrt_w, inv_sqrt_w = ground_state_operator(w)
     laplacian_pinv = _laplacian_pinv_plan(grid)
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        z = s_inv * laplacian_pinv(s_inv * r)
-        return z - z.mean()
-
     tol = cfg.rel_tolerance * bnorm
 
-    x = np.zeros(grid.total)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    y = np.zeros(grid.total)
+    r = inv_sqrt_w * b
+    p = z = laplacian_pinv(r)
+    rz = float(r @ z)
+    scratch = np.empty(grid.total)
     limit = cfg.iteration_cap(grid)
-    for iteration in range(1, limit + 1):
+    for _ in range(limit):
         ap = a @ p
-        alpha = rz / float(np.vdot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
-        r -= r.mean()  # keep roundoff out of the null direction
-        rnorm = np.linalg.norm(r)
+        alpha = rz / float(p @ ap)
+        y += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=ap)
+        rnorm = float(np.linalg.norm(np.multiply(sqrt_w, r, out=scratch)))
         if rnorm <= tol:
+            x = np.multiply(inv_sqrt_w, y, out=y)
             x -= x.mean()
             return x
-        z = precondition(r)
-        rz_next = float(np.vdot(r, z))
-        p = z + (rz_next / rz) * p
+        z = laplacian_pinv(r)
+        rz_next = float(r @ z)
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise EllipticSolveError(
         f"elliptic solve not converged after {limit} iterations "
         f"(relative residual {rnorm / bnorm:.3e}, tolerance {cfg.rel_tolerance:.3e})",
-        achieved_residual=float(rnorm / bnorm),
+        achieved_residual=rnorm / bnorm,
         iterations=limit,
     )

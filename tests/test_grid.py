@@ -123,7 +123,7 @@ class TestDensityValidation:
             Density(grid, values)
 
     def test_values_are_a_read_only_view(self):
-        # a write through the density would leave its cached L_w stale
+        # a write through the density would leave its cached solve set-up stale
         values = np.full(8, 1 / 8)
         density = Density(make_grid(1, 8), values)
         with pytest.raises(ValueError, match="read-only"):
@@ -131,7 +131,7 @@ class TestDensityValidation:
         assert values.flags.writeable
 
     def test_compared_and_hashed_by_identity(self):
-        # caches key on a density (operators.weighted_laplacian_matrix), so
+        # caches key on a density (operators.ground_state_operator), so
         # equal values must not make two densities one key
         grid = make_grid(2, 4)
         a, b = uniform_density(grid), uniform_density(grid)

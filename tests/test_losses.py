@@ -224,8 +224,8 @@ class TestSolveSetUp:
 
     @pytest.fixture
     def builds(self):
-        """The L_w cache, emptied: its misses count the assemblies."""
-        cache = operators.weighted_laplacian_matrix
+        """The ground-state operator cache, emptied: its misses count the assemblies."""
+        cache = operators.ground_state_operator
         cache.cache_clear()
         return cache
 
@@ -245,10 +245,10 @@ class TestSolveSetUp:
     def test_once_over_2d_descents(self, builds):
         spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
         assert builds.cache_info().misses == 1
-        matrix = builds(spec.mu)  # a hit: the matrix built for this mu
+        set_up = builds(spec.mu)  # a hit: the operator built for this mu
         assert builds.cache_info().misses == 1
         self.descend("2d-4", [MetricKind.COMBINED], spec=spec)
-        assert builds.cache_info().misses == 1 and builds(spec.mu) is matrix
+        assert builds.cache_info().misses == 1 and builds(spec.mu) is set_up
 
     def test_once_over_2d_e1_evaluations(self, builds):
         preset = load_preset("2d-4")
@@ -284,11 +284,12 @@ class TestSolveSetUp:
         assert cache.cache_info().currsize == 1
 
     def test_difference_cache_holds_only_1d_matrices(self):
-        # no 2D D_a or D_a^T D_a outlives the call that used it, L_w's included
+        # no 2D D_a or D_a^T D_a outlives the call that used it, the
+        # ground-state operator's included
         cache = operators.difference_matrix
         cache.cache_clear()
         spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
-        assert operators.weighted_laplacian_matrix(spec.mu).shape == (spec.grid.total,) * 2
+        assert operators.ground_state_operator(spec.mu)[0].shape == (spec.grid.total,) * 2
         info = cache.cache_info()
         n = spec.grid.n
         matrices = cache(n)
