@@ -5,18 +5,9 @@ a compactly supported orthogonal wavelet basis; transport (Wasserstein),
 Fisher-Rao, and Mahalanobis preconditioners are provided as baselines.
 """
 
-from .grid import Density, Grid, Potential, make_grid, reference_measure, uniform_density
+from .grid import Density, Grid, make_grid, reference_measure, uniform_density
 from .losses import KLForm, LossEval, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
-from .metrics import (
-    MetricKind,
-    MetricPrecomp,
-    apply_combined_metric,
-    apply_fisher_rao_metric,
-    apply_mahalanobis_metric,
-    apply_wasserstein_metric,
-    build_precomp,
-    metric_apply_fn,
-)
+from .metrics import MetricKind, MetricPrecomp, build_precomp, metric_apply_fn
 from .operators import (
     EllipticSolveConfig,
     EllipticSolveError,

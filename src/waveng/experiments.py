@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, Potential, make_grid, reference_measure, site_coordinates, uniform_density
+from .grid import Grid, make_grid, reference_measure, site_coordinates, uniform_density
 from .losses import KLForm, LossSpec
 from .metrics import MetricKind, build_precomp, metric_apply_fn
 from .operators import EllipticSolveConfig
@@ -95,20 +95,18 @@ def load_preset(preset_id: str) -> ExperimentPreset:
         raise KeyError(f"unknown preset {preset_id!r}; known presets: {known}") from None
 
 
-def build_potential(grid: Grid, potential_id: str) -> Potential:
-    """Sample a named potential at the grid sites."""
+def build_potential(grid: Grid, potential_id: str) -> np.ndarray:
+    """Sample a named potential at the grid sites: one value per site."""
     coords = site_coordinates(grid)
     if potential_id == "sin4pi":
         if grid.dim != 1:
             raise ValueError("sin4pi is a 1D potential")
-        values = np.sin(4.0 * np.pi * coords[0])
-    elif potential_id == "sin4pi-product":
+        return np.sin(4.0 * np.pi * coords[0])
+    if potential_id == "sin4pi-product":
         if grid.dim != 2:
             raise ValueError("sin4pi-product is a 2D potential")
-        values = np.sin(4.0 * np.pi * coords[0]) * np.sin(4.0 * np.pi * coords[1])
-    else:
-        raise ValueError(f"unknown potential {potential_id!r}")
-    return Potential(grid, values)
+        return np.sin(4.0 * np.pi * coords[0]) * np.sin(4.0 * np.pi * coords[1])
+    raise ValueError(f"unknown potential {potential_id!r}")
 
 
 @dataclass(frozen=True)

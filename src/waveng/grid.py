@@ -2,10 +2,12 @@
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A density is a nonnegative mass-per-site vector;
-normalized densities sum to one.  A Density is read-only and compared and
-hashed by identity, so a cache can key on it (`operators` keeps L_w per
-weight density).  Reference measures are Boltzmann weights of a potential,
-exp(-V)/Z.
+normalized densities sum to one.  A Density holds a read-only copy of its
+values and is compared and hashed by identity, so a cache can key on it
+(`operators` keeps the 2D solve's set-up per weight density).  Every other
+site vector, a potential, a gradient or the argument of a loss, is a plain
+array of one value per site, and each public entry checks its length.
+Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
 operator is a Kronecker product of 1D matrices, one per axis, and
@@ -14,7 +16,7 @@ operator is a Kronecker product of 1D matrices, one per axis, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,13 +24,11 @@ import scipy.sparse as sp
 __all__ = [
     "Grid",
     "Density",
-    "Potential",
     "make_grid",
     "site_coordinates",
     "reference_measure",
     "uniform_density",
     "check_vector",
-    "site_values",
     "axis_apply",
     "tensor_apply",
 ]
@@ -60,9 +60,10 @@ class Grid:
 class Density:
     """Mass-per-site vector over a grid.
 
-    `values` is a read-only view of the array passed in, so a cache keyed
-    on the density does not go stale through it.  Equality and hash are by
-    identity: two densities with equal values are distinct.
+    `values` is a read-only copy of the array passed in, so neither the
+    density nor a cache keyed on it changes when the caller writes to that
+    array.  Equality and hash are by identity: two densities with equal
+    values are distinct.
     """
 
     grid: Grid
@@ -70,7 +71,7 @@ class Density:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).view()
+        values = np.array(self.values, dtype=np.float64)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
@@ -89,24 +90,6 @@ class Density:
     @property
     def mass(self) -> float:
         return float(self.values.sum())
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Potential V sampled at the grid sites."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.total,):
-            raise ValueError(
-                f"potential has {values.shape} values, grid expects ({self.grid.total},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("potential values must be finite")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -138,11 +121,14 @@ def boltzmann_weights(v: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def reference_measure(grid: Grid, potential: Potential) -> Density:
-    """Reference density exp(-V)/Z on the grid; strictly positive, sums to 1."""
-    if potential.grid != grid:
-        raise ValueError("potential grid does not match")
-    return Density(grid, boltzmann_weights(potential.values), normalized=True)
+def reference_measure(grid: Grid, potential: np.ndarray) -> Density:
+    """Reference density exp(-V)/Z, V one value per site; strictly positive, sums to 1."""
+    v = np.asarray(potential, dtype=np.float64)
+    if v.shape != (grid.total,):
+        raise ValueError(f"potential has {v.shape} values, grid expects ({grid.total},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("potential values must be finite")
+    return Density(grid, boltzmann_weights(v), normalized=True)
 
 
 def uniform_density(grid: Grid) -> Density:
@@ -156,11 +142,6 @@ def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
     if v.shape != (grid.total,):
         raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
     return v
-
-
-def site_values(p: Density | np.ndarray) -> np.ndarray:
-    """The site values of a density, or an array of them, as float64."""
-    return p.values if isinstance(p, Density) else np.asarray(p, dtype=np.float64)
 
 
 def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:

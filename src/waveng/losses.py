@@ -3,9 +3,11 @@
 Terms: a weighted semi-H^{-1} transport surrogate (quadratic in p - mu with
 the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
 divergence to mu (plain or mass-corrected), and the Dirichlet energy of
-p - mu.  Every term vanishes at mu, so E(mu) = 0.  Infeasible densities
-(any site <= 0) evaluate to +inf so that a backtracking line search can
-reject them uniformly instead of catching exceptions.
+p - mu.  Every term vanishes at mu, so E(mu) = 0.  Each evaluation takes
+p as a plain array of site values and raises ValueError unless it holds
+one value per site of mu's grid.  Infeasible points (any site <= 0)
+evaluate to +inf so that a backtracking line search can reject them
+uniformly instead of catching exceptions.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
@@ -30,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Density, Grid, site_values
+from .grid import Density, Grid, check_vector
 from .operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "e2_eval",
     "e3_eval",
     "combined_eval",
-    "quadratic_apply",
     "along_line",
 ]
 
@@ -107,23 +108,19 @@ class LossEval:
         return np.isfinite(self.value)
 
 
-def e1_eval(
-    p: Density | np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None
-) -> LossEval:
+def e1_eval(p: np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None) -> LossEval:
     """Transport surrogate: half the weighted semi-H^{-1} norm of p - mu.
 
     value = (p-mu)^T K (p-mu) / 2 and gradient = K (p-mu), where K is the
     pseudo-inverse of the mu-weighted elliptic operator.  The constant
     component of p - mu is annihilated by K and contributes nothing.
     """
-    r = site_values(p) - mu.values
+    r = check_vector(mu.grid, p) - mu.values
     x = weighted_elliptic_pinv_apply(mu, r, cfg)
     return LossEval(value=0.5 * float(r @ x), gradient=x)
 
 
-def e2_eval(
-    p: Density | np.ndarray, mu: Density, form: KLForm = KLForm.MASS_CORRECTED
-) -> LossEval:
+def e2_eval(p: np.ndarray, mu: Density, form: KLForm = KLForm.MASS_CORRECTED) -> LossEval:
     """KL divergence of p from mu.
 
     Plain form: sum p log(p/mu), gradient log(p/mu) + 1.  Mass-corrected
@@ -131,7 +128,7 @@ def e2_eval(
     minimizer; gradient log(p/mu).  Values agree whenever the masses agree.
     Any site with p <= 0 yields value +inf.
     """
-    pv = site_values(p)
+    pv = check_vector(mu.grid, p)
     if pv.min() <= 0.0:
         return LossEval(value=np.inf, gradient=None)
     log_ratio = np.log(pv / mu.values)
@@ -142,14 +139,14 @@ def e2_eval(
     return LossEval(value=value, gradient=log_ratio)
 
 
-def e3_eval(p: Density | np.ndarray, mu: Density) -> LossEval:
+def e3_eval(p: np.ndarray, mu: Density) -> LossEval:
     """Dirichlet energy of p - mu: value (p-mu)^T A (p-mu) / 2 with A = -Delta."""
-    r = site_values(p) - mu.values
+    r = check_vector(mu.grid, p) - mu.values
     a = laplacian_apply(mu.grid, r)
     return LossEval(value=0.5 * float(r @ a), gradient=a)
 
 
-def quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
+def _quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v."""
     out = np.zeros(spec.grid.total)
     if not v.any():  # Q 0 = 0 with no operator built, so E(mu) builds nothing
@@ -173,21 +170,21 @@ def _add_kl(p: np.ndarray, spec: LossSpec, quadratic: tuple[float, np.ndarray]) 
     return LossEval(value=value, gradient=gradient, quadratic=quadratic)
 
 
-def combined_eval(p: Density | np.ndarray, spec: LossSpec) -> LossEval:
+def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
     """Alpha-weighted sum of the three terms; zero-alpha terms never run.
 
     The sum is alpha2 E2 + q with q = alpha1 E1 + alpha3 E3 formed as
     r^T Q r / 2, and q with its gradient Q r is also returned as
     `quadratic`.
     """
-    pv = site_values(p)
+    pv = check_vector(spec.grid, p)
     r = pv - spec.mu.values
-    qr = quadratic_apply(spec, r)
+    qr = _quadratic_apply(spec, r)
     return _add_kl(pv, spec, (0.5 * float(r @ qr), qr))
 
 
 def along_line(
-    spec: LossSpec, p: Density | np.ndarray, ev: LossEval, s: np.ndarray
+    spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray
 ) -> Callable[[float], LossEval]:
     """The combined loss along p - eta s as a function of eta.
 
@@ -203,9 +200,10 @@ def along_line(
     """
     if ev.quadratic is None:
         raise ValueError("ev carries no quadratic part: evaluate p with combined_eval")
-    pv = site_values(p)
+    pv = check_vector(spec.grid, p)
+    s = check_vector(spec.grid, s)
     qv, qr = ev.quadratic
-    qs = quadratic_apply(spec, s)
+    qs = _quadratic_apply(spec, s)
     s_qr = float(s @ qr)
     s_qs = float(s @ qs)
 

@@ -9,6 +9,10 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
   wavelet-transformed Hessian of the combined loss,
       d_i = alpha1 / (H1 p)_i + alpha2 / (H2 p)_i + alpha3 * h3_i.
 
+`metric_apply_fn` is the only public way to apply one: it checks the kind,
+precomp and alphas once when it binds, picks that kind's private helper,
+and the bound callable checks the density and gradient of every call.
+
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
@@ -46,10 +50,6 @@ __all__ = [
     "MetricKind",
     "MetricInfeasibleError",
     "build_precomp",
-    "apply_combined_metric",
-    "apply_wasserstein_metric",
-    "apply_fisher_rao_metric",
-    "apply_mahalanobis_metric",
     "metric_apply_fn",
 ]
 
@@ -132,11 +132,8 @@ def _positive_values(p: Density) -> np.ndarray:
     return p.values
 
 
-def apply_combined_metric(
-    pre: MetricPrecomp,
-    alphas: tuple[float, float, float],
-    p: Density,
-    g: np.ndarray,
+def _combined_metric(
+    pre: MetricPrecomp, alphas: tuple[float, float, float], p: Density, g: np.ndarray
 ) -> np.ndarray:
     """W diag(1/d) W^T g with the division conventions described above."""
     pv = _positive_values(p)
@@ -156,20 +153,20 @@ def apply_combined_metric(
     return transform_inverse(basis, scale * c)
 
 
-def apply_wasserstein_metric(p: Density, g: np.ndarray) -> np.ndarray:
+def _wasserstein_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """sum_a D_a^T diag(p) D_a g: the transport preconditioner at p."""
     g = check_vector(p.grid, g)
     return weighted_flux_apply(p.grid, _positive_values(p), g)
 
 
-def apply_fisher_rao_metric(p: Density, g: np.ndarray) -> np.ndarray:
+def _fisher_rao_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """Entrywise diag(p) g."""
     return p.values * check_vector(p.grid, g)
 
 
-def apply_mahalanobis_metric(grid: Grid, g: np.ndarray) -> np.ndarray:
+def _mahalanobis_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """Laplacian pseudo-inverse of g; the constant component maps to zero."""
-    return laplacian_pinv_apply(grid, g)
+    return laplacian_pinv_apply(p.grid, g)
 
 
 def metric_apply_fn(
@@ -180,10 +177,11 @@ def metric_apply_fn(
 ) -> Callable[[Density, np.ndarray], np.ndarray]:
     """Bind a metric kind to a (density, gradient) -> direction callable.
 
-    Every callable takes a Density on this grid: it raises TypeError for
-    anything else, such as a bare array of site values, and ValueError for
-    a Density on another grid.  The combined metric needs a precomp on this
-    grid and alphas that LossSpec would accept.
+    This is the only public way to apply a metric.  Every callable takes a
+    Density on this grid: it raises TypeError for anything else, such as a
+    bare array of site values, and ValueError for a Density on another grid
+    or a gradient of the wrong length.  The combined metric needs a precomp
+    on this grid and alphas that LossSpec would accept.
     """
     kind = MetricKind(kind)
     if kind is MetricKind.COMBINED:
@@ -192,18 +190,19 @@ def metric_apply_fn(
         if precomp.basis.grid != grid:
             raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
         check_alphas(alphas)
+        apply = functools.partial(_combined_metric, precomp, alphas)
+    else:
+        apply = {
+            MetricKind.WASSERSTEIN: _wasserstein_metric,
+            MetricKind.FISHER_RAO: _fisher_rao_metric,
+            MetricKind.MAHALANOBIS: _mahalanobis_metric,
+        }[kind]
 
     def bound(p: Density, g: np.ndarray) -> np.ndarray:
         if not isinstance(p, Density):
             raise TypeError(f"p must be a Density, got {type(p).__name__}")
         if p.grid != grid:
             raise ValueError(f"density grid {p.grid} is not the metric grid {grid}")
-        if kind is MetricKind.WASSERSTEIN:
-            return apply_wasserstein_metric(p, g)
-        if kind is MetricKind.FISHER_RAO:
-            return apply_fisher_rao_metric(p, g)
-        if kind is MetricKind.COMBINED:
-            return apply_combined_metric(precomp, alphas, p, g)
-        return apply_mahalanobis_metric(grid, g)
+        return apply(p, g)
 
     return bound

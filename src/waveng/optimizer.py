@@ -146,7 +146,7 @@ def armijo_step(
         return stall("non-descent direction", slope)
     # nonpositive trials evaluate to +inf, keeping the descent in the
     # metrics' domain (the positive orthant)
-    trial_eval = along_line(spec, p, ev, s)
+    trial_eval = along_line(spec, p.values, ev, s)
     eta = 1.0
     for halvings in range(cfg.max_halvings + 1):
         trial_ev = trial_eval(eta)

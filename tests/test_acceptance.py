@@ -16,12 +16,7 @@ from waveng.cli import main as cli_main
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import KLForm, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
-from waveng.metrics import (
-    MetricKind,
-    apply_combined_metric,
-    build_precomp,
-    metric_apply_fn,
-)
+from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.operators import diff_apply, laplacian_apply
 from waveng.optimizer import DescentConfig, run_descent
 from waveng.wavelets import dense_matrix, make_basis, transform_forward, transform_inverse
@@ -140,10 +135,10 @@ def test_criterion_4_metric_properties():
             m1, m2 = metric(p, g1), metric(p, g2)
             worst_sym = max(worst_sym, abs(g1 @ m2 - m1 @ g2) / (1.0 + abs(g1 @ m2)))
             worst_neg = max(worst_neg, -(g1 @ m1) / (g1 @ g1))
+    combined = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
     for _ in range(50):
         g = rng.standard_normal(64)
-        out = apply_combined_metric(pre, alphas, p, g)
-        worst_mass = max(worst_mass, abs(out.sum()))
+        worst_mass = max(worst_mass, abs(combined(p, g).sum()))
     ok = worst_sym <= 1e-10 and worst_neg <= 1e-12 and worst_mass <= 1e-10
     report(
         4,
@@ -167,10 +162,11 @@ def test_criterion_5_sparsity_scaling():
         counts[n] = pre.h1.nnz + pre.h2.nnz
         p = random_density(grid, rng)
         g = rng.standard_normal(n)
+        combined = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))
         reps = 100
         t0 = time.perf_counter()
         for _ in range(reps):
-            apply_combined_metric(pre, (1.0, 1e-3, 1e-4), p, g)
+            combined(p, g)
         times[n] = (time.perf_counter() - t0) / reps
     constants = {n: counts[n] / (n * np.log2(n)) for n in counts}
     ratio_a = counts[512] / counts[256]
@@ -194,7 +190,7 @@ def _figure_comparison(pid: str):
     later first passage (2000-cap semantics included for free)."""
     preset, grid, mu, precomp, spec = preset_problem(pid)
     p0 = uniform_density(grid)
-    gap0 = combined_eval(p0, spec).value - combined_eval(mu, spec).value
+    gap0 = combined_eval(p0.values, spec).value - combined_eval(mu.values, spec).value
     target = 1e-6 * gap0
     combined = metric_apply_fn(MetricKind.COMBINED, grid, precomp=precomp, alphas=preset.alphas)
     hist = run_descent(p0, spec, combined, DescentConfig(100, target))

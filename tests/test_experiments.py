@@ -76,11 +76,11 @@ class TestPresets:
 
     def test_potentials(self):
         grid = make_grid(1, 512)
-        v = build_potential(grid, "sin4pi").values
+        v = build_potential(grid, "sin4pi")
         s = np.arange(512) / 512
         np.testing.assert_allclose(v, np.sin(4 * np.pi * s), atol=1e-15)
         grid2 = make_grid(2, 64)
-        v2 = build_potential(grid2, "sin4pi-product").values.reshape(64, 64)
+        v2 = build_potential(grid2, "sin4pi-product").reshape(64, 64)
         t = np.arange(64) / 64
         want = np.outer(np.sin(4 * np.pi * t), np.sin(4 * np.pi * t))
         np.testing.assert_allclose(v2, want, atol=1e-15)

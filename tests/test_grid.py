@@ -10,10 +10,8 @@ from waveng.grid import (
     make_grid,
     reference_measure,
     site_coordinates,
-    site_values,
     tensor_apply,
     uniform_density,
-    Potential,
 )
 
 
@@ -53,7 +51,7 @@ class TestMakeGrid:
 class TestReferenceMeasure:
     def test_zero_potential_is_uniform(self):
         grid = make_grid(1, 8)
-        mu = reference_measure(grid, Potential(grid, np.zeros(8)))
+        mu = reference_measure(grid, np.zeros(8))
         np.testing.assert_array_equal(mu.values, np.full(8, 1 / 8))
 
     def test_two_site_normalization(self):
@@ -65,7 +63,7 @@ class TestReferenceMeasure:
     def test_paper_potential(self):
         grid = make_grid(1, 512)
         v = np.sin(4 * np.pi * np.arange(512) / 512)
-        mu = reference_measure(grid, Potential(grid, v))
+        mu = reference_measure(grid, v)
         assert abs(mu.values.sum() - 1.0) <= 1e-12
         assert mu.min > 0
         # measure is smallest where the potential peaks
@@ -75,19 +73,32 @@ class TestReferenceMeasure:
         grid = make_grid(1, 64)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(64)
-        a = reference_measure(grid, Potential(grid, v)).values
-        b = reference_measure(grid, Potential(grid, v + 17.5)).values
+        a = reference_measure(grid, v).values
+        b = reference_measure(grid, v + 17.5).values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_overflow_safe(self):
         grid = make_grid(1, 8)
         v = np.linspace(-1000.0, 1000.0, 8)
-        mu = reference_measure(grid, Potential(grid, v))
+        mu = reference_measure(grid, v)
         assert np.all(np.isfinite(mu.values)) and abs(mu.values.sum() - 1) <= 1e-12
 
     def test_grid_mismatch(self):
+        # a potential sampled on another grid has another length
         with pytest.raises(ValueError):
-            reference_measure(make_grid(1, 8), Potential(make_grid(1, 16), np.zeros(16)))
+            reference_measure(make_grid(1, 8), np.zeros(16))
+
+    @pytest.mark.parametrize("dim,shape", [(1, (7,)), (1, (9,)), (2, (8, 8)), (2, (16,)), (1, ())])
+    def test_rejects_potential_of_wrong_length(self, dim, shape):
+        with pytest.raises(ValueError, match="potential has"):
+            reference_measure(make_grid(dim, 8), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_potential(self, bad):
+        v = np.zeros(8)
+        v[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reference_measure(make_grid(1, 8), v)
 
 
 class TestUniformDensity:
@@ -101,7 +112,7 @@ class TestUniformDensity:
     def test_equals_reference_of_zero_potential_exactly(self):
         grid = make_grid(2, 8)
         u = uniform_density(grid)
-        mu = reference_measure(grid, Potential(grid, np.zeros(grid.total)))
+        mu = reference_measure(grid, np.zeros(grid.total))
         np.testing.assert_array_equal(u.values, mu.values)
 
 
@@ -187,10 +198,3 @@ class TestSiteVectors:
             check_vector(grid, np.zeros(15))
         with pytest.raises(ValueError, match="grid"):
             check_vector(grid, np.zeros((4, 4)))
-
-    def test_site_values(self):
-        p = uniform_density(make_grid(1, 8))
-        assert site_values(p) is p.values
-        out = site_values([1, 2, 3])
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])

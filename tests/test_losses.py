@@ -3,8 +3,16 @@ import pytest
 
 from waveng import operators
 from waveng.experiments import build_potential, load_preset
-from waveng.grid import Density, make_grid, reference_measure, uniform_density, Potential
-from waveng.losses import KLForm, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
+from waveng.grid import Density, make_grid, reference_measure, uniform_density
+from waveng.losses import (
+    KLForm,
+    LossSpec,
+    along_line,
+    combined_eval,
+    e1_eval,
+    e2_eval,
+    e3_eval,
+)
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.optimizer import DescentConfig, run_descent
 from waveng.wavelets import make_basis
@@ -12,7 +20,7 @@ from waveng.wavelets import make_basis
 
 def sin_measure(n: int) -> Density:
     grid = make_grid(1, n)
-    return reference_measure(grid, Potential(grid, np.sin(4 * np.pi * np.arange(n) / n)))
+    return reference_measure(grid, np.sin(4 * np.pi * np.arange(n) / n))
 
 
 def random_positive_density(grid, rng) -> np.ndarray:
@@ -27,7 +35,7 @@ def directional_fd(fn, p, direction, step=1e-5):
 class TestE1:
     def test_zero_at_mu(self):
         mu = sin_measure(64)
-        ev = e1_eval(mu, mu)
+        ev = e1_eval(mu.values, mu)
         assert ev.value == 0.0
         np.testing.assert_array_equal(ev.gradient, np.zeros(64))
 
@@ -64,8 +72,8 @@ class TestE1:
 class TestE2:
     def test_zero_at_mu_both_forms(self):
         mu = sin_measure(16)
-        corrected = e2_eval(mu, mu)
-        plain = e2_eval(mu, mu, KLForm.PLAIN)
+        corrected = e2_eval(mu.values, mu)
+        plain = e2_eval(mu.values, mu, KLForm.PLAIN)
         assert corrected.value == 0.0 and plain.value == 0.0
         np.testing.assert_array_equal(corrected.gradient, np.zeros(16))
         np.testing.assert_array_equal(plain.gradient, np.ones(16))
@@ -77,8 +85,8 @@ class TestE2:
         p = Density(grid, np.array([0.25, 0.25, 0.25, 0.25]))
         mu = Density(grid, np.array([0.375, 0.375, 0.125, 0.125]))
         want = 0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25)
-        assert e2_eval(p, mu, KLForm.PLAIN).value == pytest.approx(want, abs=1e-14)
-        assert e2_eval(p, mu).value == pytest.approx(want, abs=1e-14)
+        assert e2_eval(p.values, mu, KLForm.PLAIN).value == pytest.approx(want, abs=1e-14)
+        assert e2_eval(p.values, mu).value == pytest.approx(want, abs=1e-14)
 
     def test_infeasible_gives_inf(self):
         mu = sin_measure(16)
@@ -111,7 +119,7 @@ class TestE2:
 class TestE3:
     def test_zero_at_mu(self):
         mu = sin_measure(16)
-        ev = e3_eval(mu, mu)
+        ev = e3_eval(mu.values, mu)
         assert ev.value == 0.0
         np.testing.assert_array_equal(ev.gradient, np.zeros(16))
 
@@ -145,7 +153,7 @@ class TestCombined:
     def test_paper_alphas_zero_at_mu(self):
         mu = sin_measure(64)
         spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
-        assert combined_eval(mu, spec).value == 0.0
+        assert combined_eval(mu.values, spec).value == 0.0
 
     def test_single_term_reduces_to_e2(self):
         rng = np.random.default_rng(36)
@@ -219,6 +227,50 @@ class TestCombined:
             LossSpec(1.0, 1e-3, 0.0, mu=sin_measure(16).values)
 
 
+class TestSiteArrays:
+    """Every loss entry takes one value per site of mu's grid and refuses any other length.
+
+    With alpha2 = 0 an array of one value used to broadcast against mu and
+    return a number: 0.0019 for the combined loss on 1D n = 16.
+    """
+
+    LOSSES = {
+        "e1": e1_eval,
+        "e2": e2_eval,
+        "e3": e3_eval,
+        "combined": lambda p, mu: combined_eval(p, LossSpec(1.0, 0.0, 1e-4, mu=mu)),
+    }
+
+    @staticmethod
+    def measure(dim: int, n: int) -> Density:
+        grid = make_grid(dim, n)
+        return reference_measure(grid, np.random.default_rng(dim * n).standard_normal(grid.total))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_loss_rejects_wrong_length(self, loss, dim, n):
+        mu = self.measure(dim, n)
+        total = mu.grid.total
+        for p in (np.array([1.0 / total]), np.full(total - 1, 0.1), np.full((n,) * 2, 0.1)):
+            with pytest.raises(ValueError, match="does not match grid"):
+                self.LOSSES[loss](p, mu)
+        assert np.isfinite(self.LOSSES[loss](mu.values, mu).value)
+
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (0.0, 1e-3, 0.0)])
+    def test_along_line_rejects_wrong_length(self, alphas):
+        mu = self.measure(1, 16)
+        spec = LossSpec(*alphas, mu=mu)
+        p = uniform_density(mu.grid).values
+        ev = combined_eval(p, spec)
+        s = np.random.default_rng(5).standard_normal(16) * 1e-3
+        for bad in (np.array([1 / 16]), np.full(17, 1 / 16)):
+            with pytest.raises(ValueError, match="does not match grid"):
+                along_line(spec, bad, ev, s)
+            with pytest.raises(ValueError, match="does not match grid"):
+                along_line(spec, p, ev, np.zeros_like(bad))
+        assert along_line(spec, p, ev, s)(1.0).feasible
+
+
 class TestSolveSetUp:
     """The mu-weighted operator behind E1 is assembled once per mu, on first use."""
 
@@ -254,7 +306,7 @@ class TestSolveSetUp:
         preset = load_preset("2d-4")
         grid = make_grid(preset.dim, preset.n)
         mu = reference_measure(grid, build_potential(grid, preset.potential_id))
-        p = uniform_density(grid)
+        p = uniform_density(grid).values
         first = e1_eval(p, mu)
         np.testing.assert_array_equal(e1_eval(p, mu).gradient, first.gradient)
         assert builds.cache_info().misses == 1
@@ -263,7 +315,7 @@ class TestSolveSetUp:
         preset = load_preset("2d-4")
         grid = make_grid(preset.dim, preset.n)
         mu = reference_measure(grid, build_potential(grid, preset.potential_id))
-        assert combined_eval(mu, LossSpec(*preset.alphas, mu=mu)).value == 0.0
+        assert combined_eval(mu.values, LossSpec(*preset.alphas, mu=mu)).value == 0.0
         self.descend("2d-3", [MetricKind.COMBINED])  # alpha1 = 0
         self.descend("1d-4", [MetricKind.COMBINED])  # closed-form 1D solve
         assert builds.cache_info().misses == 0
@@ -278,7 +330,7 @@ class TestSolveSetUp:
         grid = make_grid(preset.dim, preset.n)
         mu = reference_measure(grid, build_potential(grid, preset.potential_id))
         spec = LossSpec(*preset.alphas, mu=mu)
-        assert combined_eval(mu, spec).value == 0.0
+        assert combined_eval(mu.values, spec).value == 0.0
         assert cache.cache_info().currsize == 0
         run_descent(uniform_density(grid), spec, lambda p, g: g, DescentConfig(max_iterations=1))
         assert cache.cache_info().currsize == 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waveng.grid import Density, Potential, make_grid, reference_measure
+from waveng.grid import Density, make_grid, reference_measure
 from waveng.losses import LossSpec
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.optimizer import DescentConfig, run_descent
@@ -85,7 +85,7 @@ def test_combined_descent_is_monotone(case):
     dim, n, order, levels, alpha, seed = case
     grid = make_grid(dim, n)
     rng = np.random.default_rng(seed)
-    mu = reference_measure(grid, Potential(grid, rng.standard_normal(grid.total)))
+    mu = reference_measure(grid, rng.standard_normal(grid.total))
     spec = LossSpec(*alpha, mu=mu)
     pre = build_precomp(make_basis(grid, order=order, levels=levels))
     metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alpha)

@@ -6,10 +6,6 @@ from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
     MetricInfeasibleError,
     MetricKind,
-    apply_combined_metric,
-    apply_fisher_rao_metric,
-    apply_mahalanobis_metric,
-    apply_wasserstein_metric,
     build_precomp,
     metric_apply_fn,
 )
@@ -147,7 +143,8 @@ class TestCombinedMetric:
         grid = make_grid(1, 32)
         pre = build_precomp(make_basis(grid, order=2))
         p = uniform_density(grid)
-        out = apply_combined_metric(pre, (1.0, 1e-3, 1e-4), p, np.zeros(32))
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))
+        out = metric(p, np.zeros(32))
         np.testing.assert_allclose(out, 0.0, atol=1e-16)
 
     def test_fisher_rao_limit_at_uniform(self):
@@ -157,9 +154,10 @@ class TestCombinedMetric:
         rng = np.random.default_rng(42)
         g = rng.standard_normal(64)
         p = uniform_density(grid)
-        out = apply_combined_metric(pre, (0.0, 1.0, 0.0), p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 1.0, 0.0))(p, g)
         np.testing.assert_allclose(out, g / 64, atol=1e-12)
-        np.testing.assert_allclose(out, apply_fisher_rao_metric(p, g), atol=1e-12)
+        fisher_rao = metric_apply_fn(MetricKind.FISHER_RAO, grid)
+        np.testing.assert_allclose(out, fisher_rao(p, g), atol=1e-12)
 
     def test_mass_freezing_alpha1(self):
         grid = make_grid(1, 64)
@@ -167,7 +165,7 @@ class TestCombinedMetric:
         rng = np.random.default_rng(43)
         p = random_density(grid, rng)
         g = rng.standard_normal(64)
-        out = apply_combined_metric(pre, (1.0, 1e-3, 1e-4), p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))(p, g)
         assert abs(out.sum()) <= 1e-10
 
     def test_pseudo_inverse_convention_alpha3_only(self):
@@ -178,7 +176,7 @@ class TestCombinedMetric:
         rng = np.random.default_rng(44)
         p = random_density(grid, rng)
         g = rng.standard_normal(32)
-        out = apply_combined_metric(pre, (0.0, 0.0, 1.0), p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 0.0, 1.0))(p, g)
         assert np.all(np.isfinite(out))
         assert abs(out.sum()) <= 1e-10
 
@@ -187,15 +185,17 @@ class TestCombinedMetric:
         pre = build_precomp(make_basis(grid, order=2))
         values = np.full(32, 1 / 32)
         values[5] = 0.0
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 0.0, 0.0))
         with pytest.raises(MetricInfeasibleError):
-            apply_combined_metric(pre, (1.0, 0.0, 0.0), Density(grid, values), np.ones(32))
+            metric(Density(grid, values), np.ones(32))
 
 
 class TestWassersteinMetric:
     def test_constant_gradient_exact_zero(self):
         grid = make_grid(1, 32)
         p = uniform_density(grid)
-        assert np.all(apply_wasserstein_metric(p, np.full(32, 4.2)) == 0.0)
+        metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
+        assert np.all(metric(p, np.full(32, 4.2)) == 0.0)
 
     def test_uniform_density_eigenvector(self):
         n, k = 64, 4
@@ -203,16 +203,17 @@ class TestWassersteinMetric:
         p = uniform_density(grid)
         s = np.sin(2 * np.pi * k * np.arange(n) / n)
         lam = 4 * n**2 * np.sin(np.pi * k / n) ** 2
-        out = apply_wasserstein_metric(p, s)
+        out = metric_apply_fn(MetricKind.WASSERSTEIN, grid)(p, s)
         np.testing.assert_allclose(out, (lam / n) * s, atol=1e-8 * lam / n)
 
     def test_positive_semidefinite(self):
         grid = make_grid(2, 8)
         rng = np.random.default_rng(45)
         p = random_density(grid, rng)
+        metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
         for _ in range(20):
             g = rng.standard_normal(grid.total)
-            assert g @ apply_wasserstein_metric(p, g) >= 0.0
+            assert g @ metric(p, g) >= 0.0
 
     def test_matches_stencil_composition(self):
         grid = make_grid(2, 8)
@@ -222,7 +223,8 @@ class TestWassersteinMetric:
         want = np.zeros(64)
         for axis in range(2):
             want += diff_adjoint_apply(grid, p.values * diff_apply(grid, g, axis), axis)
-        np.testing.assert_allclose(apply_wasserstein_metric(p, g), want, atol=1e-10)
+        metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
+        np.testing.assert_allclose(metric(p, g), want, atol=1e-10)
 
 
 class TestFisherRaoMetric:
@@ -230,34 +232,38 @@ class TestFisherRaoMetric:
         grid = make_grid(1, 16)
         rng = np.random.default_rng(47)
         p = random_density(grid, rng)
-        np.testing.assert_array_equal(apply_fisher_rao_metric(p, np.ones(16)), p.values)
+        metric = metric_apply_fn(MetricKind.FISHER_RAO, grid)
+        np.testing.assert_array_equal(metric(p, np.ones(16)), p.values)
 
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(48)
-        p = Density(make_grid(1, 32), rng.uniform(0.1, 1.0, 32))
+        grid = make_grid(1, 32)
+        p = Density(grid, rng.uniform(0.1, 1.0, 32))
         g = rng.standard_normal(32)
-        np.testing.assert_array_equal(apply_fisher_rao_metric(p, g), p.values * g)
+        metric = metric_apply_fn(MetricKind.FISHER_RAO, grid)
+        np.testing.assert_array_equal(metric(p, g), p.values * g)
 
 
 class TestMahalanobisMetric:
     def test_constant_to_zero(self):
         grid = make_grid(1, 32)
-        np.testing.assert_allclose(
-            apply_mahalanobis_metric(grid, np.full(32, 1.5)), 0.0, atol=1e-14
-        )
+        metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
+        np.testing.assert_allclose(metric(uniform_density(grid), np.full(32, 1.5)), 0.0, atol=1e-14)
 
     def test_eigenvector(self):
         n, k = 64, 3
         grid = make_grid(1, n)
         s = np.sin(2 * np.pi * k * np.arange(n) / n)
         lam = 4 * n**2 * np.sin(np.pi * k / n) ** 2
-        np.testing.assert_allclose(apply_mahalanobis_metric(grid, s), s / lam, atol=1e-8)
+        metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
+        np.testing.assert_allclose(metric(uniform_density(grid), s), s / lam, atol=1e-8)
 
     def test_pinv_identity(self):
         grid = make_grid(2, 16)
         rng = np.random.default_rng(49)
         g = rng.standard_normal(256)
-        back = laplacian_apply(grid, apply_mahalanobis_metric(grid, g))
+        metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
+        back = laplacian_apply(grid, metric(uniform_density(grid), g))
         np.testing.assert_allclose(back, g - g.mean(), atol=1e-8)
 
 
@@ -327,11 +333,14 @@ class TestMetricProperties:
             with pytest.raises(TypeError, match="Density"):
                 metric(values, np.ones(values.size))
 
-    @pytest.mark.parametrize("apply", [apply_wasserstein_metric, apply_fisher_rao_metric])
-    def test_rejects_gradient_of_wrong_length(self, apply):
-        p = uniform_density(make_grid(1, 32))
-        with pytest.raises(ValueError, match="shape"):
-            apply(p, np.ones(16))
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_rejects_gradient_of_wrong_length(self, kind):
+        grid = make_grid(1, 32)
+        metric = metric_apply_fn(kind, grid, precomp=build_precomp(make_basis(grid)),
+                                 alphas=(1.0, 1e-3, 1e-4))
+        for g in (np.ones(16), np.ones(64), np.ones((32, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                metric(uniform_density(grid), g)
 
     def test_dispatcher_rejects_precomp_of_another_grid(self):
         # same site count (16): a 1D n = 16 basis bound to a 2D 4 x 4 grid

@@ -240,6 +240,24 @@ class TestWeightedLaplacianMatrix:
         np.testing.assert_array_equal(weighted_elliptic_pinv_apply(twin, rhs), first)
         assert cache.cache_info().misses == 2 and cache(twin) is not set_up
 
+    def test_caller_writes_reach_neither_density_nor_set_up(self):
+        # a Density keeps its own copy: scaling the caller's array after a
+        # solve used to move d.values but not the set-up cached for d, so
+        # the next solve at d was off by that factor against a fresh build
+        grid = make_grid(2, 16)
+        values = random_weight(grid, 34).values.copy()
+        kept = values.copy()
+        w = Density(grid, values, normalized=True)
+        rhs = np.random.default_rng(35).standard_normal(grid.total)
+        first = weighted_elliptic_pinv_apply(w, rhs)
+        values *= 3.0
+        fresh = weighted_elliptic_pinv_apply(Density(grid, w.values.copy()), rhs)
+        np.testing.assert_allclose(weighted_elliptic_pinv_apply(w, rhs), fresh, rtol=1e-12)
+        np.testing.assert_array_equal(weighted_elliptic_pinv_apply(w, rhs), first)
+        values[0] = np.nan  # nor can a write make a checked density non-finite
+        np.testing.assert_array_equal(w.values, kept)
+        assert w.normalized and abs(w.mass - 1.0) <= 1e-12
+
 
 class TestWeightedPinv:
     def test_zero_rhs(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from waveng.experiments import build_potential, load_preset
-from waveng.grid import Density, make_grid, reference_measure, uniform_density, Potential
+from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossEval, LossSpec, combined_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.operators import EllipticSolveConfig
@@ -24,14 +24,14 @@ def newton_setup():
     """
     n = 16
     grid = make_grid(1, n)
-    mu = reference_measure(grid, Potential(grid, np.sin(4 * np.pi * np.arange(n) / n)))
+    mu = reference_measure(grid, np.sin(4 * np.pi * np.arange(n) / n))
     spec = LossSpec(0.0, 0.0, 1.0, mu=mu)
     return uniform_density(grid), mu, spec, metric_apply_fn(MetricKind.MAHALANOBIS, grid)
 
 
 def sin_setup(n=64, alphas=(1.0, 1e-3, 1e-4)):
     grid = make_grid(1, n)
-    mu = reference_measure(grid, Potential(grid, np.sin(4 * np.pi * np.arange(n) / n)))
+    mu = reference_measure(grid, np.sin(4 * np.pi * np.arange(n) / n))
     spec = LossSpec(*alphas, mu=mu)
     pre = build_precomp(make_basis(grid))
     metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
@@ -95,7 +95,7 @@ def preset_setup(preset_id, solve_config=EllipticSolveConfig()):
 
 def assert_matches_fresh(ev, p, spec, rtol):
     """The evaluation carried by the line search against combined_eval at p."""
-    fresh = combined_eval(p, spec)
+    fresh = combined_eval(p.values, spec)
     assert abs(ev.value - fresh.value) <= rtol * abs(fresh.value)
     assert np.linalg.norm(ev.gradient - fresh.gradient) <= rtol * np.linalg.norm(fresh.gradient)
     (qv, qg), (fresh_qv, fresh_qg) = ev.quadratic, fresh.quadratic
@@ -120,7 +120,7 @@ class TestLineSearch:
         grid, spec, _ = preset_setup("1d-4")
         wasserstein = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
         p = uniform_density(grid)
-        ev = combined_eval(p, spec)
+        ev = combined_eval(p.values, spec)
         for _ in range(2000):
             p, ev, diag = armijo_step(p, spec, wasserstein, evaluated=ev)
             assert diag.accepted
@@ -131,7 +131,7 @@ class TestLineSearch:
         # and never re-solves for them
         grid, spec, metric = preset_setup("1d-4")
         p = uniform_density(grid)
-        ev = combined_eval(p, spec)
+        ev = combined_eval(p.values, spec)
         bare = LossEval(value=ev.value, gradient=ev.gradient)
         with pytest.raises(ValueError, match="combined_eval"):
             armijo_step(p, spec, metric, evaluated=bare)
@@ -173,7 +173,7 @@ class TestRunDescent:
         p0 = uniform_density(grid)
         from waveng.losses import combined_eval
 
-        gap0 = combined_eval(p0, spec).value
+        gap0 = combined_eval(p0.values, spec).value
         cfg = DescentConfig(max_iterations=100, gap_tolerance=1e-6 * gap0)
         hist = run_descent(p0, spec, metric, cfg)
         assert hist.status == "converged"
@@ -184,7 +184,7 @@ class TestRunDescent:
         p0 = uniform_density(grid)
         from waveng.losses import combined_eval
 
-        gap0 = combined_eval(p0, spec).value
+        gap0 = combined_eval(p0.values, spec).value
         target = 1e-6 * gap0
         combined_hist = run_descent(p0, spec, metric, DescentConfig(2000, target))
         fisher = metric_apply_fn(MetricKind.FISHER_RAO, grid)
@@ -202,7 +202,7 @@ class TestRunDescent:
         for tol in (1e-8, 1e-10, 1e-12):
             grid, spec, _ = preset_setup(preset_id, EllipticSolveConfig(rel_tolerance=tol))
             p0 = uniform_density(grid)
-            target = 1e-6 * combined_eval(p0, spec).value
+            target = 1e-6 * combined_eval(p0.values, spec).value
             wasserstein = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
             hist = run_descent(p0, spec, wasserstein, DescentConfig(200, target))
             assert hist.status == "converged"
@@ -220,7 +220,7 @@ class TestRunDescent:
     def test_rejects_start_on_another_grid(self):
         # same site count (16), different grid: 1D n = 16 against 2D 4 x 4
         grid = make_grid(2, 4)
-        mu = reference_measure(grid, Potential(grid, np.linspace(0.0, 1.0, 16)))
+        mu = reference_measure(grid, np.linspace(0.0, 1.0, 16))
         spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
         with pytest.raises(ValueError, match="grid"):
             run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
@@ -231,7 +231,7 @@ class TestRunDescent:
         # must refuse a 2D 4 x 4 density
         grid, other = make_grid(2, 4), make_grid(1, 16)
         alphas = (1.0, 1e-3, 1e-4)
-        mu = reference_measure(grid, Potential(grid, np.linspace(0.0, 1.0, 16)))
+        mu = reference_measure(grid, np.linspace(0.0, 1.0, 16))
         metric = metric_apply_fn(kind, other, precomp=build_precomp(make_basis(other)), alphas=alphas)
         with pytest.raises(ValueError, match="grid"):
             metric(mu, np.ones(16))
