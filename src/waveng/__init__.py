@@ -6,7 +6,7 @@ Fisher-Rao, and Mahalanobis preconditioners are provided as baselines.
 """
 
 from .grid import Density, Grid, make_grid, reference_measure, uniform_density
-from .losses import KLForm, LossEval, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
+from .losses import LossEval, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
 from .metrics import MetricKind, MetricPrecomp, build_precomp, metric_apply_fn
 from .operators import (
     EllipticSolveConfig,

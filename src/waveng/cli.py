@@ -13,7 +13,6 @@ from pathlib import Path
 from . import experiments
 from .experiments import PRESET_IDS, RunOverrides, load_preset, run_experiment
 from .grid import make_grid
-from .losses import KLForm
 from .optimizer import DescentConfig
 from .wavelets import make_basis
 
@@ -35,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="decomposition depth (default: full)")
     run.add_argument("--max-iter", type=int, default=defaults.max_iterations, metavar="N")
     run.add_argument("--gap-tol", type=float, default=defaults.gap_tolerance, metavar="T")
-    run.add_argument("--kl-form", choices=["plain", "corrected"], default="corrected")
     run.add_argument("--out-dir", default="out", metavar="DIR")
     run.add_argument("--svg", action="store_true", help="also write a convergence chart")
 
@@ -57,13 +55,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    kl_form = KLForm.PLAIN if args.kl_form == "plain" else KLForm.MASS_CORRECTED
     overrides = RunOverrides(
         wavelet_order=args.wavelet_order,
         levels=args.levels,
         max_iterations=args.max_iter,
         gap_tolerance=args.gap_tol,
-        kl_form=kl_form,
     )
     try:
         report = run_experiment(preset, overrides)

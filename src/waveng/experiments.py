@@ -117,7 +117,7 @@ class RunOverrides:
     levels: int | None = None  # None = full depth
     max_iterations: int = 2000
     gap_tolerance: float = 1e-10
-    kl_form: KLForm = KLForm.MASS_CORRECTED
+    kl_form: KLForm = KLForm.MASS_CORRECTED  # one member; perfbench passes it on
     solver_tolerance: float = 1e-10
 
 

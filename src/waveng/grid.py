@@ -38,10 +38,18 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice: n sites per direction on [0,1]^dim."""
+    """Uniform periodic lattice: n sites per direction on [0,1]^dim; dim 1 or 2, n = 2^k >= 4."""
 
     dim: int
     n: int
+
+    def __post_init__(self) -> None:
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 4 or self.n & (self.n - 1):
+            raise ValueError(f"n must be a power of 2 with n >= 4, got {self.n}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def total(self) -> int:
@@ -92,17 +100,9 @@ class Density:
         return float(self.values.sum())
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def make_grid(dim: int, n: int) -> Grid:
     """Create a periodic grid; n must be a power of two, n >= 4."""
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 4:
-        raise ValueError(f"n must be a power of 2 with n >= 4, got {n}")
-    return Grid(dim=int(dim), n=int(n))
+    return Grid(dim=dim, n=n)
 
 
 def site_coordinates(grid: Grid) -> np.ndarray:
@@ -137,7 +137,9 @@ def uniform_density(grid: Grid) -> Density:
 
 
 def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v as float64; raises ValueError unless it holds one value per site."""
+    """v as float64; ValueError unless it holds one value per site, TypeError for a Density."""
+    if isinstance(v, Density):
+        raise TypeError("got a Density where site values are expected: pass its .values")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (grid.total,):
         raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")

@@ -2,12 +2,13 @@
 
 Terms: a weighted semi-H^{-1} transport surrogate (quadratic in p - mu with
 the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
-divergence to mu (plain or mass-corrected), and the Dirichlet energy of
-p - mu.  Every term vanishes at mu, so E(mu) = 0.  Each evaluation takes
-p as a plain array of site values and raises ValueError unless it holds
-one value per site of mu's grid.  Infeasible points (any site <= 0)
-evaluate to +inf so that a backtracking line search can reject them
-uniformly instead of catching exceptions.
+divergence to mu in its mass-corrected form, and the Dirichlet energy of
+p - mu.  Every term is nonnegative and vanishes at mu, so E(mu) = 0 is the
+minimum; E2 vanishes only there.  Each evaluation takes p as a plain array
+of site values and raises ValueError unless it holds one value per site
+of mu's grid.  Infeasible points (any site <= 0) evaluate to +inf so that
+a backtracking line search can reject them uniformly instead of catching
+exceptions.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class KLForm(str, Enum):
-    PLAIN = "plain"
+    """The one KL divergence, kept only as the type of `LossSpec.kl_form`."""
     MASS_CORRECTED = "mass_corrected"
 
 
@@ -120,21 +121,17 @@ def e1_eval(p: np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None) 
     return LossEval(value=0.5 * float(r @ x), gradient=x)
 
 
-def e2_eval(p: np.ndarray, mu: Density, form: KLForm = KLForm.MASS_CORRECTED) -> LossEval:
-    """KL divergence of p from mu.
+def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
+    """Mass-corrected KL divergence of p from mu: sum p log(p/mu) - p + mu.
 
-    Plain form: sum p log(p/mu), gradient log(p/mu) + 1.  Mass-corrected
-    form subtracts p - mu termwise, making mu the exact unconstrained
-    minimizer; gradient log(p/mu).  Values agree whenever the masses agree.
-    Any site with p <= 0 yields value +inf.
+    Each term is nonnegative and zero only at p = mu, so mu is the exact
+    unconstrained minimizer even when a metric moves mass; gradient
+    log(p/mu).  Any site with p <= 0 yields value +inf.
     """
     pv = check_vector(mu.grid, p)
     if pv.min() <= 0.0:
         return LossEval(value=np.inf, gradient=None)
     log_ratio = np.log(pv / mu.values)
-    form = KLForm(form)
-    if form is KLForm.PLAIN:
-        return LossEval(value=float(pv @ log_ratio), gradient=log_ratio + 1.0)
     value = float(pv @ log_ratio) - float(pv.sum()) + float(mu.values.sum())
     return LossEval(value=value, gradient=log_ratio)
 
@@ -162,7 +159,7 @@ def _add_kl(p: np.ndarray, spec: LossSpec, quadratic: tuple[float, np.ndarray]) 
     """The combined loss at p from its quadratic part plus the KL term."""
     value, gradient = quadratic
     if spec.alpha2 > 0:
-        ev = e2_eval(p, spec.mu, spec.kl_form)
+        ev = e2_eval(p, spec.mu)
         if not ev.feasible:
             return LossEval(value=np.inf, gradient=None)
         value = spec.alpha2 * ev.value + value

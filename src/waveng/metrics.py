@@ -27,7 +27,10 @@ Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
 gives d = +inf, freezing that coefficient (1/inf = 0); a slot with d = 0
 (possible only when alpha1 = alpha2 = 0 on the constant column, where
-h3 = 0) is treated as pseudo-inverse, 1/0 := 0.
+h3 = 0) is treated as pseudo-inverse, 1/0 := 0.  Only a full-depth basis
+has a constant column, so only there is the mass frozen.  At partial depth
+it drifts: on 1d-4, depths 6/3/1 move it by up to 2.6/1.2/2.2 % and take
+27/41/189 iterations, against 13 at full depth.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from waveng.cli import main as cli_main
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
-from waveng.losses import KLForm, LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
+from waveng.losses import LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.operators import diff_apply, laplacian_apply
 from waveng.optimizer import DescentConfig, run_descent
@@ -100,18 +100,23 @@ def test_criterion_3_gradient_checks():
     spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
     evaluations = {
         "e1": lambda q: e1_eval(q, mu),
-        "e2_plain": lambda q: e2_eval(q, mu, KLForm.PLAIN),
-        "e2_corrected": lambda q: e2_eval(q, mu, KLForm.MASS_CORRECTED),
+        "e2": lambda q: e2_eval(q, mu),
         "e3": lambda q: e3_eval(q, mu),
         "combined": lambda q: combined_eval(q, spec),
     }
+    # fourth-order central difference: the second-order one's truncation
+    # error, O(step^2 / p^2) for E2 at p ~ 1/64, reaches 5e-5 on some draws
     step = 1e-5
     worst = 0.0
     for name, fn in evaluations.items():
         for _ in range(20):
             p = random_density(grid, rng).values
             direction = rng.standard_normal(64)
-            fd = (fn(p + step * direction).value - fn(p - step * direction).value) / (2 * step)
+            diff = [
+                fn(p + k * step * direction).value - fn(p - k * step * direction).value
+                for k in (1, 2)
+            ]
+            fd = (8 * diff[0] - diff[1]) / (12 * step)
             got = fn(p).gradient @ direction
             worst = max(worst, abs(got - fd) / max(abs(fd), 1e-300))
     ok = worst <= 1e-5

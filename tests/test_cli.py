@@ -1,6 +1,10 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from waveng.cli import main
+from waveng.cli import build_parser, main
 from waveng.experiments import RunReport
 from waveng.optimizer import DescentHistory, IterationRecord
 
@@ -88,21 +92,25 @@ class TestCli:
             main(["selftest"])
         assert excinfo.value.code == 2
 
-    def test_run_respects_kl_form_flag(self, tmp_path):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "1d-3",
-                "--max-iter",
-                "2",
-                "--kl-form",
-                "plain",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+    def test_kl_form_flag_is_gone(self, tmp_path):
+        # the plain KL form drove Fisher-Rao runs to a negative gap reported
+        # as converged; the mass-corrected form is the only one
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--preset", "1d-3", "--kl-form", "plain", "--out-dir", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_documents_every_run_flag(self):
+        # every --flag named in README's CLI section is a `run` option and
+        # every `run` option but --help is named there
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        run = sub.choices["run"]
+        options = {o for a in run._actions for o in a.option_strings if o.startswith("--")}
+        assert documented == options - {"--help"}
 
     @pytest.mark.parametrize(
         "flag,value,message",

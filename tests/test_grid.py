@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from waveng.grid import (
     Density,
+    Grid,
     axis_apply,
     boltzmann_weights,
     check_vector,
@@ -37,6 +38,18 @@ class TestMakeGrid:
             make_grid(3, 8)
         with pytest.raises(ValueError):
             make_grid(0, 8)
+
+    @pytest.mark.parametrize("dim,n", [(1, 6), (3, 4), (0, 8), (1, 2), (2, 12), (1, 8.0)])
+    def test_grid_built_directly_is_checked(self, dim, n):
+        # Grid(1, 6) used to give a 6 x 5 basis, and on Grid(3, 4) the
+        # Laplacian applied the last axis in place of axis 1
+        with pytest.raises(ValueError, match="dim" if dim not in (1, 2) else "power of 2"):
+            Grid(dim, n)
+
+    def test_grid_built_directly_equals_make_grid(self):
+        grid = Grid(np.int64(2), np.int64(16))
+        assert type(grid.dim) is int and type(grid.n) is int
+        assert grid == make_grid(2, 16) and hash(grid) == hash(make_grid(2, 16))
 
     def test_site_coordinates(self):
         grid = make_grid(1, 8)
@@ -198,3 +211,5 @@ class TestSiteVectors:
             check_vector(grid, np.zeros(15))
         with pytest.raises(ValueError, match="grid"):
             check_vector(grid, np.zeros((4, 4)))
+        with pytest.raises(TypeError, match=r"Density.*pass its \.values"):
+            check_vector(grid, uniform_density(grid))

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import waveng
 from waveng import operators
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
@@ -15,7 +18,7 @@ from waveng.losses import (
 )
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.optimizer import DescentConfig, run_descent
-from waveng.wavelets import make_basis
+from waveng.wavelets import make_basis, transform_forward
 
 
 def sin_measure(n: int) -> Density:
@@ -70,23 +73,23 @@ class TestE1:
 
 
 class TestE2:
-    def test_zero_at_mu_both_forms(self):
+    def test_zero_at_mu(self):
         mu = sin_measure(16)
-        corrected = e2_eval(mu.values, mu)
-        plain = e2_eval(mu.values, mu, KLForm.PLAIN)
-        assert corrected.value == 0.0 and plain.value == 0.0
-        np.testing.assert_array_equal(corrected.gradient, np.zeros(16))
-        np.testing.assert_array_equal(plain.gradient, np.ones(16))
+        ev = e2_eval(mu.values, mu)
+        assert ev.value == 0.0
+        np.testing.assert_array_equal(ev.gradient, np.zeros(16))
 
     def test_hand_example_two_sites(self):
         # embedded in a 4-site grid split as [0.5, 0.5] vs [0.75, 0.25] on
-        # two halves keeps the masses equal so both forms agree
+        # two halves; the masses are equal, so the mass correction adds 0
         grid = make_grid(1, 4)
         p = Density(grid, np.array([0.25, 0.25, 0.25, 0.25]))
         mu = Density(grid, np.array([0.375, 0.375, 0.125, 0.125]))
         want = 0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25)
-        assert e2_eval(p.values, mu, KLForm.PLAIN).value == pytest.approx(want, abs=1e-14)
         assert e2_eval(p.values, mu).value == pytest.approx(want, abs=1e-14)
+
+    def test_takes_p_and_mu_only(self):
+        assert list(inspect.signature(e2_eval).parameters) == ["p", "mu"]
 
     def test_infeasible_gives_inf(self):
         mu = sin_measure(16)
@@ -104,15 +107,14 @@ class TestE2:
             p = rng.uniform(0.1, 3.0, 32) / 32
             assert e2_eval(p, mu).value >= 0.0
 
-    @pytest.mark.parametrize("form", [KLForm.PLAIN, KLForm.MASS_CORRECTED])
-    def test_gradient_vs_finite_differences(self, form):
+    def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(33)
         mu = sin_measure(32)
         p = random_positive_density(mu.grid, rng)
-        ev = e2_eval(p, mu, form)
+        ev = e2_eval(p, mu)
         for _ in range(5):
             d = rng.standard_normal(32)
-            fd = directional_fd(lambda q: e2_eval(q, mu, form).value, p, d)
+            fd = directional_fd(lambda q: e2_eval(q, mu).value, p, d)
             assert ev.gradient @ d == pytest.approx(fd, rel=1e-5)
 
 
@@ -218,9 +220,15 @@ class TestCombined:
         # checked at construction, so also when alpha2 = 0 and the KL term
         # never runs
         mu = sin_measure(16)
-        with pytest.raises(ValueError, match="bogus"):
-            LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form="bogus")
-        assert LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form="plain").kl_form is KLForm.PLAIN
+        for bad in ("bogus", "plain"):
+            with pytest.raises(ValueError, match=bad):
+                LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form=bad)
+        spec = LossSpec(1.0, alpha2, 0.0, mu=mu, kl_form="mass_corrected")
+        assert spec.kl_form is KLForm.MASS_CORRECTED
+
+    def test_one_kl_form_not_exported(self):
+        assert list(KLForm) == [KLForm.MASS_CORRECTED]
+        assert not hasattr(waveng, "KLForm")
 
     def test_mu_must_be_a_density(self):
         with pytest.raises(TypeError, match="Density"):
@@ -269,6 +277,17 @@ class TestSiteArrays:
             with pytest.raises(ValueError, match="does not match grid"):
                 along_line(spec, p, ev, np.zeros_like(bad))
         assert along_line(spec, p, ev, s)(1.0).feasible
+
+    @pytest.mark.parametrize("entry", [*LOSSES, "transform_forward"])
+    def test_density_refused_with_a_hint(self, entry):
+        # used to fail inside NumPy: float() argument must be ... not 'Density'
+        entries = {
+            **self.LOSSES,
+            "transform_forward": lambda p, mu: transform_forward(make_basis(mu.grid), p),
+        }
+        mu = self.measure(1, 16)
+        with pytest.raises(TypeError, match=r"Density.*pass its \.values"):
+            entries[entry](uniform_density(mu.grid), mu)
 
 
 class TestSolveSetUp:
