@@ -15,10 +15,12 @@ quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and prices every trial step
 with the KL term alone.  A LossSpec holds no state: every K-solve passes
-mu itself, and `operators` caches the 2D solve's set-up, the ground-state
-operator S^-1 L_mu S^-1 with S = diag(sqrt mu), per weight density (by
-identity), so it is built on the first nonzero right-hand side and reused
-for the rest of the run, and never for alpha1 = 0 or in 1D.
+mu itself, and `operators` caches the 2D solve's set-up per weight density
+(by identity): the ground-state operator S^-1 L_mu S^-1 with
+S = diag(sqrt mu) and the inverse of its Galerkin block on the low Fourier
+modes, the coarse half of the solve's two-level preconditioner.  It is
+built on the first nonzero right-hand side and reused for the rest of the
+run, and never for alpha1 = 0 or in 1D.
 The 1D difference matrices (cached per n in `operators`) are likewise
 built on the first nonzero Q v.  Q 0 = 0 touches no operator, so
 evaluating E(mu) builds nothing.

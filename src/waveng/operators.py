@@ -7,18 +7,21 @@ weighted flux hold no 2D matrix, and the metric precompute's DW is D W.
 Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
 Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
 closed form with two cumulative sums, in 2D by conjugate gradients in the
-ground-state variable y = sqrt(w) x, on S^-1 L_w S^-1 (S = diag sqrt w)
-preconditioned by the Laplacian pseudo-inverse.  S^-1 L_w S^-1 as CSR,
-with sqrt w and 1/sqrt w, is the part of that 2D solve fixed by w; it is
-cached for the last weight density it was built for (a Density is keyed by
-identity), so a caller with a fixed w (the loss's mu) pays for it once per
-run.
+ground-state variable y = sqrt(w) x, on A = S^-1 L_w S^-1 (S = diag sqrt w)
+with a two-level preconditioner: the exact inverse of A's Galerkin block
+on the low Fourier modes (wavenumber <= COARSE_WAVENUMBER per axis), where
+A's potential Delta(sqrt w) / sqrt w is as large as -Delta, and the
+Laplacian pseudo-inverse on the other modes, where -Delta dominates.  A
+as CSR, sqrt w, 1/sqrt w and the coarse block's inverse are the part of
+that 2D solve fixed by w (`GroundState`); they are cached for the last
+weight density they were built for (a Density is keyed by identity), so a
+caller with a fixed w (the loss's mu) pays for them once per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
-periodic Fourier modes.  Each grid gets one cached plan: for 2D grids with
-n <= 64 dense products in the real periodic eigenbasis (the fast
-diagonalization method), otherwise the FFT with its inverse symbol
-computed once.
+periodic Fourier modes.  Each grid gets one cached plan, and one for the
+fine part of the two-level preconditioner: for 2D grids with n <= 64
+dense products in the real periodic eigenbasis (the fast diagonalization
+method), otherwise the FFT with its inverse symbol computed once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +55,15 @@ __all__ = [
 # VM): 64-69 vs 106-136 us at 64^2, 430-520 vs 290-380 us at 128^2,
 # 4.0 vs 1.5 ms at 256^2.
 DENSE_PLAN_MAX_N = 64
+
+# The coarse space of the 2D solve's two-level preconditioner: the periodic
+# modes of wavenumber <= COARSE_WAVENUMBER on each axis, which are the first
+# min(2 COARSE_WAVENUMBER + 1, n) columns of the real eigenbasis per axis
+# (169 modes for n >= 16).  CG iterations for the preset measure and a
+# white-noise rhs at 32^2/64^2/128^2, coarse |k| <= 4/6/8: 10/9/9, 10/8/7,
+# 10/8/7 (18/17/17 with (-Delta)^+ alone); coarse build (one BLAS thread,
+# 2-vCPU VM) 5/10/23 ms at 64^2 and 10/30/59 ms at 128^2.
+COARSE_WAVENUMBER = 6
 
 
 class EllipticSolveError(RuntimeError):
@@ -130,31 +142,79 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum(axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim) for a in range(dim))
 
 
+class GroundState(NamedTuple):
+    """The part of the weighted solve fixed by the weight density w, S = diag(sqrt w)."""
+
+    matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
+    sqrt_w: np.ndarray
+    inv_sqrt_w: np.ndarray
+    # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetrised; None in
+    # 1D, whose solve is closed form
+    coarse_inverse: np.ndarray | None
+
+
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
-def ground_state_operator(w: Density) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """(S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w) with S = diag(sqrt w).
+def ground_state_operator(w: Density) -> GroundState:
+    """A = S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w and, in 2D, the coarse inverse.
 
     L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (3 entries per row in
     1D, 5 in 2D, sorted indices) and entry (i, j) is multiplied in place by
     the one factor 1/sqrt(w_j) * 1/sqrt(w_i), the same for (j, i), so the
     result is exactly symmetric and the scaling holds one extra array of
     nnz floats.  In 2D, D_a = D (x) I or I (x) D exists only while L_w is
-    assembled.  Cached for the last w it was called with, so every 2D solve
-    with one weight density shares one assembly; treat the arrays as
-    read-only.
+    assembled, and the coarse block of the two-level preconditioner is built
+    from A (see _coarse_inverse).  Cached for the last w it was called with,
+    so every 2D solve with one weight density shares one set-up; treat the
+    arrays as read-only.
     """
-    d, eye = difference_matrix(w.grid.n)[0], sp.identity(w.grid.n, format="csr")
-    lifted = [d] if w.grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
+    grid = w.grid
+    d, eye = difference_matrix(grid.n)[0], sp.identity(grid.n, format="csr")
+    lifted = [d] if grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     scale = sp.diags(w.values, format="csr")
     matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
     sqrt_w = np.sqrt(w.values)
     inv_sqrt_w = 1.0 / sqrt_w
     # every row holds the same count of entries, so row i of this view is row i of L_w
-    factor = inv_sqrt_w[matrix.indices].reshape(w.grid.total, -1)
+    factor = inv_sqrt_w[matrix.indices].reshape(grid.total, -1)
     factor *= inv_sqrt_w[:, None]
     matrix.data *= factor.ravel()
-    return matrix, sqrt_w, inv_sqrt_w
+    coarse = None if grid.dim == 1 else _coarse_inverse(matrix, sqrt_w, grid.n)
+    return GroundState(matrix, sqrt_w, inv_sqrt_w, coarse)
+
+
+def _coarse_modes(n: int) -> np.ndarray:
+    """q_c: the real eigenbasis columns of wavenumber <= COARSE_WAVENUMBER, n x m."""
+    return _real_periodic_eigenbasis(n)[0][:, : min(2 * COARSE_WAVENUMBER + 1, n)]
+
+
+def _coarse_inverse(a: sp.csr_matrix, sqrt_w: np.ndarray, n: int) -> np.ndarray:
+    """(E^T a E + beta c c^T)^-1, symmetrised, for the coarse modes E = q_c (x) q_c.
+
+    The Galerkin block E^T a E is formed one column of E at a time: a
+    times the column q_c[:, i] (x) q_c[:, j], then q_c^T along both site
+    axes.  Neither E (n^2 x m^2) nor an n^2 x m chunk of it is held, which
+    keeps the build's peak memory about 0.8 MB (64^2) to 4 MB (128^2) below
+    a chunked build's, at about the same speed.
+
+    a's null direction sqrt w lies almost entirely in the coarse space, so
+    the block is nearly singular along c = E^T sqrt w / ||E^T sqrt w||; the
+    term beta c c^T with beta = lambda_1 of the 1D -Delta makes it safely
+    SPD.  The sqrt w part that it lets into CG's iterate y only adds a
+    constant to x = y / sqrt w, which the solve's final mean removal drops.
+    """
+    q_c = _coarse_modes(n)
+    m = q_c.shape[1]
+    block = np.empty((m, m, m, m))
+    for i in range(m):
+        for j in range(m):
+            image = a @ np.outer(q_c[:, i], q_c[:, j]).ravel()
+            block[:, :, i, j] = q_c.T @ image.reshape(n, n) @ q_c
+    c = (q_c.T @ sqrt_w.reshape(n, n) @ q_c).ravel()
+    c /= np.linalg.norm(c)
+    coarse = block.reshape(m * m, m * m) + _laplacian_eigenvalues(n)[1] * np.outer(c, c)
+    inverse = np.linalg.inv(coarse)
+    return (inverse + inverse.T) / 2.0
 
 
 def _laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -214,6 +274,54 @@ def _laplacian_pinv_plan(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     return fft_apply
 
 
+@functools.cache
+def _two_level_plan(grid: Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The 2D solve's preconditioner M^-1 = F + E C E^T as a map (v, C) -> M^-1 v.
+
+    E = q_c (x) q_c spans the coarse modes (`_coarse_modes`) and C is the
+    coarse inverse of the weight density.  F is the grid's (-Delta)^+ plan
+    restricted to the other modes.  The coarse modes are the wavenumbers
+    <= COARSE_WAVENUMBER on each axis in either layout: the [:m, :m] block
+    of the dense eigenbasis array, |k1| <= COARSE_WAVENUMBER (with wrap) and
+    k2 <= COARSE_WAVENUMBER in the real FFT's.  In the dense plan E^T v is
+    that block of the spectral array, and C E^T v overwrites it after the
+    inverse symbol's multiply.  With the FFT the inverse symbol is zeroed
+    on the coarse modes, E^T v is q_c^T V q_c, and E C E^T v is added as
+    q_c (C E^T v) q_c^T.  The map is SPD, since F and E C E^T are SPD on
+    complementary sets of modes.  Cached per grid like the (-Delta)^+ plan.
+    """
+    n, shape = grid.n, grid.shape
+    q, lam = _real_periodic_eigenbasis(n)
+    m = _coarse_modes(n).shape[1]
+    if n <= DENSE_PLAN_MAX_N:
+        qt = np.ascontiguousarray(q.T)
+        inv = _pinv_symbol(lam[:, None] + lam[None, :])
+
+        def dense_apply(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
+            spec = qt @ v.reshape(shape) @ q
+            coarse = coarse_inverse @ spec[:m, :m].ravel()
+            spec *= inv
+            spec[:m, :m] = coarse.reshape(m, m)
+            return (q @ spec @ qt).reshape(grid.total)
+
+        return dense_apply
+    q_c = np.ascontiguousarray(q[:, :m])
+    q_ct = np.ascontiguousarray(q_c.T)
+    lam = _laplacian_eigenvalues(n)
+    inv = _pinv_symbol(lam[:, None] + lam[None, : n // 2 + 1])
+    coarse_k = np.minimum(np.arange(n), n - np.arange(n)) <= COARSE_WAVENUMBER
+    inv[np.ix_(coarse_k, coarse_k[: n // 2 + 1])] = 0.0
+
+    def fft_apply(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
+        x = v.reshape(shape)
+        out = np.fft.irfft2(np.fft.rfft2(x) * inv, s=shape)
+        coarse = coarse_inverse @ (q_ct @ x @ q_c).ravel()
+        out += q_c @ coarse.reshape(m, m) @ q_ct
+        return out.reshape(grid.total)
+
+    return fft_apply
+
+
 def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of (-Delta) x = P rhs by the grid's cached plan.
 
@@ -230,15 +338,16 @@ def weighted_elliptic_pinv_apply(
 
     P projects out the constant mode.  1D is solved in closed form in O(n)
     (see _closed_form_1d); 2D by CG on A = S^-1 L_w S^-1 with S =
-    diag(sqrt w), preconditioned by (-Delta)^+: one sparse matvec with the
-    cached A and one (-Delta)^+ plan application per iteration (see
-    _pcg_2d); A is assembled on the first 2D solve with a nonzero
-    right-hand side for this w.  Raises ValueError for a weight density that
-    is not strictly positive or a right-hand side that is not finite, and
-    EllipticSolveError when the residual misses cfg.rel_tolerance: in 1D the
-    backward error of the closed form's true residual (see _closed_form_1d);
-    in 2D the CG residual of L_w x = P rhs (unscaled) against
-    rel_tolerance * ||P rhs||, within the iteration cap.
+    diag(sqrt w) and a two-level preconditioner, the exact coarse inverse
+    on the low Fourier modes plus (-Delta)^+ on the rest: one sparse matvec
+    with the cached A and one preconditioner application per iteration (see
+    _pcg_2d).  A and the coarse inverse are built on the first 2D solve
+    with a nonzero right-hand side for this w.  Raises ValueError for a
+    weight density that is not strictly positive or a right-hand side that
+    is not finite, and EllipticSolveError when the residual misses
+    cfg.rel_tolerance: in 1D the backward error of the closed form's true
+    residual (see _closed_form_1d); in 2D the CG residual of L_w x = P rhs
+    (unscaled) against rel_tolerance * ||P rhs||, within the iteration cap.
     """
     if cfg is None:
         cfg = EllipticSolveConfig()
@@ -298,31 +407,37 @@ def _closed_form_1d(
 def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -> np.ndarray:
     """Preconditioned CG for the mean-zero b on the 2D grid, in the variable y = S x.
 
-    With S = diag(sqrt w), L_w x = b is A y = S^-1 b for A = S^-1 L_w S^-1,
-    and CG runs on that system preconditioned by the grid's (-Delta)^+ plan.
+    With S = diag(sqrt w), L_w x = b is A y = S^-1 b for A = S^-1 L_w S^-1.
     This is the ground-state transform: A is -Delta plus the potential
     Delta(sqrt w) / sqrt w, which does not grow with n for a smooth w, so the
-    iteration count follows how rough w is, not n.  It is the same iteration
-    as CG on L_w x = b preconditioned by P S^-1 (-Delta)^+ S^-1: the
-    projections P drop out, because A's null direction sqrt w never enters
-    the residual (the x-space residual is mean-zero) and the constant parts
-    of x's search directions drop out of L_w p and r^T z.  The mean of x is
+    iteration count follows how rough w is, not n.  The potential matters on
+    the low modes, where it is as large as -Delta (-157...158 against
+    lambda_1 = 39.4 for the preset measure at 64^2), so CG is preconditioned
+    by the two-level map M^-1 = F + E A_c^-1 E^T (see _two_level_plan and
+    _coarse_inverse): exact on the coarse modes E, (-Delta)^+ on the rest
+    (iteration counts: see COARSE_WAVENUMBER).  It is the same iteration as CG
+    on L_w x = b preconditioned by P S^-1 M^-1 S^-1 P: the projections P
+    drop out, because A's null direction sqrt w never enters the residual
+    (the x-space residual is mean-zero) and the constant parts of x's
+    search directions drop out of L_w p and r^T z.  The mean of x is
     removed once, at the end.
 
     An iteration costs one CSR matvec with the cached A, one application of
-    the (-Delta)^+ plan, two dot products, one norm and seven elementwise
-    operations, all into existing arrays.  The stopping test is on the
-    unscaled residual, ||S r|| <= rel_tolerance * ||b|| with r the residual
-    of the scaled system.
+    M^-1 (the (-Delta)^+ plan's transforms and one m^2 x m^2 matvec), two
+    dot products, one norm and seven elementwise operations, all into
+    existing arrays.  The stopping test is on the unscaled residual,
+    ||S r|| <= rel_tolerance * ||b|| with r the residual of the scaled
+    system.
     """
     grid = w.grid
-    a, sqrt_w, inv_sqrt_w = ground_state_operator(w)
-    laplacian_pinv = _laplacian_pinv_plan(grid)
+    set_up = ground_state_operator(w)
+    a, sqrt_w, inv_sqrt_w = set_up.matrix, set_up.sqrt_w, set_up.inv_sqrt_w
+    precondition = functools.partial(_two_level_plan(grid), coarse_inverse=set_up.coarse_inverse)
     tol = cfg.rel_tolerance * bnorm
 
     y = np.zeros(grid.total)
     r = inv_sqrt_w * b
-    p = z = laplacian_pinv(r)
+    p = z = precondition(r)
     rz = float(r @ z)
     scratch = np.empty(grid.total)
     limit = cfg.iteration_cap(grid)
@@ -336,7 +451,7 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
             x = np.multiply(inv_sqrt_w, y, out=y)
             x -= x.mean()
             return x
-        z = laplacian_pinv(r)
+        z = precondition(r)
         rz_next = float(r @ z)
         p *= rz_next / rz
         p += z
