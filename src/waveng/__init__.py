@@ -11,7 +11,6 @@ from .metrics import MetricKind, MetricPrecomp, build_precomp, metric_apply_fn
 from .operators import (
     EllipticSolveConfig,
     EllipticSolveError,
-    diff_apply,
     laplacian_apply,
     laplacian_pinv_apply,
     weighted_elliptic_pinv_apply,

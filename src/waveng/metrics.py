@@ -20,8 +20,11 @@ sparse basis matrix W and of DW, formed once per basis, with D the 1D
 difference matrix of `operators`, so this module writes no stencil of its
 own.  In 2D each diagonal applies one 1D factor per axis through
 `grid.tensor_apply`, the rule of the transforms and differences, so no
-n^2 x n^2 matrix is ever built.  Each metric application is then a few
-sparse products plus the two wavelet transforms.
+n^2 x n^2 matrix is ever built.  1D applies the sparse factors; 2D applies
+read-only dense copies of H1 and H2 that the precomp builds once, so a 2D
+metric application is a few dgemm (the transforms use the basis's dense
+W the same way).  The density-free term alpha3 * h3 is formed once, when
+`metric_apply_fn` binds the metric.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -36,14 +39,14 @@ it drifts: on 1d-4, depths 6/3/1 move it by up to 2.6/1.2/2.2 % and take
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, check_vector, tensor_apply
+from .grid import Density, Grid, check_vector, dense_factor, tensor_apply
 from .losses import check_alphas
 from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
@@ -68,7 +71,7 @@ class MetricKind(str, Enum):
     COMBINED = "combined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricPrecomp:
     """Sparse Hessian-diagonal factors for one basis.
 
@@ -76,13 +79,22 @@ class MetricPrecomp:
     columns by 1D site, and h3 has length n.  Every diagonal applies one of
     them per axis, which in 1D is the factor itself and in 2D a two-sided
     product on the n x n density array (see h1_apply, h2_apply and
-    h3_diagonal).
+    h3_diagonal).  On a 2D grid `h1_dense` and `h2_dense` are read-only
+    dense copies of H1 and H2, built once here and applied in their place
+    (None in 1D).  Equality and hash are by identity, as for `Density`.
     """
 
     basis: WaveletBasis
     h1: sp.csr_matrix
     h2: sp.csr_matrix
     h3: np.ndarray
+    h1_dense: np.ndarray | None = field(init=False, default=None, repr=False)
+    h2_dense: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.basis.grid.dim == 2:
+            object.__setattr__(self, "h1_dense", dense_factor(self.h1))
+            object.__setattr__(self, "h2_dense", dense_factor(self.h2))
 
     @property
     def nnz(self) -> tuple[int, int]:
@@ -93,15 +105,16 @@ class MetricPrecomp:
 
         Term a applies H1 along axis a and H2 along the others.
         """
-        dim = self.basis.grid.dim
-        return sum(
-            tensor_apply([self.h1 if b == a else self.h2 for b in range(dim)], p)
-            for a in range(dim)
-        )
+        if self.h1_dense is None:
+            return self.h1 @ p
+        h1, h2 = self.h1_dense, self.h2_dense
+        return tensor_apply([h1, h2], p) + tensor_apply([h2, h1], p)
 
     def h2_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T diag(p) W): H2 along every axis, H2 p or H2 P H2^T in 2D."""
-        return tensor_apply([self.h2] * self.basis.grid.dim, p)
+        if self.h2_dense is None:
+            return self.h2 @ p
+        return tensor_apply([self.h2_dense] * 2, p)
 
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3 added coordinatewise over the axes."""
@@ -135,25 +148,40 @@ def _positive_values(p: Density) -> np.ndarray:
     return p.values
 
 
-def _combined_metric(
-    pre: MetricPrecomp, alphas: tuple[float, float, float], p: Density, g: np.ndarray
-) -> np.ndarray:
-    """W diag(1/d) W^T g with the division conventions described above."""
-    pv = _positive_values(p)
+def _combined_metric_fn(
+    pre: MetricPrecomp, alphas: tuple[float, float, float]
+) -> Callable[[Density, np.ndarray], np.ndarray]:
+    """W diag(1/d) W^T g with the division conventions described above.
+
+    The density-free term alpha3 * h3 is formed here, once per bind.
+    Without alpha1 and alpha2 it is all of d, so the pseudo-inverse scale
+    is fixed too.  Otherwise every slot has d > 0 or d = +inf, and the
+    scale is plain 1/d.  The terms are added in the order alpha1, alpha2,
+    alpha3.
+    """
     a1, a2, a3 = alphas
     basis = pre.basis
-    d = np.zeros(basis.grid.total)
-    with np.errstate(divide="ignore"):
-        if a1 > 0:
-            d += a1 / pre.h1_apply(pv)
-        if a2 > 0:
-            d += a2 / pre.h2_apply(pv)
-    if a3 > 0:
-        d += a3 * pre.h3_diagonal()
-    c = transform_forward(basis, g)
-    with np.errstate(divide="ignore"):
-        scale = np.where(d > 0.0, 1.0 / d, 0.0)  # d = +inf -> 0, d = 0 -> 0
-    return transform_inverse(basis, scale * c)
+    d3 = a3 * pre.h3_diagonal() if a3 > 0 else None
+    fixed_scale = None
+    if a1 == a2 == 0.0:
+        with np.errstate(divide="ignore"):
+            fixed_scale = np.where(d3 > 0.0, 1.0 / d3, 0.0)  # d = 0 -> 0
+
+    def apply(p: Density, g: np.ndarray) -> np.ndarray:
+        pv = _positive_values(p)
+        scale = fixed_scale
+        if scale is None:
+            with np.errstate(divide="ignore"):
+                d = a1 / pre.h1_apply(pv) if a1 > 0 else 0.0
+                if a2 > 0:
+                    d = d + a2 / pre.h2_apply(pv)
+            if d3 is not None:
+                d = d + d3
+            scale = 1.0 / d  # d = +inf -> 0
+        c = transform_forward(basis, g)
+        return transform_inverse(basis, scale * c)
+
+    return apply
 
 
 def _wasserstein_metric(p: Density, g: np.ndarray) -> np.ndarray:
@@ -193,7 +221,7 @@ def metric_apply_fn(
         if precomp.basis.grid != grid:
             raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
         check_alphas(alphas)
-        apply = functools.partial(_combined_metric, precomp, alphas)
+        apply = _combined_metric_fn(precomp, alphas)
     else:
         apply = {
             MetricKind.WASSERSTEIN: _wasserstein_metric,

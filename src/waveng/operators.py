@@ -41,8 +41,6 @@ __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
     "difference_matrix",
-    "diff_apply",
-    "diff_adjoint_apply",
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
@@ -112,16 +110,6 @@ def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matr
     d.sort_indices()
     dt = d.T.tocsr()
     return d, dt, dt @ d
-
-
-def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
-    return axis_apply(difference_matrix(grid.n)[0], check_vector(grid, v), axis, grid.dim)
-
-
-def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
-    return axis_apply(difference_matrix(grid.n)[1], check_vector(grid, u), axis, grid.dim)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:

@@ -3,11 +3,13 @@
 Synthesizes every unit coefficient level by level with circular convolution,
 one filter tap at a time, so it shares no code with the sparse-matrix
 construction in `waveng.wavelets` beyond the filters themselves.
+`dense_matrix` is the exception: it densifies the library's own W, for
+tests that need the basis as a dense array.
 """
 
 import numpy as np
 
-from waveng.wavelets import daubechies_filters
+from waveng.wavelets import WaveletBasis, daubechies_filters
 
 
 def wrap_filter(f: np.ndarray, m: int) -> np.ndarray:
@@ -50,3 +52,11 @@ def loop_matrix(n: int, order: int, levels: int | None = None) -> np.ndarray:
     for off, length in reversed(segments):
         a = synthesis_level(a, c[:, off : off + length], h, g)
     return a.T
+
+
+def dense_matrix(basis: WaveletBasis) -> np.ndarray:
+    """The basis matrix as a dense array (W, or W x W in 2D); small n only."""
+    w = basis.matrix.toarray()
+    if basis.grid.dim == 1:
+        return w
+    return np.kron(w, w)

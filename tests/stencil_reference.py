@@ -5,9 +5,16 @@ shifts, or a permutation of the rows of W), so it shares no code with the
 difference matrices of `waveng.operators`.  The 2D Hessian diagonals are the
 two-sided products written out term by term instead of through
 `grid.tensor_apply`.
+
+`diff_apply` and `diff_adjoint_apply` are the exception: they apply the
+library's own D and D^T along one axis, so that a test can build them
+column by column into dense matrices or check them against the stencil.
 """
 
 import numpy as np
+
+from waveng.grid import Grid, axis_apply, check_vector
+from waveng.operators import difference_matrix
 
 
 def flux_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -36,11 +43,18 @@ def h1_h3(w):
     return dw2.T.tocsr(), np.asarray(dw2.sum(axis=0)).ravel()
 
 
-def diagonals_2d(h1, h2, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H1 P H2^T + H2 P H1^T, H2 P H2^T) on the n x n array of p, flattened."""
+def diagonals_2d(h1: np.ndarray, h2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H1 P H2^T + H2 P H1^T, H2 P H2^T) on the n x n array of p, flattened; H1, H2 dense."""
     n = h1.shape[0]
     x = p.reshape(n, n)
-    h2x = h2 @ x
-    h1p = ((h2 @ (h1 @ x).T).T + (h1 @ h2x.T).T).reshape(-1)
-    h2p = (h2 @ h2x.T).T.reshape(-1)
-    return h1p, h2p
+    return (h1 @ x @ h2.T + h2 @ x @ h1.T).reshape(-1), (h2 @ x @ h2.T).reshape(-1)
+
+
+def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
+    return axis_apply(difference_matrix(grid.n)[0], check_vector(grid, v), axis, grid.dim)
+
+
+def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
+    return axis_apply(difference_matrix(grid.n)[1], check_vector(grid, u), axis, grid.dim)

@@ -12,14 +12,16 @@ import time
 import numpy as np
 import pytest
 
+from cascade_reference import dense_matrix
+from stencil_reference import diff_apply
 from waveng.cli import main as cli_main
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossSpec, combined_eval, e1_eval, e2_eval, e3_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
-from waveng.operators import diff_apply, laplacian_apply
+from waveng.operators import laplacian_apply
 from waveng.optimizer import DescentConfig, run_descent
-from waveng.wavelets import dense_matrix, make_basis, transform_forward, transform_inverse
+from waveng.wavelets import make_basis, transform_forward, transform_inverse
 
 
 def report(number: int, ok: bool, detail: str) -> None:

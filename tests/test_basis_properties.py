@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade_reference import loop_matrix
+from cascade_reference import dense_matrix, loop_matrix
+from stencil_reference import diff_apply
 from waveng.grid import make_grid
 from waveng.metrics import build_precomp
-from waveng.operators import diff_apply, laplacian_apply
-from waveng.wavelets import dense_matrix, make_basis, transform_forward, transform_inverse
+from waveng.operators import laplacian_apply
+from waveng.wavelets import make_basis, transform_forward, transform_inverse
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

@@ -170,6 +170,19 @@ class TestCsv:
             fb = (b / f"1d-1_{name}.csv").read_bytes()
             assert fa == fb and len(fa) > 0
 
+    def test_deterministic_bytes_2d(self, tmp_path):
+        # the 2D combined metric applies its factors by BLAS, which the 1D
+        # replay of acceptance criterion 9 never reaches
+        overrides = RunOverrides(max_iterations=6)
+        reports = [run_experiment(load_preset("2d-3"), overrides) for _ in range(2)]
+        for report, out in zip(reports, ("a", "b")):
+            assert not report.failures
+            write_csv(report, tmp_path / out)
+        for kind in load_preset("2d-3").metrics:
+            fa = (tmp_path / "a" / f"2d-3_{kind.value}.csv").read_bytes()
+            fb = (tmp_path / "b" / f"2d-3_{kind.value}.csv").read_bytes()
+            assert fa == fb and fa.count(b"\n") == 8  # header + iterations 0-6
+
 
 class TestSvg:
     def test_deterministic_and_complete(self, tmp_path):

@@ -196,6 +196,23 @@ class TestTensorRule:
             assert got.shape == (n * n,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_2d_dense_factors_match_kron(self, n):
+        # dense factors and their transposed views, as the 2D transforms pass them
+        d0, d1 = random_factor(n, 3 * n).toarray(), random_factor(n, 3 * n + 1).toarray()
+        v = np.random.default_rng(3).standard_normal(n * n)
+        for a0, a1 in ((d0, d1), (d0.T, d1.T), (d0, d1.T)):
+            got = tensor_apply([a0, a1], v)
+            assert got.shape == (n * n,)
+            np.testing.assert_allclose(got, np.kron(a0, a1) @ v, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_2d_csr_is_axis_by_axis_bitwise(self, n):
+        a0, a1 = random_factor(n, 4 * n), random_factor(n, 4 * n + 1)
+        v = np.random.default_rng(4).standard_normal(n * n)
+        by_axis = axis_apply(a1, axis_apply(a0, v, 0, 2), 1, 2)
+        np.testing.assert_array_equal(tensor_apply([a0, a1], v), by_axis)
+
     @pytest.mark.parametrize("axis,dim", [(1, 1), (-1, 1), (2, 2), (-1, 2)])
     def test_invalid_axis(self, axis, dim):
         with pytest.raises(ValueError, match="axis"):

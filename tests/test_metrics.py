@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import stencil_reference as ref
+from cascade_reference import dense_matrix
+from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
     MetricInfeasibleError,
@@ -9,8 +11,8 @@ from waveng.metrics import (
     build_precomp,
     metric_apply_fn,
 )
-from waveng.operators import diff_adjoint_apply, diff_apply, laplacian_apply
-from waveng.wavelets import dense_matrix, make_basis
+from waveng.operators import laplacian_apply
+from waveng.wavelets import make_basis
 
 
 def random_density(grid, rng) -> Density:
@@ -76,6 +78,13 @@ class TestBuildPrecomp:
             np.testing.assert_array_equal(pre.h1.toarray(), h1.toarray())
             np.testing.assert_array_equal(pre.h3, h3)
 
+    def test_compared_and_hashed_by_identity(self):
+        # a field-wise == compared the CSR factors elementwise and raised
+        basis = make_basis(make_grid(2, 8), order=2)
+        a, b = build_precomp(basis), build_precomp(basis)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_entries_nonnegative(self):
         pre = build_precomp(make_basis(make_grid(1, 32), order=2))
         assert pre.h1.data.min() >= 0 and pre.h2.data.min() >= 0 and pre.h3.min() >= 0
@@ -103,17 +112,18 @@ class TestDiagonalIdentities:
 
     def test_2d(self):
         rng = np.random.default_rng(41)
-        grid = make_grid(2, 8)
-        basis = make_basis(grid, order=2)
-        pre = build_precomp(basis)
-        w = dense_matrix(basis)
-        p = random_density(grid, rng).values
-        d1, d2 = dense_diff(grid, 0), dense_diff(grid, 1)
-        weighted = d1.T @ np.diag(p) @ d1 + d2.T @ np.diag(p) @ d2
-        np.testing.assert_allclose(pre.h1_apply(p), np.diag(w.T @ weighted @ w), atol=1e-10)
-        np.testing.assert_allclose(pre.h2_apply(p), np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
-        lap = np.column_stack([laplacian_apply(grid, w[:, i]) for i in range(grid.total)])
-        np.testing.assert_allclose(pre.h3_diagonal(), np.diag(w.T @ lap), atol=1e-10)
+        for n in (8, 16):
+            grid = make_grid(2, n)
+            basis = make_basis(grid, order=2)
+            pre = build_precomp(basis)
+            w = dense_matrix(basis)
+            p = random_density(grid, rng).values
+            d1, d2 = dense_diff(grid, 0), dense_diff(grid, 1)
+            weighted = d1.T @ np.diag(p) @ d1 + d2.T @ np.diag(p) @ d2
+            np.testing.assert_allclose(pre.h1_apply(p), np.diag(w.T @ weighted @ w), atol=1e-10)
+            np.testing.assert_allclose(pre.h2_apply(p), np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
+            lap = np.column_stack([laplacian_apply(grid, w[:, i]) for i in range(grid.total)])
+            np.testing.assert_allclose(pre.h3_diagonal(), np.diag(w.T @ lap), atol=1e-10)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 6, 10])
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
@@ -121,7 +131,7 @@ class TestDiagonalIdentities:
         grid = make_grid(2, n)
         pre = build_precomp(make_basis(grid, order=order))
         p = random_density(grid, np.random.default_rng(52 + n + order)).values
-        h1p, h2p = ref.diagonals_2d(pre.h1, pre.h2, p)
+        h1p, h2p = ref.diagonals_2d(pre.h1.toarray(), pre.h2.toarray(), p)
         np.testing.assert_array_equal(pre.h1_apply(p), h1p)
         np.testing.assert_array_equal(pre.h2_apply(p), h2p)
         np.testing.assert_array_equal(pre.h3_diagonal(), np.add.outer(pre.h3, pre.h3).ravel())
@@ -188,6 +198,77 @@ class TestCombinedMetric:
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 0.0, 0.0))
         with pytest.raises(MetricInfeasibleError):
             metric(Density(grid, values), np.ones(32))
+
+
+def kron_combined_oracle(basis, alphas, p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(direction, scale) of W diag(1/d) W^T g from kron(W, W) and Kronecker-assembled D_a.
+
+    d holds the diagonals of the wavelet-transformed Hessian blocks, with
+    1/(+inf) = 0 and 1/0 := 0.
+    """
+    grid = basis.grid
+    w1 = basis.matrix.toarray()
+    w = np.kron(w1, w1)
+    dif = dense_diff(make_grid(1, grid.n))
+    eye = np.eye(grid.n)
+    ds = [np.kron(dif, eye), np.kron(eye, dif)]
+    a1, a2, a3 = alphas
+    d = np.zeros(grid.total)
+    with np.errstate(divide="ignore"):
+        if a1 > 0:
+            d += a1 / np.diag(w.T @ sum(da.T @ np.diag(p) @ da for da in ds) @ w)
+        if a2 > 0:
+            d += a2 / np.diag(w.T @ np.diag(p) @ w)
+        d += a3 * np.diag(w.T @ sum(da.T @ da for da in ds) @ w)
+        scale = np.where(d > 0.0, 1.0 / d, 0.0)
+    return w @ (scale * (w.T @ g)), scale
+
+
+class TestCombinedMetric2D:
+    """The 2D combined metric, applied by dense two-sided products, against a Kronecker oracle."""
+
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                        (1.0, 1e-3, 1e-4)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_kron_oracle(self, n, order, alphas):
+        grid = make_grid(2, n)
+        basis = make_basis(grid, order=order)
+        pre = build_precomp(basis)
+        rng = np.random.default_rng(60 + n + order)
+        p = random_density(grid, rng)
+        g = rng.standard_normal(grid.total)
+        got = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(p, g)
+        want, scale = kron_combined_oracle(basis, alphas, p.values, g)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        coeffs = basis.matrix.toarray().T @ got.reshape(n, n) @ basis.matrix.toarray()
+        if alphas[0] == alphas[1] == 0.0:
+            # the constant slot has d = 0: 1/0 := 0, not an overflow
+            assert scale[-1] == 0.0
+            assert abs(coeffs[-1, -1]) <= 1e-14 * np.abs(coeffs).max()
+        if alphas[0] > 0:
+            # d = +inf on the constant slot freezes the mass
+            assert abs(got.sum()) <= 1e-14 * np.abs(got).sum()
+
+    def test_binds_share_the_dense_factors(self):
+        grid = make_grid(2, 16)
+        basis = make_basis(grid, order=3)
+        pre = build_precomp(basis)
+        dense = [basis.matrix_dense, pre.h1_dense, pre.h2_dense]
+        rng = np.random.default_rng(61)
+        p = random_density(grid, rng)
+        for alphas in [(1.0, 1e-3, 1e-4), (0.0, 1.0, 1e-4)]:
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(
+                p, rng.standard_normal(grid.total)
+            )
+        for before, after, csr in zip(dense, [basis.matrix_dense, pre.h1_dense, pre.h2_dense],
+                                      [basis.matrix, pre.h1, pre.h2]):
+            assert after is before
+            assert not after.flags.writeable and after.flags.c_contiguous
+            np.testing.assert_array_equal(after, csr.toarray())
+        basis_1d = make_basis(make_grid(1, 16), order=3)
+        pre_1d = build_precomp(basis_1d)
+        assert basis_1d.matrix_dense is None and pre_1d.h1_dense is None and pre_1d.h2_dense is None
 
 
 class TestWassersteinMetric:

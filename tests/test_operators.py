@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stencil_reference as ref
+from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.experiments import build_potential
 from waveng.grid import Density, make_grid, reference_measure
 from waveng.operators import (
@@ -11,8 +12,6 @@ from waveng.operators import (
     DENSE_PLAN_MAX_N,
     EllipticSolveConfig,
     EllipticSolveError,
-    diff_adjoint_apply,
-    diff_apply,
     ground_state_operator,
     laplacian_apply,
     laplacian_pinv_apply,

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cascade_reference import loop_matrix
+from cascade_reference import dense_matrix, loop_matrix
 from filter_reference import daubechies_lowpass_mp
 from waveng.grid import make_grid
 from waveng.wavelets import (
     daubechies_filters,
-    dense_matrix,
     make_basis,
     transform_forward,
     transform_inverse,
