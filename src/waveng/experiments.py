@@ -111,7 +111,7 @@ def build_potential(grid: Grid, potential_id: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunOverrides:
-    """Knobs adjustable from the CLI without changing the preset identity."""
+    """Run settings outside the preset; the CLI sets the first four, library callers all."""
 
     wavelet_order: int = 3
     levels: int | None = None  # None = full depth
@@ -124,7 +124,6 @@ class RunOverrides:
 @dataclass
 class RunReport:
     preset: ExperimentPreset
-    overrides: RunOverrides
     histories: dict[str, DescentHistory] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     wall_times: dict[str, float] = field(default_factory=dict)
@@ -147,7 +146,7 @@ def run_experiment(preset: ExperimentPreset, overrides: RunOverrides | None = No
     cfg = DescentConfig(
         max_iterations=overrides.max_iterations, gap_tolerance=overrides.gap_tolerance
     )
-    report = RunReport(preset=preset, overrides=overrides)
+    report = RunReport(preset=preset)
     for kind in preset.metrics:
         metric = metric_apply_fn(kind, grid, precomp=precomp, alphas=preset.alphas)
         started = time.perf_counter()

@@ -12,16 +12,17 @@ Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
 operator is a Kronecker product of 1D matrices, one per axis, and
 `tensor_apply` applies it in this layout without forming the product:
-A0 X A1^T on the n x n site array X.  The wavelet transforms and the
-combined metric's diagonals give it `dense_factor` copies of their 1D
-factors in 2D, so each side of the product is one dgemm.  There is no size switch:
-per analysis W^T X W (one BLAS thread, 2-vCPU VM) dense against CSR
-took 4.7 vs 22.8 us at 16^2, 25 vs 102 us at 64^2, 216 vs 418 us at
-128^2, 2.2 vs 3.2 ms at 256^2 and 13.2 vs 15.4 ms at 512^2.
+A0 X A1^T on the n x n site array X.  `tensor_factor` alone picks a 1D
+factor's applied form: the CSR matrix in 1D (one sparse matvec), a dense
+copy in 2D (one dgemm per side), with no size switch: per analysis
+W^T X W (one BLAS thread, 2-vCPU VM) dense against CSR took 4.7 vs 22.8
+us at 16^2, 25 vs 102 us at 64^2, 216 vs 418 us at 128^2, 2.2 vs 3.2 ms
+at 256^2 and 13.2 vs 15.4 ms at 512^2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ __all__ = [
     "uniform_density",
     "check_vector",
     "axis_apply",
-    "dense_factor",
+    "tensor_factor",
     "tensor_apply",
 ]
 
@@ -61,10 +62,6 @@ class Grid:
     @property
     def total(self) -> int:
         return self.n**self.dim
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -167,14 +164,16 @@ def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarr
     return (a @ v.reshape(-1, a.shape[1]).T).T.reshape(-1)
 
 
-def dense_factor(a: sp.csr_matrix) -> np.ndarray:
-    """A read-only C-contiguous dense copy of a 1D factor, for `tensor_apply` in 2D."""
+def tensor_factor(a: sp.csr_matrix, dim: int) -> sp.csr_matrix | np.ndarray:
+    """The 1D factor a as `tensor_apply` applies it: a in 1D, a read-only dense copy in 2D."""
+    if dim == 1:
+        return a
     out = a.toarray()
     out.flags.writeable = False
     return out
 
 
-def tensor_apply(factors: list[sp.csr_matrix | np.ndarray], v: np.ndarray) -> np.ndarray:
+def tensor_apply(factors: Sequence[sp.csr_matrix | np.ndarray], v: np.ndarray) -> np.ndarray:
     """Apply factor a along axis a for every axis: A0 v, or (A0 (x) A1) v = A0 X A1^T in 2D.
 
     The factors may be CSR or dense; a transposed dense factor is a free view.

@@ -18,13 +18,13 @@ H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
 sparse basis matrix W and of DW, formed once per basis, with D the 1D
 difference matrix of `operators`, so this module writes no stencil of its
-own.  In 2D each diagonal applies one 1D factor per axis through
+own.  Each diagonal applies one 1D factor per axis through
 `grid.tensor_apply`, the rule of the transforms and differences, so no
-n^2 x n^2 matrix is ever built.  1D applies the sparse factors; 2D applies
-read-only dense copies of H1 and H2 that the precomp builds once, so a 2D
-metric application is a few dgemm (the transforms use the basis's dense
-W the same way).  The density-free term alpha3 * h3 is formed once, when
-`metric_apply_fn` binds the metric.
+n^2 x n^2 matrix is ever built.  The precomp holds those factors in the
+form `grid.tensor_factor` picks, built once: the sparse H1 and H2 in 1D,
+read-only dense copies in 2D, where a metric application is then a few
+dgemm (the basis holds W and W^T the same way).  The density-free term
+alpha3 * h3 is formed once, when `metric_apply_fn` binds the metric.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, check_vector, dense_factor, tensor_apply
+from .grid import Density, Grid, check_vector, tensor_apply, tensor_factor
 from .losses import check_alphas
 from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
@@ -76,45 +76,39 @@ class MetricPrecomp:
     """Sparse Hessian-diagonal factors for one basis.
 
     H1 and H2 are n x n CSR with rows indexed by 1D wavelet index and
-    columns by 1D site, and h3 has length n.  Every diagonal applies one of
-    them per axis, which in 1D is the factor itself and in 2D a two-sided
-    product on the n x n density array (see h1_apply, h2_apply and
-    h3_diagonal).  On a 2D grid `h1_dense` and `h2_dense` are read-only
-    dense copies of H1 and H2, built once here and applied in their place
-    (None in 1D).  Equality and hash are by identity, as for `Density`.
+    columns by 1D site, and h3 has length n; these are the stored form.
+    Every diagonal applies one of them per axis (see h1_apply, h2_apply
+    and h3_diagonal).  `h1_terms` and `h2_factors` are the per-axis factor
+    lists of those applications, in the form `grid.tensor_factor` picks,
+    built once here.  Equality and hash are by identity, as for `Density`.
     """
 
     basis: WaveletBasis
     h1: sp.csr_matrix
     h2: sp.csr_matrix
     h3: np.ndarray
-    h1_dense: np.ndarray | None = field(init=False, default=None, repr=False)
-    h2_dense: np.ndarray | None = field(init=False, default=None, repr=False)
+    # term a of the H1 diagonal applies H1 along axis a and H2 along the others
+    h1_terms: tuple[tuple[sp.csr_matrix | np.ndarray, ...], ...] = field(init=False, repr=False)
+    h2_factors: tuple[sp.csr_matrix | np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.basis.grid.dim == 2:
-            object.__setattr__(self, "h1_dense", dense_factor(self.h1))
-            object.__setattr__(self, "h2_dense", dense_factor(self.h2))
+        dim = self.basis.grid.dim
+        h1, h2 = tensor_factor(self.h1, dim), tensor_factor(self.h2, dim)
+        terms = tuple(tuple(h1 if b == a else h2 for b in range(dim)) for a in range(dim))
+        object.__setattr__(self, "h1_terms", terms)
+        object.__setattr__(self, "h2_factors", (h2,) * dim)
 
     @property
     def nnz(self) -> tuple[int, int]:
         return (self.h1.nnz, self.h2.nnz)
 
     def h1_apply(self, p: np.ndarray) -> np.ndarray:
-        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D.
-
-        Term a applies H1 along axis a and H2 along the others.
-        """
-        if self.h1_dense is None:
-            return self.h1 @ p
-        h1, h2 = self.h1_dense, self.h2_dense
-        return tensor_apply([h1, h2], p) + tensor_apply([h2, h1], p)
+        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
+        return functools.reduce(np.add, (tensor_apply(term, p) for term in self.h1_terms))
 
     def h2_apply(self, p: np.ndarray) -> np.ndarray:
         """diag(W^T diag(p) W): H2 along every axis, H2 p or H2 P H2^T in 2D."""
-        if self.h2_dense is None:
-            return self.h2 @ p
-        return tensor_apply([self.h2_dense] * 2, p)
+        return tensor_apply(self.h2_factors, p)
 
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3 added coordinatewise over the axes."""

@@ -80,7 +80,7 @@ class EllipticSolveError(RuntimeError):
 @dataclass(frozen=True)
 class EllipticSolveConfig:
     rel_tolerance: float = 1e-10
-    max_iterations: int | None = None  # defaults to 10 * n * dim
+    max_iterations: int | None = None  # caps the 2D CG (10 * n * dim by default); 1D ignores it
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
@@ -131,33 +131,34 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class GroundState(NamedTuple):
-    """The part of the weighted solve fixed by the weight density w, S = diag(sqrt w)."""
+    """The part of the 2D weighted solve fixed by the weight density w, S = diag(sqrt w)."""
 
     matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
     sqrt_w: np.ndarray
     inv_sqrt_w: np.ndarray
-    # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetrised; None in
-    # 1D, whose solve is closed form
-    coarse_inverse: np.ndarray | None
+    coarse_inverse: np.ndarray  # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetrised
 
 
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
 def ground_state_operator(w: Density) -> GroundState:
-    """A = S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w and, in 2D, the coarse inverse.
+    """A = S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w and the coarse inverse, for a 2D w.
 
-    L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (3 entries per row in
-    1D, 5 in 2D, sorted indices) and entry (i, j) is multiplied in place by
-    the one factor 1/sqrt(w_j) * 1/sqrt(w_i), the same for (j, i), so the
-    result is exactly symmetric and the scaling holds one extra array of
-    nnz floats.  In 2D, D_a = D (x) I or I (x) D exists only while L_w is
-    assembled, and the coarse block of the two-level preconditioner is built
-    from A (see _coarse_inverse).  Cached for the last w it was called with,
-    so every 2D solve with one weight density shares one set-up; treat the
-    arrays as read-only.
+    L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (5 entries per row,
+    sorted indices), with D_a = D (x) I or I (x) D held only while it is
+    assembled, and entry (i, j) is multiplied in place by the one factor
+    1/sqrt(w_j) * 1/sqrt(w_i), the same for (j, i), so the result is
+    exactly symmetric and the scaling holds one extra array of nnz floats.
+    The coarse block of the two-level preconditioner is built from A (see
+    _coarse_inverse).  Cached for the last w it was called with, so every
+    2D solve with one weight density shares one set-up; treat the arrays
+    as read-only.  Raises ValueError for a 1D w: the 1D solve is closed
+    form and needs no set-up.
     """
     grid = w.grid
+    if grid.dim != 2:
+        raise ValueError(f"the ground-state operator is 2D only, got a {grid.dim}D density")
     d, eye = difference_matrix(grid.n)[0], sp.identity(grid.n, format="csr")
-    lifted = [d] if grid.dim == 1 else [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
+    lifted = [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     scale = sp.diags(w.values, format="csr")
     matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
@@ -167,8 +168,7 @@ def ground_state_operator(w: Density) -> GroundState:
     factor = inv_sqrt_w[matrix.indices].reshape(grid.total, -1)
     factor *= inv_sqrt_w[:, None]
     matrix.data *= factor.ravel()
-    coarse = None if grid.dim == 1 else _coarse_inverse(matrix, sqrt_w, grid.n)
-    return GroundState(matrix, sqrt_w, inv_sqrt_w, coarse)
+    return GroundState(matrix, sqrt_w, inv_sqrt_w, _coarse_inverse(matrix, sqrt_w, grid.n))
 
 
 def _coarse_modes(n: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Backtracking natural-gradient descent with the Armijo condition.
 
 Each step preconditions the Euclidean gradient g with a metric to get the
-direction s, then halves the step size eta (starting from 1) until
+direction s, then halves the step size eta (starting from 1, at most
+MAX_HALVINGS times) until
 
-    E(p - eta s) - E(p) <= -eta/2 * <s, g>.
+    E(p - eta s) - E(p) <= -eta/2 * <s, g>,
 
-The loss E is the combined loss of a LossSpec.  Infeasible trial points
-evaluate to +inf and are rejected like any other failed trial.  A step
-with nonpositive directional slope <s, g> stalls the run rather than
-ascending.
+up to a rounding slack (ROUNDING_SLACK), and never for a trial that
+raises the loss.  The loss E is the combined loss of a LossSpec.
+Infeasible trial points evaluate to +inf and are rejected like any other
+failed trial.  A step with nonpositive directional slope <s, g> stalls the
+run rather than ascending.
 
 The trials go through `losses.along_line`, which prices the quadratic
 terms in closed form: a step costs one K-solve (for Q s) however many
@@ -41,23 +43,23 @@ __all__ = [
 MetricFn = Callable[[Density, np.ndarray], np.ndarray]
 
 ARMIJO_COEFFICIENT = 0.5  # the 1/2 of eta/2 in the condition of the module docstring
+MAX_HALVINGS = 60  # trials after the first; a step that exhausts them stalls the run
+# An exact Newton step meets the condition with equality and lands on mu,
+# where E rounds to about 1e-15 E(p), not 0; the slack, relative to |E(p)|
+# and eta <s, g>, keeps that rounding from rejecting it
+ROUNDING_SLACK = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class DescentConfig:
     max_iterations: int = 2000
     gap_tolerance: float = 1e-10  # on E(p) - E(mu)
-    max_halvings: int = 60
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0):
             raise ValueError(f"gap_tolerance must be finite and positive, got {self.gap_tolerance}")
-        counts = (self.max_iterations, self.max_halvings)
-        if not all(isinstance(c, Integral) for c in counts) or counts[0] < 0 or counts[1] < 1:
-            raise ValueError(
-                f"max_iterations must be an integer >= 0 and max_halvings an integer >= 1, "
-                f"got {self.max_iterations} and {self.max_halvings}"
-            )
+        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be an integer >= 0, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,6 @@ def armijo_step(
     p: Density,
     spec: LossSpec,
     metric: MetricFn,
-    cfg: DescentConfig | None = None,
     evaluated: LossEval | None = None,
 ) -> tuple[Density, LossEval, StepDiagnostics]:
     """One backtracking step from p.
@@ -121,8 +122,6 @@ def armijo_step(
     `evaluated` lets the caller pass combined_eval's result at p, whose
     quadratic part saves a K-solve.
     """
-    if cfg is None:
-        cfg = DescentConfig()
     ev = combined_eval(p.values, spec) if evaluated is None else evaluated
 
     def stall(
@@ -148,9 +147,12 @@ def armijo_step(
     # metrics' domain (the positive orthant)
     trial_eval = along_line(spec, p.values, ev, s)
     eta = 1.0
-    for halvings in range(cfg.max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         trial_ev = trial_eval(eta)
-        if trial_ev.value - ev.value <= -ARMIJO_COEFFICIENT * eta * slope:
+        decrease = trial_ev.value - ev.value
+        slack = ROUNDING_SLACK * (abs(ev.value) + eta * slope)
+        # the slack never admits a trial that raises the loss
+        if decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack:
             next_p = Density(p.grid, p.values - eta * s)
             diag = StepDiagnostics(
                 accepted=True, eta=eta, halvings=halvings, slope=slope,
@@ -158,7 +160,7 @@ def armijo_step(
             )
             return next_p, trial_ev, diag
         eta *= 0.5
-    return stall("line search exhausted max_halvings", slope, eta, cfg.max_halvings)
+    return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS)
 
 
 def run_descent(
@@ -205,7 +207,7 @@ def run_descent(
         return history
 
     for k in range(1, cfg.max_iterations + 1):
-        p_next, ev_next, diag = armijo_step(p, spec, metric, cfg, evaluated=ev)
+        p_next, ev_next, diag = armijo_step(p, spec, metric, evaluated=ev)
         if not diag.accepted:
             history.status = "stalled"
             history.stall_reason = diag.reason

@@ -17,11 +17,13 @@ g[i] = (-1)^i h[2k-1-i].  The lowpass taps are a committed table of a
 holds to double-precision roundoff.
 
 In 2D the basis is the tensor product of the 1D basis with itself.  It is
-never materialized: on the n x n site array X, `grid.tensor_apply` gives
-the analysis W^T X W and the synthesis W C W^T, each two dgemm with a
-read-only dense copy of W that the basis builds once (n^2 doubles, 128 KB
-at n = 128).  1D keeps the sparse W: there a transform is one matvec, and
-a dense one would read all n^2 entries for it.
+never materialized: the synthesis applies W along every axis and the
+analysis W^T, through `grid.tensor_apply`, so a transform is W c or W^T v
+in 1D and W C W^T or W^T X W on the n x n array in 2D.  The basis holds
+both factors in the form `grid.tensor_factor` picks, built once: the CSR
+W and W^T in 1D, where a transform is one sparse matvec, and read-only
+dense copies in 2D, where it is two dgemm (2 n^2 doubles, 256 KB at
+n = 128).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, check_vector, dense_factor, tensor_apply
+from .grid import Grid, check_vector, tensor_apply, tensor_factor
 
 __all__ = [
     "FilterPair",
@@ -143,25 +145,25 @@ def daubechies_filters(order: int) -> FilterPair:
 class WaveletBasis:
     """Filter pair, decomposition depth and the 1D basis matrix for one grid.
 
-    `matrix` is the n x n CSR matrix W of the 1D basis and `matrix_t` its
-    transpose, stored as CSR once so that an analysis does not build the
-    transposed view on every call.  In 2D the basis is the full tensor
-    product of the 1D basis with itself and the coefficient array has
-    length n^2, indexed (i1, i2) -> i1*n + i2 like the sites; there
-    `matrix_dense` is a read-only dense copy of W that the transforms
-    apply, built once here (None in 1D).
+    `matrix` is the n x n CSR matrix W of the 1D basis, the stored form.
+    `synthesis` and `analysis` are W and W^T in the form the transforms
+    apply along each axis (`grid.tensor_factor`), built once here.  In 2D
+    the basis is the full tensor product of the 1D basis with itself and
+    the coefficient array has length n^2, indexed (i1, i2) -> i1*n + i2
+    like the sites.
     """
 
     grid: Grid
     filters: FilterPair
     levels: int
     matrix: sp.csr_matrix = field(repr=False, compare=False)
-    matrix_t: sp.csr_matrix = field(repr=False, compare=False)
-    matrix_dense: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    synthesis: sp.csr_matrix | np.ndarray = field(init=False, repr=False, compare=False)
+    analysis: sp.csr_matrix | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.grid.dim == 2:
-            object.__setattr__(self, "matrix_dense", dense_factor(self.matrix))
+        dim = self.grid.dim
+        object.__setattr__(self, "synthesis", tensor_factor(self.matrix, dim))
+        object.__setattr__(self, "analysis", tensor_factor(self.matrix.T.tocsr(), dim))
 
 
 def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> WaveletBasis:
@@ -194,7 +196,7 @@ def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> Wavelet
     w = sp.hstack(columns + [approx], format="csr")
     w.eliminate_zeros()
     w.sort_indices()
-    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w, matrix_t=w.T.tocsr())
+    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w)
 
 
 def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
@@ -213,14 +215,10 @@ def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
     """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
     v = check_vector(basis.grid, v)
-    if basis.matrix_dense is None:
-        return basis.matrix_t @ v
-    return tensor_apply([basis.matrix_dense.T] * 2, v)
+    return tensor_apply([basis.analysis] * basis.grid.dim, v)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
     """Wavelet synthesis: W c in 1D, W C W^T on the n x n coefficient array in 2D."""
     c = check_vector(basis.grid, c)
-    if basis.matrix_dense is None:
-        return basis.matrix @ c
-    return tensor_apply([basis.matrix_dense] * 2, c)
+    return tensor_apply([basis.synthesis] * basis.grid.dim, c)

@@ -12,7 +12,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from waveng import DescentConfig, MetricKind
 
@@ -32,7 +34,10 @@ def test_layer_resolves_to_a_callable(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
 
 
-@pytest.mark.parametrize("workload", ["panel-1d", "panel-2d", "wavelet-2d"])
+WORKLOADS = ["panel-1d", "panel-2d", "wavelet-2d"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_sets_up_descends_and_digests(workload):
     # panel-2d is the only workload on the 2D K-solve path
     workloads = load("workloads")
@@ -47,3 +52,19 @@ def test_workload_sets_up_descends_and_digests(workload):
         expected = missed if kind is MetricKind.COMBINED else ""
         assert workloads.gate(problem, kind, history) == expected
         assert len(workloads.digest(history)) == 64
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_trace_reads_the_stored_precompute(workload):
+    # what `--trace 1` reads for metrics.precomp_nnz and metrics.precomp_bytes
+    # (perfbench/harness.py, per_layer): h3 and the CSR arrays of h1 and h2
+    workloads = load("workloads")
+    pre = workloads.set_up(workloads.WORKLOADS[workload].preset()).precomp
+    n = pre.basis.grid.n
+    assert isinstance(pre.h3, np.ndarray) and pre.h3.shape == (n,)
+    for m in (pre.h1, pre.h2):
+        assert sp.issparse(m) and m.format == "csr" and m.shape == (n, n)
+    stored = [pre.h3] + [a for m in (pre.h1, pre.h2) for a in (m.data, m.indices, m.indptr)]
+    assert all(isinstance(a, np.ndarray) for a in stored)
+    assert sum(a.nbytes for a in stored) > 0
+    assert sum(pre.nnz) == pre.h1.nnz + pre.h2.nnz > 0

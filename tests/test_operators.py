@@ -153,7 +153,7 @@ class TestStencilOracles:
         want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
         np.testing.assert_array_equal(weighted_flux_apply(grid, w, x), want)
 
-    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 32), (2, 4), (2, 16)])
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 16)])
     def test_weighted_matrix_entries_bitwise(self, dim, n):
         # column j of L_w is the stencil applied to the unit vector e_j, and
         # entry (i, j) of the assembled operator is L_ij (s_i s_j) with s = 1/sqrt(w)
@@ -234,7 +234,7 @@ class TestLaplacianPinv:
 class TestWeightedLaplacianMatrix:
     """The cached ground-state operator S^-1 L_w S^-1, S = diag(sqrt w), of the 2D solve."""
 
-    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 32), (2, 4), (2, 8), (2, 16)])
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16)])
     def test_matches_dense_and_stencil(self, dim, n):
         grid = make_grid(dim, n)
         w = random_weight(grid, 30)
@@ -269,8 +269,10 @@ class TestWeightedLaplacianMatrix:
         np.linalg.cholesky(got)  # A_c is SPD, and so is the inverse that CG applies
         np.linalg.cholesky(coarse_inverse)
 
-    def test_no_coarse_block_in_1d(self):
-        assert ground_state_operator(random_weight(make_grid(1, 32), 40)).coarse_inverse is None
+    def test_1d_density_raises(self):
+        # the 1D solve is closed form: it has no set-up to build
+        with pytest.raises(ValueError, match="2D only"):
+            ground_state_operator(random_weight(make_grid(1, 32), 40))
 
     def test_set_up_is_lazy_and_reused(self):
         cache = ground_state_operator
@@ -548,6 +550,52 @@ def test_2d_preconditioner_strength(n):
     rhs = np.random.default_rng(27).standard_normal(grid.total)
     cap = {32: 10, 64: 8, 128: 7}[n]
     weighted_elliptic_pinv_apply(mu, rhs, EllipticSolveConfig(max_iterations=cap))
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+def test_fft_two_level_capped_solve_matches_oracle(cap):
+    """The two-level preconditioner's FFT branch (n > DENSE_PLAN_MAX_N), through
+    a capped solve: textbook PCG on L_mu x = b, preconditioned by
+    P S^-1 M^-1 S^-1 with the separable oracle
+    M^-1 r = (-Delta)^+ (r - E E^T r) + E C E^T r, E = q_c (x) q_c applied as
+    q_c^T R q_c and C the stored coarse inverse, leaves the residual the
+    solve reports.  The preset measure converges in 7 iterations at 128^2;
+    at 6 the residual is 1e-9 and the two iterations agree only to 1e-7."""
+    n = 2 * DENSE_PLAN_MAX_N
+    grid = make_grid(2, n)
+    mu = reference_measure(grid, build_potential(grid, "sin4pi-product"))
+    rhs = np.random.default_rng(44).standard_normal(grid.total)
+    b = rhs - rhs.mean()
+    q_c = coarse_modes(n)
+    m = q_c.shape[1]
+    c = ground_state_operator(mu).coarse_inverse
+    s_inv = 1.0 / np.sqrt(mu.values)
+
+    def two_level(r):
+        coarse = q_c.T @ r.reshape(n, n) @ q_c
+        fine = r - (q_c @ coarse @ q_c.T).ravel()
+        lifted = q_c @ (c @ coarse.ravel()).reshape(m, m) @ q_c.T
+        return laplacian_pinv_apply(grid, fine) + lifted.ravel()
+
+    def precondition(r):
+        z = s_inv * two_level(s_inv * r)
+        return z - z.mean()
+
+    x, r = np.zeros(b.size), b.copy()
+    z = precondition(r)
+    p, rz = z, r @ z
+    for _ in range(cap):
+        ap = weighted_flux_apply(grid, mu.values, p)
+        alpha = rz / (p @ ap)
+        x, r = x + alpha * p, r - alpha * ap
+        z = precondition(r)
+        p, rz = z + (r @ z / rz) * p, r @ z
+    residual = weighted_flux_apply(grid, mu.values, x) - b
+    with pytest.raises(EllipticSolveError) as excinfo:
+        weighted_elliptic_pinv_apply(mu, rhs, EllipticSolveConfig(max_iterations=cap))
+    assert excinfo.value.iterations == cap
+    want = np.linalg.norm(residual) / np.linalg.norm(b)
+    assert excinfo.value.achieved_residual == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [16, 32])

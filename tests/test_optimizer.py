@@ -3,10 +3,10 @@ import pytest
 
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
-from waveng.losses import LossEval, LossSpec, combined_eval
+from waveng.losses import LossEval, LossSpec, along_line, combined_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
-from waveng.operators import EllipticSolveConfig
-from waveng.optimizer import DescentConfig, armijo_step, run_descent
+from waveng.operators import EllipticSolveConfig, laplacian_apply
+from waveng.optimizer import MAX_HALVINGS, DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
 
@@ -14,19 +14,23 @@ def identity_metric(p, g):
     return g
 
 
-def newton_setup():
+def newton_setup(dim=1, n=16):
     """E3 alone, the exact quadratic r^T A r / 2, with the Mahalanobis metric A^+.
 
     p and mu both have unit mass, so r = p - mu has no constant component
     and the direction A^+ A r is r itself: every step is a Newton step.
-    The Armijo bound at eta = 1 then holds with equality up to rounding,
-    which at n = 16 falls on the accepting side (at n = 64 it does not).
+    The Armijo bound at eta = 1 then holds with equality up to rounding:
+    the step lands on mu, where E computes to about 1e-15 E(p), not 0.
     """
-    n = 16
-    grid = make_grid(1, n)
-    mu = reference_measure(grid, np.sin(4 * np.pi * np.arange(n) / n))
+    grid = make_grid(dim, n)
+    mu = reference_measure(grid, build_potential(grid, "sin4pi" if dim == 1 else "sin4pi-product"))
     spec = LossSpec(0.0, 0.0, 1.0, mu=mu)
     return uniform_density(grid), mu, spec, metric_apply_fn(MetricKind.MAHALANOBIS, grid)
+
+
+# (dim, n) of exact Newton steps; without the rounding slack every one but
+# 1D n = 16 rejects eta = 1 and halves once
+NEWTON_CASES = [(1, 16), (1, 32), (1, 64), (1, 512), (1, 1024), (2, 8), (2, 16), (2, 32), (2, 64)]
 
 
 def sin_setup(n=64, alphas=(1.0, 1e-3, 1e-4)):
@@ -41,11 +45,31 @@ def sin_setup(n=64, alphas=(1.0, 1e-3, 1e-4)):
 class TestArmijoStep:
     def test_quadratic_accepts_full_step(self):
         # the Newton step eta = 1 is accepted with no halving and lands on mu
-        p, mu, spec, mahalanobis = newton_setup()
-        p_next, ev, diag = armijo_step(p, spec, mahalanobis)
-        assert diag.accepted and diag.eta == 1.0 and diag.halvings == 0
-        np.testing.assert_allclose(p_next.values, mu.values, rtol=0.0, atol=1e-15)
-        assert abs(ev.value) <= 1e-14 * diag.value_before
+        for dim, n in NEWTON_CASES:
+            p, mu, spec, mahalanobis = newton_setup(dim, n)
+            p_next, ev, diag = armijo_step(p, spec, mahalanobis)
+            case = f"dim {dim}, n {n}"
+            assert diag.accepted and diag.eta == 1.0 and diag.halvings == 0, case
+            assert diag.value_after <= diag.value_before, case
+            np.testing.assert_allclose(p_next.values, mu.values, rtol=0.0, atol=1e-15, err_msg=case)
+            assert abs(ev.value) <= 1e-14 * diag.value_before, case
+
+    def test_slack_never_accepts_a_rise(self):
+        # a direction almost orthogonal to g, with slope 1e-18 E(p), whose
+        # second-order term raises E by 1e-15 E(p) at eta = 1: inside the
+        # rounding slack, yet a rise, so eta = 1 is rejected
+        p, _, spec, _ = newton_setup()
+        ev = combined_eval(p.values, spec)
+        g = ev.gradient
+        v = np.random.default_rng(0).standard_normal(g.size)
+        v -= v.mean() + (v @ g) / (g @ g) * g
+        v /= np.linalg.norm(v)
+        s = np.sqrt(2e-15 * ev.value / (v @ laplacian_apply(p.grid, v))) * v
+        s += 1e-18 * ev.value / (g @ g) * g
+        assert along_line(spec, p.values, ev, s)(1.0).value > ev.value
+        _, _, diag = armijo_step(p, spec, lambda dens, grad: s)
+        assert diag.accepted and diag.halvings >= 1
+        assert diag.value_after <= diag.value_before
 
     def test_non_descent_direction_stalls(self):
         p, _, spec, _ = newton_setup()
@@ -66,12 +90,12 @@ class TestArmijoStep:
             assert p_next.min > 0
 
     def test_exhausts_max_halvings(self):
-        # a direction 1e6 times the gradient leaves the positive orthant even
-        # at eta = 2^-5, so every trial is +inf and every halving is spent
+        # a direction 1e30 times the gradient leaves the positive orthant even
+        # at eta = 2^-60, so every trial is +inf and every halving is spent
         p, _, spec, _ = newton_setup()
-        huge = lambda dens, g: 1e6 * g
-        p_next, ev, diag = armijo_step(p, spec, huge, DescentConfig(max_halvings=5))
-        assert not diag.accepted and diag.halvings == 5
+        huge = lambda dens, g: 1e30 * g
+        p_next, ev, diag = armijo_step(p, spec, huge)
+        assert not diag.accepted and diag.halvings == MAX_HALVINGS == 60
         assert "max_halvings" in diag.reason
         np.testing.assert_array_equal(p_next.values, p.values)
         assert ev.value == diag.value_before
@@ -251,13 +275,11 @@ class TestDescentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             DescentConfig(gap_tolerance=0.0)
-        with pytest.raises(ValueError):
-            DescentConfig(max_halvings=0)
         # non-integer counts used to fail mid-descent with a TypeError
         for kwargs in (
             {"max_iterations": 2.5},
             {"max_iterations": float("nan")},
-            {"max_halvings": 2.5},
+            {"max_iterations": -1},
         ):
             with pytest.raises(ValueError, match="integer"):
                 DescentConfig(**kwargs)
