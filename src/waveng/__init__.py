@@ -17,9 +17,8 @@ from .operators import (
 )
 from .optimizer import DescentConfig, DescentHistory, armijo_step, run_descent
 from .wavelets import (
-    FilterPair,
     WaveletBasis,
-    daubechies_filters,
+    daubechies_lowpass,
     make_basis,
     transform_forward,
     transform_inverse,

@@ -92,14 +92,14 @@ def check_alphas(alphas: tuple[float, float, float]) -> None:
         raise ValueError("at least one alpha must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossEval:
     """Loss value and its Euclidean gradient (None when value is +inf).
 
     `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
     quadratic terms of a combined loss, already included in value and
     gradient; combined_eval and along_line set it, and along_line needs
-    it.  The single-term evaluations leave it None.
+    it.  The single-term evaluations leave it None.  Compared by identity.
     """
 
     value: float

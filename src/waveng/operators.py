@@ -1,10 +1,10 @@
 """Periodic difference operators and elliptic pseudo-inverse solves.
 
-D is the 1D forward difference scaled by n, cached as n x n CSR with D^T
-and D^T D (`difference_matrix`); D_a applies it along axis a by the tensor
-rule of `grid`, so the differences, -Delta = sum_a D_a^T D_a and the
-weighted flux hold no 2D matrix, and the metric precompute's DW is D W.
-Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
+D is the 1D forward difference scaled by n, cached as read-only n x n CSR
+with D^T and D^T D (`difference_matrix`); D_a applies it along axis a by
+the tensor rule of `grid`, so the differences, -Delta = sum_a D_a^T D_a
+and the weighted flux hold no 2D matrix, and the metric precompute's DW is
+D W.  Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
 Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
 closed form with two cumulative sums, in 2D by conjugate gradients in the
 ground-state variable y = sqrt(w) x, on A = S^-1 L_w S^-1 (S = diag sqrt w)
@@ -13,9 +13,9 @@ on the low Fourier modes (wavenumber <= COARSE_WAVENUMBER per axis), where
 A's potential Delta(sqrt w) / sqrt w is as large as -Delta, and the
 Laplacian pseudo-inverse on the other modes, where -Delta dominates.  A
 as CSR, sqrt w, 1/sqrt w and the coarse block's inverse are the part of
-that 2D solve fixed by w (`GroundState`); they are cached for the last
-weight density they were built for (a Density is keyed by identity), so a
-caller with a fixed w (the loss's mu) pays for them once per run.
+that 2D solve fixed by w (`GroundState`); they are cached, read-only, for
+the last weight density they were built for (a Density is keyed by
+identity), so a caller with a fixed w (the loss's mu) pays once per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan, and one for the
@@ -101,7 +101,7 @@ def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matr
 
     Row s of D holds -n at s and +n at s + 1 (wrapping), so
     (D v)_s = n (v_{s+1} - v_s) and D annihilates exactly the constants.
-    Every caller shares the cached matrices, so treat them as read-only.
+    Every caller shares the cached matrices, so their arrays are read-only.
     """
     sites = np.arange(n)
     cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
@@ -109,7 +109,15 @@ def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matr
     d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
     d.sort_indices()
     dt = d.T.tocsr()
-    return d, dt, dt @ d
+    return _frozen(d, dt, dt @ d)
+
+
+def _frozen(*items: sp.csr_matrix | np.ndarray) -> tuple:
+    """The items with their arrays (a CSR's data, indices, indptr) made read-only."""
+    for item in items:
+        for a in (item.data, item.indices, item.indptr) if sp.issparse(item) else (item,):
+            a.flags.writeable = False
+    return items
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -150,9 +158,9 @@ def ground_state_operator(w: Density) -> GroundState:
     exactly symmetric and the scaling holds one extra array of nnz floats.
     The coarse block of the two-level preconditioner is built from A (see
     _coarse_inverse).  Cached for the last w it was called with, so every
-    2D solve with one weight density shares one set-up; treat the arrays
-    as read-only.  Raises ValueError for a 1D w: the 1D solve is closed
-    form and needs no set-up.
+    2D solve with one weight density shares one set-up, whose arrays are
+    read-only.  Raises ValueError for a 1D w: the 1D solve is closed form
+    and needs no set-up.
     """
     grid = w.grid
     if grid.dim != 2:
@@ -168,7 +176,8 @@ def ground_state_operator(w: Density) -> GroundState:
     factor = inv_sqrt_w[matrix.indices].reshape(grid.total, -1)
     factor *= inv_sqrt_w[:, None]
     matrix.data *= factor.ravel()
-    return GroundState(matrix, sqrt_w, inv_sqrt_w, _coarse_inverse(matrix, sqrt_w, grid.n))
+    coarse_inverse = _coarse_inverse(matrix, sqrt_w, grid.n)
+    return GroundState(*_frozen(matrix, sqrt_w, inv_sqrt_w, coarse_inverse))
 
 
 def _coarse_modes(n: int) -> np.ndarray:

@@ -12,9 +12,9 @@ scaling function.
 Synthesis convention: tap r of the coefficient at position j of a level of
 length m lands on site (2j+r) mod m, so analysis reads
 a_j = sum_r h[r] v[(2j+r) mod m].  Highpass is the alternating flip
-g[i] = (-1)^i h[2k-1-i].  The lowpass taps are a committed table of a
-50-digit spectral factorization rounded once to float64, so orthogonality
-holds to double-precision roundoff.
+g[i] = (-1)^i h[2k-1-i].  The lowpass taps, one read-only array per order,
+are a committed table of a 50-digit spectral factorization rounded once to
+float64, so orthogonality holds to double-precision roundoff.
 
 In 2D the basis is the tensor product of the 1D basis with itself.  It is
 never materialized: the synthesis applies W along every axis and the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,24 +38,12 @@ import scipy.sparse as sp
 from .grid import Grid, check_vector, tensor_apply, tensor_factor
 
 __all__ = [
-    "FilterPair",
     "WaveletBasis",
-    "daubechies_filters",
+    "daubechies_lowpass",
     "make_basis",
     "transform_forward",
     "transform_inverse",
 ]
-
-MAX_ORDER = 10
-
-
-@dataclass(frozen=True)
-class FilterPair:
-    """Orthogonal lowpass/highpass pair of length 2*order."""
-
-    order: int
-    lowpass: np.ndarray
-    highpass: np.ndarray
 
 
 # Lowpass taps h[0 .. 2k-1] for k = 1 .. 10 vanishing moments as float.hex
@@ -125,40 +114,36 @@ _LOWPASS_HEX: dict[int, tuple[str, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def daubechies_filters(order: int) -> FilterPair:
-    """Daubechies filter pair with `order` vanishing moments, 1 <= order <= 10.
+@lru_cache(maxsize=None, typed=True)  # typed: True or 3.0 must miss the entry of 1 or 3
+def daubechies_lowpass(order: int) -> np.ndarray:
+    """Lowpass taps h[0 .. 2 order - 1] with `order` vanishing moments, 1 <= order <= 10.
 
     Ordering matches the convention with h[0] = (1+sqrt 3)/(4 sqrt 2) for
-    order 2.
+    order 2.  Every caller shares the cached array, so it is read-only.
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order}")
-    order = int(order)
-    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[order]])
-    i = np.arange(2 * order)
-    highpass = (-1.0) ** i * lowpass[::-1]
-    return FilterPair(order=order, lowpass=lowpass, highpass=highpass)
+    _check_integer("order", order, len(_LOWPASS_HEX))  # the table holds orders 1 .. 10
+    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[int(order)]])
+    lowpass.flags.writeable = False
+    return lowpass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletBasis:
-    """Filter pair, decomposition depth and the 1D basis matrix for one grid.
+    """The 1D basis matrix for one grid, and its transform factors.
 
     `matrix` is the n x n CSR matrix W of the 1D basis, the stored form.
     `synthesis` and `analysis` are W and W^T in the form the transforms
     apply along each axis (`grid.tensor_factor`), built once here.  In 2D
     the basis is the full tensor product of the 1D basis with itself and
     the coefficient array has length n^2, indexed (i1, i2) -> i1*n + i2
-    like the sites.
+    like the sites.  Equality and hash are by identity, as for `Density`:
+    bases of different order or depth on one grid are distinct.
     """
 
     grid: Grid
-    filters: FilterPair
-    levels: int
-    matrix: sp.csr_matrix = field(repr=False, compare=False)
-    synthesis: sp.csr_matrix | np.ndarray = field(init=False, repr=False, compare=False)
-    analysis: sp.csr_matrix | np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: sp.csr_matrix = field(repr=False)
+    synthesis: sp.csr_matrix | np.ndarray = field(init=False, repr=False)
+    analysis: sp.csr_matrix | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = self.grid.dim
@@ -170,33 +155,38 @@ def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> Wavelet
     """Build a periodized wavelet basis on the grid.
 
     Default depth is the full cascade (levels = log2 n), which ends in a
-    single scaling column that is stored as exactly 1/sqrt(n); the metric
-    construction relies on its discrete derivative vanishing exactly to
-    freeze total mass.  Coarse levels shorter than the filter wrap it modulo
-    the level length, which preserves exact orthogonality.  The default
-    order (3 vanishing moments) is the smallest at which the combined-metric
-    descent behaves well on the 2D benchmarks.
+    single scaling column stored as exactly 1/sqrt(n); the metric relies on
+    its discrete derivative vanishing exactly to freeze total mass.  Coarse
+    levels shorter than the filter wrap it modulo the level length, which
+    preserves exact orthogonality.  The default order (3 vanishing moments)
+    is the smallest at which the combined-metric descent behaves well on the
+    2D benchmarks.  A non-integer or boolean order or depth raises ValueError.
     """
-    filters = daubechies_filters(order)
+    lowpass = daubechies_lowpass(order)
+    highpass = (-1.0) ** np.arange(len(lowpass)) * lowpass[::-1]
     n = grid.n
     max_levels = int(np.log2(n))
-    if levels is None:
-        levels = max_levels
-    if not 1 <= levels <= max_levels:
-        raise ValueError(f"levels must be in [1, {max_levels}] for n={n}")
+    levels = max_levels if levels is None else levels
+    _check_integer("levels", levels, max_levels)
     approx = sp.identity(n, format="csr")  # scaling functions of the current level
     columns = []
     m = n
     for _ in range(levels):
-        columns.append(approx @ _synthesis_matrix(filters.highpass, m))
-        approx = approx @ _synthesis_matrix(filters.lowpass, m)
+        columns.append(approx @ _synthesis_matrix(highpass, m))
+        approx = approx @ _synthesis_matrix(lowpass, m)
         m //= 2
     if m == 1:  # full depth: replace the roundoff-level constant by the exact one
         approx = sp.csr_matrix(np.full((n, 1), 1.0 / np.sqrt(n)))
     w = sp.hstack(columns + [approx], format="csr")
     w.eliminate_zeros()
     w.sort_indices()
-    return WaveletBasis(grid=grid, filters=filters, levels=levels, matrix=w)
+    return WaveletBasis(grid=grid, matrix=w)
+
+
+def _check_integer(name: str, value: object, high: int) -> None:
+    """Raise ValueError unless value is an int or numpy integer in [1, high]; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= high:
+        raise ValueError(f"{name} must be an integer in [1, {high}], got {value!r}")
 
 
 def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:

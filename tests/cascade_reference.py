@@ -2,14 +2,15 @@
 
 Synthesizes every unit coefficient level by level with circular convolution,
 one filter tap at a time, so it shares no code with the sparse-matrix
-construction in `waveng.wavelets` beyond the filters themselves.
+construction in `waveng.wavelets` beyond the lowpass taps themselves: the
+highpass is derived here by the alternating flip.
 `dense_matrix` is the exception: it densifies the library's own W, for
 tests that need the basis as a dense array.
 """
 
 import numpy as np
 
-from waveng.wavelets import WaveletBasis, daubechies_filters
+from waveng.wavelets import WaveletBasis, daubechies_lowpass
 
 
 def wrap_filter(f: np.ndarray, m: int) -> np.ndarray:
@@ -37,8 +38,8 @@ def synthesis_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) 
 
 def loop_matrix(n: int, order: int, levels: int | None = None) -> np.ndarray:
     """Dense 1D basis matrix W from the cascade, in the library's column layout."""
-    filters = daubechies_filters(order)
-    h, g = filters.lowpass, filters.highpass
+    h = daubechies_lowpass(order)
+    g = np.array([(-1) ** i * h[len(h) - 1 - i] for i in range(len(h))])
     if levels is None:
         levels = int(np.log2(n))
     segments = []

@@ -1,11 +1,18 @@
-"""Modules and tests import only public waveng names, and every `__all__` entry exists."""
+"""Modules and tests import only public waveng names, every `__all__` entry exists,
+and every dataclass that holds arrays compares by identity."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from waveng.grid import make_grid
+from waveng.wavelets import make_basis
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "waveng").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -61,3 +68,55 @@ def test_checker_flags_stale_exports():
 def test_every_export_resolves(path):
     # a stale entry would make `from waveng.<module> import *` raise AttributeError
     assert stale_exports(importlib.import_module(f"waveng.{path.stem}")) == []
+
+
+ARRAY_TYPES = ("ndarray", "csr_matrix")
+
+
+def value_compared_array_holders(module: types.ModuleType) -> list[str]:
+    """Every dataclass defined in the module that holds an array but compares by value.
+
+    A generated __eq__ or __hash__ reads the array fields, so == raises
+    ValueError and hash raises TypeError; identity needs neither.
+    """
+    found = []
+    for name, cls in inspect.getmembers(module, inspect.isclass):
+        if cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
+            continue
+        holds_array = any(t in str(f.type) for f in dataclasses.fields(cls) for t in ARRAY_TYPES)
+        if holds_array and (cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__):
+            found.append(name)
+    return found
+
+
+def test_checker_flags_value_compared_array_holders():
+    module = types.ModuleType("fake")
+
+    @dataclasses.dataclass(frozen=True)
+    class ByValue:
+        taps: np.ndarray
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class ByIdentity:
+        taps: np.ndarray
+
+    @dataclasses.dataclass(frozen=True)
+    class NoArray:
+        n: int
+
+    for cls in (ByValue, ByIdentity, NoArray):
+        cls.__module__ = module.__name__
+        setattr(module, cls.__name__, cls)
+    assert value_compared_array_holders(module) == ["ByValue"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_array_holders_compare_by_identity(path):
+    assert value_compared_array_holders(importlib.import_module(f"waveng.{path.stem}")) == []
+
+
+def test_bases_hash_and_differ_by_order():
+    grid = make_grid(1, 16)
+    basis = make_basis(grid)
+    assert hash(basis) == hash(basis) and basis == basis
+    assert make_basis(grid, order=1) != make_basis(grid, order=3)

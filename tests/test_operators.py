@@ -12,6 +12,7 @@ from waveng.operators import (
     DENSE_PLAN_MAX_N,
     EllipticSolveConfig,
     EllipticSolveError,
+    difference_matrix,
     ground_state_operator,
     laplacian_apply,
     laplacian_pinv_apply,
@@ -112,6 +113,13 @@ class TestDiff:
             diff_apply(make_grid(1, 8), np.zeros(8), axis=1)
         with pytest.raises(ValueError):
             diff_adjoint_apply(make_grid(2, 4), np.zeros(16), axis=2)
+
+    def test_cached_matrices_are_read_only(self):
+        # every later stencil shares them: a write must raise, not corrupt
+        for m in difference_matrix(16):
+            for array in (m.data, m.indices, m.indptr):
+                with pytest.raises(ValueError):
+                    array[0] += 1
 
 
 class TestLaplacian:
@@ -268,6 +276,15 @@ class TestWeightedLaplacianMatrix:
         assert np.max(np.abs(got_block - block)) <= 1e-12 * np.max(np.abs(block))
         np.linalg.cholesky(got)  # A_c is SPD, and so is the inverse that CG applies
         np.linalg.cholesky(coarse_inverse)
+
+    def test_set_up_is_read_only(self):
+        # every later solve with this w shares the set-up: a write must raise
+        set_up = ground_state_operator(random_weight(make_grid(2, 8), 41))
+        a = set_up.matrix
+        for array in (a.data, a.indices, a.indptr, set_up.sqrt_w, set_up.inv_sqrt_w,
+                      set_up.coarse_inverse):
+            with pytest.raises(ValueError):
+                array.flat[0] += 1
 
     def test_1d_density_raises(self):
         # the 1D solve is closed form: it has no set-up to build

@@ -10,7 +10,7 @@ from cascade_reference import dense_matrix, loop_matrix
 from filter_reference import daubechies_lowpass_mp
 from waveng.grid import make_grid
 from waveng.wavelets import (
-    daubechies_filters,
+    daubechies_lowpass,
     make_basis,
     transform_forward,
     transform_inverse,
@@ -19,22 +19,30 @@ from waveng.wavelets import (
 SQRT2 = np.sqrt(2.0)
 
 
+def finest_highpass(order: int) -> np.ndarray:
+    """The highpass taps make_basis uses, read back from its first column at depth 1.
+
+    At n = 32 no filter of order <= 10 wraps, so tap r of column 0 is row r.
+    """
+    column = make_basis(make_grid(1, 32), order=order, levels=1).matrix[:, 0].toarray().ravel()
+    assert not column[2 * order :].any()
+    return column[: 2 * order]
+
+
 class TestFilters:
     def test_haar_closed_form(self):
-        f = daubechies_filters(1)
-        np.testing.assert_allclose(f.lowpass, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
-        np.testing.assert_allclose(f.highpass, [1 / SQRT2, -1 / SQRT2], atol=1e-15)
+        np.testing.assert_allclose(daubechies_lowpass(1), [1 / SQRT2, 1 / SQRT2], atol=1e-15)
+        np.testing.assert_allclose(finest_highpass(1), [1 / SQRT2, -1 / SQRT2], atol=1e-15)
 
     def test_order2_closed_form(self):
         s3 = np.sqrt(3.0)
         expected = np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * SQRT2)
-        np.testing.assert_allclose(daubechies_filters(2).lowpass, expected, atol=1e-14)
+        np.testing.assert_allclose(daubechies_lowpass(2), expected, atol=1e-14)
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_invariants(self, order):
-        f = daubechies_filters(order)
-        h, g = f.lowpass, f.highpass
-        assert len(h) == 2 * order
+        h, g = daubechies_lowpass(order), finest_highpass(order)
+        assert h.dtype == np.float64 and len(h) == 2 * order
         assert abs(h @ h - 1.0) <= 1e-12
         assert abs(g @ g - 1.0) <= 1e-12
         assert abs(h.sum() - SQRT2) <= 1e-12
@@ -42,19 +50,26 @@ class TestFilters:
         i = np.arange(2 * order)
         np.testing.assert_array_equal(g, (-1.0) ** i * h[::-1])
 
-    @pytest.mark.parametrize("order", [0, 11, -1])
+    @pytest.mark.parametrize("order", [0, 11, -1, 2.5, True])
     def test_unsupported_order(self, order):
         with pytest.raises(ValueError):
-            daubechies_filters(order)
+            daubechies_lowpass(order)
+
+    def test_taps_are_read_only(self):
+        # the taps are cached per order: a write would skew every later basis
+        want = daubechies_lowpass(3).copy()
+        with pytest.raises(ValueError):
+            daubechies_lowpass(3)[0] += 0.1
+        assert daubechies_lowpass(3).tobytes() == want.tobytes()
 
     def test_haar_table_entry_bits(self):
         want = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert daubechies_filters(1).lowpass.tobytes() == want.tobytes()
+        assert daubechies_lowpass(1).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", range(2, 11))
     def test_table_equals_mpmath_derivation(self, order):
         want = daubechies_lowpass_mp(order)
-        assert daubechies_filters(order).lowpass.tobytes() == want.tobytes()
+        assert daubechies_lowpass(order).tobytes() == want.tobytes()
 
     def test_basis_builds_without_mpmath(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -69,6 +84,22 @@ class TestFilters:
             "    sys.exit('mpmath was imported')\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+class TestMakeBasisArguments:
+    @pytest.mark.parametrize(
+        "order,levels,name",
+        [(3, 2.5, "levels"), (3, 3.0, "levels"), (3, True, "levels"), (3, 0, "levels"),
+         (3, 6, "levels"), (True, None, "order"), (3.0, None, "order")],
+    )
+    def test_rejects_bad_arguments(self, order, levels, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_basis(make_grid(1, 32), order=order, levels=levels)
+
+    def test_numpy_integers_accepted(self):
+        got = make_basis(make_grid(1, 32), order=np.int64(3), levels=np.int64(5)).matrix
+        want = make_basis(make_grid(1, 32), order=3, levels=5).matrix
+        assert (got != want).nnz == 0
 
 
 class TestForwardTransform:
