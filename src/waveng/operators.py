@@ -30,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +86,8 @@ class EllipticSolveConfig:
         if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
             raise ValueError(f"rel_tolerance must be finite and positive, got {self.rel_tolerance}")
         cap = self.max_iterations
-        if cap is not None and not (isinstance(cap, Integral) and cap >= 1):
+        # a bool is an Integral, but True is no iteration cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
             raise ValueError(f"max_iterations must be None or an integer >= 1, got {cap}")
 
     def iteration_cap(self, grid: Grid) -> int:
@@ -138,8 +139,9 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum(axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim) for a in range(dim))
 
 
-class GroundState(NamedTuple):
-    """The part of the 2D weighted solve fixed by the weight density w, S = diag(sqrt w)."""
+@dataclass(frozen=True, eq=False)
+class GroundState:
+    """The part of the 2D weighted solve fixed by w, S = diag(sqrt w); compared by identity."""
 
     matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
     sqrt_w: np.ndarray

@@ -14,8 +14,10 @@ run rather than ascending.
 
 The trials go through `losses.along_line`, which prices the quadratic
 terms in closed form: a step costs one K-solve (for Q s) however many
-halvings it takes, and the accepted point carries its quadratic part to
-the next step, which therefore needs no solve to get its gradient.
+halvings it takes, and a trial one KL pass, with no gradient.  Only the
+accepted trial forms its evaluation, whose gradient and quadratic part
+the next step uses with no solve, and its trial point becomes the next
+density.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class DescentConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0):
             raise ValueError(f"gap_tolerance must be finite and positive, got {self.gap_tolerance}")
-        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be an integer >= 0, got {self.max_iterations}")
+        cap = self.max_iterations  # a bool is an Integral, but True is no iteration cap
+        if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 0:
+            raise ValueError(f"max_iterations must be an integer >= 0, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -145,20 +148,19 @@ def armijo_step(
         return stall("non-descent direction", slope)
     # nonpositive trials evaluate to +inf, keeping the descent in the
     # metrics' domain (the positive orthant)
-    trial_eval = along_line(spec, p.values, ev, s)
+    line = along_line(spec, p.values, ev, s)
     eta = 1.0
     for halvings in range(MAX_HALVINGS + 1):
-        trial_ev = trial_eval(eta)
-        decrease = trial_ev.value - ev.value
+        trial = line(eta)
+        decrease = trial.value - ev.value
         slack = ROUNDING_SLACK * (abs(ev.value) + eta * slope)
         # the slack never admits a trial that raises the loss
         if decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack:
-            next_p = Density(p.grid, p.values - eta * s)
             diag = StepDiagnostics(
                 accepted=True, eta=eta, halvings=halvings, slope=slope,
-                value_before=ev.value, value_after=trial_ev.value,
+                value_before=ev.value, value_after=trial.value,
             )
-            return next_p, trial_ev, diag
+            return Density(p.grid, trial.point), trial.loss_eval(), diag
         eta *= 0.5
     return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS)
 

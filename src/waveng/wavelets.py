@@ -29,7 +29,7 @@ n = 128).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -114,15 +114,20 @@ _LOWPASS_HEX: dict[int, tuple[str, ...]] = {
 }
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True or 3.0 must miss the entry of 1 or 3
 def daubechies_lowpass(order: int) -> np.ndarray:
     """Lowpass taps h[0 .. 2 order - 1] with `order` vanishing moments, 1 <= order <= 10.
 
     Ordering matches the convention with h[0] = (1+sqrt 3)/(4 sqrt 2) for
     order 2.  Every caller shares the cached array, so it is read-only.
     """
+    # checked before the cache, which would raise TypeError for an unhashable order
     _check_integer("order", order, len(_LOWPASS_HEX))  # the table holds orders 1 .. 10
-    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[int(order)]])
+    return _cached_lowpass(int(order))
+
+
+@cache
+def _cached_lowpass(order: int) -> np.ndarray:
+    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[order]])
     lowpass.flags.writeable = False
     return lowpass
 

@@ -1,15 +1,17 @@
 """Modules and tests import only public waveng names, every `__all__` entry exists,
-and every dataclass that holds arrays compares by identity."""
+and every dataclass or named tuple that holds arrays compares by identity."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from waveng.grid import make_grid
 from waveng.wavelets import make_basis
@@ -73,17 +75,26 @@ def test_every_export_resolves(path):
 ARRAY_TYPES = ("ndarray", "csr_matrix")
 
 
-def value_compared_array_holders(module: types.ModuleType) -> list[str]:
-    """Every dataclass defined in the module that holds an array but compares by value.
+def field_types(cls: type) -> list[str]:
+    """The declared field types of a dataclass or a typed named tuple; [] for other classes."""
+    if dataclasses.is_dataclass(cls):
+        return [str(f.type) for f in dataclasses.fields(cls)]
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return [str(t) for t in getattr(cls, "__annotations__", {}).values()]
+    return []
 
-    A generated __eq__ or __hash__ reads the array fields, so == raises
-    ValueError and hash raises TypeError; identity needs neither.
+
+def value_compared_array_holders(module: types.ModuleType) -> list[str]:
+    """Every dataclass or named tuple of the module that holds an array but compares by value.
+
+    A generated __eq__ or __hash__, or a tuple's, reads the array fields, so
+    == raises ValueError and hash raises TypeError; identity needs neither.
     """
     found = []
     for name, cls in inspect.getmembers(module, inspect.isclass):
-        if cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
+        if cls.__module__ != module.__name__:
             continue
-        holds_array = any(t in str(f.type) for f in dataclasses.fields(cls) for t in ARRAY_TYPES)
+        holds_array = any(t in ftype for ftype in field_types(cls) for t in ARRAY_TYPES)
         if holds_array and (cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__):
             found.append(name)
     return found
@@ -104,10 +115,17 @@ def test_checker_flags_value_compared_array_holders():
     class NoArray:
         n: int
 
-    for cls in (ByValue, ByIdentity, NoArray):
+    class TupleOfArrays(typing.NamedTuple):
+        matrix: sp.csr_matrix
+        weights: np.ndarray
+
+    class TupleOfInts(typing.NamedTuple):
+        n: int
+
+    for cls in (ByValue, ByIdentity, NoArray, TupleOfArrays, TupleOfInts):
         cls.__module__ = module.__name__
         setattr(module, cls.__name__, cls)
-    assert value_compared_array_holders(module) == ["ByValue"]
+    assert value_compared_array_holders(module) == ["ByValue", "TupleOfArrays"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -429,6 +429,7 @@ class TestWeightedPinv:
             {"max_iterations": 0},
             {"max_iterations": -3},
             {"max_iterations": 2.5},
+            {"max_iterations": True},
         ):
             with pytest.raises(ValueError):
                 EllipticSolveConfig(**kwargs)

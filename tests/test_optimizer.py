@@ -3,9 +3,9 @@ import pytest
 
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
-from waveng.losses import LossEval, LossSpec, along_line, combined_eval
+from waveng.losses import LossEval, LossSpec, along_line, combined_eval, e2_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
-from waveng.operators import EllipticSolveConfig, laplacian_apply
+from waveng.operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
 from waveng.optimizer import MAX_HALVINGS, DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
@@ -150,6 +150,39 @@ class TestLineSearch:
             assert diag.accepted
         assert_matches_fresh(ev, p, spec, 1e-9)
 
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_accepted_step_is_the_public_composition(self, dim, n, alphas):
+        # a trial costs one KL pass and only the accepted one forms its
+        # evaluation: that step must equal, bit for bit, p - eta s and the
+        # loss composed from e2_eval and the closed-form quadratic part
+        p, mu, _, _ = newton_setup(dim, n)
+        spec = LossSpec(*alphas, mu=mu)
+        a1, a2, a3 = alphas
+        ev = combined_eval(p.values, spec)
+        g = ev.gradient
+        # twice the step that first empties a site: eta = 1 is infeasible
+        s = 2.0 * np.max(p.values[g > 0] / g[g > 0]) * g
+        infeasible = along_line(spec, p.values, ev, s)(1.0)
+        assert infeasible.value == np.inf and not infeasible.feasible
+        with pytest.raises(ValueError, match="infeasible"):
+            infeasible.loss_eval()
+        p_next, got, diag = armijo_step(p, spec, lambda dens, grad: s, evaluated=ev)
+        assert diag.accepted and diag.halvings >= 1
+        eta = diag.eta
+        t = p.values - eta * s
+        assert p_next.values.tobytes() == t.tobytes()
+        qv, qr = ev.quadratic
+        ks = weighted_elliptic_pinv_apply(mu, s, spec.solve_config)
+        qs = a1 * ks + a3 * laplacian_apply(mu.grid, s)
+        q = qv - eta * float(s @ qr) + 0.5 * eta * eta * float(s @ qs)
+        grad_q = qr - eta * qs
+        kl = e2_eval(t, mu)
+        assert got.value == a2 * kl.value + q == diag.value_after
+        np.testing.assert_array_equal(got.gradient, a2 * kl.gradient + grad_q)
+        assert got.quadratic[0] == q
+        np.testing.assert_array_equal(got.quadratic[1], grad_q)
+
     def test_evaluated_without_quadratic_part(self):
         # the line search takes q(r) and Q r from the evaluation it is given
         # and never re-solves for them
@@ -280,6 +313,7 @@ class TestDescentConfig:
             {"max_iterations": 2.5},
             {"max_iterations": float("nan")},
             {"max_iterations": -1},
+            {"max_iterations": True},
         ):
             with pytest.raises(ValueError, match="integer"):
                 DescentConfig(**kwargs)

@@ -50,9 +50,10 @@ class TestFilters:
         i = np.arange(2 * order)
         np.testing.assert_array_equal(g, (-1.0) ** i * h[::-1])
 
-    @pytest.mark.parametrize("order", [0, 11, -1, 2.5, True])
+    @pytest.mark.parametrize("order", [0, 11, -1, 2.5, True, [3]])
     def test_unsupported_order(self, order):
-        with pytest.raises(ValueError):
+        # [3] used to raise TypeError (unhashable) from the cache
+        with pytest.raises(ValueError, match="order must be an integer"):
             daubechies_lowpass(order)
 
     def test_taps_are_read_only(self):
@@ -90,7 +91,7 @@ class TestMakeBasisArguments:
     @pytest.mark.parametrize(
         "order,levels,name",
         [(3, 2.5, "levels"), (3, 3.0, "levels"), (3, True, "levels"), (3, 0, "levels"),
-         (3, 6, "levels"), (True, None, "order"), (3.0, None, "order")],
+         (3, 6, "levels"), (True, None, "order"), (3.0, None, "order"), ([3], None, "order")],
     )
     def test_rejects_bad_arguments(self, order, levels, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
