@@ -7,6 +7,9 @@ values and is compared and hashed by identity, so a cache can key on it
 (`operators` keeps the 2D solve's set-up per weight density).  Every other
 site vector, a potential, a gradient or the argument of a loss, is a plain
 array of one value per site, and each public entry checks its length.
+Densities and site vectors take integer or real float dtypes, cast to
+float64; complex or non-numeric input raises TypeError, decided by the
+dtype alone.
 Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
@@ -42,6 +45,10 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+# dtype kinds cast to float64 without loss of meaning: signed and unsigned
+# integers and real floats.  Complex input would lose its imaginary part,
+# and bools, strings and objects are not site values.
+_REAL_KINDS = "iuf"
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class Density:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = np.array(_real(self.values, "density values"), dtype=np.float64)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
@@ -127,7 +134,7 @@ def boltzmann_weights(v: np.ndarray) -> np.ndarray:
 
 def reference_measure(grid: Grid, potential: np.ndarray) -> Density:
     """Reference density exp(-V)/Z, V one value per site; strictly positive, sums to 1."""
-    v = np.asarray(potential, dtype=np.float64)
+    v = _real(potential, "potential values")
     if v.shape != (grid.total,):
         raise ValueError(f"potential has {v.shape} values, grid expects ({grid.total},)")
     if not np.all(np.isfinite(v)):
@@ -141,13 +148,28 @@ def uniform_density(grid: Grid) -> Density:
 
 
 def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v as float64; ValueError unless it holds one value per site, TypeError for a Density."""
+    """v as float64; ValueError unless it holds one value per site.
+
+    TypeError for a Density, and for complex or non-numeric values (see _real).
+    """
     if isinstance(v, Density):
         raise TypeError("got a Density where site values are expected: pass its .values")
-    v = np.asarray(v, dtype=np.float64)
+    v = _real(v, "site values")
     if v.shape != (grid.total,):
         raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
     return v
+
+
+def _real(v: np.ndarray, what: str) -> np.ndarray:
+    """v as a float64 array; TypeError unless its dtype is integer or real float.
+
+    Decided by the dtype alone, with no pass over the data.  A float64
+    array is returned as it is.
+    """
+    v = np.asarray(v)
+    if v.dtype.kind not in _REAL_KINDS:
+        raise TypeError(f"{what} must be real numbers, got dtype {v.dtype}")
+    return v.astype(np.float64, copy=False)
 
 
 def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:

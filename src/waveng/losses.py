@@ -5,17 +5,19 @@ the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
 divergence to mu in its mass-corrected form, and the Dirichlet energy of
 p - mu.  Every term is nonnegative and vanishes at mu, so E(mu) = 0 is the
 minimum; E2 vanishes only there.  Each evaluation takes p as a plain array
-of site values and raises ValueError unless it holds one value per site
-of mu's grid.  Infeasible points (any site <= 0) evaluate to +inf so that
-a backtracking line search can reject them uniformly instead of catching
-exceptions.
+of site values and raises ValueError unless it holds one finite value per
+site of mu's grid (one isfinite pass at entry).  Infeasible points (any
+site <= 0) evaluate to +inf so that a backtracking line search can reject
+them uniformly instead of catching exceptions.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and a trial step costs one
-KL pass: it returns a LineTrial holding the value, the trial point and
-log(t/mu), and builds no gradient.  The accepted trial alone forms its
+KL pass: two new arrays, t = p - eta s (a multiply, then the subtract in
+place) and log(t/mu) (a divide, then the log in place), one dot product
+and one sum.  It returns a LineTrial holding the value, t and log(t/mu),
+and builds no gradient.  The accepted trial alone forms its
 gradient and LossEval, and its point becomes the next density.  The KL
 formula is written once, in a private kernel that `e2_eval` and the line
 share.  A LossSpec holds no state: every K-solve passes
@@ -124,7 +126,7 @@ def e1_eval(p: np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None) 
     pseudo-inverse of the mu-weighted elliptic operator.  The constant
     component of p - mu is annihilated by K and contributes nothing.
     """
-    r = check_vector(mu.grid, p) - mu.values
+    r = _finite_sites(mu.grid, p) - mu.values
     x = weighted_elliptic_pinv_apply(mu, r, cfg)
     return LossEval(value=0.5 * float(r @ x), gradient=x)
 
@@ -136,7 +138,19 @@ def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
     unconstrained minimizer even when a metric moves mass; gradient
     log(p/mu).  Any site with p <= 0 yields value +inf.
     """
-    pv = check_vector(mu.grid, p)
+    return _e2(_finite_sites(mu.grid, p), mu)
+
+
+def _finite_sites(grid: Grid, p: np.ndarray) -> np.ndarray:
+    """check_vector(grid, p), with ValueError for a NaN or infinite site."""
+    pv = check_vector(grid, p)
+    if not np.isfinite(pv).all():
+        raise ValueError("density values must be finite")
+    return pv
+
+
+def _e2(pv: np.ndarray, mu: Density) -> LossEval:
+    """e2_eval on site values that are already checked."""
     if pv.min() <= 0.0:
         return LossEval(value=np.inf, gradient=None)
     value, log_ratio = _kl(pv, mu.values, mu.mass)
@@ -145,13 +159,14 @@ def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
 
 def _kl(p: np.ndarray, mu: np.ndarray, mu_mass: float) -> tuple[float, np.ndarray]:
     """(E2, log(p/mu)) for a p > 0 of one value per site; mu_mass is mu's sum."""
-    log_ratio = np.log(p / mu)
+    log_ratio = np.divide(p, mu)
+    np.log(log_ratio, out=log_ratio)
     return float(p @ log_ratio) - float(p.sum()) + mu_mass, log_ratio
 
 
 def e3_eval(p: np.ndarray, mu: Density) -> LossEval:
     """Dirichlet energy of p - mu: value (p-mu)^T A (p-mu) / 2 with A = -Delta."""
-    r = check_vector(mu.grid, p) - mu.values
+    r = _finite_sites(mu.grid, p) - mu.values
     a = laplacian_apply(mu.grid, r)
     return LossEval(value=0.5 * float(r @ a), gradient=a)
 
@@ -161,10 +176,15 @@ def _quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
     if not v.any() or spec.alpha1 == spec.alpha3 == 0:  # Q 0 = 0 with no operator built,
         return np.zeros(spec.grid.total)  # so E(mu) builds nothing
     if spec.alpha1 == 0:
-        return spec.alpha3 * laplacian_apply(spec.grid, v)
-    out = spec.alpha1 * weighted_elliptic_pinv_apply(spec.mu, v, spec.solve_config)
+        out = laplacian_apply(spec.grid, v)
+        out *= spec.alpha3
+        return out
+    out = weighted_elliptic_pinv_apply(spec.mu, v, spec.solve_config)
+    out *= spec.alpha1
     if spec.alpha3 > 0:
-        out += spec.alpha3 * laplacian_apply(spec.grid, v)
+        a = laplacian_apply(spec.grid, v)
+        a *= spec.alpha3
+        out += a
     return out
 
 
@@ -175,13 +195,13 @@ def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
     r^T Q r / 2, and q with its gradient Q r is also returned as
     `quadratic`.
     """
-    pv = check_vector(spec.grid, p)
+    pv = _finite_sites(spec.grid, p)
     r = pv - spec.mu.values
     qr = _quadratic_apply(spec, r)
     quadratic = (0.5 * float(r @ qr), qr)
     if spec.alpha2 == 0:
         return LossEval(*quadratic, quadratic=quadratic)
-    kl = e2_eval(pv, spec.mu)
+    kl = _e2(pv, spec.mu)
     if not kl.feasible:
         return LossEval(value=np.inf, gradient=None)
     value = spec.alpha2 * kl.value + quadratic[0]
@@ -246,13 +266,21 @@ def along_line(
     def q_at(eta: float) -> float:
         return qv - eta * s_qr + 0.5 * eta * eta * s_qs
 
+    # each vector below is one new array, written in place in the order of
+    # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, pv - eta s)
     def loss_eval(trial: LineTrial) -> LossEval:
-        grad_q = qr - trial.eta * qs
-        gradient = grad_q if trial.log_ratio is None else alpha2 * trial.log_ratio + grad_q
+        grad_q = qs * trial.eta
+        np.subtract(qr, grad_q, out=grad_q)
+        if trial.log_ratio is None:
+            gradient = grad_q
+        else:  # trial.log_ratio is left as it is, so a second call sees the same trial
+            gradient = np.multiply(trial.log_ratio, alpha2)
+            gradient += grad_q
         return LossEval(trial.value, gradient, (q_at(trial.eta), grad_q))
 
     def at(eta: float) -> LineTrial:
-        t = pv - eta * s
+        t = np.multiply(s, eta)
+        np.subtract(pv, t, out=t)
         if t.min() <= 0.0:
             return LineTrial(np.inf, eta)
         if alpha2 == 0:

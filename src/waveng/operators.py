@@ -83,8 +83,9 @@ class EllipticSolveConfig:
     max_iterations: int | None = None  # caps the 2D CG (10 * n * dim by default); 1D ignores it
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
-            raise ValueError(f"rel_tolerance must be finite and positive, got {self.rel_tolerance}")
+        tol = self.rel_tolerance  # a bool is a number, but True is no tolerance
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"rel_tolerance must be finite and positive, got {tol}")
         cap = self.max_iterations
         # a bool is an Integral, but True is no iteration cap
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
@@ -125,18 +126,28 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly.
 
     Summed axis by axis, not as one 5-point matrix: a 3-point row sums a
-    constant to exactly zero, a 5-point one need not where it wraps.
+    constant to exactly zero, a 5-point one need not where it wraps.  In 2D
+    the axis-1 term, D^T D X^T transposed, is added into the axis-0 term
+    D^T D X in place, with no transposed copy.
     """
     v = check_vector(grid, v)
     _, _, dtd = difference_matrix(grid.n)
-    return sum(axis_apply(dtd, v, axis, grid.dim) for axis in range(grid.dim))
+    if grid.dim == 1:
+        return dtd @ v
+    x = v.reshape(grid.shape)
+    out = dtd @ x
+    out += (dtd @ x.T).T
+    return out.reshape(-1)
 
 
 def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time."""
     d, dt, _ = difference_matrix(grid.n)
     dim = grid.dim
-    return sum(axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim) for a in range(dim))
+    out = axis_apply(dt, w * axis_apply(d, x, 0, dim), 0, dim)
+    for a in range(1, dim):
+        out += axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,12 +367,14 @@ def weighted_elliptic_pinv_apply(
     rhs = check_vector(grid, rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must be finite")
-    b = rhs - rhs.mean()
-    bnorm = float(np.linalg.norm(b))
+    # x.sum() / x.size and sqrt(x @ x) are np.mean and np.linalg.norm's own
+    # arithmetic on a real vector, without their wrappers
+    b = rhs - rhs.sum() / rhs.size
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(grid.total)
     if grid.dim == 1:
-        return _closed_form_1d(w, b, float(np.linalg.norm(rhs)), cfg.rel_tolerance)
+        return _closed_form_1d(w, b, math.sqrt(rhs @ rhs), cfg.rel_tolerance)
     return _pcg_2d(w, b, bnorm, cfg)
 
 
@@ -389,10 +402,12 @@ def _closed_form_1d(
     f -= (f @ inv_w) / inv_w.sum()
     step = f * inv_w / n
     x = np.concatenate(([0.0], np.cumsum(step[:-1])))
-    x -= x.mean()
-    residual = weighted_flux_apply(w.grid, w.values, x) - b
-    rnorm = float(np.linalg.norm(residual - residual.mean()))
-    scale = rhs_norm + 4.0 * n**2 * float(w.values.max()) * float(np.linalg.norm(x))
+    x -= x.sum() / n
+    residual = weighted_flux_apply(w.grid, w.values, x)
+    residual -= b
+    residual -= residual.sum() / n
+    rnorm = math.sqrt(residual @ residual)
+    scale = rhs_norm + 4.0 * n**2 * float(w.values.max()) * math.sqrt(x @ x)
     if not rnorm <= rel_tolerance * scale:
         raise EllipticSolveError(
             f"closed-form elliptic solve: backward error {rnorm / scale:.3e} "
@@ -422,9 +437,10 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     removed once, at the end.
 
     An iteration costs one CSR matvec with the cached A, one application of
-    M^-1 (the (-Delta)^+ plan's transforms and one m^2 x m^2 matvec), two
-    dot products, one norm and seven elementwise operations, all into
-    existing arrays.  The stopping test is on the unscaled residual,
+    M^-1 (the (-Delta)^+ plan's transforms and one m^2 x m^2 matvec), three
+    bare dot products (the norm of S r is sqrt((S r) @ (S r)), no
+    np.linalg.norm) and seven elementwise operations, all into existing
+    arrays.  The stopping test is on the unscaled residual,
     ||S r|| <= rel_tolerance * ||b|| with r the residual of the scaled
     system.
     """
@@ -445,10 +461,11 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
         alpha = rz / float(p @ ap)
         y += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, ap, out=ap)
-        rnorm = float(np.linalg.norm(np.multiply(sqrt_w, r, out=scratch)))
+        np.multiply(sqrt_w, r, out=scratch)
+        rnorm = math.sqrt(scratch @ scratch)
         if rnorm <= tol:
             x = np.multiply(inv_sqrt_w, y, out=y)
-            x -= x.mean()
+            x -= x.sum() / x.size
             return x
         z = precondition(r)
         rz_next = float(r @ z)

@@ -58,8 +58,9 @@ class DescentConfig:
     gap_tolerance: float = 1e-10  # on E(p) - E(mu)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0):
-            raise ValueError(f"gap_tolerance must be finite and positive, got {self.gap_tolerance}")
+        tol = self.gap_tolerance  # a bool is a number, but True is no tolerance
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"gap_tolerance must be finite and positive, got {tol}")
         cap = self.max_iterations  # a bool is an Integral, but True is no iteration cap
         if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 0:
             raise ValueError(f"max_iterations must be an integer >= 0, got {cap}")
@@ -187,6 +188,7 @@ def run_descent(
     history = DescentHistory()
 
     def record(k: int, ev: LossEval, p: Density, eta: float, halvings: int) -> None:
+        r = p.values - spec.mu.values
         history.records.append(
             IterationRecord(
                 iteration=k,
@@ -195,7 +197,7 @@ def run_descent(
                 halvings=halvings,
                 mass=p.mass,
                 min_value=p.min,
-                distance_to_reference=float(np.linalg.norm(p.values - spec.mu.values)),
+                distance_to_reference=math.sqrt(r @ r),  # np.linalg.norm's arithmetic
             )
         )
 

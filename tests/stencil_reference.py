@@ -9,6 +9,10 @@ two-sided products written out term by term instead of through
 `diff_apply` and `diff_adjoint_apply` are the exception: they apply the
 library's own D and D^T along one axis, so that a test can build them
 column by column into dense matrices or check them against the stencil.
+
+`closed_form_1d` is the 1D weighted solve written with np.mean and
+np.linalg.norm, as the library's was before it took the bare sum and dot
+product that those wrappers compute, so a test can require the same bits.
 """
 
 import numpy as np
@@ -58,3 +62,23 @@ def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
 def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
     return axis_apply(difference_matrix(grid.n)[1], check_vector(grid, u), axis, grid.dim)
+
+
+def closed_form_1d(wv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x, backward error) of the 1D solve of D^T diag(w) D x = rhs - mean(rhs).
+
+    The library's closed form and residual gate, step for step, with the
+    residual from the np.roll stencil; see operators._closed_form_1d.
+    """
+    n = rhs.size
+    b = rhs - rhs.mean()
+    inv_w = 1.0 / wv
+    f = -np.cumsum(b) / n
+    f -= (f @ inv_w) / inv_w.sum()
+    step = f * inv_w / n
+    x = np.concatenate(([0.0], np.cumsum(step[:-1])))
+    x -= x.mean()
+    residual = flux_apply(wv, x) - b
+    rnorm = float(np.linalg.norm(residual - residual.mean()))
+    scale = float(np.linalg.norm(rhs)) + 4.0 * n**2 * float(wv.max()) * float(np.linalg.norm(x))
+    return x, rnorm / scale

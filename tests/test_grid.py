@@ -106,6 +106,14 @@ class TestReferenceMeasure:
         with pytest.raises(ValueError, match="potential has"):
             reference_measure(make_grid(dim, 8), np.zeros(shape))
 
+    @pytest.mark.parametrize("dtype", [complex, bool, str, object])
+    def test_rejects_non_real_potential(self, dtype):
+        # a complex potential used to lose its imaginary part with only a
+        # ComplexWarning, and "0.5" strings were parsed as numbers
+        v = np.zeros(8).astype(dtype)
+        with pytest.raises(TypeError, match="real numbers"):
+            reference_measure(make_grid(1, 8), v)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_potential(self, bad):
         v = np.zeros(8)
@@ -145,6 +153,17 @@ class TestDensityValidation:
         values[0] = np.nan
         with pytest.raises(ValueError):
             Density(grid, values)
+
+    @pytest.mark.parametrize("dtype", [complex, bool, str, object])
+    def test_non_real_rejected(self, dtype):
+        values = np.full(8, 1 / 8).astype(dtype)
+        with pytest.raises(TypeError, match="real numbers"):
+            Density(make_grid(1, 8), values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+    def test_real_dtypes_cast_to_float64(self, dtype):
+        density = Density(make_grid(1, 8), np.ones(8, dtype=dtype))
+        assert density.values.dtype == np.float64 and density.mass == 8.0
 
     def test_values_are_a_read_only_view(self):
         # a write through the density would leave its cached solve set-up stale

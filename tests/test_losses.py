@@ -272,6 +272,34 @@ class TestSiteArrays:
                 self.LOSSES[loss](p, mu)
         assert np.isfinite(self.LOSSES[loss](mu.values, mu).value)
 
+    @pytest.mark.parametrize("loss", [*LOSSES, "combined a2>0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_loss_rejects_non_finite(self, loss, bad, dim, n):
+        # e2, e3 and the combined loss with alpha2 = 0 used to return nan,
+        # and with alpha2 > 0 to price such a p as infeasible (+inf)
+        entries = {
+            **self.LOSSES,
+            "combined a2>0": lambda p, mu: combined_eval(p, LossSpec(1.0, 1e-3, 1e-4, mu=mu)),
+        }
+        mu = self.measure(dim, n)
+        p = mu.values.copy()
+        p[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            entries[loss](p, mu)
+
+    @pytest.mark.parametrize("entry", [*LOSSES, "fisher_rao", "transform_forward"])
+    def test_complex_refused(self, entry):
+        # used to keep only the real part, with a ComplexWarning
+        entries = {
+            **self.LOSSES,
+            "fisher_rao": lambda g, mu: metric_apply_fn(MetricKind.FISHER_RAO, mu.grid)(mu, g),
+            "transform_forward": lambda p, mu: transform_forward(make_basis(mu.grid), p),
+        }
+        mu = self.measure(1, 16)
+        with pytest.raises(TypeError, match="real numbers"):
+            entries[entry](mu.values + 0.5j, mu)
+
     @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (0.0, 1e-3, 0.0)])
     def test_along_line_rejects_wrong_length(self, alphas):
         mu = self.measure(1, 16)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import stencil_reference as ref
 from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.experiments import build_potential
-from waveng.grid import Density, make_grid, reference_measure
+from waveng.grid import Density, axis_apply, make_grid, reference_measure
 from waveng.operators import (
     COARSE_WAVENUMBER,
     DENSE_PLAN_MAX_N,
@@ -160,6 +160,31 @@ class TestStencilOracles:
         x = rng.standard_normal(grid.total)
         want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
         np.testing.assert_array_equal(weighted_flux_apply(grid, w, x), want)
+
+    @pytest.mark.parametrize("dim,n", STENCIL_CASES)
+    def test_laplacian_bitwise(self, dim, n):
+        # the axis terms added in place, in 2D with no transposed copy, are
+        # the tensor rule's sum of D^T D along each axis
+        grid = make_grid(dim, n)
+        dtd = difference_matrix(n)[2]
+        x = np.random.default_rng(65 + n + dim).standard_normal(grid.total)
+        want = sum(axis_apply(dtd, x, axis, dim) for axis in range(dim))
+        np.testing.assert_array_equal(laplacian_apply(grid, x), want)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_closed_form_1d_bitwise(self, n):
+        # the bare sums and dot products of the 1D solve compute what
+        # np.mean and np.linalg.norm did: the same x and the same backward error
+        grid = make_grid(1, n)
+        w = random_weight(grid, 66 + n)
+        for seed in range(3):
+            rhs = np.random.default_rng(67 + n + seed).standard_normal(n)
+            want, backward_error = ref.closed_form_1d(w.values, rhs)
+            got = weighted_elliptic_pinv_apply(w, rhs)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(EllipticSolveError) as excinfo:
+                weighted_elliptic_pinv_apply(w, rhs, EllipticSolveConfig(rel_tolerance=1e-300))
+            assert excinfo.value.achieved_residual == backward_error
 
     @pytest.mark.parametrize("dim,n", [(2, 4), (2, 16)])
     def test_weighted_matrix_entries_bitwise(self, dim, n):
@@ -426,6 +451,7 @@ class TestWeightedPinv:
             {"rel_tolerance": -1e-10},
             {"rel_tolerance": float("nan")},
             {"rel_tolerance": float("inf")},
+            {"rel_tolerance": True},  # used to be accepted as 1.0
             {"max_iterations": 0},
             {"max_iterations": -3},
             {"max_iterations": 2.5},

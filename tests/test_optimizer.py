@@ -183,6 +183,26 @@ class TestLineSearch:
         assert got.quadratic[0] == q
         np.testing.assert_array_equal(got.quadratic[1], grad_q)
 
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
+    def test_loss_eval_twice_is_the_same(self, alphas):
+        # loss_eval writes only into arrays it makes: the trial's point and
+        # log(t/mu) are left as they are, so a second call gives the same bits
+        p, mu, _, _ = newton_setup(1, 64)
+        spec = LossSpec(*alphas, mu=mu)
+        ev = combined_eval(p.values, spec)
+        trial = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)(0.5)
+        assert trial.feasible
+        point = trial.point.copy()
+        log_ratio = None if trial.log_ratio is None else trial.log_ratio.copy()
+        first, second = trial.loss_eval(), trial.loss_eval()
+        assert first.gradient is not second.gradient
+        np.testing.assert_array_equal(first.gradient, second.gradient)
+        np.testing.assert_array_equal(first.quadratic[1], second.quadratic[1])
+        assert first.value == second.value and first.quadratic[0] == second.quadratic[0]
+        np.testing.assert_array_equal(trial.point, point)
+        if log_ratio is not None:
+            np.testing.assert_array_equal(trial.log_ratio, log_ratio)
+
     def test_evaluated_without_quadratic_part(self):
         # the line search takes q(r) and Q r from the evaluation it is given
         # and never re-solves for them
@@ -306,8 +326,9 @@ class TestRunDescent:
 
 class TestDescentConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DescentConfig(gap_tolerance=0.0)
+        for bad in (0.0, True, np.True_):  # a bool used to be accepted as 1.0
+            with pytest.raises(ValueError, match="gap_tolerance"):
+                DescentConfig(gap_tolerance=bad)
         # non-integer counts used to fail mid-descent with a TypeError
         for kwargs in (
             {"max_iterations": 2.5},
