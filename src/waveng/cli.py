@@ -12,9 +12,8 @@ from pathlib import Path
 
 from . import experiments
 from .experiments import PRESET_IDS, RunOverrides, load_preset, run_experiment
-from .grid import make_grid
 from .optimizer import DescentConfig
-from .wavelets import make_basis
+from .wavelets import daubechies_lowpass
 
 __all__ = ["main", "build_parser"]
 
@@ -30,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment preset")
     run.add_argument("--preset", required=True, help="preset id (see list-presets)")
     run.add_argument("--wavelet-order", type=int, default=defaults.wavelet_order, metavar="K")
-    run.add_argument("--levels", type=int, default=defaults.levels, metavar="L",
-                     help="decomposition depth (default: full)")
     run.add_argument("--max-iter", type=int, default=defaults.max_iterations, metavar="N")
     run.add_argument("--gap-tol", type=float, default=defaults.gap_tolerance, metavar="T")
     run.add_argument("--out-dir", default="out", metavar="DIR")
@@ -49,7 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     out_dir = Path(args.out_dir)
     try:
-        make_basis(make_grid(preset.dim, preset.n), order=args.wavelet_order, levels=args.levels)
+        daubechies_lowpass(args.wavelet_order)
         DescentConfig(max_iterations=args.max_iter, gap_tolerance=args.gap_tol)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as err:
@@ -57,7 +54,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     overrides = RunOverrides(
         wavelet_order=args.wavelet_order,
-        levels=args.levels,
         max_iterations=args.max_iter,
         gap_tolerance=args.gap_tol,
     )

@@ -111,10 +111,13 @@ def build_potential(grid: Grid, potential_id: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunOverrides:
-    """Run settings outside the preset; the CLI sets the first four, library callers all."""
+    """Run settings outside the preset.
+
+    The CLI sets wavelet_order, max_iterations and gap_tolerance.
+    """
 
     wavelet_order: int = 3
-    levels: int | None = None  # None = full depth
+    levels: None = None  # benchmark-only: make_basis refuses any other value
     max_iterations: int = 2000
     gap_tolerance: float = 1e-10
     kl_form: KLForm = KLForm.MASS_CORRECTED  # one member; perfbench passes it on

@@ -59,8 +59,9 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        dim = self.dim  # a bool or a float equals 1 or 2, but neither is a dimension
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {dim!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 4 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of 2 with n >= 4, got {self.n}")
         object.__setattr__(self, "dim", int(self.dim))

@@ -93,7 +93,8 @@ class LossSpec:
 
 def check_alphas(alphas: tuple[float, float, float]) -> None:
     """Raise ValueError unless every alpha is finite and >= 0 and one is positive."""
-    if not all(math.isfinite(a) and a >= 0 for a in alphas):
+    # a bool is a number, but True is no weight
+    if any(isinstance(a, (bool, np.bool_)) or not (math.isfinite(a) and a >= 0) for a in alphas):
         raise ValueError(f"alphas must be finite and nonnegative, got {alphas}")
     if max(alphas) == 0:
         raise ValueError("at least one alpha must be positive")

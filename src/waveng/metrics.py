@@ -30,10 +30,7 @@ Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
 gives d = +inf, freezing that coefficient (1/inf = 0); a slot with d = 0
 (possible only when alpha1 = alpha2 = 0 on the constant column, where
-h3 = 0) is treated as pseudo-inverse, 1/0 := 0.  Only a full-depth basis
-has a constant column, so only there is the mass frozen.  At partial depth
-it drifts: on 1d-4, depths 6/3/1 move it by up to 2.6/1.2/2.2 % and take
-27/41/189 iterations, against 13 at full depth.
+h3 = 0) is treated as pseudo-inverse, 1/0 := 0.
 """
 
 from __future__ import annotations
@@ -122,9 +119,9 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     operators.difference_matrix, so h3, the column sums of (DW)^2, is the
     diagonal of W^T D^T D W.  The 2D diagonals follow from these factors
     alone because every 2D basis column is an outer product of two 1D
-    columns.  The exactly constant scaling column of a full-depth basis
-    differences to exact zeros, which leaves its H1 row with no stored
-    entries and its h3 entry 0.0.
+    columns.  The exactly constant scaling column differences to exact
+    zeros, which leaves its H1 row with no stored entries and its h3
+    entry 0.0.
     """
     w = basis.matrix
     dw = difference_matrix(basis.grid.n)[0] @ w

@@ -124,8 +124,11 @@ def armijo_step(
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
     `evaluated` lets the caller pass combined_eval's result at p, whose
-    quadratic part saves a K-solve.
+    quadratic part saves a K-solve.  A density on another grid than the
+    loss's raises ValueError.
     """
+    if p.grid != spec.grid:
+        raise ValueError(f"start grid {p.grid} is not the loss grid {spec.grid}")
     ev = combined_eval(p.values, spec) if evaluated is None else evaluated
 
     def stall(

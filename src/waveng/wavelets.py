@@ -2,12 +2,11 @@
 
 A 1D basis is stored once as the sparse n x n matrix W whose columns are the
 basis functions.  W is the product of per-level sparse synthesis matrices
-with circular (periodic) wrap, so it is exactly orthogonal for any
-decomposition depth and holds O(n log n) nonzeros; this is the matrix form
-of the fast wavelet transform (Beylkin, Coifman & Rokhlin 1991).  Column
-layout is [detail level 1 (finest, n/2) | detail level 2 (n/4) | ... |
-detail level L | scaling level L], which makes the last column the coarsest
-scaling function.
+with circular (periodic) wrap, so it is exactly orthogonal and holds
+O(n log n) nonzeros; this is the matrix form of the fast wavelet transform
+(Beylkin, Coifman & Rokhlin 1991).  The cascade always runs to full depth,
+L = log2 n levels, so the columns are [detail level 1 (finest, n/2) | ... |
+detail level L (1) | scaling], the last being the constant 1/sqrt(n).
 
 Synthesis convention: tap r of the coefficient at position j of a level of
 length m lands on site (2j+r) mod m, so analysis reads
@@ -142,7 +141,7 @@ class WaveletBasis:
     the basis is the full tensor product of the 1D basis with itself and
     the coefficient array has length n^2, indexed (i1, i2) -> i1*n + i2
     like the sites.  Equality and hash are by identity, as for `Density`:
-    bases of different order or depth on one grid are distinct.
+    bases of different order on one grid are distinct.
     """
 
     grid: Grid
@@ -156,33 +155,32 @@ class WaveletBasis:
         object.__setattr__(self, "analysis", tensor_factor(self.matrix.T.tocsr(), dim))
 
 
-def make_basis(grid: Grid, order: int = 3, levels: int | None = None) -> WaveletBasis:
-    """Build a periodized wavelet basis on the grid.
+def make_basis(grid: Grid, order: int = 3, levels: None = None) -> WaveletBasis:
+    """Build the full-depth periodized wavelet basis on the grid.
 
-    Default depth is the full cascade (levels = log2 n), which ends in a
-    single scaling column stored as exactly 1/sqrt(n); the metric relies on
-    its discrete derivative vanishing exactly to freeze total mass.  Coarse
-    levels shorter than the filter wrap it modulo the level length, which
-    preserves exact orthogonality.  The default order (3 vanishing moments)
-    is the smallest at which the combined-metric descent behaves well on the
-    2D benchmarks.  A non-integer or boolean order or depth raises ValueError.
+    The cascade ends in a single scaling column stored as exactly
+    1/sqrt(n); the metric relies on its discrete derivative vanishing
+    exactly to freeze total mass.  Coarse levels shorter than the filter
+    wrap it modulo the level length, which preserves exact orthogonality.
+    The default order (3 vanishing moments) is the smallest at which the
+    combined-metric descent behaves well on the 2D benchmarks.  A
+    non-integer or boolean order raises ValueError, and so does any
+    `levels` but None, the benchmark's value: partial depth was removed.
     """
+    if levels is not None:
+        raise ValueError(f"partial depth was removed; levels must be None, got {levels!r}")
     lowpass = daubechies_lowpass(order)
     highpass = (-1.0) ** np.arange(len(lowpass)) * lowpass[::-1]
     n = grid.n
-    max_levels = int(np.log2(n))
-    levels = max_levels if levels is None else levels
-    _check_integer("levels", levels, max_levels)
     approx = sp.identity(n, format="csr")  # scaling functions of the current level
     columns = []
     m = n
-    for _ in range(levels):
+    while m > 1:
         columns.append(approx @ _synthesis_matrix(highpass, m))
         approx = approx @ _synthesis_matrix(lowpass, m)
         m //= 2
-    if m == 1:  # full depth: replace the roundoff-level constant by the exact one
-        approx = sp.csr_matrix(np.full((n, 1), 1.0 / np.sqrt(n)))
-    w = sp.hstack(columns + [approx], format="csr")
+    columns.append(sp.csr_matrix(np.full((n, 1), 1.0 / np.sqrt(n))))  # exact, unlike approx
+    w = sp.hstack(columns, format="csr")
     w.eliminate_zeros()
     w.sort_indices()
     return WaveletBasis(grid=grid, matrix=w)

@@ -36,15 +36,13 @@ def synthesis_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) 
     return v
 
 
-def loop_matrix(n: int, order: int, levels: int | None = None) -> np.ndarray:
-    """Dense 1D basis matrix W from the cascade, in the library's column layout."""
+def loop_matrix(n: int, order: int) -> np.ndarray:
+    """Dense 1D full-depth basis matrix W from the cascade, in the library's column layout."""
     h = daubechies_lowpass(order)
     g = np.array([(-1) ** i * h[len(h) - 1 - i] for i in range(len(h))])
-    if levels is None:
-        levels = int(np.log2(n))
     segments = []
     offset, m = 0, n
-    for _ in range(levels):
+    for _ in range(int(np.log2(n))):
         m //= 2
         segments.append((offset, m))
         offset += m

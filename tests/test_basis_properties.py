@@ -1,9 +1,9 @@
 """Property tests of the sparse basis matrix and the H1/H2/h3 factors.
 
-Draws n in {4, ..., 256}, Daubechies orders 1-10 and every decomposition
-depth, and checks W against the per-tap cascade in `cascade_reference`,
-orthogonality and the round trip, the Hessian diagonals against the dense
-diag(W^T M W) oracle, and the exactly empty constant row of H1.
+Draws n in {4, ..., 256} and Daubechies orders 1-10, and checks W against
+the per-tap cascade in `cascade_reference`, orthogonality and the round
+trip, the Hessian diagonals against the dense diag(W^T M W) oracle, and the
+exactly empty constant row of H1.
 """
 
 import numpy as np
@@ -22,29 +22,27 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 @st.composite
 def bases(draw, max_log2n=8, dims=(1,)):
-    """(dim, n, order, levels) with levels anywhere from 1 to full depth."""
+    """(dim, n, order)."""
     dim = draw(st.sampled_from(dims))
     log2n = draw(st.integers(2, max_log2n))
-    order = draw(st.integers(1, 10))
-    levels = draw(st.integers(1, log2n))
-    return dim, 2**log2n, order, levels
+    return dim, 2**log2n, draw(st.integers(1, 10))
 
 
 @PROPERTY_SETTINGS
 @given(bases())
-@example((1, 256, 10, 8))
-@example((1, 4, 10, 1))
+@example((1, 256, 10))
+@example((1, 4, 10))
 def test_matrix_matches_cascade(case):
-    _, n, order, levels = case
-    w = make_basis(make_grid(1, n), order=order, levels=levels).matrix.toarray()
-    assert np.max(np.abs(w - loop_matrix(n, order, levels))) <= 1e-13
+    _, n, order = case
+    w = make_basis(make_grid(1, n), order=order).matrix.toarray()
+    assert np.max(np.abs(w - loop_matrix(n, order))) <= 1e-13
 
 
 @PROPERTY_SETTINGS
 @given(bases(dims=(1, 2)), st.integers(0, 2**32 - 1))
 def test_orthogonal_with_exact_round_trip(case, seed):
-    dim, n, order, levels = case
-    basis = make_basis(make_grid(dim, n), order=order, levels=levels)
+    dim, n, order = case
+    basis = make_basis(make_grid(dim, n), order=order)
     w = basis.matrix.toarray()
     assert np.max(np.abs(w.T @ w - np.eye(n))) <= 1e-12
     v = np.random.default_rng(seed).standard_normal(n**dim)
@@ -55,11 +53,11 @@ def test_orthogonal_with_exact_round_trip(case, seed):
 
 @PROPERTY_SETTINGS
 @given(bases(dims=(1, 2), max_log2n=4), st.integers(0, 2**32 - 1))
-@example((2, 16, 10, 4), 0)
+@example((2, 16, 10), 0)
 def test_diagonals_match_dense_oracle(case, seed):
-    dim, n, order, levels = case
+    dim, n, order = case
     grid = make_grid(dim, n)
-    basis = make_basis(grid, order=order, levels=levels)
+    basis = make_basis(grid, order=order)
     pre = build_precomp(basis)
     w = dense_matrix(basis)
     p = np.random.default_rng(seed).uniform(0.5, 1.5, grid.total)

@@ -17,6 +17,9 @@ import pytest
 import scipy.sparse as sp
 
 from waveng import DescentConfig, MetricKind
+from waveng.experiments import RunOverrides
+from waveng.grid import make_grid
+from waveng.wavelets import make_basis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,3 +71,17 @@ def test_trace_reads_the_stored_precompute(workload):
     assert all(isinstance(a, np.ndarray) for a in stored)
     assert sum(a.nbytes for a in stored) > 0
     assert sum(pre.nnz) == pre.h1.nnz + pre.h2.nnz > 0
+
+
+def test_benchmark_only_levels_names_are_the_full_basis():
+    """`RunOverrides.levels` and `make_basis`'s `levels` keyword select nothing.
+
+    `perfbench/workloads.py` passes `levels=RunOverrides().levels`, so both
+    names stay, accepting None only, until ROADMAP item 2's benchmark change
+    deletes them together with that argument.
+    """
+    assert RunOverrides().levels is None
+    for grid in (make_grid(1, 64), make_grid(2, 16)):
+        got = make_basis(grid, order=3, levels=None).matrix
+        want = make_basis(grid).matrix
+        assert got.shape == want.shape and (got != want).nnz == 0

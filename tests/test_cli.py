@@ -101,6 +101,15 @@ class TestCli:
         assert excinfo.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_levels_flag_is_gone(self, tmp_path):
+        # a partial-depth basis has no constant column: the combined metric
+        # moved the mass and the run still reported converged
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--preset", "2d-2", "--levels", "3", "--out-dir", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_documents_every_run_flag(self):
         # every --flag named in README's CLI section is a `run` option and
         # every `run` option but --help is named there
@@ -116,7 +125,6 @@ class TestCli:
         "flag,value,message",
         [
             ("--wavelet-order", "11", "order"),
-            ("--levels", "20", "levels"),
             ("--max-iter", "-1", "max_iterations"),
             ("--gap-tol", "0", "gap_tolerance"),
             ("--gap-tol", "nan", "gap_tolerance"),

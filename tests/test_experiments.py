@@ -117,6 +117,19 @@ class TestRunExperiment:
         assert "wasserstein" in report.failures
         assert "combined" in report.histories
 
+    def test_levels_override_raises_before_any_descent(self, monkeypatch):
+        # the field is kept for the benchmark only; a depth used to build a
+        # basis with no constant column, whose runs reported converged at a
+        # drifted mass
+        import waveng.experiments as exp
+
+        def descent(*args, **kwargs):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(exp, "run_descent", descent)
+        with pytest.raises(ValueError, match="partial depth was removed"):
+            run_experiment(load_preset("2d-2"), RunOverrides(levels=3))
+
 
 class TestCsv:
     def test_header_and_row_count(self, tmp_path):

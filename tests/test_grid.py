@@ -39,11 +39,17 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(0, 8)
 
-    @pytest.mark.parametrize("dim,n", [(1, 6), (3, 4), (0, 8), (1, 2), (2, 12), (1, 8.0)])
+    @pytest.mark.parametrize(
+        "dim,n",
+        [(1, 6), (3, 4), (0, 8), (1, 2), (2, 12), (1, 8.0),
+         (True, 8), (np.True_, 8), (2.0, 8), (np.float64(1.0), 8)],
+    )
     def test_grid_built_directly_is_checked(self, dim, n):
         # Grid(1, 6) used to give a 6 x 5 basis, and on Grid(3, 4) the
-        # Laplacian applied the last axis in place of axis 1
-        with pytest.raises(ValueError, match="dim" if dim not in (1, 2) else "power of 2"):
+        # Laplacian applied the last axis in place of axis 1; True and 2.0
+        # used to pass as dims because they equal 1 and 2
+        dim_ok = type(dim) is int and dim in (1, 2)
+        with pytest.raises(ValueError, match="power of 2" if dim_ok else "dim"):
             Grid(dim, n)
 
     def test_grid_built_directly_equals_make_grid(self):

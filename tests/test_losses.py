@@ -214,10 +214,11 @@ class TestCombined:
             LossSpec(-1.0, 0.0, 1.0, mu=mu)
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, False, np.True_, np.False_])
     def test_non_finite_alpha_rejected(self, slot, bad):
         # a nan alpha used to drop its term silently (nan > 0 is False) and
-        # an inf alpha to make every density infeasible
+        # an inf alpha to make every density infeasible; a bool used to be
+        # stored as the alpha
         alphas = [1.0, 1e-3, 1e-4]
         alphas[slot] = bad
         with pytest.raises(ValueError, match="finite"):

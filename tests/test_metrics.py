@@ -397,10 +397,11 @@ class TestMetricProperties:
             metric_apply_fn(MetricKind.COMBINED, make_grid(1, 16))
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, True, False, np.True_])
     def test_dispatcher_rejects_bad_alpha(self, slot, bad):
         # checked as LossSpec checks them: a nan or negative alpha used to
-        # drop its term silently (a1 > 0 is False for both)
+        # drop its term silently (a1 > 0 is False for both), and a bool
+        # was taken as a weight
         grid = make_grid(1, 16)
         alphas = [1.0, 1e-3, 1e-4]
         alphas[slot] = bad

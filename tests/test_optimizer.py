@@ -302,6 +302,15 @@ class TestRunDescent:
         with pytest.raises(ValueError, match="grid"):
             run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
 
+    def test_armijo_step_rejects_density_on_another_grid(self):
+        # same site count (16), different grid: combined_eval checks only the
+        # length, so the step used to be accepted
+        grid = make_grid(2, 4)
+        mu = reference_measure(grid, np.linspace(0.0, 1.0, 16))
+        spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
+        with pytest.raises(ValueError, match="start grid .* is not the loss grid"):
+            armijo_step(uniform_density(make_grid(1, 16)), spec, identity_metric)
+
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_rejects_metric_bound_to_another_grid(self, kind):
         # same site count (16), different grid: a metric bound to 1D n = 16

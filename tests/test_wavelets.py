@@ -20,11 +20,12 @@ SQRT2 = np.sqrt(2.0)
 
 
 def finest_highpass(order: int) -> np.ndarray:
-    """The highpass taps make_basis uses, read back from its first column at depth 1.
+    """The highpass taps make_basis uses, read back from its first column.
 
-    At n = 32 no filter of order <= 10 wraps, so tap r of column 0 is row r.
+    Column 0 is the first finest-level wavelet.  At n = 32 no filter of
+    order <= 10 wraps, so tap r of column 0 is row r.
     """
-    column = make_basis(make_grid(1, 32), order=order, levels=1).matrix[:, 0].toarray().ravel()
+    column = make_basis(make_grid(1, 32), order=order).matrix[:, 0].toarray().ravel()
     assert not column[2 * order :].any()
     return column[: 2 * order]
 
@@ -88,26 +89,33 @@ class TestFilters:
 
 
 class TestMakeBasisArguments:
+    # a partial-depth basis has no constant column, so the combined metric
+    # moved the mass and runs still reported converged; every depth is
+    # refused, the full one (5 at n = 32) too, since it is the only basis
     @pytest.mark.parametrize(
         "order,levels,name",
         [(3, 2.5, "levels"), (3, 3.0, "levels"), (3, True, "levels"), (3, 0, "levels"),
-         (3, 6, "levels"), (True, None, "order"), (3.0, None, "order"), ([3], None, "order")],
+         (3, 6, "levels"), (True, None, "order"), (3.0, None, "order"), ([3], None, "order"),
+         (3, 1, "levels"), (3, 5, "levels"), (3, np.int64(5), "levels")],
     )
     def test_rejects_bad_arguments(self, order, levels, name):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        message = "partial depth was removed" if name == "levels" else "order must be an integer"
+        with pytest.raises(ValueError, match=message):
             make_basis(make_grid(1, 32), order=order, levels=levels)
 
     def test_numpy_integers_accepted(self):
-        got = make_basis(make_grid(1, 32), order=np.int64(3), levels=np.int64(5)).matrix
-        want = make_basis(make_grid(1, 32), order=3, levels=5).matrix
+        got = make_basis(make_grid(1, 32), order=np.int64(3)).matrix
+        want = make_basis(make_grid(1, 32), order=3).matrix
         assert (got != want).nnz == 0
 
 
 class TestForwardTransform:
-    def test_haar_n4_single_level(self):
-        basis = make_basis(make_grid(1, 4), order=1, levels=1)
+    def test_haar_n4_full_depth(self):
+        # finest details (1-2, 3-4)/sqrt 2, then the level-2 detail of the
+        # pair sums 3/sqrt 2 and 7/sqrt 2, then their scaling sum 10/2
+        basis = make_basis(make_grid(1, 4), order=1)
         c = transform_forward(basis, np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(c, np.array([-1.0, -1.0, 3.0, 7.0]) / SQRT2, atol=1e-14)
+        np.testing.assert_allclose(c, [-1 / SQRT2, -1 / SQRT2, -2.0, 5.0], atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_constant_vector(self, order):
@@ -161,11 +169,6 @@ class TestOrthonormality:
         basis = make_basis(make_grid(1, n), order=order)
         w = dense_matrix(basis)
         assert np.max(np.abs(w.T @ w - np.eye(n))) <= 1e-10
-
-    def test_partial_depth_still_orthogonal(self):
-        basis = make_basis(make_grid(1, 64), order=3, levels=2)
-        w = dense_matrix(basis)
-        assert np.max(np.abs(w.T @ w - np.eye(64))) <= 1e-10
 
 
 class TestVanishingMoments:
