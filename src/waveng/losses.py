@@ -13,12 +13,14 @@ them uniformly instead of catching exceptions.
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
-so `along_line` forms Q s once (one K-solve) and a trial step costs one
-KL pass: two new arrays, t = p - eta s (a multiply, then the subtract in
-place) and log(t/mu) (a divide, then the log in place), one dot product
-and one sum.  It returns a LineTrial holding the value, t and log(t/mu),
-and builds no gradient.  The accepted trial alone forms its
-gradient and LossEval, and its point becomes the next density.  The KL
+so `along_line` forms Q s once (one K-solve) and returns a Line, on which
+a trial step costs one KL pass: two new arrays, t = p - eta s (a
+multiply, then the subtract in place) and log(t/mu) (a divide, then the
+log in place), one dot product and one sum.  It returns a LineTrial
+holding the value, t and log(t/mu), and builds no gradient.  The
+accepted trial alone forms its gradient and LossEval, and its point
+becomes the next density.  `Line.lower_bounds` bounds a trial's value
+from below by scalar arithmetic, with no trial array.  The KL
 formula is written once, in a private kernel that `e2_eval` and the line
 share.  A LossSpec holds no state: every K-solve passes
 mu itself, and `operators` caches the 2D solve's set-up per weight density
@@ -35,9 +37,9 @@ evaluating E(mu) builds nothing.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -54,8 +56,11 @@ __all__ = [
     "e3_eval",
     "combined_eval",
     "LineTrial",
+    "Line",
     "along_line",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 class KLForm(str, Enum):
@@ -211,21 +216,21 @@ def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
 
 @dataclass(eq=False, slots=True)
 class LineTrial:
-    """The combined loss at one trial point t = p - eta s of `along_line`.
+    """The combined loss at one trial point t = p - eta s of a `Line`.
 
     `value` is alpha2 E2(t) + q(t), +inf when a site of t is <= 0.  A
-    feasible trial keeps t (`point`) and log(t/mu) (`log_ratio`, None when
-    alpha2 = 0), from which `loss_eval`, through the line's closure `line`,
-    forms the gradient at t with no second KL pass.  Compared by identity;
-    not frozen, since a frozen record takes 1.4 us to build against 0.4 us,
-    a tenth of a trial's KL pass at n = 512.
+    feasible trial keeps t (`point`), log(t/mu) (`log_ratio`, None when
+    alpha2 = 0) and its line, from which `loss_eval` forms the gradient at
+    t with no second KL pass.  Compared by identity; not frozen, since a
+    frozen record takes 1.4 us to build against 0.4 us, a tenth of a
+    trial's KL pass at n = 512.
     """
 
     value: float
     eta: float
     point: np.ndarray | None = None
     log_ratio: np.ndarray | None = None
-    line: Callable[[LineTrial], LossEval] | None = field(default=None, repr=False)
+    line: Line | None = field(default=None, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -235,12 +240,103 @@ class LineTrial:
         """The LossEval at t: gradient alpha2 log(t/mu) + Q r - eta Q s, quadratic part q(t)."""
         if self.line is None:
             raise ValueError("an infeasible trial has no gradient")
-        return self.line(self)
+        return self.line.loss_eval(self)
 
 
-def along_line(
-    spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray
-) -> Callable[[float], LineTrial]:
+@dataclass(eq=False, slots=True)
+class Line:
+    """The combined loss along p - eta s as a function of eta, built by along_line.
+
+    Calling it with eta prices that trial: one KL pass (none when alpha2 =
+    0) and the quadratic part in closed form.  `lower_bounds(eta)` yields
+    floats that the trial's value cannot undercut, by scalar arithmetic.
+    Compared by identity.
+    """
+
+    alpha2: float
+    mu: np.ndarray
+    mu_mass: float
+    p: np.ndarray
+    s: np.ndarray
+    value: float  # E(p)
+    gradient: np.ndarray  # g, the gradient at p
+    qv: float  # q(r)
+    qr: np.ndarray  # Q r
+    qs: np.ndarray  # Q s
+    s_qr: float
+    s_qs: float
+    kappa: float  # how far below 0 the computed KL of a t > 0 can round
+    # <s, g> and the convexity bound's rounding terms, formed at most once
+    _slope: float | None = field(default=None, init=False, repr=False)
+    _rounding: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
+
+    def q_at(self, eta: float) -> float:
+        return self.qv - eta * self.s_qr + 0.5 * eta * eta * self.s_qs
+
+    # each vector below is one new array, written in place in the order of
+    # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, p - eta s)
+    def loss_eval(self, trial: LineTrial) -> LossEval:
+        grad_q = self.qs * trial.eta
+        np.subtract(self.qr, grad_q, out=grad_q)
+        if trial.log_ratio is None:
+            gradient = grad_q
+        else:  # trial.log_ratio is left as it is, so a second call sees the same trial
+            gradient = np.multiply(trial.log_ratio, self.alpha2)
+            gradient += grad_q
+        return LossEval(trial.value, gradient, (self.q_at(trial.eta), grad_q))
+
+    def __call__(self, eta: float) -> LineTrial:
+        t = np.multiply(self.s, eta)
+        np.subtract(self.p, t, out=t)
+        if t.min() <= 0.0:
+            return LineTrial(np.inf, eta)
+        if self.alpha2 == 0:
+            return LineTrial(self.q_at(eta), eta, t, None, self)
+        kl, log_ratio = _kl(t, self.mu, self.mu_mass)
+        return LineTrial(self.alpha2 * kl + self.q_at(eta), eta, t, log_ratio, self)
+
+    def lower_bounds(self, eta: float, convexity: bool = True) -> Iterator[float]:
+        """Floats that self(eta).value provably cannot undercut, cheapest first.
+
+        For eta a power of two.  (i) q(eta) - alpha2 kappa, since the
+        computed KL of a t > 0 is at least -kappa; with alpha2 = 0 it is the
+        trial's value itself.  (ii) Unless `convexity` is False, and only
+        when eta <s, Q s> > <s, g>: the convexity bound
+        E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta), whose slope and norms
+        (five dot products) are formed once per line.  An infeasible trial
+        is +inf, above both.  The optimizer docstring derives both bounds.
+        """
+        yield self.q_at(eta) - self.alpha2 * self.kappa
+        if not convexity or self.alpha2 == 0:
+            return
+        if self._slope is None:
+            self._slope = float(self.s @ self.gradient)
+        if not eta * self.s_qs > self._slope:
+            return
+        if self._rounding is None:
+            self._rounding = self._convexity_rounding()
+        e0, e1, e2 = self._rounding
+        yield (
+            self.value - eta * self._slope + 0.5 * eta * eta * self.s_qs
+            - (e0 + eta * (e1 + eta * e2))
+        )
+
+    def _convexity_rounding(self) -> tuple[float, float, float]:
+        """(e0, e1, e2) of the rounding allowance E(eta) = e0 + eta e1 + eta^2 e2."""
+        def norm(x: np.ndarray) -> float:
+            return math.sqrt(x @ x)
+
+        n = self.p.size
+        c = 2 * (n + 16) * _EPS
+        gq = norm(self.gradient) + norm(self.qr) + self.alpha2 * math.sqrt(n)
+        p_norm = norm(self.p)
+        e0 = c * (p_norm * gq + 5 * self.alpha2 * self.mu_mass)
+        e0 += 8 * _EPS * (abs(self.value) + abs(self.qv))
+        e1 = c * norm(self.s) * gq + 8 * _EPS * (abs(self.s_qr) + abs(self._slope))
+        return e0, e1, 8 * _EPS * abs(self.s_qs)
+
+
+def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Line:
     """The combined loss along p - eta s as a function of eta.
 
     ev is the evaluation at p.  The quadratic part is priced in closed form,
@@ -248,11 +344,11 @@ def along_line(
         q(r - eta s) = q(r) - eta <s, Q r> + eta^2 / 2 <s, Q s>,
         grad q(r - eta s) = Q r - eta Q s,
 
-    so Q s is formed once here and each call costs one KL pass (none when
-    alpha2 = 0) and returns a LineTrial; its gradient is formed only by
-    LineTrial.loss_eval.  The quadratic part (q(r), Q r) is taken from ev,
-    which must come from combined_eval or an accepted trial.  A trial point
-    with a site <= 0 evaluates to +inf whatever the alphas.
+    so Q s is formed once here and each call of the Line costs one KL
+    pass (none when alpha2 = 0) and returns a LineTrial; its gradient is
+    formed only by LineTrial.loss_eval.  The quadratic part (q(r), Q r) is
+    taken from ev, which must come from combined_eval or an accepted trial.
+    A trial point with a site <= 0 evaluates to +inf whatever the alphas.
     """
     if ev.quadratic is None:
         raise ValueError("ev carries no quadratic part: evaluate p with combined_eval")
@@ -260,33 +356,10 @@ def along_line(
     s = check_vector(spec.grid, s)
     qv, qr = ev.quadratic
     qs = _quadratic_apply(spec, s)
-    s_qr = float(s @ qr)
-    s_qs = float(s @ qs)
-    alpha2, mu, mu_mass = spec.alpha2, spec.mu.values, spec.mu.mass
-
-    def q_at(eta: float) -> float:
-        return qv - eta * s_qr + 0.5 * eta * eta * s_qs
-
-    # each vector below is one new array, written in place in the order of
-    # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, pv - eta s)
-    def loss_eval(trial: LineTrial) -> LossEval:
-        grad_q = qs * trial.eta
-        np.subtract(qr, grad_q, out=grad_q)
-        if trial.log_ratio is None:
-            gradient = grad_q
-        else:  # trial.log_ratio is left as it is, so a second call sees the same trial
-            gradient = np.multiply(trial.log_ratio, alpha2)
-            gradient += grad_q
-        return LossEval(trial.value, gradient, (q_at(trial.eta), grad_q))
-
-    def at(eta: float) -> LineTrial:
-        t = np.multiply(s, eta)
-        np.subtract(pv, t, out=t)
-        if t.min() <= 0.0:
-            return LineTrial(np.inf, eta)
-        if alpha2 == 0:
-            return LineTrial(q_at(eta), eta, t, None, loss_eval)
-        kl, log_ratio = _kl(t, mu, mu_mass)
-        return LineTrial(alpha2 * kl + q_at(eta), eta, t, log_ratio, loss_eval)
-
-    return at
+    mu_mass = spec.mu.mass
+    return Line(
+        alpha2=spec.alpha2, mu=spec.mu.values, mu_mass=mu_mass, p=pv, s=s,
+        value=ev.value, gradient=ev.gradient, qv=qv, qr=qr, qs=qs,
+        s_qr=float(s @ qr), s_qs=float(s @ qs),
+        kappa=(pv.size + 16) * _EPS * mu_mass,
+    )

@@ -107,6 +107,18 @@ class MetricPrecomp:
         """diag(W^T diag(p) W): H2 along every axis, H2 p or H2 P H2^T in 2D."""
         return tensor_apply(self.h2_factors, p)
 
+    def h1_h2_apply(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h1_apply(p), h2_apply(p)), bit for bit, with H2 P formed once in 2D.
+
+        The second H1 term H2 P H1^T and H2 P H2^T both start from the
+        product H2 P, so a 2D call is five dgemm, not six.
+        """
+        if len(self.h2_factors) == 1:
+            return self.h1_apply(p), self.h2_apply(p)
+        first_term, (h2, h1) = self.h1_terms
+        h2p = h2 @ p.reshape(h2.shape[1], -1)  # the first product of tensor_apply
+        return tensor_apply(first_term, p) + (h2p @ h1.T).reshape(-1), (h2p @ h2.T).reshape(-1)
+
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3 added coordinatewise over the axes."""
         return functools.reduce(np.add.outer, [self.h3] * self.basis.grid.dim).ravel()
@@ -163,9 +175,13 @@ def _combined_metric_fn(
         scale = fixed_scale
         if scale is None:
             with np.errstate(divide="ignore"):
-                d = a1 / pre.h1_apply(pv) if a1 > 0 else 0.0
-                if a2 > 0:
-                    d = d + a2 / pre.h2_apply(pv)
+                if a1 > 0 and a2 > 0:
+                    h1p, h2p = pre.h1_h2_apply(pv)
+                    d = a1 / h1p + a2 / h2p
+                elif a1 > 0:
+                    d = a1 / pre.h1_apply(pv)
+                else:
+                    d = a2 / pre.h2_apply(pv)
             if d3 is not None:
                 d = d + d3
             scale = 1.0 / d  # d = +inf -> 0

@@ -401,7 +401,9 @@ def _closed_form_1d(
     f = -np.cumsum(b) / n
     f -= (f @ inv_w) / inv_w.sum()
     step = f * inv_w / n
-    x = np.concatenate(([0.0], np.cumsum(step[:-1])))
+    x = np.empty(n)  # x[0] = 0 and the running sum of step after it, in one array
+    x[0] = 0.0
+    np.add.accumulate(step[:-1], out=x[1:])
     x -= x.sum() / n
     residual = weighted_flux_apply(w.grid, w.values, x)
     residual -= b

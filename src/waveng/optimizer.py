@@ -7,7 +7,8 @@ MAX_HALVINGS times) until
     E(p - eta s) - E(p) <= -eta/2 * <s, g>,
 
 up to a rounding slack (ROUNDING_SLACK), and never for a trial that
-raises the loss.  The loss E is the combined loss of a LossSpec.
+raises the loss (`armijo_accepts`).  The loss E is the combined loss of a
+LossSpec.
 Infeasible trial points evaluate to +inf and are rejected like any other
 failed trial.  A step with nonpositive directional slope <s, g> stalls the
 run rather than ascending.
@@ -18,6 +19,65 @@ halvings it takes, and a trial one KL pass, with no gradient.  Only the
 accepted trial forms its evaluation, whose gradient and quadratic part
 the next step uses with no solve, and its trial point becomes the next
 density.
+
+Trials ruled out unpriced.  The rule is monotone in the computed trial
+value, so a float L that the value provably cannot undercut, and that
+already fails the rule, rejects the trial with no trial array and no KL
+pass.  The halving still counts; `StepDiagnostics.trials` counts the
+priced trials only.  `Line.lower_bounds` gives two such floats.  Every
+trial tries (i); after a rejected first trial, (ii) is tried too.  An
+infeasible trial is +inf, above any L, so neither needs a feasibility
+test.  A NaN bound rules a trial out, as pricing would: it comes from a
+NaN q(eta), which the trial's value carries too.
+
+Notation: u = eps/2 is the unit roundoff, gamma_k = k u / (1 - k u), N
+the number of sites, M = mass(mu) as computed, and fl() a rounded result.
+The trial value is fl(fl(a2 K_c(t)) + q_c(eta)), where q_c(eta) is the
+very float the line prices as q(eta), t = fl(p - eta s) (eta s is exact,
+eta being a power of two), and K_c(t) = fl(fl(<t, l> - sum t) + M) with
+l = fl(log fl(t/mu)).  Assumed: NumPy's float64 log is within 4 ulps (its
+own tests hold it to 1), t/mu does not underflow, nothing overflows.
+
+(i) KL >= 0.  With z_i = log(t_i/mu_i), the errors of the divide, the
+log, the dot product, the sum, the subtraction and of M add up to at most
+beta sum_i mu_i (e^z_i (|z_i| + 1) + 1), beta = gamma_{N+10}.  The exact
+KL is sum_i mu_i phi(z_i), phi(z) = e^z (z - 1) + 1 >= 0 (the log-sum
+inequality, site by site).  So
+
+    K_c(t) >= -(1 + u) sum_i mu_i max_z [beta (e^z (|z| + 1) + 1) - phi(z)].
+
+On z <= 0 the bracket is at most 2 beta (at z = 0), since e^z (1 - z)
+<= 1 and phi >= 0; on z > 0 its one critical point z = 2 beta / (1 - beta)
+gives (1 - beta)(e^z - 1) <= 2 beta (1 + 3 beta).  So K_c(t) >= -(N + 10) eps M (1 + O(N u)), and
+kappa = (N + 16) eps M covers that, the error of M and of kappa itself.
+By monotone rounding the value is at least fl(q_c(eta) - fl(a2 kappa)),
+bound (i); with a2 = 0 it is the value itself.
+
+(ii) Convexity of KL at p.  With lambda = log(p/mu) exact, K(t) >= K(p) +
+<lambda, t - p> and t - p = -eta s + e, |e_i| <= u t_i.  The evaluation at
+p computed E(p) = fl(fl(a2 K_c(p)) + q(r)) and g = fl(fl(a2 l_p) + Q r),
+so a2 <lambda, s> is <g - Q r, s> up to u-sized terms, <s, g> and <s, Q r>
+are within gamma_N ||s|| ||g|| and gamma_N ||s|| ||Q r||, and a2 ||lambda||
+<= (||g|| + ||Q r||)(1 + O(u)) + 5 eps a2 sqrt N.  Since
+e^z (|z| + 1) + 1 <= 2 phi(z) + 7 (check z <= 0, 0 < z < 2 and z >= 2),
+the errors of (i) give K_c(t) >= (1 - 2 beta) K(t) - 7 beta M, and
+K_c(p) <= K(p) + beta (||p|| ||lambda|| + sqrt N ||p|| + M).  Collected,
+with the roundings of q_c(eta), E(p), the trial value and L itself:
+
+    value >= E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta),
+    E(eta) = c ((||p|| + eta ||s||)(||g|| + ||Q r|| + a2 sqrt N) + 5 a2 M)
+             + 8 eps (|E(p)| + |q(r)| + eta |<s, Q r>| + eta |<s, g>|
+                      + eta^2 |<s, Q s>|),   c = 2 (N + 16) eps.
+
+To first order in u the proof needs 1.5 (N + 11) eps on ||p|| (||g|| +
+||Q r||), (1.5 N + 16) eps on eta ||s|| (||g|| + ||Q r||), (N + 10) eps / 2
+on a2 sqrt N ||p||, 4 eps on a2 sqrt N eta ||s||, 5 (N + 10) eps on a2 M
+and 4 eps on the last sum: E(eta) holds a margin of a quarter or more on
+each, which covers the second-order terms and the rounding of the norms.
+In exact arithmetic L = E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta)
+fails the rule only when eta <s, Q s> > <s, g>, so (ii) is formed only
+then; its five dot products, <s, g> and the four norms, at most once per
+step.
 """
 
 from __future__ import annotations
@@ -71,6 +131,7 @@ class StepDiagnostics:
     accepted: bool
     eta: float
     halvings: int
+    trials: int  # trials priced; the other halvings - trials + 1 were ruled out unpriced
     slope: float
     value_before: float
     value_after: float
@@ -113,6 +174,18 @@ class DescentHistory:
         return np.array([getattr(r, name) for r in self.records])
 
 
+def armijo_accepts(value: float, value_before: float, eta: float, slope: float) -> bool:
+    """The Armijo rule on a computed trial value: True when the trial is accepted.
+
+    It is monotone in `value`: a value that fails it fails for every
+    larger value too, and +inf and NaN fail it.
+    """
+    decrease = value - value_before
+    slack = ROUNDING_SLACK * (abs(value_before) + eta * slope)
+    # the slack never admits a trial that raises the loss
+    return decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack
+
+
 def armijo_step(
     p: Density,
     spec: LossSpec,
@@ -132,10 +205,10 @@ def armijo_step(
     ev = combined_eval(p.values, spec) if evaluated is None else evaluated
 
     def stall(
-        reason: str, slope: float, eta: float = 0.0, halvings: int = 0
+        reason: str, slope: float, eta: float = 0.0, halvings: int = 0, trials: int = 0
     ) -> tuple[Density, LossEval, StepDiagnostics]:
         diag = StepDiagnostics(
-            accepted=False, eta=eta, halvings=halvings, slope=slope,
+            accepted=False, eta=eta, halvings=halvings, trials=trials, slope=slope,
             value_before=ev.value, value_after=ev.value, reason=reason,
         )
         return p, ev, diag
@@ -153,20 +226,23 @@ def armijo_step(
     # nonpositive trials evaluate to +inf, keeping the descent in the
     # metrics' domain (the positive orthant)
     line = along_line(spec, p.values, ev, s)
-    eta = 1.0
+    eta, trials = 1.0, 0
     for halvings in range(MAX_HALVINGS + 1):
-        trial = line(eta)
-        decrease = trial.value - ev.value
-        slack = ROUNDING_SLACK * (abs(ev.value) + eta * slope)
-        # the slack never admits a trial that raises the loss
-        if decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack:
-            diag = StepDiagnostics(
-                accepted=True, eta=eta, halvings=halvings, slope=slope,
-                value_before=ev.value, value_after=trial.value,
-            )
-            return Density(p.grid, trial.point), trial.loss_eval(), diag
+        # a trial whose value a lower bound already shows to fail the rule
+        # is rejected unpriced (the rule is monotone in the value); the
+        # first trial, which most steps accept, gets only the scalar bound
+        bounds = line.lower_bounds(eta, convexity=halvings > 0)
+        if all(armijo_accepts(bound, ev.value, eta, slope) for bound in bounds):
+            trials += 1
+            trial = line(eta)
+            if armijo_accepts(trial.value, ev.value, eta, slope):
+                diag = StepDiagnostics(
+                    accepted=True, eta=eta, halvings=halvings, trials=trials, slope=slope,
+                    value_before=ev.value, value_after=trial.value,
+                )
+                return Density(p.grid, trial.point), trial.loss_eval(), diag
         eta *= 0.5
-    return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS)
+    return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS, trials)
 
 
 def run_descent(

@@ -136,6 +136,17 @@ class TestDiagonalIdentities:
         np.testing.assert_array_equal(pre.h2_apply(p), h2p)
         np.testing.assert_array_equal(pre.h3_diagonal(), np.add.outer(pre.h3, pre.h3).ravel())
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 4), (2, 16), (2, 64)])
+    def test_h1_h2_apply_is_both_diagonals_bitwise(self, dim, n):
+        # the combined metric with alpha1, alpha2 > 0 forms H2 P once for both
+        # diagonals; that reuse changes no bit of either
+        grid = make_grid(dim, n)
+        pre = build_precomp(make_basis(grid))
+        p = random_density(grid, np.random.default_rng(57 + n)).values
+        h1p, h2p = pre.h1_h2_apply(p)
+        assert h1p.tobytes() == pre.h1_apply(p).tobytes()
+        assert h2p.tobytes() == pre.h2_apply(p).tobytes()
+
 
 class TestScaling:
     def test_nnz_growth_order2(self):
