@@ -1,8 +1,8 @@
 """Periodic uniform grids on [0,1]^d, densities over them, and the tensor rule.
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
-wavelet layout requires).  A density is a nonnegative mass-per-site vector;
-normalized densities sum to one.  A Density holds a read-only copy of its
+wavelet layout requires).  A density is a nonnegative mass-per-site vector
+whose mass is `Density.mass`.  A Density holds a read-only copy of its
 values and is compared and hashed by identity, so a cache can key on it
 (`operators` keeps the 2D solve's set-up per weight density).  Every other
 site vector, a potential, a gradient or the argument of a loss, is a plain
@@ -44,7 +44,6 @@ __all__ = [
     "tensor_apply",
 ]
 
-NORMALIZATION_TOL = 1e-12
 # dtype kinds cast to float64 without loss of meaning: signed and unsigned
 # integers and real floats.  Complex input would lose its imaginary part,
 # and bools, strings and objects are not site values.
@@ -88,7 +87,6 @@ class Density:
 
     grid: Grid
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         values = np.array(_real(self.values, "density values"), dtype=np.float64)
@@ -100,8 +98,6 @@ class Density:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
-        if self.normalized and abs(values.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("density flagged normalized but does not sum to 1")
 
     @property
     def min(self) -> float:
@@ -134,18 +130,22 @@ def boltzmann_weights(v: np.ndarray) -> np.ndarray:
 
 
 def reference_measure(grid: Grid, potential: np.ndarray) -> Density:
-    """Reference density exp(-V)/Z, V one value per site; strictly positive, sums to 1."""
+    """Reference density exp(-V)/Z, V one value per site; sums to 1, ValueError unless > 0."""
     v = _real(potential, "potential values")
     if v.shape != (grid.total,):
         raise ValueError(f"potential has {v.shape} values, grid expects ({grid.total},)")
     if not np.all(np.isfinite(v)):
         raise ValueError("potential values must be finite")
-    return Density(grid, boltzmann_weights(v), normalized=True)
+    w = boltzmann_weights(v)
+    if w.min() <= 0.0:
+        span = float(v.max()) - float(v.min())
+        raise ValueError(f"potential spans {span:.6g}: exp(-V) underflows to 0 at a site")
+    return Density(grid, w)
 
 
 def uniform_density(grid: Grid) -> Density:
     """Uniform density, 1/total at every site."""
-    return Density(grid, np.full(grid.total, 1.0 / grid.total), normalized=True)
+    return Density(grid, np.full(grid.total, 1.0 / grid.total))
 
 
 def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:

@@ -18,17 +18,17 @@ a trial step costs one KL pass: two new arrays, t = p - eta s (a
 multiply, then the subtract in place) and log(t/mu) (a divide, then the
 log in place), one dot product and one sum.  It returns a LineTrial
 holding the value, t and log(t/mu), and builds no gradient.  The
-accepted trial alone forms its gradient and LossEval, and its point
-becomes the next density.  `Line.lower_bounds` bounds a trial's value
-from below by scalar arithmetic, with no trial array.  The KL
-formula is written once, in a private kernel that `e2_eval` and the line
-share.  A LossSpec holds no state: every K-solve passes
-mu itself, and `operators` caches the 2D solve's set-up per weight density
-(by identity): the ground-state operator S^-1 L_mu S^-1 with
-S = diag(sqrt mu) and the inverse of its Galerkin block on the low Fourier
-modes, the coarse half of the solve's two-level preconditioner.  It is
-built on the first nonzero right-hand side and reused for the rest of the
-run, and never for alpha1 = 0 or in 1D.
+accepted trial alone forms its gradient and LossEval, by
+`Line.loss_eval(trial)`, and its point becomes the next density.
+`Line.lower_bounds` bounds a trial's value from below by scalar
+arithmetic, with no trial array.  The KL formula is written once, in a
+private kernel that `e2_eval` and the line share.  A LossSpec holds no
+state: every K-solve passes mu itself, and `operators` caches the 2D
+solve's set-up per weight density (by identity): the ground-state
+operator S^-1 L_mu S^-1 with S = diag(sqrt mu) and the inverse of its
+Galerkin block on the low Fourier modes, the coarse half of the solve's
+two-level preconditioner.  It is built on the first nonzero right-hand
+side and reused for the rest of the run, and never for alpha1 = 0 or in 1D.
 The 1D difference matrices (cached per n in `operators`) are likewise
 built on the first nonzero Q v.  Q 0 = 0 touches no operator, so
 evaluating E(mu) builds nothing.
@@ -111,7 +111,7 @@ class LossEval:
 
     `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
     quadratic terms of a combined loss, already included in value and
-    gradient; combined_eval and LineTrial.loss_eval set it, and
+    gradient; combined_eval and Line.loss_eval set it, and
     along_line needs it.  The single-term evaluations leave it None.
     Compared by identity.
     """
@@ -219,9 +219,9 @@ class LineTrial:
     """The combined loss at one trial point t = p - eta s of a `Line`.
 
     `value` is alpha2 E2(t) + q(t), +inf when a site of t is <= 0.  A
-    feasible trial keeps t (`point`), log(t/mu) (`log_ratio`, None when
-    alpha2 = 0) and its line, from which `loss_eval` forms the gradient at
-    t with no second KL pass.  Compared by identity; not frozen, since a
+    feasible trial keeps t (`point`) and log(t/mu) (`log_ratio`, None when
+    alpha2 = 0), from which `Line.loss_eval` forms the gradient at t with
+    no second KL pass.  Compared by identity; not frozen, since a
     frozen record takes 1.4 us to build against 0.4 us, a tenth of a
     trial's KL pass at n = 512.
     """
@@ -230,17 +230,10 @@ class LineTrial:
     eta: float
     point: np.ndarray | None = None
     log_ratio: np.ndarray | None = None
-    line: Line | None = field(default=None, repr=False)
 
     @property
     def feasible(self) -> bool:
         return np.isfinite(self.value)
-
-    def loss_eval(self) -> LossEval:
-        """The LossEval at t: gradient alpha2 log(t/mu) + Q r - eta Q s, quadratic part q(t)."""
-        if self.line is None:
-            raise ValueError("an infeasible trial has no gradient")
-        return self.line.loss_eval(self)
 
 
 @dataclass(eq=False, slots=True)
@@ -276,6 +269,9 @@ class Line:
     # each vector below is one new array, written in place in the order of
     # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, p - eta s)
     def loss_eval(self, trial: LineTrial) -> LossEval:
+        """The LossEval at trial t: gradient alpha2 log(t/mu) + Q r - eta Q s, quadratic q(t)."""
+        if trial.point is None:
+            raise ValueError("an infeasible trial has no gradient")
         grad_q = self.qs * trial.eta
         np.subtract(self.qr, grad_q, out=grad_q)
         if trial.log_ratio is None:
@@ -291,9 +287,9 @@ class Line:
         if t.min() <= 0.0:
             return LineTrial(np.inf, eta)
         if self.alpha2 == 0:
-            return LineTrial(self.q_at(eta), eta, t, None, self)
+            return LineTrial(self.q_at(eta), eta, t)
         kl, log_ratio = _kl(t, self.mu, self.mu_mass)
-        return LineTrial(self.alpha2 * kl + self.q_at(eta), eta, t, log_ratio, self)
+        return LineTrial(self.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
 
     def lower_bounds(self, eta: float, convexity: bool = True) -> Iterator[float]:
         """Floats that self(eta).value provably cannot undercut, cheapest first.
@@ -346,7 +342,7 @@ def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Li
 
     so Q s is formed once here and each call of the Line costs one KL
     pass (none when alpha2 = 0) and returns a LineTrial; its gradient is
-    formed only by LineTrial.loss_eval.  The quadratic part (q(r), Q r) is
+    formed only by Line.loss_eval.  The quadratic part (q(r), Q r) is
     taken from ev, which must come from combined_eval or an accepted trial.
     A trial point with a site <= 0 evaluates to +inf whatever the alphas.
     """

@@ -11,20 +11,22 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
 
 `metric_apply_fn` is the only public way to apply one: it checks the kind,
 precomp and alphas once when it binds, picks that kind's private helper,
-and the bound callable checks the density and gradient of every call.
+and the bound callable checks each call's density (type, grid) and
+gradient (dtype, length) once, but not g's finiteness: the descent stalls
+on the non-finite slope of a NaN or infinite direction.
 
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
 sparse basis matrix W and of DW, formed once per basis, with D the 1D
 difference matrix of `operators`, so this module writes no stencil of its
-own.  Each diagonal applies one 1D factor per axis through
-`grid.tensor_apply`, the rule of the transforms and differences, so no
-n^2 x n^2 matrix is ever built.  The precomp holds those factors in the
-form `grid.tensor_factor` picks, built once: the sparse H1 and H2 in 1D,
-read-only dense copies in 2D, where a metric application is then a few
-dgemm (the basis holds W and W^T the same way).  The density-free term
-alpha3 * h3 is formed once, when `metric_apply_fn` binds the metric.
+own.  `MetricPrecomp.diagonals` applies one 1D factor per axis (A0 X A1^T
+in 2D, the rule of `grid.tensor_apply`), so no n^2 x n^2 matrix is ever
+built, and forms H2 P once for both 2D diagonals.  The precomp holds the
+factors in the form `grid.tensor_factor` picks, built once: the sparse H1
+and H2 in 1D, read-only dense copies in 2D, where a metric application is
+then a few dgemm (the basis holds W and W^T the same way).  The
+density-free term alpha3 * h3 is formed once, when `metric_apply_fn` binds.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
 division; alpha > 0 over an exactly zero row (the constant scaling column)
@@ -43,7 +45,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, check_vector, tensor_apply, tensor_factor
+from .grid import Density, Grid, check_vector, tensor_factor
 from .losses import check_alphas
 from .operators import difference_matrix, laplacian_pinv_apply, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
@@ -74,50 +76,43 @@ class MetricPrecomp:
 
     H1 and H2 are n x n CSR with rows indexed by 1D wavelet index and
     columns by 1D site, and h3 has length n; these are the stored form.
-    Every diagonal applies one of them per axis (see h1_apply, h2_apply
-    and h3_diagonal).  `h1_terms` and `h2_factors` are the per-axis factor
-    lists of those applications, in the form `grid.tensor_factor` picks,
-    built once here.  Equality and hash are by identity, as for `Density`.
+    `factors` is (H1, H2) in the form `grid.tensor_factor` picks, built
+    once here, and `diagonals` applies them.  Equality and hash are by
+    identity, as for `Density`.
     """
 
     basis: WaveletBasis
     h1: sp.csr_matrix
     h2: sp.csr_matrix
     h3: np.ndarray
-    # term a of the H1 diagonal applies H1 along axis a and H2 along the others
-    h1_terms: tuple[tuple[sp.csr_matrix | np.ndarray, ...], ...] = field(init=False, repr=False)
-    h2_factors: tuple[sp.csr_matrix | np.ndarray, ...] = field(init=False, repr=False)
+    factors: tuple[sp.csr_matrix | np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = self.basis.grid.dim
-        h1, h2 = tensor_factor(self.h1, dim), tensor_factor(self.h2, dim)
-        terms = tuple(tuple(h1 if b == a else h2 for b in range(dim)) for a in range(dim))
-        object.__setattr__(self, "h1_terms", terms)
-        object.__setattr__(self, "h2_factors", (h2,) * dim)
+        factors = (tensor_factor(self.h1, dim), tensor_factor(self.h2, dim))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def nnz(self) -> tuple[int, int]:
         return (self.h1.nnz, self.h2.nnz)
 
-    def h1_apply(self, p: np.ndarray) -> np.ndarray:
-        """diag(W^T (sum_a D_a^T diag(p) D_a) W): H1 p, or H1 P H2^T + H2 P H1^T in 2D."""
-        return functools.reduce(np.add, (tensor_apply(term, p) for term in self.h1_terms))
+    def diagonals(
+        self, p: np.ndarray, h1: bool = True, h2: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(H1 diagonal, H2 diagonal) at p, each None unless its flag is set.
 
-    def h2_apply(self, p: np.ndarray) -> np.ndarray:
-        """diag(W^T diag(p) W): H2 along every axis, H2 p or H2 P H2^T in 2D."""
-        return tensor_apply(self.h2_factors, p)
-
-    def h1_h2_apply(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(h1_apply(p), h2_apply(p)), bit for bit, with H2 P formed once in 2D.
-
-        The second H1 term H2 P H1^T and H2 P H2^T both start from the
-        product H2 P, so a 2D call is five dgemm, not six.
+        In 1D H1 p and H2 p; in 2D H1 P H2^T + H2 P H1^T and H2 P H2^T on
+        the n x n array P of p, with H2 P formed once for both.
         """
-        if len(self.h2_factors) == 1:
-            return self.h1_apply(p), self.h2_apply(p)
-        first_term, (h2, h1) = self.h1_terms
-        h2p = h2 @ p.reshape(h2.shape[1], -1)  # the first product of tensor_apply
-        return tensor_apply(first_term, p) + (h2p @ h1.T).reshape(-1), (h2p @ h2.T).reshape(-1)
+        f1, f2 = self.factors
+        if self.basis.grid.dim == 1:
+            return (f1 @ p if h1 else None), (f2 @ p if h2 else None)
+        x = p.reshape(f2.shape[1], -1)
+        h2x = f2 @ x
+        return (
+            (f1 @ x @ f2.T + h2x @ f1.T).reshape(-1) if h1 else None,
+            (h2x @ f2.T).reshape(-1) if h2 else None,
+        )
 
     def h3_diagonal(self) -> np.ndarray:
         """diag(W^T (-Delta) W): h3 added coordinatewise over the axes."""
@@ -175,16 +170,11 @@ def _combined_metric_fn(
         scale = fixed_scale
         if scale is None:
             with np.errstate(divide="ignore"):
-                if a1 > 0 and a2 > 0:
-                    h1p, h2p = pre.h1_h2_apply(pv)
-                    d = a1 / h1p + a2 / h2p
-                elif a1 > 0:
-                    d = a1 / pre.h1_apply(pv)
-                else:
-                    d = a2 / pre.h2_apply(pv)
+                terms = zip((a1, a2), pre.diagonals(pv, a1 > 0, a2 > 0))
+                d = [a / h for a, h in terms if h is not None]
             if d3 is not None:
-                d = d + d3
-            scale = 1.0 / d  # d = +inf -> 0
+                d.append(d3)
+            scale = 1.0 / functools.reduce(np.add, d)  # d = +inf -> 0
         c = transform_forward(basis, g)
         return transform_inverse(basis, scale * c)
 
@@ -193,13 +183,12 @@ def _combined_metric_fn(
 
 def _wasserstein_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """sum_a D_a^T diag(p) D_a g: the transport preconditioner at p."""
-    g = check_vector(p.grid, g)
     return weighted_flux_apply(p.grid, _positive_values(p), g)
 
 
 def _fisher_rao_metric(p: Density, g: np.ndarray) -> np.ndarray:
     """Entrywise diag(p) g."""
-    return p.values * check_vector(p.grid, g)
+    return p.values * g
 
 
 def _mahalanobis_metric(p: Density, g: np.ndarray) -> np.ndarray:
@@ -241,6 +230,6 @@ def metric_apply_fn(
             raise TypeError(f"p must be a Density, got {type(p).__name__}")
         if p.grid != grid:
             raise ValueError(f"density grid {p.grid} is not the metric grid {grid}")
-        return apply(p, g)
+        return apply(p, check_vector(grid, g))
 
     return bound

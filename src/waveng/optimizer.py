@@ -240,7 +240,7 @@ def armijo_step(
                     accepted=True, eta=eta, halvings=halvings, trials=trials, slope=slope,
                     value_before=ev.value, value_after=trial.value,
                 )
-                return Density(p.grid, trial.point), trial.loss_eval(), diag
+                return Density(p.grid, trial.point), line.loss_eval(trial), diag
         eta *= 0.5
     return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS, trials)
 

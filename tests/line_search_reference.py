@@ -40,6 +40,6 @@ def armijo_step(p, spec, metric, evaluated=None):
         slack = ROUNDING_SLACK * (abs(ev.value) + eta * slope)
         if decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack:
             next_p = Density(p.grid, trial.point)
-            return next_p, trial.loss_eval(), True, eta, halvings, trial.value
+            return next_p, line.loss_eval(trial), True, eta, halvings, trial.value
         eta *= 0.5
     return p, ev, False, eta, MAX_HALVINGS, ev.value

@@ -97,10 +97,25 @@ class TestReferenceMeasure:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_overflow_safe(self):
+        # exp(1000) overflows without the shift; a span of 700 still leaves
+        # every weight a normal float, while a span of 2000 underflows
         grid = make_grid(1, 8)
-        v = np.linspace(-1000.0, 1000.0, 8)
-        mu = reference_measure(grid, v)
+        mu = reference_measure(grid, np.linspace(-1000.0, -300.0, 8))
         assert np.all(np.isfinite(mu.values)) and abs(mu.values.sum() - 1) <= 1e-12
+        with pytest.raises(ValueError, match="spans 2000"):
+            reference_measure(grid, np.linspace(-1000.0, 1000.0, 8))
+
+    def test_underflowing_span_raises(self):
+        # exp(-800) underflows to 0, so the measure could not be strictly
+        # positive; exp(-700) does not
+        grid = make_grid(1, 8)
+        v = np.zeros(8)
+        v[3] = 800.0
+        with pytest.raises(ValueError, match="spans 800"):
+            reference_measure(grid, v)
+        v[3] = 700.0
+        mu = reference_measure(grid, v)
+        assert mu.min > 0.0 and abs(mu.mass - 1.0) <= 1e-12
 
     def test_grid_mismatch(self):
         # a potential sampled on another grid has another length
@@ -147,11 +162,6 @@ class TestDensityValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             Density(make_grid(1, 8), np.ones(7))
-
-    def test_normalized_flag_checked(self):
-        grid = make_grid(1, 8)
-        with pytest.raises(ValueError):
-            Density(grid, np.full(8, 0.25), normalized=True)
 
     def test_non_finite_rejected(self):
         grid = make_grid(1, 8)

@@ -40,7 +40,7 @@ class TestBuildPrecomp:
     def test_h2_column_sums_one(self):
         for dim, n in [(1, 64), (2, 8)]:
             pre = build_precomp(make_basis(make_grid(dim, n), order=2))
-            sums = [pre.h2_apply(e).sum() for e in np.eye(n**dim)]
+            sums = [pre.diagonals(e, h1=False)[1].sum() for e in np.eye(n**dim)]
             np.testing.assert_allclose(sums, 1.0, atol=1e-10)
 
     def test_h2_of_uniform_density(self):
@@ -53,7 +53,7 @@ class TestBuildPrecomp:
         for dim, n in [(1, 32), (2, 8)]:
             pre = build_precomp(make_basis(make_grid(dim, n), order=2))
             np.testing.assert_allclose(
-                pre.h3_diagonal(), pre.h1_apply(np.ones(n**dim)), atol=1e-10
+                pre.h3_diagonal(), pre.diagonals(np.ones(n**dim), h2=False)[0], atol=1e-10
             )
 
     def test_constant_column_rows_exactly_zero(self):
@@ -62,7 +62,7 @@ class TestBuildPrecomp:
         assert pre.h3[63] == 0.0
         pre2 = build_precomp(make_basis(make_grid(2, 16), order=3))
         p = random_density(pre2.basis.grid, np.random.default_rng(39)).values
-        assert pre2.h1_apply(p)[-1] == 0.0
+        assert pre2.diagonals(p)[0][-1] == 0.0
         assert pre2.h3_diagonal()[-1] == 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -120,8 +120,9 @@ class TestDiagonalIdentities:
             p = random_density(grid, rng).values
             d1, d2 = dense_diff(grid, 0), dense_diff(grid, 1)
             weighted = d1.T @ np.diag(p) @ d1 + d2.T @ np.diag(p) @ d2
-            np.testing.assert_allclose(pre.h1_apply(p), np.diag(w.T @ weighted @ w), atol=1e-10)
-            np.testing.assert_allclose(pre.h2_apply(p), np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
+            h1p, h2p = pre.diagonals(p)
+            np.testing.assert_allclose(h1p, np.diag(w.T @ weighted @ w), atol=1e-10)
+            np.testing.assert_allclose(h2p, np.diag(w.T @ np.diag(p) @ w), atol=1e-10)
             lap = np.column_stack([laplacian_apply(grid, w[:, i]) for i in range(grid.total)])
             np.testing.assert_allclose(pre.h3_diagonal(), np.diag(w.T @ lap), atol=1e-10)
 
@@ -131,21 +132,28 @@ class TestDiagonalIdentities:
         grid = make_grid(2, n)
         pre = build_precomp(make_basis(grid, order=order))
         p = random_density(grid, np.random.default_rng(52 + n + order)).values
-        h1p, h2p = ref.diagonals_2d(pre.h1.toarray(), pre.h2.toarray(), p)
-        np.testing.assert_array_equal(pre.h1_apply(p), h1p)
-        np.testing.assert_array_equal(pre.h2_apply(p), h2p)
+        want = ref.diagonals_2d(pre.h1.toarray(), pre.h2.toarray(), p)
+        for got, expected in zip(pre.diagonals(p), want):
+            np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(pre.h3_diagonal(), np.add.outer(pre.h3, pre.h3).ravel())
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 4), (2, 16), (2, 64)])
     def test_h1_h2_apply_is_both_diagonals_bitwise(self, dim, n):
-        # the combined metric with alpha1, alpha2 > 0 forms H2 P once for both
-        # diagonals; that reuse changes no bit of either
+        # H2 P is formed once for both 2D diagonals; for every flag pattern
+        # each diagonal asked for is bit for bit the hand product, the other None
         grid = make_grid(dim, n)
         pre = build_precomp(make_basis(grid))
         p = random_density(grid, np.random.default_rng(57 + n)).values
-        h1p, h2p = pre.h1_h2_apply(p)
-        assert h1p.tobytes() == pre.h1_apply(p).tobytes()
-        assert h2p.tobytes() == pre.h2_apply(p).tobytes()
+        if dim == 1:
+            want = (pre.h1 @ p, pre.h2 @ p)
+        else:
+            want = ref.diagonals_2d(pre.h1.toarray(), pre.h2.toarray(), p)
+        for flags in [(True, False), (False, True), (True, True)]:
+            for got, expected, asked in zip(pre.diagonals(p, *flags), want, flags):
+                if asked:
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    assert got is None
 
 
 class TestScaling:
@@ -267,7 +275,7 @@ class TestCombinedMetric2D:
         pre = build_precomp(basis)
 
         def factors():
-            return [basis.synthesis, basis.analysis, *pre.h2_factors, *pre.h1_terms[0]]
+            return [basis.synthesis, basis.analysis, *pre.factors]
 
         before = factors()
         rng = np.random.default_rng(61)
@@ -276,21 +284,19 @@ class TestCombinedMetric2D:
             metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(
                 p, rng.standard_normal(grid.total)
             )
-        csr = [basis.matrix, basis.matrix.T, pre.h2, pre.h2, pre.h1, pre.h2]
+        csr = [basis.matrix, basis.matrix.T, pre.h1, pre.h2]
         for old, new, stored in zip(before, factors(), csr):
             assert new is old
             assert isinstance(new, np.ndarray)
             assert not new.flags.writeable and new.flags.c_contiguous
             np.testing.assert_array_equal(new, stored.toarray())
         np.testing.assert_array_equal(basis.analysis, basis.synthesis.T)
-        h1, h2 = pre.h1_terms[0]
-        assert pre.h1_terms[1][0] is h2 and pre.h1_terms[1][1] is h1
         # 1D applies the stored CSR factors themselves
         basis_1d = make_basis(make_grid(1, 16), order=3)
         pre_1d = build_precomp(basis_1d)
         assert basis_1d.synthesis is basis_1d.matrix and basis_1d.analysis.format == "csr"
         np.testing.assert_array_equal(basis_1d.analysis.toarray(), basis_1d.matrix.T.toarray())
-        ((h1_1d,),), (h2_1d,) = pre_1d.h1_terms, pre_1d.h2_factors
+        h1_1d, h2_1d = pre_1d.factors
         assert h1_1d is pre_1d.h1 and h2_1d is pre_1d.h2
 
 

@@ -340,7 +340,7 @@ class TestWeightedLaplacianMatrix:
         grid = make_grid(2, 16)
         values = random_weight(grid, 34).values.copy()
         kept = values.copy()
-        w = Density(grid, values, normalized=True)
+        w = Density(grid, values)
         rhs = np.random.default_rng(35).standard_normal(grid.total)
         first = weighted_elliptic_pinv_apply(w, rhs)
         values *= 3.0
@@ -349,7 +349,7 @@ class TestWeightedLaplacianMatrix:
         np.testing.assert_array_equal(weighted_elliptic_pinv_apply(w, rhs), first)
         values[0] = np.nan  # nor can a write make a checked density non-finite
         np.testing.assert_array_equal(w.values, kept)
-        assert w.normalized and abs(w.mass - 1.0) <= 1e-12
+        assert abs(w.mass - 1.0) <= 1e-12
 
 
 class TestWeightedPinv:

@@ -72,11 +72,19 @@ class TestArmijoStep:
         assert diag.value_after <= diag.value_before
 
     def test_non_descent_direction_stalls(self):
+        # an ascent direction, and a direction with a NaN or infinite site
+        # (no metric checks its output's finiteness), stall before any trial
         p, _, spec, _ = newton_setup()
-        ascent = lambda dens, g: -g
-        p_next, _, diag = armijo_step(p, spec, ascent)
-        assert not diag.accepted and diag.reason == "non-descent direction"
-        np.testing.assert_array_equal(p_next.values, p.values)
+        g = combined_eval(p.values, spec).gradient
+        directions = [-g]
+        for value in (np.nan, np.inf, -np.inf):
+            directions.append(g.copy())
+            directions[-1][0] = value
+        for s in directions:
+            p_next, _, diag = armijo_step(p, spec, lambda dens, grad: s)
+            assert not diag.accepted and diag.reason == "non-descent direction"
+            assert diag.halvings == diag.trials == 0
+            np.testing.assert_array_equal(p_next.values, p.values)
 
     def test_infeasible_trial_forces_halving(self):
         # a direction large enough to leave the positive orthant at eta = 1
@@ -163,10 +171,11 @@ class TestLineSearch:
         g = ev.gradient
         # twice the step that first empties a site: eta = 1 is infeasible
         s = 2.0 * np.max(p.values[g > 0] / g[g > 0]) * g
-        infeasible = along_line(spec, p.values, ev, s)(1.0)
+        line = along_line(spec, p.values, ev, s)
+        infeasible = line(1.0)
         assert infeasible.value == np.inf and not infeasible.feasible
         with pytest.raises(ValueError, match="infeasible"):
-            infeasible.loss_eval()
+            line.loss_eval(infeasible)
         p_next, got, diag = armijo_step(p, spec, lambda dens, grad: s, evaluated=ev)
         assert diag.accepted and diag.halvings >= 1
         eta = diag.eta
@@ -190,11 +199,12 @@ class TestLineSearch:
         p, mu, _, _ = newton_setup(1, 64)
         spec = LossSpec(*alphas, mu=mu)
         ev = combined_eval(p.values, spec)
-        trial = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)(0.5)
+        line = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)
+        trial = line(0.5)
         assert trial.feasible
         point = trial.point.copy()
         log_ratio = None if trial.log_ratio is None else trial.log_ratio.copy()
-        first, second = trial.loss_eval(), trial.loss_eval()
+        first, second = line.loss_eval(trial), line.loss_eval(trial)
         assert first.gradient is not second.gradient
         np.testing.assert_array_equal(first.gradient, second.gradient)
         np.testing.assert_array_equal(first.quadratic[1], second.quadratic[1])
