@@ -24,8 +24,8 @@ accepted trial alone forms its gradient and LossEval, by
 arithmetic, with no trial array.  The KL formula is written once, in a
 private kernel that `e2_eval` and the line share.  A LossSpec holds no
 state: every K-solve passes mu itself, and `operators` caches the 2D
-solve's set-up per weight density (by identity): the ground-state
-operator S^-1 L_mu S^-1 with S = diag(sqrt mu) and the inverse of its
+solve's set-up per weight density (by identity): the scaled operator
+S^-1 L_mu S^-1, S the Jacobi scale of L_mu, and the inverse of its
 Galerkin block on the low Fourier modes, the coarse half of the solve's
 two-level preconditioner.  It is built on the first nonzero right-hand
 side and reused for the rest of the run, and never for alpha1 = 0 or in 1D.

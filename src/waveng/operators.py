@@ -7,15 +7,19 @@ and the weighted flux hold no 2D matrix, and the metric precompute's DW is
 D W.  Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
 Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
 closed form with two cumulative sums, in 2D by conjugate gradients in the
-ground-state variable y = sqrt(w) x, on A = S^-1 L_w S^-1 (S = diag sqrt w)
-with a two-level preconditioner: the exact inverse of A's Galerkin block
-on the low Fourier modes (wavenumber <= COARSE_WAVENUMBER per axis), where
-A's potential Delta(sqrt w) / sqrt w is as large as -Delta, and the
-Laplacian pseudo-inverse on the other modes, where -Delta dominates.  A
-as CSR, sqrt w, 1/sqrt w and the coarse block's inverse are the part of
-that 2D solve fixed by w (`GroundState`); they are cached, read-only, for
-the last weight density they were built for (a Density is keyed by
-identity), so a caller with a fixed w (the loss's mu) pays once per run.
+scaled variable y = S x, on A = S^-1 L_w S^-1 with the Jacobi scale
+S = diag(s), s_i^2 = L_w[i, i] / (2 dim n^2), the mean of the 2 dim edge
+weights at site i.  A then has the diagonal 2 dim n^2 of -Delta for every
+w, so CG is preconditioned by two levels: the exact inverse of A's
+Galerkin block on the low Fourier modes (wavenumber <= COARSE_WAVENUMBER
+per axis), where the variation of w changes A as much as -Delta's own
+eigenvalues there, and the Laplacian pseudo-inverse on the other modes,
+where A and -Delta differ only at second order in the grid spacing for a
+smooth w.  A as CSR, s, 1/s and the coarse block's inverse are the part
+of that 2D solve fixed by w (`ScaledOperator`); they are cached,
+read-only, for the last weight density they were built for (a Density is
+keyed by identity), so a caller with a fixed w (the loss's mu) pays once
+per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached plan, and one for the
@@ -44,7 +48,7 @@ __all__ = [
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
-    "ground_state_operator",
+    "scaled_operator",
     "weighted_elliptic_pinv_apply",
 ]
 
@@ -58,9 +62,10 @@ DENSE_PLAN_MAX_N = 64
 # modes of wavenumber <= COARSE_WAVENUMBER on each axis, which are the first
 # min(2 COARSE_WAVENUMBER + 1, n) columns of the real eigenbasis per axis
 # (169 modes for n >= 16).  CG iterations for the preset measure and a
-# white-noise rhs at 32^2/64^2/128^2, coarse |k| <= 4/6/8: 10/9/9, 10/8/7,
-# 10/8/7 (18/17/17 with (-Delta)^+ alone); coarse build (one BLAS thread,
-# 2-vCPU VM) 5/10/23 ms at 64^2 and 10/30/59 ms at 128^2.
+# white-noise rhs at 32^2/64^2/128^2, coarse |k| <= 4/5/6/7/8: 9/9/9,
+# 8/8/7, 8/7/7, 8/7/6, 8/7/6 (17/17/17 with (-Delta)^+ alone); set-up
+# (one BLAS thread, 2-vCPU VM) 7/8/11/16/20 ms at 64^2 and
+# 20/21/31/38/55 ms at 128^2.
 COARSE_WAVENUMBER = 6
 
 
@@ -151,23 +156,25 @@ def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundState:
-    """The part of the 2D weighted solve fixed by w, S = diag(sqrt w); compared by identity."""
+class ScaledOperator:
+    """The part of the 2D weighted solve fixed by w, S = diag(scale); compared by identity."""
 
     matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
-    sqrt_w: np.ndarray
-    inv_sqrt_w: np.ndarray
+    scale: np.ndarray  # s_i = sqrt(L_w[i, i] / (2 dim n^2)), the mean edge weight's root
+    inv_scale: np.ndarray
     coarse_inverse: np.ndarray  # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetrised
 
 
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
-def ground_state_operator(w: Density) -> GroundState:
-    """A = S^-1 L_w S^-1 as CSR, sqrt w, 1 / sqrt w and the coarse inverse, for a 2D w.
+def scaled_operator(w: Density) -> ScaledOperator:
+    """A = S^-1 L_w S^-1 as CSR, its scale s, 1 / s and the coarse inverse, for a 2D w.
 
     L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (5 entries per row,
     sorted indices), with D_a = D (x) I or I (x) D held only while it is
-    assembled, and entry (i, j) is multiplied in place by the one factor
-    1/sqrt(w_j) * 1/sqrt(w_i), the same for (j, i), so the result is
+    assembled.  The scale is its Jacobi one: s_i^2 = L_w[i, i] / (2 dim n^2),
+    the mean of the 2 dim edge weights at site i (w_i for a constant w),
+    read off the diagonal before entry (i, j) is multiplied in place by
+    the one factor 1/s_j * 1/s_i, the same for (j, i), so the result is
     exactly symmetric and the scaling holds one extra array of nnz floats.
     The coarse block of the two-level preconditioner is built from A (see
     _coarse_inverse).  Cached for the last w it was called with, so every
@@ -177,20 +184,20 @@ def ground_state_operator(w: Density) -> GroundState:
     """
     grid = w.grid
     if grid.dim != 2:
-        raise ValueError(f"the ground-state operator is 2D only, got a {grid.dim}D density")
+        raise ValueError(f"the scaled operator is 2D only, got a {grid.dim}D density")
     d, eye = difference_matrix(grid.n)[0], sp.identity(grid.n, format="csr")
     lifted = [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
-    scale = sp.diags(w.values, format="csr")
-    matrix = sum(da.T.tocsr() @ (scale @ da) for da in lifted)
+    weights = sp.diags(w.values, format="csr")
+    matrix = sum(da.T.tocsr() @ (weights @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
-    sqrt_w = np.sqrt(w.values)
-    inv_sqrt_w = 1.0 / sqrt_w
+    scale = np.sqrt(matrix.diagonal() / (2 * grid.dim * grid.n**2))
+    inv_scale = 1.0 / scale
     # every row holds the same count of entries, so row i of this view is row i of L_w
-    factor = inv_sqrt_w[matrix.indices].reshape(grid.total, -1)
-    factor *= inv_sqrt_w[:, None]
+    factor = inv_scale[matrix.indices].reshape(grid.total, -1)
+    factor *= inv_scale[:, None]
     matrix.data *= factor.ravel()
-    coarse_inverse = _coarse_inverse(matrix, sqrt_w, grid.n)
-    return GroundState(*_frozen(matrix, sqrt_w, inv_sqrt_w, coarse_inverse))
+    coarse_inverse = _coarse_inverse(matrix, scale, grid.n)
+    return ScaledOperator(*_frozen(matrix, scale, inv_scale, coarse_inverse))
 
 
 def _coarse_modes(n: int) -> np.ndarray:
@@ -198,7 +205,7 @@ def _coarse_modes(n: int) -> np.ndarray:
     return _real_periodic_eigenbasis(n)[0][:, : min(2 * COARSE_WAVENUMBER + 1, n)]
 
 
-def _coarse_inverse(a: sp.csr_matrix, sqrt_w: np.ndarray, n: int) -> np.ndarray:
+def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
     """(E^T a E + beta c c^T)^-1, symmetrised, for the coarse modes E = q_c (x) q_c.
 
     The Galerkin block E^T a E is formed one column of E at a time: a
@@ -207,11 +214,13 @@ def _coarse_inverse(a: sp.csr_matrix, sqrt_w: np.ndarray, n: int) -> np.ndarray:
     keeps the build's peak memory about 0.8 MB (64^2) to 4 MB (128^2) below
     a chunked build's, at about the same speed.
 
-    a's null direction sqrt w lies almost entirely in the coarse space, so
-    the block is nearly singular along c = E^T sqrt w / ||E^T sqrt w||; the
-    term beta c c^T with beta = lambda_1 of the 1D -Delta makes it safely
-    SPD.  The sqrt w part that it lets into CG's iterate y only adds a
-    constant to x = y / sqrt w, which the solve's final mean removal drops.
+    a's null direction is the scale, the image S 1 of the constants.  For a
+    smooth w it lies almost entirely in the coarse space, so the block is
+    nearly singular along c = E^T scale / ||E^T scale||; the term beta c c^T
+    with beta = lambda_1 of the 1D -Delta makes it safely SPD (for a rough
+    w it only adds a positive rank-one term).  The part along the scale
+    that it lets into CG's iterate y only adds a constant to x = y / scale,
+    which the solve's final mean removal drops.
     """
     q_c = _coarse_modes(n)
     m = q_c.shape[1]
@@ -220,7 +229,7 @@ def _coarse_inverse(a: sp.csr_matrix, sqrt_w: np.ndarray, n: int) -> np.ndarray:
         for j in range(m):
             image = a @ np.outer(q_c[:, i], q_c[:, j]).ravel()
             block[:, :, i, j] = q_c.T @ image.reshape(n, n) @ q_c
-    c = (q_c.T @ sqrt_w.reshape(n, n) @ q_c).ravel()
+    c = (q_c.T @ scale.reshape(n, n) @ q_c).ravel()
     c /= np.linalg.norm(c)
     coarse = block.reshape(m * m, m * m) + _laplacian_eigenvalues(n)[1] * np.outer(c, c)
     inverse = np.linalg.inv(coarse)
@@ -347,8 +356,8 @@ def weighted_elliptic_pinv_apply(
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
     P projects out the constant mode.  1D is solved in closed form in O(n)
-    (see _closed_form_1d); 2D by CG on A = S^-1 L_w S^-1 with S =
-    diag(sqrt w) and a two-level preconditioner, the exact coarse inverse
+    (see _closed_form_1d); 2D by CG on A = S^-1 L_w S^-1 with S the Jacobi
+    scale of L_w and a two-level preconditioner, the exact coarse inverse
     on the low Fourier modes plus (-Delta)^+ on the rest: one sparse matvec
     with the cached A and one preconditioner application per iteration (see
     _pcg_2d).  A and the coarse inverse are built on the first 2D solve
@@ -423,20 +432,26 @@ def _closed_form_1d(
 def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -> np.ndarray:
     """Preconditioned CG for the mean-zero b on the 2D grid, in the variable y = S x.
 
-    With S = diag(sqrt w), L_w x = b is A y = S^-1 b for A = S^-1 L_w S^-1.
-    This is the ground-state transform: A is -Delta plus the potential
-    Delta(sqrt w) / sqrt w, which does not grow with n for a smooth w, so the
-    iteration count follows how rough w is, not n.  The potential matters on
-    the low modes, where it is as large as -Delta (-157...158 against
-    lambda_1 = 39.4 for the preset measure at 64^2), so CG is preconditioned
-    by the two-level map M^-1 = F + E A_c^-1 E^T (see _two_level_plan and
-    _coarse_inverse): exact on the coarse modes E, (-Delta)^+ on the rest
-    (iteration counts: see COARSE_WAVENUMBER).  It is the same iteration as CG
-    on L_w x = b preconditioned by P S^-1 M^-1 S^-1 P: the projections P
-    drop out, because A's null direction sqrt w never enters the residual
-    (the x-space residual is mean-zero) and the constant parts of x's
-    search directions drop out of L_w p and r^T z.  The mean of x is
-    removed once, at the end.
+    With S = diag(s) the Jacobi scale of scaled_operator, L_w x = b is
+    A y = S^-1 b for A = S^-1 L_w S^-1.  A has -Delta's diagonal 2 dim n^2
+    exactly, and as s_i^2 is the mean of the edge weights w_e at site i,
+    the first-order parts of its off-diagonal entries -n^2 w_e / (s_i s_j)
+    cancel between opposite edges: on the fine modes A differs from -Delta
+    at second order in the grid spacing for a smooth w, where the
+    ground-state scale sqrt w left a first-order error.  So (-Delta)^+
+    preconditions the fine modes, and it still does for a rough w, whose A
+    keeps that diagonal: w log-uniform over 3 decades per site takes 50-64,
+    174-200, 406-414 and 1026-1037 iterations at 16^2 to 128^2, within the
+    cap, where sqrt w missed it at every size.  The variation of
+    w matters on the low modes, where it changes A as much as -Delta's own
+    eigenvalues there, so CG is preconditioned by the two-level map
+    M^-1 = F + E A_c^-1 E^T (see _two_level_plan and _coarse_inverse):
+    exact on the coarse modes E, (-Delta)^+ on the rest (iteration counts:
+    see COARSE_WAVENUMBER).  It is the same iteration as CG on L_w x = b
+    preconditioned by P S^-1 M^-1 S^-1 P: the projections P drop out,
+    because A's null direction S 1 never enters the residual (the x-space
+    residual is mean-zero) and the constant parts of x's search directions
+    drop out of L_w p and r^T z.  The mean of x is removed once, at the end.
 
     An iteration costs one CSR matvec with the cached A, one application of
     M^-1 (the (-Delta)^+ plan's transforms and one m^2 x m^2 matvec), three
@@ -447,13 +462,13 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     system.
     """
     grid = w.grid
-    set_up = ground_state_operator(w)
-    a, sqrt_w, inv_sqrt_w = set_up.matrix, set_up.sqrt_w, set_up.inv_sqrt_w
+    set_up = scaled_operator(w)
+    a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
     precondition = functools.partial(_two_level_plan(grid), coarse_inverse=set_up.coarse_inverse)
     tol = cfg.rel_tolerance * bnorm
 
     y = np.zeros(grid.total)
-    r = inv_sqrt_w * b
+    r = inv_scale * b
     p = z = precondition(r)
     rz = float(r @ z)
     scratch = np.empty(grid.total)
@@ -463,10 +478,10 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
         alpha = rz / float(p @ ap)
         y += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, ap, out=ap)
-        np.multiply(sqrt_w, r, out=scratch)
+        np.multiply(scale, r, out=scratch)
         rnorm = math.sqrt(scratch @ scratch)
         if rnorm <= tol:
-            x = np.multiply(inv_sqrt_w, y, out=y)
+            x = np.multiply(inv_scale, y, out=y)
             x -= x.sum() / x.size
             return x
         z = precondition(r)

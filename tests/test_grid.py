@@ -117,6 +117,16 @@ class TestReferenceMeasure:
         mu = reference_measure(grid, v)
         assert mu.min > 0.0 and abs(mu.mass - 1.0) <= 1e-12
 
+    def test_overflowing_span_raises_without_warning(self):
+        # v - v.min() would overflow to inf; the span is checked first, so
+        # the caller gets the documented ValueError, not a RuntimeWarning
+        # (an error under the suite's filter)
+        grid = make_grid(1, 8)
+        v = np.zeros(8)
+        v[0], v[1] = -1e308, 1e308
+        with pytest.raises(ValueError, match="spans inf"):
+            reference_measure(grid, v)
+
     def test_grid_mismatch(self):
         # a potential sampled on another grid has another length
         with pytest.raises(ValueError):
@@ -190,7 +200,7 @@ class TestDensityValidation:
         assert values.flags.writeable
 
     def test_compared_and_hashed_by_identity(self):
-        # caches key on a density (operators.ground_state_operator), so
+        # caches key on a density (operators.scaled_operator), so
         # equal values must not make two densities one key
         grid = make_grid(2, 4)
         a, b = uniform_density(grid), uniform_density(grid)

@@ -332,8 +332,8 @@ class TestSolveSetUp:
 
     @pytest.fixture
     def builds(self):
-        """The ground-state operator cache, emptied: its misses count the assemblies."""
-        cache = operators.ground_state_operator
+        """The scaled-operator cache, emptied: its misses count the assemblies."""
+        cache = operators.scaled_operator
         cache.cache_clear()
         return cache
 
@@ -393,11 +393,11 @@ class TestSolveSetUp:
 
     def test_difference_cache_holds_only_1d_matrices(self):
         # no 2D D_a or D_a^T D_a outlives the call that used it, the
-        # ground-state operator's included
+        # scaled operator's included
         cache = operators.difference_matrix
         cache.cache_clear()
         spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
-        assert operators.ground_state_operator(spec.mu).matrix.shape == (spec.grid.total,) * 2
+        assert operators.scaled_operator(spec.mu).matrix.shape == (spec.grid.total,) * 2
         info = cache.cache_info()
         n = spec.grid.n
         matrices = cache(n)

@@ -6,19 +6,23 @@ from hypothesis import strategies as st
 import stencil_reference as ref
 from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.experiments import build_potential
-from waveng.grid import Density, axis_apply, make_grid, reference_measure
+from waveng.grid import Density, axis_apply, make_grid, reference_measure, uniform_density
+from waveng.losses import LossSpec, combined_eval
+from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.operators import (
     COARSE_WAVENUMBER,
     DENSE_PLAN_MAX_N,
     EllipticSolveConfig,
     EllipticSolveError,
     difference_matrix,
-    ground_state_operator,
     laplacian_apply,
     laplacian_pinv_apply,
+    scaled_operator,
     weighted_elliptic_pinv_apply,
     weighted_flux_apply,
 )
+from waveng.optimizer import DescentConfig, run_descent
+from waveng.wavelets import make_basis
 
 
 # (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
@@ -39,6 +43,25 @@ def dense_weighted_laplacian(grid, wv: np.ndarray) -> np.ndarray:
     return dense
 
 
+def jacobi_scale(grid, lw: np.ndarray) -> np.ndarray:
+    """s with s_i^2 = L_w[i, i] / (2 dim n^2), from the dense L_w: the 2D solve's scale."""
+    return np.sqrt(np.diag(lw) / (2 * grid.dim * grid.n**2))
+
+
+def edge_mean_scale(w: Density) -> np.ndarray:
+    """The root of the mean of the 2 dim edge weights at each site, w_i and
+    w_{i - e_a} on each axis a, by np.roll: the 2D solve's scale, with no matrix."""
+    wv = w.values.reshape(w.grid.shape)
+    edges = sum(wv + np.roll(wv, 1, axis) for axis in range(w.grid.dim))
+    return np.sqrt(edges / (2 * w.grid.dim)).ravel()
+
+
+def rough_weight(grid, seed: int) -> Density:
+    """w log-uniform over 3 decades per site, normalised."""
+    wv = 10.0 ** np.random.default_rng(seed).uniform(0.0, 3.0, grid.total)
+    return Density(grid, wv / wv.sum())
+
+
 def random_weight(grid, seed: int) -> Density:
     wv = np.random.default_rng(seed).uniform(0.05, 1.0, grid.total)
     return Density(grid, wv / wv.sum())
@@ -55,15 +78,16 @@ def coarse_modes(n: int) -> np.ndarray:
 
 def dense_two_level(w: Density):
     """E^T A E, A_c = E^T A E + beta c c^T and the preconditioner M^-1 of the 2D
-    solve, from dense matrices: A = S^-1 L_w S^-1, E = q_c (x) q_c,
-    c = E^T sqrt(w) / ||E^T sqrt(w)||, beta = lambda_1, and M^-1 r the
+    solve, from dense matrices: A = S^-1 L_w S^-1 with S = diag(jacobi_scale),
+    E = q_c (x) q_c, c = E^T S 1 / ||E^T S 1||, beta = lambda_1, and M^-1 r the
     Laplacian pseudo-inverse of r's fine part plus E A_c^-1 E^T r."""
     grid = w.grid
-    s_inv = 1.0 / np.sqrt(w.values)
-    a = s_inv[:, None] * dense_weighted_laplacian(grid, w.values) * s_inv[None, :]
+    lw = dense_weighted_laplacian(grid, w.values)
+    scale = jacobi_scale(grid, lw)
+    a = lw / np.outer(scale, scale)
     e = np.kron(coarse_modes(grid.n), coarse_modes(grid.n))
     block = e.T @ a @ e
-    c = e.T @ np.sqrt(w.values)
+    c = e.T @ scale
     c /= np.linalg.norm(c)
     a_c = block + circulant_eigenvalue(grid.n, 1) * np.outer(c, c)
 
@@ -189,14 +213,15 @@ class TestStencilOracles:
     @pytest.mark.parametrize("dim,n", [(2, 4), (2, 16)])
     def test_weighted_matrix_entries_bitwise(self, dim, n):
         # column j of L_w is the stencil applied to the unit vector e_j, and
-        # entry (i, j) of the assembled operator is L_ij (s_i s_j) with s = 1/sqrt(w)
+        # entry (i, j) of the assembled operator is L_ij (s_i s_j) with s the
+        # inverse of the scale that L_w's own diagonal gives
         grid = make_grid(dim, n)
         w = random_weight(grid, 62 + n).values.reshape(grid.shape)
         dense = np.column_stack(
             [ref.flux_apply(w, e.reshape(grid.shape)).ravel() for e in np.eye(grid.total)]
         )
-        s = 1.0 / np.sqrt(w.ravel())
-        got = ground_state_operator(Density(grid, w.ravel())).matrix
+        s = 1.0 / jacobi_scale(grid, dense)
+        got = scaled_operator(Density(grid, w.ravel())).matrix
         assert got.has_sorted_indices  # a CG matvec sums each row in column order
         assert got.nnz == np.count_nonzero(dense)
         np.testing.assert_array_equal(got.toarray(), dense * np.outer(s, s))
@@ -265,27 +290,48 @@ class TestLaplacianPinv:
 
 
 class TestWeightedLaplacianMatrix:
-    """The cached ground-state operator S^-1 L_w S^-1, S = diag(sqrt w), of the 2D solve."""
+    """The cached scaled operator S^-1 L_w S^-1 of the 2D solve, S = diag(s) with
+    s_i^2 = L_w[i, i] / (2 dim n^2)."""
 
     @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16)])
     def test_matches_dense_and_stencil(self, dim, n):
         grid = make_grid(dim, n)
         w = random_weight(grid, 30)
-        set_up = ground_state_operator(w)
-        a, sqrt_w, inv_sqrt_w = set_up.matrix, set_up.sqrt_w, set_up.inv_sqrt_w
-        np.testing.assert_array_equal(sqrt_w, np.sqrt(w.values))
-        np.testing.assert_array_equal(inv_sqrt_w, 1.0 / np.sqrt(w.values))
+        set_up = scaled_operator(w)
+        a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
+        lw = dense_weighted_laplacian(grid, w.values)
+        np.testing.assert_array_equal(scale, jacobi_scale(grid, lw))
+        np.testing.assert_array_equal(inv_scale, 1.0 / jacobi_scale(grid, lw))
         assert a.format == "csr" and a.has_sorted_indices
         np.testing.assert_array_equal(np.diff(a.indptr), 2 * dim + 1)
         assert (a != a.T).nnz == 0  # symmetric to the last bit
-        s_inv = np.diag(inv_sqrt_w)
-        dense = s_inv @ dense_weighted_laplacian(grid, w.values) @ s_inv
+        s_inv = np.diag(inv_scale)
+        dense = s_inv @ lw @ s_inv
         np.testing.assert_allclose(a.toarray(), dense, rtol=1e-14, atol=0.0)
         x = np.random.default_rng(31).standard_normal(grid.total)
-        stencil = inv_sqrt_w * weighted_flux_apply(grid, w.values, inv_sqrt_w * x)
+        stencil = inv_scale * weighted_flux_apply(grid, w.values, inv_scale * x)
         assert np.max(np.abs(a @ x - stencil)) <= 1e-14 * np.max(np.abs(stencil))
-        # the null direction is sqrt(w), the image of the constants
-        assert np.max(np.abs(a @ sqrt_w)) <= 1e-12 * np.max(np.abs(a.data))
+        # the null direction is S 1, the image of the constants
+        assert np.max(np.abs(a @ scale)) <= 1e-12 * np.max(np.abs(a.data))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("weight", [random_weight, rough_weight])
+    def test_scale_is_the_jacobi_scale(self, n, weight):
+        # s^2 is L_w's diagonal over 2 dim n^2, the mean of the site's
+        # 2 dim edge weights, and A = S^-1 L_w S^-1 annihilates s; A's
+        # diagonal is then the constant 2 dim n^2 of -Delta's
+        grid = make_grid(2, n)
+        w = weight(grid, 45 + n)
+        set_up = scaled_operator(w)
+        want = np.diag(dense_weighted_laplacian(grid, w.values)) / (2 * grid.dim * n**2)
+        assert np.max(np.abs(set_up.scale**2 - want) / want) <= 1e-15
+        np.testing.assert_allclose(set_up.scale, edge_mean_scale(w), rtol=1e-15, atol=0.0)
+        a = set_up.matrix
+        np.testing.assert_allclose(a.diagonal(), 2 * grid.dim * n**2, rtol=1e-15)
+        assert np.max(np.abs(a @ set_up.scale)) <= 1e-12 * np.max(np.abs(a.data))
+        # a constant w is its own scale: then S = diag(sqrt w)
+        flat = Density(grid, np.full(grid.total, 1.0 / grid.total))
+        np.testing.assert_allclose(scaled_operator(flat).scale, np.sqrt(flat.values), rtol=1e-15)
 
     def test_galerkin_block_matches_dense(self):
         # n = 16 has fine modes beside the 13^2 coarse ones; the set-up keeps
@@ -293,7 +339,7 @@ class TestWeightedLaplacianMatrix:
         grid = make_grid(2, 16)
         w = random_weight(grid, 39)
         block, a_c, _ = dense_two_level(w)
-        coarse_inverse = ground_state_operator(w).coarse_inverse
+        coarse_inverse = scaled_operator(w).coarse_inverse
         assert coarse_inverse.shape == ((2 * COARSE_WAVENUMBER + 1) ** 2,) * 2
         np.testing.assert_array_equal(coarse_inverse, coarse_inverse.T)
         got = np.linalg.inv(coarse_inverse)
@@ -304,9 +350,9 @@ class TestWeightedLaplacianMatrix:
 
     def test_set_up_is_read_only(self):
         # every later solve with this w shares the set-up: a write must raise
-        set_up = ground_state_operator(random_weight(make_grid(2, 8), 41))
+        set_up = scaled_operator(random_weight(make_grid(2, 8), 41))
         a = set_up.matrix
-        for array in (a.data, a.indices, a.indptr, set_up.sqrt_w, set_up.inv_sqrt_w,
+        for array in (a.data, a.indices, a.indptr, set_up.scale, set_up.inv_scale,
                       set_up.coarse_inverse):
             with pytest.raises(ValueError):
                 array.flat[0] += 1
@@ -314,10 +360,10 @@ class TestWeightedLaplacianMatrix:
     def test_1d_density_raises(self):
         # the 1D solve is closed form: it has no set-up to build
         with pytest.raises(ValueError, match="2D only"):
-            ground_state_operator(random_weight(make_grid(1, 32), 40))
+            scaled_operator(random_weight(make_grid(1, 32), 40))
 
     def test_set_up_is_lazy_and_reused(self):
-        cache = ground_state_operator
+        cache = scaled_operator
         cache.cache_clear()
         grid = make_grid(2, 16)
         w = random_weight(grid, 32)
@@ -411,13 +457,13 @@ class TestWeightedPinv:
             weighted_elliptic_pinv_apply(Density(grid, wv), np.ones(16))
 
     def test_nonpositive_weight_rejected_before_2d_set_up(self):
-        ground_state_operator.cache_clear()
+        scaled_operator.cache_clear()
         grid = make_grid(2, 4)
         wv = np.full(16, 1 / 16)
         wv[3] = -1e-3
         with pytest.raises(ValueError, match="strictly positive"):
             weighted_elliptic_pinv_apply(Density(grid, wv), np.arange(16.0))
-        assert ground_state_operator.cache_info().currsize == 0
+        assert scaled_operator.cache_info().currsize == 0
 
     def test_nonconvergence_reports_residual(self):
         # 2D, where max_iterations caps the CG loop
@@ -479,7 +525,7 @@ class TestResidualGate:
     @staticmethod
     def rough_problem():
         # a smooth w spanning 10^3.2, and a rhs on the sites where w is
-        # smallest: there 1/sqrt(w) is largest, so the scaled system's relative
+        # smallest: there 1/s is largest, so the scaled system's relative
         # residual reads several times smaller than the unscaled one
         n = 16
         grid = make_grid(2, n)
@@ -495,7 +541,7 @@ class TestResidualGate:
     def relative_residuals(w, lw, x, b):
         """(unscaled, scaled) relative residuals of x."""
         residual = lw @ x - b
-        s_inv = 1.0 / np.sqrt(w.values)
+        s_inv = 1.0 / jacobi_scale(w.grid, lw)
         return (
             np.linalg.norm(residual) / np.linalg.norm(b),
             np.linalg.norm(s_inv * residual) / np.linalg.norm(s_inv * b),
@@ -511,14 +557,14 @@ class TestResidualGate:
         assert unscaled >= 3.0 * scaled  # a gate on the scaled residual would stop early
         assert unscaled <= 1.01 * cfg.rel_tolerance
 
-    @pytest.mark.parametrize("cap", [3, 6, 12])
+    @pytest.mark.parametrize("cap", [3, 6, 10])
     def test_capped_solve_reports_unscaled_residual(self, cap):
         # textbook PCG on L_w x = b preconditioned by P S^-1 M^-1 S^-1, with
         # M^-1 the two-level map built from dense matrices, whose iterates the
         # scaled-variable CG reproduces up to constants; every cap is below
-        # the 14 iterations this problem converges in
+        # the 12 iterations this problem converges in
         w, b, lw = self.rough_problem()
-        s_inv = 1.0 / np.sqrt(w.values)
+        s_inv = 1.0 / jacobi_scale(w.grid, lw)
         two_level = dense_two_level(w)[2]
 
         def precondition(r):
@@ -583,16 +629,15 @@ def test_2d_solve_matches_dense_pinv(log2n, seed):
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_2d_preconditioner_strength(n):
-    """CG on the ground-state operator S^-1 L_w S^-1 with the two-level
+    """CG on the scaled operator S^-1 L_w S^-1 with the two-level
     preconditioner converges for the preset reference measure in exactly
-    10/8/7 iterations at n = 32/64/128 (the dense plan at 32 and 64, the FFT
+    8/7/7 iterations at n = 32/64/128 (the dense plan at 32 and 64, the FFT
     at 128), so the cap pins the count: a change to the iteration that costs
-    one more step fails here.  (-Delta)^+ alone needs 18/17/17, the
-    constant-coefficient mean(w) (-Delta) preconditioner 29-31."""
+    one more step fails here.  S = diag(sqrt w) took 10/8/7."""
     grid = make_grid(2, n)
     mu = reference_measure(grid, build_potential(grid, "sin4pi-product"))
     rhs = np.random.default_rng(27).standard_normal(grid.total)
-    cap = {32: 10, 64: 8, 128: 7}[n]
+    cap = {32: 8, 64: 7, 128: 7}[n]
     weighted_elliptic_pinv_apply(mu, rhs, EllipticSolveConfig(max_iterations=cap))
 
 
@@ -603,8 +648,9 @@ def test_fft_two_level_capped_solve_matches_oracle(cap):
     P S^-1 M^-1 S^-1 with the separable oracle
     M^-1 r = (-Delta)^+ (r - E E^T r) + E C E^T r, E = q_c (x) q_c applied as
     q_c^T R q_c and C the stored coarse inverse, leaves the residual the
-    solve reports.  The preset measure converges in 7 iterations at 128^2;
-    at 6 the residual is 1e-9 and the two iterations agree only to 1e-7."""
+    solve reports.  S is the edge-mean scale, computed here by np.roll.  The
+    preset measure converges in 7 iterations at 128^2; at 6 the residual is
+    3e-10 and the two iterations agree only to 3e-8."""
     n = 2 * DENSE_PLAN_MAX_N
     grid = make_grid(2, n)
     mu = reference_measure(grid, build_potential(grid, "sin4pi-product"))
@@ -612,8 +658,8 @@ def test_fft_two_level_capped_solve_matches_oracle(cap):
     b = rhs - rhs.mean()
     q_c = coarse_modes(n)
     m = q_c.shape[1]
-    c = ground_state_operator(mu).coarse_inverse
-    s_inv = 1.0 / np.sqrt(mu.values)
+    c = scaled_operator(mu).coarse_inverse
+    s_inv = 1.0 / edge_mean_scale(mu)
 
     def two_level(r):
         coarse = q_c.T @ r.reshape(n, n) @ q_c
@@ -642,31 +688,39 @@ def test_fft_two_level_capped_solve_matches_oracle(cap):
     assert excinfo.value.achieved_residual == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_2d_rough_weight_raises_or_converges(n):
-    """A weight log-uniform over 3 decades per site gives the ground-state
-    operator a potential that dwarfs -Delta, and CG misses the tolerance
-    within the default cap (relative residuals 1e-4 to 2e-1 here).  The
-    solve must then raise EllipticSolveError with a finite residual, and
-    never return a non-finite x."""
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_2d_rough_weight_converges(n):
+    """A weight log-uniform over 3 decades per site still solves to the
+    unscaled gate within the default cap (10 n dim): 50-64, 174-200 and
+    406-414 iterations at 16^2/32^2/64^2, against caps of 320/640/1280.
+    The scale that L_w's diagonal gives keeps A's diagonal that of -Delta
+    however rough w is; S = diag(sqrt w) raised here at every size."""
     grid = make_grid(2, n)
     cfg = EllipticSolveConfig()
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        wv = 10.0 ** rng.uniform(0.0, 3.0, grid.total)
-        w = Density(grid, wv / wv.sum())
-        rhs = rng.standard_normal(grid.total) / np.sqrt(w.values)
-        try:
-            x = weighted_elliptic_pinv_apply(w, rhs, cfg)
-        except EllipticSolveError as err:
-            assert np.isfinite(err.achieved_residual)
-            assert err.achieved_residual > cfg.rel_tolerance
-            assert err.iterations == cfg.iteration_cap(grid)
-        else:
-            assert np.isfinite(x).all()
-            b = rhs - rhs.mean()
-            residual = weighted_flux_apply(grid, w.values, x) - b
-            assert np.linalg.norm(residual) <= 1.01 * cfg.rel_tolerance * np.linalg.norm(b)
+    for seed in range(2 if n == 64 else 5):
+        w = rough_weight(grid, seed)
+        rhs = np.random.default_rng(50 + seed).standard_normal(grid.total) / np.sqrt(w.values)
+        x = weighted_elliptic_pinv_apply(w, rhs, cfg)
+        assert abs(x.mean()) <= 1e-12 * np.max(np.abs(x))
+        b = rhs - rhs.mean()
+        residual = weighted_flux_apply(grid, w.values, x) - b
+        assert np.linalg.norm(residual) <= 1.01 * cfg.rel_tolerance * np.linalg.norm(b)
+
+
+def test_2d_rough_weight_descent_converges():
+    """The combined metric's descent on a rough reference measure (16^2,
+    alphas (1, 3e-4, 1e-4)) reaches a 1e-6 relative gap: every K-solve of
+    its line searches meets the default gate, so no EllipticSolveError."""
+    grid = make_grid(2, 16)
+    alphas = (1.0, 3e-4, 1e-4)
+    spec = LossSpec(*alphas, mu=rough_weight(grid, 0))
+    metric = metric_apply_fn(
+        MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)), alphas=alphas
+    )
+    p0 = uniform_density(grid)
+    gap0 = combined_eval(p0.values, spec).value
+    history = run_descent(p0, spec, metric, DescentConfig(2000, 1e-6 * gap0))
+    assert history.status == "converged"
 
 
 @pytest.mark.parametrize("seed", range(3))
