@@ -291,19 +291,20 @@ class Line:
         kl, log_ratio = _kl(t, self.mu, self.mu_mass)
         return LineTrial(self.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
 
-    def lower_bounds(self, eta: float, convexity: bool = True) -> Iterator[float]:
+    def lower_bounds(self, eta: float) -> Iterator[float]:
         """Floats that self(eta).value provably cannot undercut, cheapest first.
 
         For eta a power of two.  (i) q(eta) - alpha2 kappa, since the
         computed KL of a t > 0 is at least -kappa; with alpha2 = 0 it is the
-        trial's value itself.  (ii) Unless `convexity` is False, and only
-        when eta <s, Q s> > <s, g>: the convexity bound
+        trial's value itself.  (ii) Only for eta < 1, so the first trial,
+        which most steps accept, pays for no dot product, and only when
+        eta <s, Q s> > <s, g>: the convexity bound
         E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta), whose slope and norms
         (five dot products) are formed once per line.  An infeasible trial
         is +inf, above both.  The optimizer docstring derives both bounds.
         """
         yield self.q_at(eta) - self.alpha2 * self.kappa
-        if not convexity or self.alpha2 == 0:
+        if eta >= 1.0 or self.alpha2 == 0:
             return
         if self._slope is None:
             self._slope = float(self.s @ self.gradient)

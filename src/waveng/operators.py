@@ -22,10 +22,11 @@ keyed by identity), so a caller with a fixed w (the loss's mu) pays once
 per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
-periodic Fourier modes.  Each grid gets one cached plan, and one for the
-fine part of the two-level preconditioner: for 2D grids with n <= 64
-dense products in the real periodic eigenbasis (the fast diagonalization
-method), otherwise the FFT with its inverse symbol computed once.
+periodic Fourier modes.  Each grid gets one cached plan, which maps v to
+(-Delta)^+ v and, in 2D, is the two-level preconditioner's fine part: for
+2D grids with n <= 64 dense products in the real periodic eigenbasis (the
+fast diagonalization method), otherwise the FFT with its inverse symbol
+computed once.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def scaled_operator(w: Density) -> ScaledOperator:
     return ScaledOperator(*_frozen(matrix, scale, inv_scale, coarse_inverse))
 
 
-def _coarse_modes(n: int) -> np.ndarray:
-    """q_c: the real eigenbasis columns of wavenumber <= COARSE_WAVENUMBER, n x m."""
-    return _real_periodic_eigenbasis(n)[0][:, : min(2 * COARSE_WAVENUMBER + 1, n)]
+def _coarse_modes(q: np.ndarray) -> np.ndarray:
+    """q_c: the columns of the real eigenbasis q of wavenumber <= COARSE_WAVENUMBER, n x m."""
+    return q[:, : min(2 * COARSE_WAVENUMBER + 1, q.shape[0])]
 
 
 def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
@@ -222,7 +223,7 @@ def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
     that it lets into CG's iterate y only adds a constant to x = y / scale,
     which the solve's final mean removal drops.
     """
-    q_c = _coarse_modes(n)
+    q_c = _coarse_modes(_real_periodic_eigenbasis(n)[0])
     m = q_c.shape[1]
     block = np.empty((m, m, m, m))
     for i in range(m):
@@ -265,80 +266,67 @@ def _real_periodic_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _laplacian_pinv_plan(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """(-Delta)^+ as a map on flat vectors, with every grid-fixed array built once.
+def _laplacian_pinv_plan(grid: Grid) -> tuple[Callable, Callable | None]:
+    """(-Delta)^+ v and, None in 1D, the 2D solve's (v, C) -> M^-1 v, as maps on flat vectors.
 
-    On a 2D grid with n <= DENSE_PLAN_MAX_N it is Q ((Q^T X Q) / Lambda) Q^T
-    on the n x n array X, with Q the real periodic eigenbasis and
-    Lambda_ij = lam_i + lam_j.  Otherwise it is the real FFT pair with the
-    inverse symbol.  Both drop the constant mode, so the output has zero mean
-    up to roundoff.  Plans stay cached for the life of the process; one
-    holds O(n^2) floats (about 100 KB at n = 64).
+    On a 2D grid with n <= DENSE_PLAN_MAX_N, (-Delta)^+ is
+    Q ((Q^T X Q) / Lambda) Q^T on the n x n array X, with Q the real
+    periodic eigenbasis and Lambda_ij = lam_i + lam_j; otherwise the real
+    FFT pair with the inverse symbol.  Both drop the constant mode, so the
+    output has zero mean up to roundoff.  M^-1 = F + E C E^T is the
+    two-level preconditioner: E = q_c (x) q_c spans the coarse modes, the
+    first m columns of Q per axis (`_coarse_modes`), C is the weight
+    density's coarse inverse and F is (-Delta)^+ on the other modes.  The
+    dense map overwrites the [:m, :m] block of the spectral array, which is
+    E^T v, with C E^T v after the multiply by 1 / Lambda.  The FFT map adds
+    the exact coarse correction E (C - Lambda_c^+) E^T v to (-Delta)^+ v,
+    with Lambda_c^+ the inverse symbol on the coarse block.  M^-1 is SPD,
+    since F and E C E^T are SPD on complementary sets of modes.  Plans stay
+    cached for the life of the process; one holds O(n^2) floats (about
+    100 KB at n = 64).
     """
-    n, shape = grid.n, grid.shape
-    if grid.dim == 2 and n <= DENSE_PLAN_MAX_N:
+    n, shape, total = grid.n, grid.shape, grid.total
+    if grid.dim == 2:
         q, lam = _real_periodic_eigenbasis(n)
-        qt = np.ascontiguousarray(q.T)
-        inv = _pinv_symbol(lam[:, None] + lam[None, :])
-        return lambda v: (q @ ((qt @ v.reshape(shape) @ q) * inv) @ qt).reshape(grid.total)
-    lam = _laplacian_eigenvalues(n)
-    half = lam[: n // 2 + 1]
-    inv = _pinv_symbol(half if grid.dim == 1 else lam[:, None] + half[None, :])
-    axes = tuple(range(grid.dim))
-
-    def fft_apply(v: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfftn(v.reshape(shape)) * inv
-        return np.fft.irfftn(spec, s=shape, axes=axes).reshape(grid.total)
-
-    return fft_apply
-
-
-@functools.cache
-def _two_level_plan(grid: Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The 2D solve's preconditioner M^-1 = F + E C E^T as a map (v, C) -> M^-1 v.
-
-    E = q_c (x) q_c spans the coarse modes (`_coarse_modes`) and C is the
-    coarse inverse of the weight density.  F is the grid's (-Delta)^+ plan
-    restricted to the other modes.  The coarse modes are the wavenumbers
-    <= COARSE_WAVENUMBER on each axis in either layout: the [:m, :m] block
-    of the dense eigenbasis array, |k1| <= COARSE_WAVENUMBER (with wrap) and
-    k2 <= COARSE_WAVENUMBER in the real FFT's.  In the dense plan E^T v is
-    that block of the spectral array, and C E^T v overwrites it after the
-    inverse symbol's multiply.  With the FFT the inverse symbol is zeroed
-    on the coarse modes, E^T v is q_c^T V q_c, and E C E^T v is added as
-    q_c (C E^T v) q_c^T.  The map is SPD, since F and E C E^T are SPD on
-    complementary sets of modes.  Cached per grid like the (-Delta)^+ plan.
-    """
-    n, shape = grid.n, grid.shape
-    q, lam = _real_periodic_eigenbasis(n)
-    m = _coarse_modes(n).shape[1]
-    if n <= DENSE_PLAN_MAX_N:
+        q_c = np.ascontiguousarray(_coarse_modes(q))
+        m = q_c.shape[1]
+    if grid.dim == 2 and n <= DENSE_PLAN_MAX_N:
         qt = np.ascontiguousarray(q.T)
         inv = _pinv_symbol(lam[:, None] + lam[None, :])
 
-        def dense_apply(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
+        def dense_apply(v: np.ndarray) -> np.ndarray:
+            return (q @ ((qt @ v.reshape(shape) @ q) * inv) @ qt).reshape(total)
+
+        def dense_two_level(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
             spec = qt @ v.reshape(shape) @ q
             coarse = coarse_inverse @ spec[:m, :m].ravel()
             spec *= inv
             spec[:m, :m] = coarse.reshape(m, m)
-            return (q @ spec @ qt).reshape(grid.total)
+            return (q @ spec @ qt).reshape(total)
 
-        return dense_apply
-    q_c = np.ascontiguousarray(q[:, :m])
+        return dense_apply, dense_two_level
+    eigenvalues = _laplacian_eigenvalues(n)
+    half = eigenvalues[: n // 2 + 1]
+    inv = _pinv_symbol(half if grid.dim == 1 else eigenvalues[:, None] + half[None, :])
+    axes = tuple(range(grid.dim))
+
+    def fft_apply(v: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(v.reshape(shape)) * inv
+        return np.fft.irfftn(spec, s=shape, axes=axes).reshape(total)
+
+    if grid.dim == 1:
+        return fft_apply, None
     q_ct = np.ascontiguousarray(q_c.T)
-    lam = _laplacian_eigenvalues(n)
-    inv = _pinv_symbol(lam[:, None] + lam[None, : n // 2 + 1])
-    coarse_k = np.minimum(np.arange(n), n - np.arange(n)) <= COARSE_WAVENUMBER
-    inv[np.ix_(coarse_k, coarse_k[: n // 2 + 1])] = 0.0
+    inv_c = _pinv_symbol(lam[:m, None] + lam[None, :m])
 
-    def fft_apply(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
-        x = v.reshape(shape)
-        out = np.fft.irfft2(np.fft.rfft2(x) * inv, s=shape)
-        coarse = coarse_inverse @ (q_ct @ x @ q_c).ravel()
-        out += q_c @ coarse.reshape(m, m) @ q_ct
-        return out.reshape(grid.total)
+    def fft_two_level(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
+        coarse = q_ct @ v.reshape(shape) @ q_c
+        correction = (coarse_inverse @ coarse.ravel()).reshape(m, m) - inv_c * coarse
+        out = fft_apply(v)
+        out += (q_c @ correction @ q_ct).reshape(total)
+        return out
 
-    return fft_apply
+    return fft_apply, fft_two_level
 
 
 def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -347,7 +335,7 @@ def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     P projects out the constant mode, so constant input maps to zero and the
     output always has zero mean.
     """
-    return _laplacian_pinv_plan(grid)(check_vector(grid, rhs))
+    return _laplacian_pinv_plan(grid)[0](check_vector(grid, rhs))
 
 
 def weighted_elliptic_pinv_apply(
@@ -361,7 +349,10 @@ def weighted_elliptic_pinv_apply(
     on the low Fourier modes plus (-Delta)^+ on the rest: one sparse matvec
     with the cached A and one preconditioner application per iteration (see
     _pcg_2d).  A and the coarse inverse are built on the first 2D solve
-    with a nonzero right-hand side for this w.  Raises ValueError for a
+    with a nonzero right-hand side for this w.  A right-hand side whose
+    largest entry is outside [2^-400, 2^400], where ||P rhs||^2 could under-
+    or overflow, is solved times a power of two, and x scaled back; both
+    scalings are exact.  Raises ValueError for a
     weight density that is not strictly positive or a right-hand side that
     is not finite, and EllipticSolveError when the residual misses
     cfg.rel_tolerance: in 1D the backward error of the closed form's true
@@ -374,8 +365,14 @@ def weighted_elliptic_pinv_apply(
         raise ValueError("weight density must be strictly positive")
     grid = w.grid
     rhs = check_vector(grid, rhs)
-    if not np.isfinite(rhs).all():
+    peak = float(np.abs(rhs).max())  # NaN or inf exactly when rhs is not finite
+    if not peak < math.inf:
         raise ValueError("right-hand side must be finite")
+    if peak != 0.0 and not 2.0**-400 <= peak <= 2.0**400:
+        # solve for 2^k rhs, whose largest entry is in [1/2, 1): no sum of
+        # squares in that solve can under- or overflow
+        k = -math.frexp(peak)[1]
+        return np.ldexp(weighted_elliptic_pinv_apply(w, np.ldexp(rhs, k), cfg), -k)
     # x.sum() / x.size and sqrt(x @ x) are np.mean and np.linalg.norm's own
     # arithmetic on a real vector, without their wrappers
     b = rhs - rhs.sum() / rhs.size
@@ -445,7 +442,7 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     cap, where sqrt w missed it at every size.  The variation of
     w matters on the low modes, where it changes A as much as -Delta's own
     eigenvalues there, so CG is preconditioned by the two-level map
-    M^-1 = F + E A_c^-1 E^T (see _two_level_plan and _coarse_inverse):
+    M^-1 = F + E A_c^-1 E^T (see _laplacian_pinv_plan and _coarse_inverse):
     exact on the coarse modes E, (-Delta)^+ on the rest (iteration counts:
     see COARSE_WAVENUMBER).  It is the same iteration as CG on L_w x = b
     preconditioned by P S^-1 M^-1 S^-1 P: the projections P drop out,
@@ -464,7 +461,8 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     grid = w.grid
     set_up = scaled_operator(w)
     a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
-    precondition = functools.partial(_two_level_plan(grid), coarse_inverse=set_up.coarse_inverse)
+    _, two_level = _laplacian_pinv_plan(grid)
+    precondition = functools.partial(two_level, coarse_inverse=set_up.coarse_inverse)
     tol = cfg.rel_tolerance * bnorm
 
     y = np.zeros(grid.total)

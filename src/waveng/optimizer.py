@@ -229,9 +229,8 @@ def armijo_step(
     eta, trials = 1.0, 0
     for halvings in range(MAX_HALVINGS + 1):
         # a trial whose value a lower bound already shows to fail the rule
-        # is rejected unpriced (the rule is monotone in the value); the
-        # first trial, which most steps accept, gets only the scalar bound
-        bounds = line.lower_bounds(eta, convexity=halvings > 0)
+        # is rejected unpriced (the rule is monotone in the value)
+        bounds = line.lower_bounds(eta)
         if all(armijo_accepts(bound, ev.value, eta, slope) for bound in bounds):
             trials += 1
             trial = line(eta)

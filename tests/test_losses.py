@@ -59,7 +59,7 @@ class TestE1:
         p = mu.values + eps * s
         ev = e1_eval(p, mu)
         want_value = eps**2 * n * (s @ s) / (2 * lam)
-        assert ev.value == pytest.approx(want_value, rel=1e-6)
+        assert ev.value == pytest.approx(want_value, rel=1e-6, abs=0)
         np.testing.assert_allclose(ev.gradient, (eps * n / lam) * s, rtol=1e-6, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
@@ -70,7 +70,7 @@ class TestE1:
         for _ in range(5):
             d = rng.standard_normal(32)
             fd = directional_fd(lambda q: e1_eval(q, mu).value, p, d)
-            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5)
+            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5, abs=0)
 
     def test_constant_shift_contributes_nothing(self):
         mu = sin_measure(32)
@@ -123,7 +123,7 @@ class TestE2:
         for _ in range(5):
             d = rng.standard_normal(32)
             fd = directional_fd(lambda q: e2_eval(q, mu).value, p, d)
-            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5)
+            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5, abs=0)
 
 
 class TestE3:
@@ -140,7 +140,7 @@ class TestE3:
         s = np.sin(2 * np.pi * k * np.arange(n) / n)
         lam = 4 * n**2 * np.sin(np.pi * k / n) ** 2
         ev = e3_eval(mu.values + eps * s, mu)
-        assert ev.value == pytest.approx(0.5 * eps**2 * lam * (s @ s), rel=1e-8)
+        assert ev.value == pytest.approx(0.5 * eps**2 * lam * (s @ s), rel=1e-8, abs=0)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(34)
@@ -150,7 +150,7 @@ class TestE3:
         for _ in range(5):
             d = rng.standard_normal(32)
             fd = directional_fd(lambda q: e3_eval(q, mu).value, p, d)
-            assert ev.gradient @ d == pytest.approx(fd, rel=1e-6)
+            assert ev.gradient @ d == pytest.approx(fd, rel=1e-6, abs=0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(35)
@@ -184,7 +184,7 @@ class TestCombined:
         for _ in range(5):
             d = rng.standard_normal(32)
             fd = directional_fd(lambda q: combined_eval(q, spec).value, p, d)
-            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5)
+            assert ev.gradient @ d == pytest.approx(fd, rel=1e-5, abs=0)
 
     def test_affine_in_alphas(self):
         rng = np.random.default_rng(38)
@@ -196,7 +196,7 @@ class TestCombined:
         for _ in range(3):
             alphas = rng.uniform(0.1, 2.0, 3)
             spec = LossSpec(*alphas, mu=mu)
-            assert combined_eval(p, spec).value == pytest.approx(alphas @ parts, rel=1e-12)
+            assert combined_eval(p, spec).value == pytest.approx(alphas @ parts, rel=1e-12, abs=0)
 
     def test_infeasible_propagates(self):
         mu = sin_measure(16)
