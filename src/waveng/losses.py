@@ -21,8 +21,9 @@ holding the value, t and log(t/mu), and builds no gradient.  The
 accepted trial alone forms its gradient and LossEval, by
 `Line.loss_eval(trial)`, and its point becomes the next density.
 `Line.lower_bounds` bounds a trial's value from below by scalar
-arithmetic, with no trial array.  The KL formula is written once, in a
-private kernel that `e2_eval` and the line share.  A LossSpec holds no
+arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
+`combined_eval` at a one-hot alpha, and the KL formula is written once, in
+a private kernel that `combined_eval` and the line share.  A LossSpec holds no
 state: every K-solve passes mu itself, and `operators` caches the 2D
 solve's set-up per weight density (by identity): the scaled operator
 S^-1 L_mu S^-1, S the Jacobi scale of L_mu, and the inverse of its
@@ -97,7 +98,9 @@ class LossSpec:
 
 
 def check_alphas(alphas: tuple[float, float, float]) -> None:
-    """Raise ValueError unless every alpha is finite and >= 0 and one is positive."""
+    """Raise ValueError unless there are three alphas, each finite and >= 0, one positive."""
+    if len(alphas) != 3:
+        raise ValueError(f"three alphas are needed (alpha1, alpha2, alpha3), got {alphas}")
     # a bool is a number, but True is no weight
     if any(isinstance(a, (bool, np.bool_)) or not (math.isfinite(a) and a >= 0) for a in alphas):
         raise ValueError(f"alphas must be finite and nonnegative, got {alphas}")
@@ -112,7 +115,7 @@ class LossEval:
     `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
     quadratic terms of a combined loss, already included in value and
     gradient; combined_eval and Line.loss_eval set it, and
-    along_line needs it.  The single-term evaluations leave it None.
+    along_line needs it.  Only an infeasible evaluation leaves it None.
     Compared by identity.
     """
 
@@ -125,16 +128,14 @@ class LossEval:
         return np.isfinite(self.value)
 
 
-def e1_eval(p: np.ndarray, mu: Density, cfg: EllipticSolveConfig | None = None) -> LossEval:
+def e1_eval(p: np.ndarray, mu: Density) -> LossEval:
     """Transport surrogate: half the weighted semi-H^{-1} norm of p - mu.
 
     value = (p-mu)^T K (p-mu) / 2 and gradient = K (p-mu), where K is the
     pseudo-inverse of the mu-weighted elliptic operator.  The constant
     component of p - mu is annihilated by K and contributes nothing.
     """
-    r = _finite_sites(mu.grid, p) - mu.values
-    x = weighted_elliptic_pinv_apply(mu, r, cfg)
-    return LossEval(value=0.5 * float(r @ x), gradient=x)
+    return combined_eval(p, LossSpec(1.0, 0.0, 0.0, mu))
 
 
 def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
@@ -144,23 +145,12 @@ def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
     unconstrained minimizer even when a metric moves mass; gradient
     log(p/mu).  Any site with p <= 0 yields value +inf.
     """
-    return _e2(_finite_sites(mu.grid, p), mu)
+    return combined_eval(p, LossSpec(0.0, 1.0, 0.0, mu))
 
 
-def _finite_sites(grid: Grid, p: np.ndarray) -> np.ndarray:
-    """check_vector(grid, p), with ValueError for a NaN or infinite site."""
-    pv = check_vector(grid, p)
-    if not np.isfinite(pv).all():
-        raise ValueError("density values must be finite")
-    return pv
-
-
-def _e2(pv: np.ndarray, mu: Density) -> LossEval:
-    """e2_eval on site values that are already checked."""
-    if pv.min() <= 0.0:
-        return LossEval(value=np.inf, gradient=None)
-    value, log_ratio = _kl(pv, mu.values, mu.mass)
-    return LossEval(value=value, gradient=log_ratio)
+def e3_eval(p: np.ndarray, mu: Density) -> LossEval:
+    """Dirichlet energy of p - mu: value (p-mu)^T A (p-mu) / 2 with A = -Delta."""
+    return combined_eval(p, LossSpec(0.0, 0.0, 1.0, mu))
 
 
 def _kl(p: np.ndarray, mu: np.ndarray, mu_mass: float) -> tuple[float, np.ndarray]:
@@ -168,13 +158,6 @@ def _kl(p: np.ndarray, mu: np.ndarray, mu_mass: float) -> tuple[float, np.ndarra
     log_ratio = np.divide(p, mu)
     np.log(log_ratio, out=log_ratio)
     return float(p @ log_ratio) - float(p.sum()) + mu_mass, log_ratio
-
-
-def e3_eval(p: np.ndarray, mu: Density) -> LossEval:
-    """Dirichlet energy of p - mu: value (p-mu)^T A (p-mu) / 2 with A = -Delta."""
-    r = _finite_sites(mu.grid, p) - mu.values
-    a = laplacian_apply(mu.grid, r)
-    return LossEval(value=0.5 * float(r @ a), gradient=a)
 
 
 def _quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
@@ -201,17 +184,18 @@ def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
     r^T Q r / 2, and q with its gradient Q r is also returned as
     `quadratic`.
     """
-    pv = _finite_sites(spec.grid, p)
+    pv = check_vector(spec.grid, p)
+    if not np.isfinite(pv).all():
+        raise ValueError("density values must be finite")
     r = pv - spec.mu.values
     qr = _quadratic_apply(spec, r)
     quadratic = (0.5 * float(r @ qr), qr)
     if spec.alpha2 == 0:
         return LossEval(*quadratic, quadratic=quadratic)
-    kl = _e2(pv, spec.mu)
-    if not kl.feasible:
+    if pv.min() <= 0.0:
         return LossEval(value=np.inf, gradient=None)
-    value = spec.alpha2 * kl.value + quadratic[0]
-    return LossEval(value, spec.alpha2 * kl.gradient + qr, quadratic)
+    kl, log_ratio = _kl(pv, spec.mu.values, spec.mu.mass)
+    return LossEval(spec.alpha2 * kl + quadratic[0], spec.alpha2 * log_ratio + qr, quadratic)
 
 
 @dataclass(eq=False, slots=True)

@@ -391,8 +391,10 @@ def _closed_form_1d(
 
     The flux f = w D x satisfies D^T f = b, so f = c - cumsum(b) / n; the
     constant c is the one that closes the periodic loop, sum (D x) = 0,
-    i.e. sum f / w = 0.  Then x is the running sum of f / (n w) with its
-    mean removed.
+    i.e. sum f / w = 0.  Then x is the running sum of the steps f / (n w)
+    with its mean removed, the step of the weakest link k being minus the
+    sum of the others: f_k / (n w_k), for a w_k orders below the rest, would
+    amplify the cancellation in f_k into every x past k.
 
     The true residual is gated as a normwise backward error: it must be at
     most rel_tolerance * (||rhs|| + ||L|| ||x||), with ||L|| <= 4 n^2 max(w).
@@ -407,6 +409,9 @@ def _closed_form_1d(
     f = -np.cumsum(b) / n
     f -= (f @ inv_w) / inv_w.sum()
     step = f * inv_w / n
+    k = w.values.argmin()
+    step[k] = 0.0
+    step[k] = -step.sum()
     x = np.empty(n)  # x[0] = 0 and the running sum of step after it, in one array
     x[0] = 0.0
     np.add.accumulate(step[:-1], out=x[1:])

@@ -76,6 +76,9 @@ def closed_form_1d(wv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     f = -np.cumsum(b) / n
     f -= (f @ inv_w) / inv_w.sum()
     step = f * inv_w / n
+    k = wv.argmin()
+    step[k] = 0.0
+    step[k] = -step.sum()
     x = np.concatenate(([0.0], np.cumsum(step[:-1])))
     x -= x.mean()
     residual = flux_apply(wv, x) - b

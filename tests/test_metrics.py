@@ -426,6 +426,15 @@ class TestMetricProperties:
             metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
                             alphas=tuple(alphas))
 
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0), (1.0, 0.0, 0.0, 5.0)])
+    def test_dispatcher_rejects_wrong_alpha_count(self, alphas):
+        # two alphas used to fail to unpack inside the bound helper, and a
+        # fourth was ignored
+        grid = make_grid(1, 16)
+        with pytest.raises(ValueError, match="three alphas are needed"):
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
+                            alphas=alphas)
+
     def test_dispatcher_rejects_all_zero_alphas(self):
         # used to stall every descent with "non-descent direction"
         grid = make_grid(1, 16)

@@ -476,6 +476,26 @@ class TestWeightedPinv:
             got = weighted_elliptic_pinv_apply(w, np.ldexp(rhs, power))
             np.testing.assert_array_equal(got, np.ldexp(x, power))
 
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    @pytest.mark.parametrize("spikes", [((1, 3, 40.0),), ((1, 3, 700.0),),
+                                        ((1, 5, 200.0), (1, 2, 150.0), (4, 5, 100.0))])
+    def test_1d_weak_sites_solve(self, n, spikes):
+        # mu of a zero potential raised to h at a few sites: those weights
+        # are e^-h below the rest, and a weak site's step, the cancellation
+        # in its flux divided by its weight, must not reach the x past it
+        # (with the loop closed on the last link, h = 30 missed the gate)
+        v = np.zeros(n)
+        for num, den, h in spikes:
+            v[num * n // den] = h
+        w = reference_measure(make_grid(1, n), v)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        cfg = EllipticSolveConfig()
+        x = weighted_elliptic_pinv_apply(w, rhs, cfg)
+        # the gate again, with the np.roll stencil and no library arithmetic
+        residual = ref.flux_apply(w.values, x) - (rhs - rhs.mean())
+        scale = np.linalg.norm(rhs) + 4.0 * n**2 * w.values.max() * np.linalg.norm(x)
+        assert np.linalg.norm(residual - residual.mean()) <= cfg.rel_tolerance * scale
+
     def test_nonpositive_weight_rejected(self):
         grid = make_grid(1, 16)
         wv = np.full(16, 1 / 16)
