@@ -17,10 +17,12 @@ operator is a Kronecker product of 1D matrices, one per axis, and
 `tensor_apply` applies it in this layout without forming the product:
 A0 X A1^T on the n x n site array X.  `tensor_factor` alone picks a 1D
 factor's applied form: the CSR matrix in 1D (one sparse matvec), a dense
-copy in 2D (one dgemm per side), with no size switch: per analysis
-W^T X W (one BLAS thread, 2-vCPU VM) dense against CSR took 4.7 vs 22.8
-us at 16^2, 25 vs 102 us at 64^2, 216 vs 418 us at 128^2, 2.2 vs 3.2 ms
-at 256^2 and 13.2 vs 15.4 ms at 512^2.
+copy in 2D (one dgemm per side), with no size switch: dense was faster
+per analysis W^T X W at 16^2 to 512^2 (one BLAS thread, 2-vCPU VM).
+The (-Delta)^+ plan (`operators`) and `MetricPrecomp.diagonals` keep
+private 2D products: through `tensor_apply` the plan was slower and not
+bitwise the same, and the diagonals share H2 P.  L_w alone is assembled,
+by Kronecker products.
 """
 
 from __future__ import annotations

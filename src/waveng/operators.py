@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, axis_apply, check_vector
+from .grid import Density, Grid, axis_apply, check_vector, tensor_apply
 
 __all__ = [
     "EllipticSolveConfig",
@@ -97,11 +97,6 @@ class EllipticSolveConfig:
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
             raise ValueError(f"max_iterations must be None or an integer >= 1, got {cap}")
 
-    def iteration_cap(self, grid: Grid) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * grid.n * grid.dim
-
 
 @functools.cache
 def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
@@ -132,18 +127,14 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly.
 
     Summed axis by axis, not as one 5-point matrix: a 3-point row sums a
-    constant to exactly zero, a 5-point one need not where it wraps.  In 2D
-    the axis-1 term, D^T D X^T transposed, is added into the axis-0 term
-    D^T D X in place, with no transposed copy.
+    constant to exactly zero, a 5-point one need not where it wraps.
     """
     v = check_vector(grid, v)
     _, _, dtd = difference_matrix(grid.n)
-    if grid.dim == 1:
-        return dtd @ v
-    x = v.reshape(grid.shape)
-    out = dtd @ x
-    out += (dtd @ x.T).T
-    return out.reshape(-1)
+    out = axis_apply(dtd, v, 0, grid.dim)
+    for a in range(1, grid.dim):
+        out += axis_apply(dtd, v, a, grid.dim)
+    return out
 
 
 def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -163,7 +154,7 @@ class ScaledOperator:
     matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
     scale: np.ndarray  # s_i = sqrt(L_w[i, i] / (2 dim n^2)), the mean edge weight's root
     inv_scale: np.ndarray
-    coarse_inverse: np.ndarray  # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetrised
+    coarse_inverse: np.ndarray  # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetric
 
 
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
@@ -207,7 +198,7 @@ def _coarse_modes(q: np.ndarray) -> np.ndarray:
 
 
 def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
-    """(E^T a E + beta c c^T)^-1, symmetrised, for the coarse modes E = q_c (x) q_c.
+    """(E^T a E + beta c c^T)^-1, exactly symmetric, for the coarse modes E = q_c (x) q_c.
 
     The Galerkin block E^T a E is formed one column of E at a time: a
     times the column q_c[:, i] (x) q_c[:, j], then q_c^T along both site
@@ -222,19 +213,28 @@ def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
     w it only adds a positive rank-one term).  The part along the scale
     that it lets into CG's iterate y only adds a constant to x = y / scale,
     which the solve's final mean removal drops.
+
+    Gauss-Jordan sweeps in elementwise NumPy invert the SPD block without
+    pivoting or BLAS, so unlike np.linalg.inv's its bytes do not depend on
+    the thread count.  Sweep k subtracts c_i c_j / c_k at (i, j) and (j, i)
+    alike: only the lower triangle is read, and the inverse is symmetric.
     """
     q_c = _coarse_modes(_real_periodic_eigenbasis(n)[0])
     m = q_c.shape[1]
-    block = np.empty((m, m, m, m))
+    block = np.empty((m * m, m * m))
     for i in range(m):
         for j in range(m):
             image = a @ np.outer(q_c[:, i], q_c[:, j]).ravel()
-            block[:, :, i, j] = q_c.T @ image.reshape(n, n) @ q_c
-    c = (q_c.T @ scale.reshape(n, n) @ q_c).ravel()
+            block[:, i * m + j] = tensor_apply([q_c.T] * 2, image)
+    c = tensor_apply([q_c.T] * 2, scale)
     c /= np.linalg.norm(c)
-    coarse = block.reshape(m * m, m * m) + _laplacian_eigenvalues(n)[1] * np.outer(c, c)
-    inverse = np.linalg.inv(coarse)
-    return (inverse + inverse.T) / 2.0
+    block += _laplacian_eigenvalues(n)[1] * np.outer(c, c)
+    for k in range(m * m):  # Gauss-Jordan sweeps, which leave -block^-1 in place
+        col = block[:, k].copy()
+        block -= np.multiply.outer(col, col) / col[k]
+        block[:, k] = block[k, :] = col / col[k]
+        block[k, k] = -1.0 / col[k]
+    return -block
 
 
 def _laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -339,7 +339,7 @@ def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 
 def weighted_elliptic_pinv_apply(
-    w: Density, rhs: np.ndarray, cfg: EllipticSolveConfig | None = None
+    w: Density, rhs: np.ndarray, cfg: EllipticSolveConfig = EllipticSolveConfig()
 ) -> np.ndarray:
     """Minimum-norm solve of (sum_a D_a^T diag(w) D_a) x = P rhs.
 
@@ -352,15 +352,16 @@ def weighted_elliptic_pinv_apply(
     with a nonzero right-hand side for this w.  A right-hand side whose
     largest entry is outside [2^-400, 2^400], where ||P rhs||^2 could under-
     or overflow, is solved times a power of two, and x scaled back; both
-    scalings are exact.  Raises ValueError for a
-    weight density that is not strictly positive or a right-hand side that
-    is not finite, and EllipticSolveError when the residual misses
-    cfg.rel_tolerance: in 1D the backward error of the closed form's true
-    residual (see _closed_form_1d); in 2D the CG residual of L_w x = P rhs
-    (unscaled) against rel_tolerance * ||P rhs||, within the iteration cap.
+    scalings are exact.  Raises TypeError for a w that is not a Density,
+    ValueError for a weight density that is not strictly positive or a
+    right-hand side that is not finite, and EllipticSolveError when the
+    residual misses cfg.rel_tolerance: in 1D the backward error of the
+    closed form's true residual (see _closed_form_1d); in 2D the CG residual
+    of L_w x = P rhs (unscaled) against rel_tolerance * ||P rhs||, within
+    the iteration cap.
     """
-    if cfg is None:
-        cfg = EllipticSolveConfig()
+    if not isinstance(w, Density):
+        raise TypeError(f"w must be a Density, got {type(w).__name__}")
     if w.min <= 0.0:
         raise ValueError("weight density must be strictly positive")
     grid = w.grid
@@ -475,7 +476,7 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     p = z = precondition(r)
     rz = float(r @ z)
     scratch = np.empty(grid.total)
-    limit = cfg.iteration_cap(grid)
+    limit = cfg.max_iterations or 10 * grid.n * grid.dim
     for _ in range(limit):
         ap = a @ p
         alpha = rz / float(p @ ap)

@@ -190,32 +190,30 @@ def armijo_step(
     p: Density,
     spec: LossSpec,
     metric: MetricFn,
-    evaluated: LossEval | None = None,
+    evaluated: LossEval,
 ) -> tuple[Density, LossEval, StepDiagnostics]:
     """One backtracking step from p.
 
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
-    `evaluated` lets the caller pass combined_eval's result at p, whose
-    quadratic part saves a K-solve.  A density on another grid than the
-    loss's raises ValueError.
+    `evaluated` is combined_eval's result at p, whose quadratic part saves
+    a K-solve.  A density on another grid than the loss's raises ValueError.
     """
     if p.grid != spec.grid:
         raise ValueError(f"start grid {p.grid} is not the loss grid {spec.grid}")
-    ev = combined_eval(p.values, spec) if evaluated is None else evaluated
 
     def stall(
         reason: str, slope: float, eta: float = 0.0, halvings: int = 0, trials: int = 0
     ) -> tuple[Density, LossEval, StepDiagnostics]:
         diag = StepDiagnostics(
             accepted=False, eta=eta, halvings=halvings, trials=trials, slope=slope,
-            value_before=ev.value, value_after=ev.value, reason=reason,
+            value_before=evaluated.value, value_after=evaluated.value, reason=reason,
         )
-        return p, ev, diag
+        return p, evaluated, diag
 
-    if not ev.feasible or ev.gradient is None:
+    if not evaluated.feasible or evaluated.gradient is None:
         return stall("loss not differentiable at current point", np.nan)
-    g = ev.gradient
+    g = evaluated.gradient
     try:
         s = metric(p, g)
     except MetricInfeasibleError as err:
@@ -225,19 +223,19 @@ def armijo_step(
         return stall("non-descent direction", slope)
     # nonpositive trials evaluate to +inf, keeping the descent in the
     # metrics' domain (the positive orthant)
-    line = along_line(spec, p.values, ev, s)
+    line = along_line(spec, p.values, evaluated, s)
     eta, trials = 1.0, 0
     for halvings in range(MAX_HALVINGS + 1):
         # a trial whose value a lower bound already shows to fail the rule
         # is rejected unpriced (the rule is monotone in the value)
         bounds = line.lower_bounds(eta)
-        if all(armijo_accepts(bound, ev.value, eta, slope) for bound in bounds):
+        if all(armijo_accepts(bound, evaluated.value, eta, slope) for bound in bounds):
             trials += 1
             trial = line(eta)
-            if armijo_accepts(trial.value, ev.value, eta, slope):
+            if armijo_accepts(trial.value, evaluated.value, eta, slope):
                 diag = StepDiagnostics(
                     accepted=True, eta=eta, halvings=halvings, trials=trials, slope=slope,
-                    value_before=ev.value, value_after=trial.value,
+                    value_before=evaluated.value, value_after=trial.value,
                 )
                 return Density(p.grid, trial.point), line.loss_eval(trial), diag
         eta *= 0.5
@@ -248,7 +246,7 @@ def run_descent(
     p0: Density,
     spec: LossSpec,
     metric: MetricFn,
-    cfg: DescentConfig | None = None,
+    cfg: DescentConfig = DescentConfig(),
 ) -> DescentHistory:
     """Iterate armijo_step from p0 until the loss gap closes.
 
@@ -257,8 +255,6 @@ def run_descent(
     (converged), cfg.max_iterations, or a stalled line search.  p0 must lie
     on the grid of mu.
     """
-    if cfg is None:
-        cfg = DescentConfig()
     if p0.min <= 0.0:
         raise ValueError("initial density must be strictly positive")
     if p0.grid != spec.grid:

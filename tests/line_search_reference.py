@@ -10,18 +10,18 @@ gradient.
 import numpy as np
 
 from waveng.grid import Density
-from waveng.losses import along_line, combined_eval
+from waveng.losses import along_line
 from waveng.metrics import MetricInfeasibleError
 from waveng.optimizer import ARMIJO_COEFFICIENT, MAX_HALVINGS, ROUNDING_SLACK
 
 
-def armijo_step(p, spec, metric, evaluated=None):
+def armijo_step(p, spec, metric, evaluated):
     """(next density, its LossEval, accepted, eta, halvings, value_after), pricing every trial.
 
     On a stall the density and evaluation at p come back unchanged, as in
     `optimizer.armijo_step`.
     """
-    ev = combined_eval(p.values, spec) if evaluated is None else evaluated
+    ev = evaluated
     if not ev.feasible or ev.gradient is None:
         return p, ev, False, 0.0, 0, ev.value
     g = ev.gradient

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +29,16 @@ from waveng.operators import (
 from waveng.optimizer import DescentConfig, run_descent
 from waveng.wavelets import make_basis
 
+
+# the BLAS/OpenMP thread variables, as `tools/preset_digests.py` lists them
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 # (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
 STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64)]
@@ -348,6 +363,28 @@ class TestWeightedLaplacianMatrix:
         np.linalg.cholesky(got)  # A_c is SPD, and so is the inverse that CG applies
         np.linalg.cholesky(coarse_inverse)
 
+    def test_coarse_inverse_bytes_do_not_depend_on_thread_count(self):
+        # np.linalg.inv of the 169^2 block changed its bits between 1 and 2
+        # BLAS threads, and with them every 2D K-solve's; only 1 and 2 are
+        # checked (a 2-core machine), higher counts are untested
+        code = (
+            "import hashlib\n"
+            "from waveng.experiments import build_potential\n"
+            "from waveng.grid import make_grid, reference_measure\n"
+            "from waveng.operators import scaled_operator\n"
+            "grid = make_grid(2, 16)\n"
+            "mu = reference_measure(grid, build_potential(grid, 'sin4pi-product'))\n"
+            "print(hashlib.sha256(scaled_operator(mu).coarse_inverse.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(THREAD_VARS, threads))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=60)
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
     def test_set_up_is_read_only(self):
         # every later solve with this w shares the set-up: a write must raise
         set_up = scaled_operator(random_weight(make_grid(2, 8), 41))
@@ -502,6 +539,15 @@ class TestWeightedPinv:
         wv[3] = 0.0
         with pytest.raises(ValueError):
             weighted_elliptic_pinv_apply(Density(grid, wv), np.ones(16))
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_weight_that_is_not_a_density_rejected(self, dim, n):
+        # a bare array used to fail inside the check w.min <= 0 with an
+        # unrelated TypeError from comparing a bound method to a float
+        grid = make_grid(dim, n)
+        w = uniform_density(grid).values
+        with pytest.raises(TypeError, match="^w must be a Density, got ndarray$"):
+            weighted_elliptic_pinv_apply(w, np.ones(grid.total))
 
     def test_nonpositive_weight_rejected_before_2d_set_up(self):
         scaled_operator.cache_clear()

@@ -47,7 +47,7 @@ class TestArmijoStep:
         # the Newton step eta = 1 is accepted with no halving and lands on mu
         for dim, n in NEWTON_CASES:
             p, mu, spec, mahalanobis = newton_setup(dim, n)
-            p_next, ev, diag = armijo_step(p, spec, mahalanobis)
+            p_next, ev, diag = armijo_step(p, spec, mahalanobis, combined_eval(p.values, spec))
             case = f"dim {dim}, n {n}"
             assert diag.accepted and diag.eta == 1.0 and diag.halvings == 0, case
             assert diag.value_after <= diag.value_before, case
@@ -67,7 +67,7 @@ class TestArmijoStep:
         s = np.sqrt(2e-15 * ev.value / (v @ laplacian_apply(p.grid, v))) * v
         s += 1e-18 * ev.value / (g @ g) * g
         assert along_line(spec, p.values, ev, s)(1.0).value > ev.value
-        _, _, diag = armijo_step(p, spec, lambda dens, grad: s)
+        _, _, diag = armijo_step(p, spec, lambda dens, grad: s, ev)
         assert diag.accepted and diag.halvings >= 1
         assert diag.value_after <= diag.value_before
 
@@ -75,13 +75,14 @@ class TestArmijoStep:
         # an ascent direction, and a direction with a NaN or infinite site
         # (no metric checks its output's finiteness), stall before any trial
         p, _, spec, _ = newton_setup()
-        g = combined_eval(p.values, spec).gradient
+        ev = combined_eval(p.values, spec)
+        g = ev.gradient
         directions = [-g]
         for value in (np.nan, np.inf, -np.inf):
             directions.append(g.copy())
             directions[-1][0] = value
         for s in directions:
-            p_next, _, diag = armijo_step(p, spec, lambda dens, grad: s)
+            p_next, _, diag = armijo_step(p, spec, lambda dens, grad: s, ev)
             assert not diag.accepted and diag.reason == "non-descent direction"
             assert diag.halvings == diag.trials == 0
             np.testing.assert_array_equal(p_next.values, p.values)
@@ -92,7 +93,7 @@ class TestArmijoStep:
         grid, mu, spec, _ = sin_setup(16, alphas=(0.0, 1.0, 0.0))
         p = uniform_density(grid)
         big = lambda dens, g: np.full(16, 2.0 / 16) * np.sign(g.sum() or 1.0)
-        p_next, _, diag = armijo_step(p, spec, big)
+        p_next, _, diag = armijo_step(p, spec, big, combined_eval(p.values, spec))
         assert diag.halvings >= 1
         if diag.accepted:
             assert p_next.min > 0
@@ -102,7 +103,7 @@ class TestArmijoStep:
         # at eta = 2^-60, so every trial is +inf and every halving is spent
         p, _, spec, _ = newton_setup()
         huge = lambda dens, g: 1e30 * g
-        p_next, ev, diag = armijo_step(p, spec, huge)
+        p_next, ev, diag = armijo_step(p, spec, huge, combined_eval(p.values, spec))
         assert not diag.accepted and diag.halvings == MAX_HALVINGS == 60
         assert "max_halvings" in diag.reason
         np.testing.assert_array_equal(p_next.values, p.values)
@@ -110,7 +111,7 @@ class TestArmijoStep:
 
     def test_fixed_point_at_mu(self):
         grid, mu, spec, metric = sin_setup()
-        p_next, _, diag = armijo_step(mu, spec, metric)
+        p_next, _, diag = armijo_step(mu, spec, metric, combined_eval(mu.values, spec))
         assert not diag.accepted  # zero gradient -> zero direction -> stall
         assert np.max(np.abs(p_next.values - mu.values)) <= 1e-10
 
@@ -145,7 +146,7 @@ class TestLineSearch:
         # comparison measures the carried update, not the CG error of both sides
         grid, spec, metric = preset_setup(preset_id, EllipticSolveConfig(rel_tolerance=1e-13))
         p = uniform_density(grid)
-        p_next, ev, diag = armijo_step(p, spec, metric)
+        p_next, ev, diag = armijo_step(p, spec, metric, combined_eval(p.values, spec))
         assert diag.accepted
         assert_matches_fresh(ev, p_next, spec, 1e-12)
 
@@ -336,8 +337,9 @@ class TestRunDescent:
         grid = make_grid(2, 4)
         mu = reference_measure(grid, np.linspace(0.0, 1.0, 16))
         spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
+        p = uniform_density(make_grid(1, 16))
         with pytest.raises(ValueError, match="start grid .* is not the loss grid"):
-            armijo_step(uniform_density(make_grid(1, 16)), spec, identity_metric)
+            armijo_step(p, spec, identity_metric, combined_eval(p.values, spec))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_rejects_metric_bound_to_another_grid(self, kind):

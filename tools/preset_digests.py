@@ -5,8 +5,14 @@ Usage:
 
 CHECKOUT is a repository root (default: the one holding this script).  Each
 preset runs in a fresh interpreter that imports waveng from CHECKOUT/src
-only, with every BLAS/OpenMP thread variable set to 1 (output bytes depend
-on the thread count) and no bytecode written, into a temporary directory.
+only, with 1 for each BLAS/OpenMP thread variable the caller has not set
+and no bytecode written, into a temporary directory.  waveng's output bytes
+do not depend on the thread count, so
+
+    OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=2 python3 tools/preset_digests.py
+
+prints the same digests as the default run (checked at 1 and 2 threads on
+a 2-core machine; higher counts are untested).
 The output is one `sha256  file` line per file, sorted by file name, so
 
     diff <(python3 tools/preset_digests.py A) <(python3 tools/preset_digests.py B)
@@ -39,7 +45,7 @@ THREAD_VARS = (
 def waveng(src: Path, cwd: Path, *args: str) -> str:
     """Run `waveng ARGS` on the sources under src; its stdout, or exit with its code."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    env.update({var: "1" for var in THREAD_VARS})
+    env.update({var: env.get(var, "1") for var in THREAD_VARS})
     cmd = [sys.executable, "-m", "waveng.cli", *args]
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
