@@ -15,10 +15,11 @@ Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
 operator is a Kronecker product of 1D matrices, one per axis, and
 `tensor_apply` applies it in this layout without forming the product:
-A0 X A1^T on the n x n site array X.  `tensor_factor` alone picks a 1D
-factor's applied form: the CSR matrix in 1D (one sparse matvec), a dense
-copy in 2D (one dgemm per side), with no size switch: dense was faster
-per analysis W^T X W at 16^2 to 512^2 (one BLAS thread, 2-vCPU VM).
+A0 X A1^T on the n x n site array X, with A1^T passed as the caller holds
+it.  `tensor_factor` alone picks a 1D factor's applied form: the CSR
+matrix in 1D (one sparse matvec), a dense copy in 2D (one dgemm per
+side), with no size switch: dense was faster per analysis W^T X W at
+16^2 to 512^2 (one BLAS thread, 2-vCPU VM).
 The (-Delta)^+ plan (`operators`) and `MetricPrecomp.diagonals` keep
 private 2D products: through `tensor_apply` the plan was slower and not
 bitwise the same, and the diagonals share H2 P.  L_w alone is assembled,
@@ -201,11 +202,14 @@ def tensor_factor(a: sp.csr_matrix, dim: int) -> sp.csr_matrix | np.ndarray:
 
 
 def tensor_apply(factors: Sequence[sp.csr_matrix | np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Apply factor a along axis a for every axis: A0 v, or (A0 (x) A1) v = A0 X A1^T in 2D.
+    """A0 v in 1D; in 2D (A0 (x) A1) v = A0 X R with the right factor given as R = A1^T.
 
-    The factors may be CSR or dense; a transposed dense factor is a free view.
+    The right factor comes in the layout it multiplies by, so a caller that
+    holds both A1 and A1^T (the wavelet basis holds W and W^T) passes the
+    stored array, not a transposed view, which BLAS multiplies by more
+    slowly.  The factors may be CSR or dense.
     """
     if len(factors) == 1:
         return factors[0] @ v
-    a0, a1 = factors
-    return (a0 @ v.reshape(a0.shape[1], a1.shape[1]) @ a1.T).reshape(-1)
+    left, right = factors
+    return (left @ v.reshape(left.shape[1], right.shape[0]) @ right).reshape(-1)

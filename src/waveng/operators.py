@@ -50,6 +50,7 @@ __all__ = [
     "laplacian_pinv_apply",
     "weighted_flux_apply",
     "scaled_operator",
+    "symmetric_inverse",
     "weighted_elliptic_pinv_apply",
 ]
 
@@ -214,10 +215,8 @@ def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
     that it lets into CG's iterate y only adds a constant to x = y / scale,
     which the solve's final mean removal drops.
 
-    Gauss-Jordan sweeps in elementwise NumPy invert the SPD block without
-    pivoting or BLAS, so unlike np.linalg.inv's its bytes do not depend on
-    the thread count.  Sweep k subtracts c_i c_j / c_k at (i, j) and (j, i)
-    alike: only the lower triangle is read, and the inverse is symmetric.
+    The block is inverted by `symmetric_inverse`, whose bytes do not
+    depend on the thread count.
     """
     q_c = _coarse_modes(_real_periodic_eigenbasis(n)[0])
     m = q_c.shape[1]
@@ -225,16 +224,32 @@ def _coarse_inverse(a: sp.csr_matrix, scale: np.ndarray, n: int) -> np.ndarray:
     for i in range(m):
         for j in range(m):
             image = a @ np.outer(q_c[:, i], q_c[:, j]).ravel()
-            block[:, i * m + j] = tensor_apply([q_c.T] * 2, image)
-    c = tensor_apply([q_c.T] * 2, scale)
+            block[:, i * m + j] = tensor_apply([q_c.T, q_c], image)
+    c = tensor_apply([q_c.T, q_c], scale)
     c /= np.linalg.norm(c)
     block += _laplacian_eigenvalues(n)[1] * np.outer(c, c)
-    for k in range(m * m):  # Gauss-Jordan sweeps, which leave -block^-1 in place
-        col = block[:, k].copy()
-        block -= np.multiply.outer(col, col) / col[k]
-        block[:, k] = block[k, :] = col / col[k]
-        block[k, k] = -1.0 / col[k]
-    return -block
+    return symmetric_inverse(block)
+
+
+def symmetric_inverse(a: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD float64 matrix a with its inverse, exactly symmetric, and return a.
+
+    Gauss-Jordan sweeps in elementwise NumPy, without pivoting or BLAS, so
+    unlike np.linalg.inv's the bytes do not depend on the thread count.
+    Sweep k subtracts c_i c_j / c_k at (i, j) and (j, i) alike: only the
+    lower triangle of a is read, and the inverse is symmetric to the last
+    bit.  In place, with one scratch array of a's size, to keep the peak
+    memory of the combined metric's three 255^2 inversions low.
+    """
+    update = np.empty_like(a)
+    for k in range(a.shape[0]):  # the sweeps leave -a^-1 in place
+        col = a[:, k].copy()
+        np.multiply.outer(col, col, out=update)
+        update /= col[k]
+        a -= update
+        a[:, k] = a[k, :] = col / col[k]
+        a[k, k] = -1.0 / col[k]
+    return np.negative(a, out=a)
 
 
 def _laplacian_eigenvalues(n: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Backtracking natural-gradient descent with the Armijo condition.
 
 Each step preconditions the Euclidean gradient g with a metric to get the
-direction s, then halves the step size eta (starting from 1, at most
-MAX_HALVINGS times) until
+direction s = metric(p, g, mu), mu the loss's reference measure (the
+two-level combined metric builds its coarse block there), then halves the
+step size eta (starting from 1, at most MAX_HALVINGS times) until
 
     E(p - eta s) - E(p) <= -eta/2 * <s, g>,
 
@@ -102,7 +103,7 @@ __all__ = [
     "run_descent",
 ]
 
-MetricFn = Callable[[Density, np.ndarray], np.ndarray]
+MetricFn = Callable[[Density, np.ndarray, Density], np.ndarray]  # (p, g, mu) -> s
 
 ARMIJO_COEFFICIENT = 0.5  # the 1/2 of eta/2 in the condition of the module docstring
 MAX_HALVINGS = 60  # trials after the first; a step that exhausts them stalls the run
@@ -197,8 +198,13 @@ def armijo_step(
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
     `evaluated` is combined_eval's result at p, whose quadratic part saves
-    a K-solve.  A density on another grid than the loss's raises ValueError.
+    a K-solve.  The metric is called as metric(p, g, spec.mu), so a metric
+    built at mu (the two-level combined one) gets the loss's own.  A p that
+    is not a Density raises TypeError, and one on another grid than the
+    loss's ValueError.
     """
+    if not isinstance(p, Density):
+        raise TypeError(f"p must be a Density, got {type(p).__name__}")
     if p.grid != spec.grid:
         raise ValueError(f"start grid {p.grid} is not the loss grid {spec.grid}")
 
@@ -215,7 +221,7 @@ def armijo_step(
         return stall("loss not differentiable at current point", np.nan)
     g = evaluated.gradient
     try:
-        s = metric(p, g)
+        s = metric(p, g, spec.mu)
     except MetricInfeasibleError as err:
         return stall(f"metric infeasible: {err}", np.nan)
     slope = float(s @ g)
@@ -252,9 +258,11 @@ def run_descent(
 
     The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of the
     loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
-    (converged), cfg.max_iterations, or a stalled line search.  p0 must lie
-    on the grid of mu.
+    (converged), cfg.max_iterations, or a stalled line search.  p0 must be
+    a Density (TypeError otherwise) on the grid of mu.
     """
+    if not isinstance(p0, Density):
+        raise TypeError(f"p0 must be a Density, got {type(p0).__name__}")
     if p0.min <= 0.0:
         raise ValueError("initial density must be strictly positive")
     if p0.grid != spec.grid:

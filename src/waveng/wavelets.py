@@ -21,8 +21,8 @@ analysis W^T, through `grid.tensor_apply`, so a transform is W c or W^T v
 in 1D and W C W^T or W^T X W on the n x n array in 2D.  The basis holds
 both factors in the form `grid.tensor_factor` picks, built once: the CSR
 W and W^T in 1D, where a transform is one sparse matvec, and read-only
-dense copies in 2D, where it is two dgemm (2 n^2 doubles, 256 KB at
-n = 128).
+dense copies in 2D, where it is two dgemm on the stored arrays, W^T X W
+as analysis @ X @ synthesis (2 n^2 doubles, 256 KB at n = 128).
 """
 
 from __future__ import annotations
@@ -208,10 +208,10 @@ def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:
     """Wavelet analysis: W^T v in 1D, W^T X W on the n x n site array in 2D."""
     v = check_vector(basis.grid, v)
-    return tensor_apply([basis.analysis] * basis.grid.dim, v)
+    return tensor_apply([basis.analysis, basis.synthesis][: basis.grid.dim], v)
 
 
 def transform_inverse(basis: WaveletBasis, c: np.ndarray) -> np.ndarray:
     """Wavelet synthesis: W c in 1D, W C W^T on the n x n coefficient array in 2D."""
     c = check_vector(basis.grid, c)
-    return tensor_apply([basis.synthesis] * basis.grid.dim, c)
+    return tensor_apply([basis.synthesis, basis.analysis][: basis.grid.dim], c)

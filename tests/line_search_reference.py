@@ -26,7 +26,7 @@ def armijo_step(p, spec, metric, evaluated):
         return p, ev, False, 0.0, 0, ev.value
     g = ev.gradient
     try:
-        s = metric(p, g)
+        s = metric(p, g, spec.mu)
     except MetricInfeasibleError:
         return p, ev, False, 0.0, 0, ev.value
     slope = float(s @ g)

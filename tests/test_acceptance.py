@@ -139,13 +139,13 @@ def test_criterion_4_metric_properties():
         for _ in range(50):
             g1 = rng.standard_normal(64)
             g2 = rng.standard_normal(64)
-            m1, m2 = metric(p, g1), metric(p, g2)
+            m1, m2 = metric(p, g1, p), metric(p, g2, p)
             worst_sym = max(worst_sym, abs(g1 @ m2 - m1 @ g2) / (1.0 + abs(g1 @ m2)))
             worst_neg = max(worst_neg, -(g1 @ m1) / (g1 @ g1))
     combined = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
     for _ in range(50):
         g = rng.standard_normal(64)
-        worst_mass = max(worst_mass, abs(combined(p, g).sum()))
+        worst_mass = max(worst_mass, abs(combined(p, g, p).sum()))
     ok = worst_sym <= 1e-10 and worst_neg <= 1e-12 and worst_mass <= 1e-10
     report(
         4,
@@ -173,7 +173,7 @@ def test_criterion_5_sparsity_scaling():
         reps = 100
         t0 = time.perf_counter()
         for _ in range(reps):
-            combined(p, g)
+            combined(p, g, p)
         times[n] = (time.perf_counter() - t0) / reps
     constants = {n: counts[n] / (n * np.log2(n)) for n in counts}
     ratio_a = counts[512] / counts[256]

@@ -235,7 +235,7 @@ class TestTensorRule:
         cases = [
             (axis_apply(a0, v, 0, 2), np.kron(d0, eye) @ v),
             (axis_apply(a1, v, 1, 2), np.kron(eye, d1) @ v),
-            (tensor_apply([a0, a1], v), np.kron(d0, d1) @ v),
+            (tensor_apply([a0, a1.T], v), np.kron(d0, d1) @ v),
         ]
         for got, want in cases:
             assert got.shape == (n * n,)
@@ -243,20 +243,21 @@ class TestTensorRule:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_2d_dense_factors_match_kron(self, n):
-        # dense factors and their transposed views, as the 2D transforms pass them
+        # dense factors and transposed views; the right factor is the one
+        # multiplied by, A1^T, as the 2D transforms pass W and W^T
         d0, d1 = random_factor(n, 3 * n).toarray(), random_factor(n, 3 * n + 1).toarray()
         v = np.random.default_rng(3).standard_normal(n * n)
-        for a0, a1 in ((d0, d1), (d0.T, d1.T), (d0, d1.T)):
-            got = tensor_apply([a0, a1], v)
+        for a0, right in ((d0, d1), (d0.T, d1.T), (d0, d1.T)):
+            got = tensor_apply([a0, right], v)
             assert got.shape == (n * n,)
-            np.testing.assert_allclose(got, np.kron(a0, a1) @ v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got, np.kron(a0, right.T) @ v, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_2d_csr_is_axis_by_axis_bitwise(self, n):
         a0, a1 = random_factor(n, 4 * n), random_factor(n, 4 * n + 1)
         v = np.random.default_rng(4).standard_normal(n * n)
         by_axis = axis_apply(a1, axis_apply(a0, v, 0, 2), 1, 2)
-        np.testing.assert_array_equal(tensor_apply([a0, a1], v), by_axis)
+        np.testing.assert_array_equal(tensor_apply([a0, a1.T], v), by_axis)
 
     def test_tensor_factor_forms(self):
         # the CSR matrix itself in 1D, a read-only C-contiguous dense copy in 2D

@@ -254,7 +254,7 @@ def test_step_matches_pricing_every_trial(case):
 @pytest.mark.parametrize("name", CONSTRUCTED)
 def test_constructed_step_matches_pricing_every_trial(name):
     spec, p, s = CONSTRUCTED[name]()
-    diag = assert_matches_oracle(spec, p, lambda dens, grad: s)
+    diag = assert_matches_oracle(spec, p, lambda dens, grad, mu: s)
     if name == "huge":
         assert not diag.accepted and diag.halvings == MAX_HALVINGS == 60
         assert diag.trials == 0  # the scalar bound rules out every trial unpriced
@@ -272,7 +272,7 @@ def test_ruled_out_trials_fail_when_priced(case, log2_scale):
     # far outside and just around their crossover
     spec, p, metric = drawn_problem(case)
     g = combined_eval(p.values, spec).gradient
-    s = 2.0**log2_scale * metric(p, g)
+    s = 2.0**log2_scale * metric(p, g, spec.mu)
     if not float(s @ g) > 0.0:
         return
     assert certified_but_accepted(spec, p, s) == []

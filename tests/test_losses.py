@@ -304,7 +304,7 @@ class TestSiteArrays:
         # used to keep only the real part, with a ComplexWarning
         entries = {
             **self.LOSSES,
-            "fisher_rao": lambda g, mu: metric_apply_fn(MetricKind.FISHER_RAO, mu.grid)(mu, g),
+            "fisher_rao": lambda g, mu: metric_apply_fn(MetricKind.FISHER_RAO, mu.grid)(mu, g, mu),
             "transform_forward": lambda p, mu: transform_forward(make_basis(mu.grid), p),
         }
         mu = self.measure(1, 16)
@@ -398,7 +398,7 @@ class TestSolveSetUp:
         spec = LossSpec(*preset.alphas, mu=mu)
         assert combined_eval(mu.values, spec).value == 0.0
         assert cache.cache_info().currsize == 0
-        run_descent(uniform_density(grid), spec, lambda p, g: g, DescentConfig(max_iterations=1))
+        run_descent(uniform_density(grid), spec, lambda p, g, mu: g, DescentConfig(max_iterations=1))
         assert cache.cache_info().currsize == 1
 
     def test_difference_cache_holds_only_1d_matrices(self):

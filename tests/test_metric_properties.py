@@ -2,7 +2,9 @@
 
 Draws 1D and 2D grids with n in {4, ..., 64}, Daubechies orders 1-10,
 alphas with zeros allowed and random positive densities.  Every metric must
-be symmetric and positive semidefinite, and the combined metric must refuse
+be symmetric and positive semidefinite, the combined metric in its default
+two-level form with its coarse block at a second random density mu (the
+whole basis on grids with n <= 16), and the combined metric must refuse
 alphas that are all zero.  The transport and Mahalanobis metrics always
 freeze total mass, and the combined metric does whenever alpha1 > 0.  A few
 combined-metric descent steps must lower the loss at every step and keep the
@@ -57,13 +59,14 @@ def test_metrics_symmetric_psd_and_mass_freezing(case):
         probes = np.eye(grid.total)
     else:
         probes = rng.standard_normal((grid.total, PROBES))
+    mu = random_density(grid, rng)
     for kind in MetricKind:
         if kind is MetricKind.COMBINED and max(alpha) == 0:
             with pytest.raises(ValueError, match="positive"):
                 metric_apply_fn(kind, grid, precomp=pre, alphas=alpha)
             continue
         metric = metric_apply_fn(kind, grid, precomp=pre, alphas=alpha)
-        images = np.column_stack([metric(p, g) for g in probes.T])
+        images = np.column_stack([metric(p, g, mu) for g in probes.T])
         gram = probes.T @ images
         scale = np.max(np.abs(gram))
         assert np.max(np.abs(gram - gram.T)) <= 1e-10 * scale, kind

@@ -6,8 +6,10 @@ from cascade_reference import dense_matrix
 from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
+    COARSE_BLOCK,
     MetricInfeasibleError,
     MetricKind,
+    build_coarse_block,
     build_precomp,
     metric_apply_fn,
 )
@@ -173,7 +175,7 @@ class TestCombinedMetric:
         pre = build_precomp(make_basis(grid, order=2))
         p = uniform_density(grid)
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))
-        out = metric(p, np.zeros(32))
+        out = metric(p, np.zeros(32), p)
         np.testing.assert_allclose(out, 0.0, atol=1e-16)
 
     def test_fisher_rao_limit_at_uniform(self):
@@ -183,10 +185,10 @@ class TestCombinedMetric:
         rng = np.random.default_rng(42)
         g = rng.standard_normal(64)
         p = uniform_density(grid)
-        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 1.0, 0.0))(p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 1.0, 0.0))(p, g, p)
         np.testing.assert_allclose(out, g / 64, atol=1e-12)
         fisher_rao = metric_apply_fn(MetricKind.FISHER_RAO, grid)
-        np.testing.assert_allclose(out, fisher_rao(p, g), atol=1e-12)
+        np.testing.assert_allclose(out, fisher_rao(p, g, p), atol=1e-12)
 
     def test_mass_freezing_alpha1(self):
         grid = make_grid(1, 64)
@@ -194,7 +196,7 @@ class TestCombinedMetric:
         rng = np.random.default_rng(43)
         p = random_density(grid, rng)
         g = rng.standard_normal(64)
-        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))(p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))(p, g, p)
         assert abs(out.sum()) <= 1e-10
 
     def test_pseudo_inverse_convention_alpha3_only(self):
@@ -205,7 +207,7 @@ class TestCombinedMetric:
         rng = np.random.default_rng(44)
         p = random_density(grid, rng)
         g = rng.standard_normal(32)
-        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 0.0, 1.0))(p, g)
+        out = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 0.0, 1.0))(p, g, p)
         assert np.all(np.isfinite(out))
         assert abs(out.sum()) <= 1e-10
 
@@ -216,21 +218,28 @@ class TestCombinedMetric:
         values[5] = 0.0
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 0.0, 0.0))
         with pytest.raises(MetricInfeasibleError):
-            metric(Density(grid, values), np.ones(32))
+            metric(Density(grid, values), np.ones(32), uniform_density(grid))
+
+
+def dense_factors(basis) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The dense basis matrix, kron(W, W) in 2D, and the dense D_a, Kronecker-assembled in 2D."""
+    n = basis.grid.n
+    w1 = basis.matrix.toarray()
+    dif = dense_diff(make_grid(1, n))
+    if basis.grid.dim == 1:
+        return w1, [dif]
+    eye = np.eye(n)
+    return np.kron(w1, w1), [np.kron(dif, eye), np.kron(eye, dif)]
 
 
 def kron_combined_oracle(basis, alphas, p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(direction, scale) of W diag(1/d) W^T g from kron(W, W) and Kronecker-assembled D_a.
+    """(direction, scale) of W diag(1/d) W^T g from the dense basis and D_a.
 
     d holds the diagonals of the wavelet-transformed Hessian blocks, with
     1/(+inf) = 0 and 1/0 := 0.
     """
     grid = basis.grid
-    w1 = basis.matrix.toarray()
-    w = np.kron(w1, w1)
-    dif = dense_diff(make_grid(1, grid.n))
-    eye = np.eye(grid.n)
-    ds = [np.kron(dif, eye), np.kron(eye, dif)]
+    w, ds = dense_factors(basis)
     a1, a2, a3 = alphas
     d = np.zeros(grid.total)
     with np.errstate(divide="ignore"):
@@ -257,7 +266,9 @@ class TestCombinedMetric2D:
         rng = np.random.default_rng(60 + n + order)
         p = random_density(grid, rng)
         g = rng.standard_normal(grid.total)
-        got = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(p, g)
+        got = metric_apply_fn(
+            MetricKind.COMBINED, grid, precomp=pre, alphas=alphas, coarse_block=0
+        )(p, g, p)
         want, scale = kron_combined_oracle(basis, alphas, p.values, g)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         coeffs = basis.matrix.toarray().T @ got.reshape(n, n) @ basis.matrix.toarray()
@@ -282,7 +293,7 @@ class TestCombinedMetric2D:
         p = random_density(grid, rng)
         for alphas in [(1.0, 1e-3, 1e-4), (0.0, 1.0, 1e-4)]:
             metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(
-                p, rng.standard_normal(grid.total)
+                p, rng.standard_normal(grid.total), p
             )
         csr = [basis.matrix, basis.matrix.T, pre.h1, pre.h2]
         for old, new, stored in zip(before, factors(), csr):
@@ -300,12 +311,154 @@ class TestCombinedMetric2D:
         assert h1_1d is pre_1d.h1 and h2_1d is pre_1d.h2
 
 
+def coarse_oracle(basis, alphas, mu: np.ndarray, m: int, drops: bool):
+    """(indices, B1, B2, B3, H_c^-1) from the dense E_c^T (.) E_c.
+
+    E_c holds the dense basis columns of the last m indices per axis, the
+    2D ones the Kronecker products W[:, i] (x) W[:, j] (column i n + j of
+    kron(W, W)), without the constant column, the last, when `drops`.
+    """
+    n = basis.grid.n
+    corner = np.arange(n - m, n)
+    indices = corner if basis.grid.dim == 1 else (corner[:, None] * n + corner).ravel()
+    if drops:
+        indices = indices[:-1]
+    w, ds = dense_factors(basis)
+    e = w[:, indices]
+    b1 = e.T @ sum(da.T @ np.diag(mu) @ da for da in ds) @ e
+    b2 = e.T @ np.diag(mu) @ e
+    b3 = e.T @ sum(da.T @ da for da in ds) @ e
+    a1, a2, a3 = alphas
+    h = a3 * b3 + sum(a * np.linalg.inv(b) for a, b in ((a1, b1), (a2, b2)) if a > 0)
+    return indices, b1, b2, b3, np.linalg.inv(h)
+
+
+# (alphas, whether the block drops the constant column)
+COARSE_ALPHAS = [
+    ((1.0, 0.0, 0.0), True),
+    ((1.0, 1e-3, 1e-4), True),
+    ((1.0, 0.0, 1e-4), True),
+    ((1.0, 3e-4, 0.0), True),
+    ((0.0, 1e-3, 1e-4), False),
+    ((0.0, 1.0, 0.0), False),
+    ((0.0, 0.0, 1.0), True),
+]
+
+
+class TestCoarseBlock:
+    """The two-level combined metric's coarse block against a dense E_c^T (.) E_c build."""
+
+    @pytest.mark.parametrize("alphas,drops", COARSE_ALPHAS)
+    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 32), (2, 8), (2, 16)])
+    def test_matches_dense_oracle(self, dim, n, m, alphas, drops):
+        grid = make_grid(dim, n)
+        basis = make_basis(grid, order=3)
+        pre = build_precomp(basis)
+        rng = np.random.default_rng(70 + 7 * dim + n + m)
+        p, mu = random_density(grid, rng), random_density(grid, rng)
+        g = rng.standard_normal(grid.total)
+        block = build_coarse_block(pre, mu, alphas, m)
+        indices, b1, b2, b3, inverse = coarse_oracle(basis, alphas, mu.values, min(m, n), drops)
+        np.testing.assert_array_equal(block.indices, indices)
+        np.testing.assert_allclose(block.inverse, inverse, rtol=0, atol=1e-10 * np.abs(inverse).max())
+        # a one-hot alpha leaves one block: H_c^-1 is B1, B2 or B3^-1
+        one_hot = {(1.0, 0.0, 0.0): b1, (0.0, 1.0, 0.0): b2, (0.0, 0.0, 1.0): b3}
+        if alphas in one_hot:
+            got = np.linalg.inv(block.inverse) if alphas[2] else block.inverse
+            want = one_hot[alphas]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+        np.testing.assert_array_equal(block.inverse, block.inverse.T)
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas, coarse_block=m)
+        got = metric(p, g, mu)
+        w, _ = dense_factors(basis)
+        c = w.T @ g
+        coefficients = kron_combined_oracle(basis, alphas, p.values, g)[1] * c
+        coefficients[indices] = inverse @ c[indices]
+        want = w @ coefficients
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+        if alphas[0] > 0:
+            assert abs(got.sum()) <= 1e-14 * np.abs(got).sum()
+
+    def test_cached_read_only_and_shared(self):
+        grid = make_grid(2, 16)
+        pre = build_precomp(make_basis(grid))
+        mu = random_density(grid, np.random.default_rng(71))
+        alphas = (1.0, 1e-3, 1e-4)
+        block = build_coarse_block(pre, mu, alphas, 16)
+        assert build_coarse_block(pre, mu, alphas, 16) is block
+        for array in (block.indices, block.inverse):
+            with pytest.raises(ValueError):
+                array.flat[0] += 1
+        # a metric bound for the same run applies that very block
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
+        metric(mu, np.ones(grid.total), mu)
+        assert build_coarse_block(pre, mu, alphas, COARSE_BLOCK) is block
+
+    @pytest.mark.parametrize("bad", [-1, True, 1.5, "16", None])
+    def test_rejects_bad_block_size(self, bad):
+        grid = make_grid(1, 16)
+        with pytest.raises(ValueError, match="coarse_block"):
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
+                            alphas=(1.0, 1e-3, 1e-4), coarse_block=bad)
+
+    @pytest.mark.parametrize("kind", [k for k in MetricKind if k is not MetricKind.COMBINED])
+    def test_baselines_ignore_block_size(self, kind):
+        grid = make_grid(1, 16)
+        mu = uniform_density(grid)
+        metric = metric_apply_fn(kind, grid, coarse_block=-1)
+        assert metric(mu, np.ones(16), mu).shape == (16,)
+
+    def test_builder_rejects_bad_input(self):
+        grid = make_grid(1, 16)
+        pre = build_precomp(make_basis(grid))
+        mu = uniform_density(grid)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            build_coarse_block(pre, mu, (1.0, 1e-3, 1e-4), 0)
+        with pytest.raises(ValueError, match="grid"):
+            build_coarse_block(pre, uniform_density(make_grid(2, 4)), (1.0, 1e-3, 1e-4), 16)
+        with pytest.raises(ValueError, match="positive"):
+            build_coarse_block(pre, mu, (0.0, 0.0, 0.0), 16)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_bound_metric_checks_mu(self, kind):
+        # mu is checked like p: a Density on the metric's grid
+        grid = make_grid(1, 16)
+        metric = metric_apply_fn(kind, grid, precomp=build_precomp(make_basis(grid)),
+                                 alphas=(1.0, 1e-3, 1e-4))
+        p = uniform_density(grid)
+        with pytest.raises(TypeError, match="mu must be a Density, got ndarray"):
+            metric(p, np.ones(16), p.values)
+        with pytest.raises(ValueError, match="mu grid"):
+            metric(p, np.ones(16), uniform_density(make_grid(2, 4)))
+
+    def test_mu_not_strictly_positive_is_infeasible(self):
+        grid = make_grid(1, 16)
+        values = np.full(16, 1 / 16)
+        values[3] = 0.0
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
+                                 alphas=(1.0, 1e-3, 1e-4))
+        with pytest.raises(MetricInfeasibleError):
+            metric(uniform_density(grid), np.ones(16), Density(grid, values))
+
+    def test_paper_metric_ignores_mu(self):
+        # coarse_block = 0 is the paper's diagonal at p alone
+        grid = make_grid(2, 8)
+        pre = build_precomp(make_basis(grid))
+        rng = np.random.default_rng(72)
+        p, g = random_density(grid, rng), rng.standard_normal(grid.total)
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4),
+                                 coarse_block=0)
+        a, b = (metric(p, g, random_density(grid, rng)) for _ in range(2))
+        assert a.tobytes() == b.tobytes()
+
+
 class TestWassersteinMetric:
     def test_constant_gradient_exact_zero(self):
         grid = make_grid(1, 32)
         p = uniform_density(grid)
         metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
-        assert np.all(metric(p, np.full(32, 4.2)) == 0.0)
+        assert np.all(metric(p, np.full(32, 4.2), p) == 0.0)
 
     def test_uniform_density_eigenvector(self):
         n, k = 64, 4
@@ -313,7 +466,7 @@ class TestWassersteinMetric:
         p = uniform_density(grid)
         s = np.sin(2 * np.pi * k * np.arange(n) / n)
         lam = 4 * n**2 * np.sin(np.pi * k / n) ** 2
-        out = metric_apply_fn(MetricKind.WASSERSTEIN, grid)(p, s)
+        out = metric_apply_fn(MetricKind.WASSERSTEIN, grid)(p, s, p)
         np.testing.assert_allclose(out, (lam / n) * s, atol=1e-8 * lam / n)
 
     def test_positive_semidefinite(self):
@@ -323,7 +476,7 @@ class TestWassersteinMetric:
         metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
         for _ in range(20):
             g = rng.standard_normal(grid.total)
-            assert g @ metric(p, g) >= 0.0
+            assert g @ metric(p, g, p) >= 0.0
 
     def test_matches_stencil_composition(self):
         grid = make_grid(2, 8)
@@ -334,7 +487,7 @@ class TestWassersteinMetric:
         for axis in range(2):
             want += diff_adjoint_apply(grid, p.values * diff_apply(grid, g, axis), axis)
         metric = metric_apply_fn(MetricKind.WASSERSTEIN, grid)
-        np.testing.assert_allclose(metric(p, g), want, atol=1e-10)
+        np.testing.assert_allclose(metric(p, g, p), want, atol=1e-10)
 
 
 class TestFisherRaoMetric:
@@ -343,7 +496,7 @@ class TestFisherRaoMetric:
         rng = np.random.default_rng(47)
         p = random_density(grid, rng)
         metric = metric_apply_fn(MetricKind.FISHER_RAO, grid)
-        np.testing.assert_array_equal(metric(p, np.ones(16)), p.values)
+        np.testing.assert_array_equal(metric(p, np.ones(16), p), p.values)
 
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(48)
@@ -351,14 +504,15 @@ class TestFisherRaoMetric:
         p = Density(grid, rng.uniform(0.1, 1.0, 32))
         g = rng.standard_normal(32)
         metric = metric_apply_fn(MetricKind.FISHER_RAO, grid)
-        np.testing.assert_array_equal(metric(p, g), p.values * g)
+        np.testing.assert_array_equal(metric(p, g, p), p.values * g)
 
 
 class TestMahalanobisMetric:
     def test_constant_to_zero(self):
         grid = make_grid(1, 32)
         metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
-        np.testing.assert_allclose(metric(uniform_density(grid), np.full(32, 1.5)), 0.0, atol=1e-14)
+        u = uniform_density(grid)
+        np.testing.assert_allclose(metric(u, np.full(32, 1.5), u), 0.0, atol=1e-14)
 
     def test_eigenvector(self):
         n, k = 64, 3
@@ -366,14 +520,16 @@ class TestMahalanobisMetric:
         s = np.sin(2 * np.pi * k * np.arange(n) / n)
         lam = 4 * n**2 * np.sin(np.pi * k / n) ** 2
         metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
-        np.testing.assert_allclose(metric(uniform_density(grid), s), s / lam, atol=1e-8)
+        u = uniform_density(grid)
+        np.testing.assert_allclose(metric(u, s, u), s / lam, atol=1e-8)
 
     def test_pinv_identity(self):
         grid = make_grid(2, 16)
         rng = np.random.default_rng(49)
         g = rng.standard_normal(256)
         metric = metric_apply_fn(MetricKind.MAHALANOBIS, grid)
-        back = laplacian_apply(grid, metric(uniform_density(grid), g))
+        u = uniform_density(grid)
+        back = laplacian_apply(grid, metric(u, g, u))
         np.testing.assert_allclose(back, g - g.mean(), atol=1e-8)
 
 
@@ -391,7 +547,7 @@ class TestMetricProperties:
         for _ in range(50):
             g1 = rng.standard_normal(64)
             g2 = rng.standard_normal(64)
-            m1, m2 = metric(p, g1), metric(p, g2)
+            m1, m2 = metric(p, g1, p), metric(p, g2, p)
             lhs, rhs = g1 @ m2, m1 @ g2
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
             quad = g1 @ m1
@@ -407,7 +563,7 @@ class TestMetricProperties:
         for _ in range(20):
             g = rng.standard_normal(32)
             g -= g.mean()  # no component on the frozen constant mode
-            assert g @ metric(p, g) > 0.0
+            assert g @ metric(p, g, p) > 0.0
 
     def test_dispatcher_requires_precomp(self):
         with pytest.raises(ValueError):
@@ -451,7 +607,7 @@ class TestMetricProperties:
                                  alphas=(1.0, 1e-3, 1e-4))
         for values in (np.full(32, 1 / 32), np.full(16, 1 / 16)):
             with pytest.raises(TypeError, match="Density"):
-                metric(values, np.ones(values.size))
+                metric(values, np.ones(values.size), uniform_density(grid))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_rejects_gradient_of_wrong_length(self, kind):
@@ -460,7 +616,7 @@ class TestMetricProperties:
                                  alphas=(1.0, 1e-3, 1e-4))
         for g in (np.ones(16), np.ones(64), np.ones((32, 1))):
             with pytest.raises(ValueError, match="shape"):
-                metric(uniform_density(grid), g)
+                metric(uniform_density(grid), g, uniform_density(grid))
 
     def test_dispatcher_rejects_precomp_of_another_grid(self):
         # same site count (16): a 1D n = 16 basis bound to a 2D 4 x 4 grid

@@ -376,13 +376,7 @@ class TestWeightedLaplacianMatrix:
             "mu = reference_measure(grid, build_potential(grid, 'sin4pi-product'))\n"
             "print(hashlib.sha256(scaled_operator(mu).coarse_inverse.tobytes()).hexdigest())\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(THREAD_VARS, threads))
-            proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                  capture_output=True, text=True, timeout=60)
-            digests.append(proc.stdout)
+        digests = stdout_at_1_and_2_threads(code)
         assert digests[0] == digests[1]
 
     def test_set_up_is_read_only(self):
@@ -832,3 +826,37 @@ def test_2d_coarse_space_is_the_whole_grid_at_n8(seed):
     b = rhs - rhs.mean()
     residual = dense_weighted_laplacian(grid, w.values) @ x - b
     assert np.linalg.norm(residual) <= 1.01 * cfg.rel_tolerance * np.linalg.norm(b)
+
+
+def stdout_at_1_and_2_threads(code: str) -> list[str]:
+    """What `code` prints in a fresh interpreter at 1 and at 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(THREAD_VARS, threads))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        out.append(proc.stdout)
+    return out
+
+
+def test_coarse_block_bytes_do_not_depend_on_thread_count():
+    # the combined metric's H_c^-1 at mu, built from dgemm contractions by
+    # symmetric sweeps, for a mix with alpha1 > 0 (2d-4, three sweeps) and
+    # one with alpha1 = 0 (2d-3, two); 1 and 2 threads only
+    code = (
+        "import hashlib\n"
+        "from waveng.experiments import build_potential, load_preset\n"
+        "from waveng.grid import make_grid, reference_measure\n"
+        "from waveng.metrics import build_coarse_block, build_precomp\n"
+        "from waveng.wavelets import make_basis\n"
+        "for preset_id, n in (('2d-4', 64), ('2d-3', 32)):\n"
+        "    grid = make_grid(2, n)\n"
+        "    mu = reference_measure(grid, build_potential(grid, 'sin4pi-product'))\n"
+        "    pre = build_precomp(make_basis(grid))\n"
+        "    block = build_coarse_block(pre, mu, load_preset(preset_id).alphas, 16)\n"
+        "    print(hashlib.sha256(block.inverse.tobytes()).hexdigest())\n"
+    )
+    digests = stdout_at_1_and_2_threads(code)
+    assert digests[0].count("\n") == 2
+    assert digests[0] == digests[1]
