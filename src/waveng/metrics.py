@@ -29,10 +29,12 @@ call, and cached for the run.
 
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
-wavelet-transformed 1D Laplacian.  All three are entrywise squares of the
-sparse basis matrix W and of DW, formed once per basis, with D the 1D
-difference matrix of `operators`, so this module writes no stencil of its
-own.  `MetricPrecomp.diagonals` applies one 1D factor per axis (A0 X A1^T
+wavelet-transformed 1D Laplacian.  All three are entrywise squares of W
+and of DW, formed once per basis with no sparse product: H2 from the
+stored W^T, H1 and h3 from the basis's one column per level, differenced
+by the 1D difference matrix D of `operators` (so this module writes no
+stencil of its own) and shifted into place (`WaveletBasis.translates`).
+`MetricPrecomp.diagonals` applies one 1D factor per axis (A0 X A1^T
 in 2D, the rule of `grid.tensor_apply`), so no n^2 x n^2 matrix is ever
 built, and forms H2 P once for both 2D diagonals.  The precomp holds the
 factors in the form `grid.tensor_factor` picks, built once: the sparse H1
@@ -151,20 +153,23 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
     o is the entrywise product and D the 1D forward difference of
-    operators.difference_matrix, so h3, the column sums of (DW)^2, is the
-    diagonal of W^T D^T D W.  The 2D diagonals follow from these factors
-    alone because every 2D basis column is an outer product of two 1D
-    columns.  The exactly constant scaling column differences to exact
-    zeros, which leaves its H1 row with no stored entries and its h3
-    entry 0.0.
+    operators.difference_matrix.  H2 is W^T with its entries squared.  D is
+    circulant, so each column of DW is its level's D-differenced column
+    shifted as the column of W is, and H1 is the basis's translates of the
+    squared differences of its level columns: neither W nor DW passes
+    through a sparse product.  h3, the column sums of (DW)^2 summed down the
+    sites in order, is the diagonal of W^T D^T D W.  The 2D diagonals follow
+    from these factors alone because every 2D basis column is an outer
+    product of two 1D columns.  The exactly constant scaling column
+    differences to exact zeros, which leaves its H1 row with no stored
+    entries and its h3 entry 0.0.
     """
-    w = basis.matrix
-    dw = difference_matrix(basis.grid.n)[0] @ w
-    dw.eliminate_zeros()
-    dw2 = dw.multiply(dw)
-    h1 = dw2.T.tocsr()
-    h2 = w.multiply(w).T.tocsr()
-    h3 = np.asarray(dw2.sum(axis=0)).ravel()
+    n = basis.grid.n
+    wt = basis.matrix.T.tocsr()
+    h2 = sp.csr_matrix((np.square(wt.data), wt.indices, wt.indptr), shape=wt.shape)
+    differences = difference_matrix(n)[0] @ basis.level_columns.T
+    h1 = basis.translates(np.square(differences.T))
+    h3 = h1 @ np.ones(n)  # each row summed in site order, as the column sums of (DW)^2 are
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
 
 
@@ -188,7 +193,6 @@ class CoarseBlock:
     inverse: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)  # a run has one precomp, one mu and one alpha mix
 def build_coarse_block(
     precomp: MetricPrecomp, mu: Density, alphas: tuple[float, float, float], m: int
 ) -> CoarseBlock:
@@ -204,19 +208,30 @@ def build_coarse_block(
     alpha1 = alpha2 = 0 (1/0 := 0).  Where alpha1 = 0 and alpha2 > 0, B2 is
     nonsingular and the column stays.  B1^-1, B2^-1 and H_c^-1 are
     `symmetric_inverse` sweeps, so H_c^-1 is exactly symmetric and its
-    bytes do not depend on the thread count.  Cached for the last
-    (precomp, mu, alphas, m) it was called with, precomp and mu keyed by
-    identity, so every metric bound for one run shares one build.  Raises
-    ValueError for alphas LossSpec refuses, an m that is not an integer
-    >= 1, or a mu on another grid, and MetricInfeasibleError for a mu that
-    is not strictly positive.
+    bytes do not depend on the thread count.  Raises ValueError for alphas
+    LossSpec refuses, an m that is not an integer >= 1, or a mu on another
+    grid, and MetricInfeasibleError for a mu that is not strictly positive.
+    The arguments are checked before the cache is asked, which then keys on
+    (precomp, mu, the alphas as three floats, min(m, n)), precomp and mu by
+    identity: alphas given as a list or an array share the tuple's block,
+    and every metric bound for one run shares one build.
     """
     check_alphas(alphas)
     grid = precomp.basis.grid
     if mu.grid != grid:
         raise ValueError(f"mu grid {mu.grid} is not the precomp grid {grid}")
+    m = min(_block_size(m, least=1), grid.n)
+    return _coarse_block(precomp, mu, tuple(map(float, alphas)), m)
+
+
+@functools.lru_cache(maxsize=1)  # a run has one precomp, one mu and one alpha mix
+def _coarse_block(
+    precomp: MetricPrecomp, mu: Density, alphas: tuple[float, float, float], m: int
+) -> CoarseBlock:
+    """build_coarse_block on checked arguments: float alphas and 1 <= m <= n."""
+    grid = precomp.basis.grid
     a1, a2, _ = alphas
-    n, m = grid.n, min(_block_size(m, least=1), grid.n)
+    n = grid.n
     mu_values = _positive_values(mu)
     v = precomp.basis.matrix[:, n - m :].toarray()
     u = difference_matrix(n)[0] @ v
@@ -311,6 +326,7 @@ def _combined_metric_fn(
     """
     a1, a2, a3 = alphas
     basis = pre.basis
+    m = min(m, basis.grid.n)
     d3 = a3 * pre.h3_diagonal() if a3 > 0 else None
     fixed_scale = None
     if a1 == a2 == 0.0:
@@ -330,7 +346,7 @@ def _combined_metric_fn(
         c = transform_forward(basis, g)
         coefficients = scale * c
         if m:
-            block = build_coarse_block(pre, mu, alphas, m)
+            block = _coarse_block(pre, mu, alphas, m)
             coefficients[block.indices] = block.inverse @ c[block.indices]
         return transform_inverse(basis, coefficients)
 
@@ -381,7 +397,8 @@ def metric_apply_fn(
         if precomp.basis.grid != grid:
             raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
         check_alphas(alphas)
-        apply = _combined_metric_fn(precomp, tuple(alphas), _block_size(coarse_block, least=0))
+        m = _block_size(coarse_block, least=0)
+        apply = _combined_metric_fn(precomp, tuple(map(float, alphas)), m)
     else:
         apply = {
             MetricKind.WASSERSTEIN: _wasserstein_metric,

@@ -1,12 +1,16 @@
 """Periodized orthogonal Daubechies wavelet bases on power-of-two grids.
 
 A 1D basis is stored once as the sparse n x n matrix W whose columns are the
-basis functions.  W is the product of per-level sparse synthesis matrices
-with circular (periodic) wrap, so it is exactly orthogonal and holds
-O(n log n) nonzeros; this is the matrix form of the fast wavelet transform
-(Beylkin, Coifman & Rokhlin 1991).  The cascade always runs to full depth,
-L = log2 n levels, so the columns are [detail level 1 (finest, n/2) | ... |
-detail level L (1) | scaling], the last being the constant 1/sqrt(n).
+basis functions, exactly orthogonal with O(n log n) nonzeros; this is the
+matrix form of the fast wavelet transform (Beylkin, Coifman & Rokhlin
+1991).  The cascade always runs to full depth, L = log2 n levels, so the
+columns are [detail level 1 (finest, n/2) | ... | detail level L (1) |
+scaling], the last being the constant 1/sqrt(n).  The basis is periodic,
+so every column of level l is one vector circularly shifted by a multiple
+of 2^l sites: the cascade runs on one vector per level, with circular
+(periodic) wrap, and W is written from those vectors' translates
+(`WaveletBasis.translates`), which the metric precompute builds its
+factors from too.
 
 Synthesis convention: tap r of the coefficient at position j of a level of
 length m lands on site (2j+r) mod m, so analysis reads
@@ -133,9 +137,13 @@ def _cached_lowpass(order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WaveletBasis:
-    """The 1D basis matrix for one grid, and its transform factors.
+    """The 1D basis for one grid: one column per level, W, and its transform factors.
 
-    `matrix` is the n x n CSR matrix W of the 1D basis, the stored form.
+    `level_columns` is the (L + 1) x n array of the first column of each
+    level block of W, fine to coarse, the last row the scaling column; it
+    is read-only, and every other column of a level is one of these
+    shifted (`translates`).  `matrix` is the n x n CSR matrix W of the 1D
+    basis, the stored form, with sorted indices and no stored zeros.
     `synthesis` and `analysis` are W and W^T in the form the transforms
     apply along each axis (`grid.tensor_factor`), built once here.  In 2D
     the basis is the full tensor product of the 1D basis with itself and
@@ -145,64 +153,97 @@ class WaveletBasis:
     """
 
     grid: Grid
-    matrix: sp.csr_matrix = field(repr=False)
+    level_columns: np.ndarray = field(repr=False)
+    matrix: sp.csr_matrix = field(init=False, repr=False)
     synthesis: sp.csr_matrix | np.ndarray = field(init=False, repr=False)
     analysis: sp.csr_matrix | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = self.grid.dim
-        object.__setattr__(self, "synthesis", tensor_factor(self.matrix, dim))
-        object.__setattr__(self, "analysis", tensor_factor(self.matrix.T.tocsr(), dim))
+        self.level_columns.flags.writeable = False
+        transposed = self.translates(self.level_columns)
+        matrix = transposed.T.tocsr()
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "synthesis", tensor_factor(matrix, dim))
+        object.__setattr__(self, "analysis", tensor_factor(transposed, dim))
+
+    def translates(self, vectors: np.ndarray) -> sp.csr_matrix:
+        """n x n CSR matrix, row i the vector of i's level shifted as basis column i is.
+
+        `vectors` holds one n-vector per level, in the layout of
+        `level_columns`.  Row k of level l (n / 2^l rows, l = 1 .. L, then
+        the scaling row) is vectors[l - 1] circularly shifted by k 2^l
+        sites, with sorted indices and no stored zeros.  So
+        translates(level_columns) is W^T, and for a map f that acts on each
+        column and commutes with these shifts, such as an entrywise square
+        or a circulant stencil, translates(f(level_columns)) is f(W)^T.
+        """
+        n = self.grid.n
+        indices, data, lengths, counts = [], [], [], []
+        for level, vector in enumerate(vectors):
+            support = np.flatnonzero(vector)
+            shifts = np.arange(0, n, min(2 << level, n))[:, None]
+            # a shifted row lists the sites that wrap past n first, each group
+            # in order: a window of the support taken twice, the first time - n
+            first = np.searchsorted(support, n - shifts) + np.arange(len(support))
+            indices.append((np.concatenate([support - n, support])[first] + shifts).ravel())
+            data.append(np.tile(vector[support], 2)[first].ravel())
+            lengths.append(len(support))
+            counts.append(len(shifts))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.repeat(lengths, counts), out=indptr[1:])
+        return sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices).astype(np.int32), indptr), shape=(n, n)
+        )
 
 
 def make_basis(grid: Grid, order: int = 3, levels: None = None) -> WaveletBasis:
     """Build the full-depth periodized wavelet basis on the grid.
 
-    The cascade ends in a single scaling column stored as exactly
-    1/sqrt(n); the metric relies on its discrete derivative vanishing
-    exactly to freeze total mass.  Coarse levels shorter than the filter
-    wrap it modulo the level length, which preserves exact orthogonality.
-    The default order (3 vanishing moments) is the smallest at which the
-    combined-metric descent behaves well on the 2D benchmarks.  A
-    non-integer or boolean order raises ValueError, and so does any
-    `levels` but None, the benchmark's value: partial depth was removed.
+    The cascade runs on vectors: each level filters the previous level's
+    first scaling function, so it costs O(n) per level and tap, and W is
+    written from the translates of one column per level.  It ends in a
+    single scaling column stored as exactly 1/sqrt(n); the metric relies
+    on its discrete derivative vanishing exactly to freeze total mass.
+    Coarse levels shorter than the filter wrap it modulo the level length,
+    which preserves exact orthogonality.  The default order (3 vanishing
+    moments) is the smallest at which the combined-metric descent behaves
+    well on the 2D benchmarks.  A non-integer or boolean order raises
+    ValueError, and so does any `levels` but None, the benchmark's value:
+    partial depth was removed.
     """
     if levels is not None:
         raise ValueError(f"partial depth was removed; levels must be None, got {levels!r}")
     lowpass = daubechies_lowpass(order)
     highpass = (-1.0) ** np.arange(len(lowpass)) * lowpass[::-1]
+    filters = np.stack([highpass, lowpass])
     n = grid.n
-    approx = sp.identity(n, format="csr")  # scaling functions of the current level
-    columns = []
-    m = n
-    while m > 1:
-        columns.append(approx @ _synthesis_matrix(highpass, m))
-        approx = approx @ _synthesis_matrix(lowpass, m)
+    columns = np.empty((n.bit_length(), n))  # L = log2 n detail levels and the scaling column
+    scaling = np.zeros(n)  # first scaling function of the current level
+    scaling[0] = 1.0
+    m = n  # current level length
+    for level in range(len(columns) - 1):
+        taps = filters
+        if taps.shape[1] > m:  # fold the taps modulo m
+            taps = np.pad(taps, ((0, 0), (0, -taps.shape[1] % m))).reshape(2, -1, m).sum(axis=1)
+        # rows[q] holds sites q n/m .. (q + 1) n/m - 1, so a shift by k n/m
+        # sites is a shift by k rows: each row sums its taps in order, wrap included
+        rows = scaling.reshape(m, -1)
+        out = np.zeros((2, *rows.shape))
+        for k in range(taps.shape[1]):
+            shifted = taps[:, k, None, None] * rows
+            out[:, k:] += shifted[:, : m - k]
+            out[:, :k] += shifted[:, m - k :]
+        columns[level], scaling = out.reshape(2, n)
         m //= 2
-    columns.append(sp.csr_matrix(np.full((n, 1), 1.0 / np.sqrt(n))))  # exact, unlike approx
-    w = sp.hstack(columns, format="csr")
-    w.eliminate_zeros()
-    w.sort_indices()
-    return WaveletBasis(grid=grid, matrix=w)
+    columns[-1] = 1.0 / np.sqrt(n)  # exact, unlike the cascade's last scaling function
+    return WaveletBasis(grid, columns)
 
 
 def _check_integer(name: str, value: object, high: int) -> None:
     """Raise ValueError unless value is an int or numpy integer in [1, high]; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= high:
         raise ValueError(f"{name} must be an integer in [1, {high}], got {value!r}")
-
-
-def _synthesis_matrix(f: np.ndarray, m: int) -> sp.csr_matrix:
-    """m x m/2 matrix with tap r of column j at row (2j+r) mod m.
-
-    Taps of a filter longer than m land on the same row more than once;
-    COO duplicate summation folds them, wrapping the filter modulo m.
-    """
-    j = np.arange(m // 2)
-    rows = (2 * j[None, :] + np.arange(len(f))[:, None]) % m
-    cols = np.broadcast_to(j, rows.shape)
-    vals = np.broadcast_to(f[:, None], rows.shape)
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m // 2)).tocsr()
 
 
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Slow reference for the wavelet basis: the per-tap filter-bank cascade.
 
 Synthesizes every unit coefficient level by level with circular convolution,
-one filter tap at a time, so it shares no code with the sparse-matrix
-construction in `waveng.wavelets` beyond the lowpass taps themselves: the
-highpass is derived here by the alternating flip.
+one filter tap at a time, so it shares no code with the build in
+`waveng.wavelets` (a cascade on one vector per level and its translates)
+beyond the lowpass taps themselves: the highpass is derived here by the
+alternating flip.
 `dense_matrix` is the exception: it densifies the library's own W, for
 tests that need the basis as a dense array.
 """

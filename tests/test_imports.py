@@ -5,6 +5,8 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -138,3 +140,37 @@ def test_bases_hash_and_differ_by_order():
     basis = make_basis(grid)
     assert hash(basis) == hash(basis) and basis == basis
     assert make_basis(grid, order=1) != make_basis(grid, order=3)
+
+
+# What a run loads of scipy: its package scaffolding and scipy.sparse.  Another
+# subpackage costs memory in every run: scipy.linalg raised the benchmark's
+# peak RSS from 50.0 to 57.5 MB, most of its 10 % peak_rss_mb bound.
+SCIPY_LOADED = [
+    "scipy",
+    "scipy.__config__",
+    "scipy._cyutility",
+    "scipy._distributor_init",
+    "scipy._lib",
+    "scipy.sparse",
+    "scipy.version",
+]
+
+
+def test_a_run_loads_no_other_scipy_subpackage():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import dataclasses, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import waveng\n"
+        "from waveng.experiments import RunOverrides, load_preset, run_experiment\n"
+        "for preset_id, n in (('1d-4', 64), ('2d-4', 16), ('2d-3', 16)):\n"
+        "    preset = dataclasses.replace(load_preset(preset_id), n=n)\n"
+        "    report = run_experiment(preset, RunOverrides(max_iterations=3))\n"
+        "    assert not report.failures, report.failures\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=120)
+    loaded = proc.stdout.split()
+    assert sorted({".".join(m.split(".")[:2]) for m in loaded}) == SCIPY_LOADED
+    assert not [m for m in loaded if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph"))]

@@ -80,6 +80,23 @@ class TestBuildPrecomp:
             np.testing.assert_array_equal(pre.h1.toarray(), h1.toarray())
             np.testing.assert_array_equal(pre.h3, h3)
 
+    @pytest.mark.parametrize("n,order", [(4, 10), (16, 3), (512, 1), (512, 10), (4096, 3)])
+    def test_h2_is_squared_transpose_bitwise(self, n, order):
+        basis = make_basis(make_grid(1, n), order=order)
+        h2, w = build_precomp(basis).h2, basis.matrix
+        want = w.multiply(w).T.tocsr()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(h2, part), getattr(want, part))
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_2d_dense_copies_equal_csr(self, order):
+        basis = make_basis(make_grid(2, 8), order=order)
+        pre = build_precomp(basis)
+        np.testing.assert_array_equal(basis.synthesis, basis.matrix.toarray())
+        np.testing.assert_array_equal(basis.analysis, basis.matrix.T.toarray())
+        for dense, stored in zip(pre.factors, (pre.h1, pre.h2)):
+            np.testing.assert_array_equal(dense, stored.toarray())
+
     def test_compared_and_hashed_by_identity(self):
         # a field-wise == compared the CSR factors elementwise and raised
         basis = make_basis(make_grid(2, 8), order=2)
@@ -394,6 +411,25 @@ class TestCoarseBlock:
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
         metric(mu, np.ones(grid.total), mu)
         assert build_coarse_block(pre, mu, alphas, COARSE_BLOCK) is block
+
+    def test_checks_arguments_before_the_cache(self):
+        # a warm cache used to answer these with the block cached for equal keys
+        grid = make_grid(1, 32)
+        pre = build_precomp(make_basis(grid))
+        mu = random_density(grid, np.random.default_rng(72))
+        alphas = (1.0, 1e-3, 0.0)
+        build_coarse_block(pre, mu, alphas, 16)
+        with pytest.raises(ValueError, match="alphas must be finite and nonnegative"):
+            build_coarse_block(pre, mu, (True, 1e-3, 0.0), 16)
+        with pytest.raises(ValueError, match="coarse_block"):
+            build_coarse_block(pre, mu, alphas, 16.0)
+        build_coarse_block(pre, mu, alphas, 1)
+        with pytest.raises(ValueError, match="coarse_block"):
+            build_coarse_block(pre, mu, alphas, True)
+        # a list or an array of alphas keys like the tuple
+        block = build_coarse_block(pre, mu, alphas, 16)
+        assert build_coarse_block(pre, mu, list(alphas), 16) is block
+        assert build_coarse_block(pre, mu, np.array(alphas), 16) is block
 
     @pytest.mark.parametrize("bad", [-1, True, 1.5, "16", None])
     def test_rejects_bad_block_size(self, bad):

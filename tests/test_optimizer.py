@@ -359,7 +359,7 @@ class TestRunDescent:
     @pytest.mark.parametrize("bump", [5.0, 10.0])
     def test_two_level_count_with_one_weak_site(self, bump):
         # mu with exp(-bump) times its weight at site n/3: the two-level
-        # metric takes 17 and 162 iterations, the paper's diagonal 30 and 226;
+        # metric takes 17 and 310 iterations, the paper's diagonal 30 and 392;
         # at bump 20 both miss the 2000 cap and at 40 both stall, so those
         # are not gated
         counts = []

@@ -18,6 +18,12 @@ from waveng.wavelets import (
 
 SQRT2 = np.sqrt(2.0)
 
+# orders 1-10 from n = 4, where every filter longer than Haar's wraps, and
+# n = 4096 at a few orders
+BUILD_CASES = [(n, order) for n in (4, 16, 512) for order in range(1, 11)] + [
+    (4096, order) for order in (1, 3, 10)
+]
+
 
 def finest_highpass(order: int) -> np.ndarray:
     """The highpass taps make_basis uses, read back from its first column.
@@ -229,13 +235,38 @@ class TestBasisColumn:
         np.testing.assert_array_equal(rows, [0, 1])
         np.testing.assert_allclose(vals, [1 / SQRT2, -1 / SQRT2], atol=1e-15)
 
-    @pytest.mark.parametrize("n,order", [(64, 1), (64, 2), (64, 3), (128, 4)])
+    @pytest.mark.parametrize(
+        "n,order",
+        [(64, 1), (64, 2), (64, 3), (128, 4), (512, 3)]
+        + [(n, order) for n in (4, 32) for order in range(1, 11)],
+    )
     def test_matches_dense_inverse(self, n, order):
         basis = make_basis(make_grid(1, n), order=order)
         w = basis.matrix
         np.testing.assert_allclose(w.toarray(), loop_matrix(n, order), atol=1e-12)
         assert w.has_sorted_indices
         assert np.all(w.data != 0.0)
+
+    @pytest.mark.parametrize("n,order", BUILD_CASES)
+    def test_level_columns_are_circular_shifts(self, n, order):
+        # column k of detail level l is the level's first column shifted by
+        # k 2^l sites, bit for bit, and the last is exactly 1/sqrt(n)
+        w = make_basis(make_grid(1, n), order=order).matrix
+        assert w.has_sorted_indices
+        assert np.all(w.data != 0.0)
+        np.testing.assert_array_equal(w[:, [n - 1]].toarray().ravel(), np.full(n, 1 / np.sqrt(n)))
+        w = w.tocsc()
+        start = 0
+        for level in range(1, n.bit_length()):
+            count, step = n >> level, 1 << level
+            first = w[:, [start]].toarray().ravel()
+            block = w[:, start : start + count]
+            lengths = np.diff(block.indptr)
+            np.testing.assert_array_equal(lengths, np.count_nonzero(first))
+            shifts = np.repeat(np.arange(count) * step, lengths)
+            np.testing.assert_array_equal(block.data, first[(block.indices - shifts) % n])
+            start += count
+        assert start == n - 1
 
     def test_2d_outer_product(self):
         n = 16
