@@ -4,7 +4,8 @@ Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A density is a nonnegative mass-per-site vector
 whose mass is `Density.mass`.  A Density holds a read-only copy of its
 values and is compared and hashed by identity, so a cache can key on it
-(`operators` keeps the 2D solve's set-up per weight density).  Every other
+(`operators` keeps the 2D solve's set-up per weight density); `frozen`
+alone makes arrays read-only.  Every other
 site vector, a potential, a gradient or the argument of a loss, is a plain
 array of one value per site, and each public entry checks its length.
 Densities and site vectors take integer or real float dtypes, cast to
@@ -16,14 +17,15 @@ Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
 operator is a Kronecker product of 1D matrices, one per axis, and
 `tensor_apply` applies it in this layout without forming the product:
 A0 X A1^T on the n x n site array X, with A1^T passed as the caller holds
-it.  `tensor_factor` alone picks a 1D factor's applied form: the CSR
-matrix in 1D (one sparse matvec), a dense copy in 2D (one dgemm per
-side), with no size switch: dense was faster per analysis W^T X W at
+it.  `tensor_factor` alone picks a 1D factor's applied form, read-only:
+the CSR matrix in 1D (one sparse matvec), a dense copy in 2D (one dgemm
+per side), with no size switch: dense was faster per analysis W^T X W at
 16^2 to 512^2 (one BLAS thread, 2-vCPU VM).
-The (-Delta)^+ plan (`operators`) and `MetricPrecomp.diagonals` keep
-private 2D products: through `tensor_apply` the plan was slower and not
-bitwise the same, and the diagonals share H2 P.  L_w alone is assembled,
-by Kronecker products.
+The (-Delta)^+ plan (`operators`), `MetricPrecomp.diagonals` and
+`metrics._galerkin_blocks` keep private 2D products: through
+`tensor_apply` the plan was slower and not bitwise the same, the
+diagonals share H2 P, and the coarse blocks B1 and B2 share P VV.  L_w
+alone is assembled, by Kronecker products.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "reference_measure",
     "uniform_density",
     "check_vector",
+    "frozen",
     "axis_apply",
     "tensor_factor",
     "tensor_apply",
@@ -93,8 +96,7 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(_real(self.values, "density values"), dtype=np.float64)
-        values.flags.writeable = False
+        (values,) = frozen(np.array(_real(self.values, "density values"), dtype=np.float64))
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
             raise ValueError(
@@ -192,13 +194,20 @@ def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarr
     return (a @ v.reshape(-1, a.shape[1]).T).T.reshape(-1)
 
 
+def frozen(*items: sp.csr_matrix | np.ndarray) -> tuple:
+    """The items, each made read-only in place: an array, or a CSR's data, indices and indptr.
+
+    Every array that a cache keys on or returns passes through here.
+    """
+    for item in items:
+        for a in (item.data, item.indices, item.indptr) if sp.issparse(item) else (item,):
+            a.flags.writeable = False
+    return items
+
+
 def tensor_factor(a: sp.csr_matrix, dim: int) -> sp.csr_matrix | np.ndarray:
-    """The 1D factor a as `tensor_apply` applies it: a in 1D, a read-only dense copy in 2D."""
-    if dim == 1:
-        return a
-    out = a.toarray()
-    out.flags.writeable = False
-    return out
+    """The 1D factor a as `tensor_apply` applies it, read-only: a in 1D, a dense copy in 2D."""
+    return frozen(a if dim == 1 else a.toarray())[0]
 
 
 def tensor_apply(factors: Sequence[sp.csr_matrix | np.ndarray], v: np.ndarray) -> np.ndarray:

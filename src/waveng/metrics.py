@@ -37,9 +37,9 @@ stencil of its own) and shifted into place (`WaveletBasis.translates`).
 `MetricPrecomp.diagonals` applies one 1D factor per axis (A0 X A1^T
 in 2D, the rule of `grid.tensor_apply`), so no n^2 x n^2 matrix is ever
 built, and forms H2 P once for both 2D diagonals.  The precomp holds the
-factors in the form `grid.tensor_factor` picks, built once: the sparse H1
-and H2 in 1D, read-only dense copies in 2D, where a metric application is
-then a few dgemm (the basis holds W and W^T the same way).  The
+factors in the form `grid.tensor_factor` picks, built once and read-only:
+the sparse H1 and H2 in 1D, dense copies in 2D, where a metric application
+is then a few dgemm (the basis holds W and W^T the same way).  The
 density-free term alpha3 * h3 is formed once, when `metric_apply_fn` binds.
 
 Division conventions for d: a term with alpha = 0 is skipped before any
@@ -61,7 +61,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, check_vector, tensor_factor
+from .grid import Density, Grid, check_vector, frozen, tensor_factor
 from .losses import check_alphas
 from .operators import (
     difference_matrix,
@@ -107,8 +107,9 @@ class MetricPrecomp:
     H1 and H2 are n x n CSR with rows indexed by 1D wavelet index and
     columns by 1D site, and h3 has length n; these are the stored form.
     `factors` is (H1, H2) in the form `grid.tensor_factor` picks, built
-    once here, and `diagonals` applies them.  Equality and hash are by
-    identity, as for `Density`.
+    once here, and `diagonals` applies them.  All are read-only
+    (`grid.frozen`), h1, h2 and h3 frozen in place, not copied.  Equality
+    and hash are by identity, as for `Density`.
     """
 
     basis: WaveletBasis
@@ -119,6 +120,7 @@ class MetricPrecomp:
 
     def __post_init__(self) -> None:
         dim = self.basis.grid.dim
+        frozen(self.h1, self.h2, self.h3)
         factors = (tensor_factor(self.h1, dim), tensor_factor(self.h2, dim))
         object.__setattr__(self, "factors", factors)
 
@@ -250,9 +252,7 @@ def _coarse_block(
                 h_c = term
             else:
                 h_c += term
-    inverse = symmetric_inverse(h_c)
-    indices.flags.writeable = inverse.flags.writeable = False
-    return CoarseBlock(indices, inverse)
+    return CoarseBlock(*frozen(indices, symmetric_inverse(h_c)))
 
 
 def _galerkin_blocks(

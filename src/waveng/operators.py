@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, axis_apply, check_vector, tensor_apply
+from .grid import Density, Grid, axis_apply, check_vector, frozen, tensor_apply
 
 __all__ = [
     "EllipticSolveConfig",
@@ -113,15 +113,7 @@ def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matr
     d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
     d.sort_indices()
     dt = d.T.tocsr()
-    return _frozen(d, dt, dt @ d)
-
-
-def _frozen(*items: sp.csr_matrix | np.ndarray) -> tuple:
-    """The items with their arrays (a CSR's data, indices, indptr) made read-only."""
-    for item in items:
-        for a in (item.data, item.indices, item.indptr) if sp.issparse(item) else (item,):
-            a.flags.writeable = False
-    return items
+    return frozen(d, dt, dt @ d)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -190,7 +182,7 @@ def scaled_operator(w: Density) -> ScaledOperator:
     factor *= inv_scale[:, None]
     matrix.data *= factor.ravel()
     coarse_inverse = _coarse_inverse(matrix, scale, grid.n)
-    return ScaledOperator(*_frozen(matrix, scale, inv_scale, coarse_inverse))
+    return ScaledOperator(*frozen(matrix, scale, inv_scale, coarse_inverse))
 
 
 def _coarse_modes(q: np.ndarray) -> np.ndarray:

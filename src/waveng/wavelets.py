@@ -23,10 +23,10 @@ In 2D the basis is the tensor product of the 1D basis with itself.  It is
 never materialized: the synthesis applies W along every axis and the
 analysis W^T, through `grid.tensor_apply`, so a transform is W c or W^T v
 in 1D and W C W^T or W^T X W on the n x n array in 2D.  The basis holds
-both factors in the form `grid.tensor_factor` picks, built once: the CSR
-W and W^T in 1D, where a transform is one sparse matvec, and read-only
-dense copies in 2D, where it is two dgemm on the stored arrays, W^T X W
-as analysis @ X @ synthesis (2 n^2 doubles, 256 KB at n = 128).
+both factors in the form `grid.tensor_factor` picks, read-only and built
+once: the CSR W and W^T in 1D, where a transform is one sparse matvec,
+and dense copies in 2D, where it is two dgemm on the stored arrays,
+W^T X W as analysis @ X @ synthesis (2 n^2 doubles, 256 KB at n = 128).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, check_vector, tensor_apply, tensor_factor
+from .grid import Grid, check_vector, frozen, tensor_apply, tensor_factor
 
 __all__ = [
     "WaveletBasis",
@@ -130,9 +130,7 @@ def daubechies_lowpass(order: int) -> np.ndarray:
 
 @cache
 def _cached_lowpass(order: int) -> np.ndarray:
-    lowpass = np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[order]])
-    lowpass.flags.writeable = False
-    return lowpass
+    return frozen(np.array([float.fromhex(tap) for tap in _LOWPASS_HEX[order]]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +138,13 @@ class WaveletBasis:
     """The 1D basis for one grid: one column per level, W, and its transform factors.
 
     `level_columns` is the (L + 1) x n array of the first column of each
-    level block of W, fine to coarse, the last row the scaling column; it
-    is read-only, and every other column of a level is one of these
-    shifted (`translates`).  `matrix` is the n x n CSR matrix W of the 1D
-    basis, the stored form, with sorted indices and no stored zeros.
-    `synthesis` and `analysis` are W and W^T in the form the transforms
-    apply along each axis (`grid.tensor_factor`), built once here.  In 2D
+    level block of W, fine to coarse, the last row the scaling column;
+    every other column of a level is one of these shifted (`translates`).
+    `matrix` is the n x n CSR matrix W of the 1D basis, the stored form,
+    with sorted indices and no stored zeros.  `synthesis` and `analysis`
+    are W and W^T in the form the transforms apply along each axis
+    (`grid.tensor_factor`), built once here.  All four are read-only
+    (`grid.frozen`), `level_columns` frozen in place, not copied.  In 2D
     the basis is the full tensor product of the 1D basis with itself and
     the coefficient array has length n^2, indexed (i1, i2) -> i1*n + i2
     like the sites.  Equality and hash are by identity, as for `Density`:
@@ -160,9 +159,8 @@ class WaveletBasis:
 
     def __post_init__(self) -> None:
         dim = self.grid.dim
-        self.level_columns.flags.writeable = False
         transposed = self.translates(self.level_columns)
-        matrix = transposed.T.tocsr()
+        matrix, _ = frozen(transposed.T.tocsr(), self.level_columns)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "synthesis", tensor_factor(matrix, dim))
         object.__setattr__(self, "analysis", tensor_factor(transposed, dim))

@@ -1,5 +1,6 @@
 """Modules and tests import only public waveng names, every `__all__` entry exists,
-and every dataclass or named tuple that holds arrays compares by identity."""
+every dataclass or named tuple that holds arrays compares by identity, and
+every array that a cache keys on or returns is read-only."""
 
 import ast
 import dataclasses
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from waveng.grid import make_grid
-from waveng.wavelets import make_basis
+from waveng.grid import Density, frozen, make_grid
+from waveng.metrics import build_coarse_block, build_precomp
+from waveng.operators import difference_matrix, scaled_operator
+from waveng.wavelets import daubechies_lowpass, make_basis
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "waveng").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -133,6 +136,74 @@ def test_checker_flags_value_compared_array_holders():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_array_holders_compare_by_identity(path):
     assert value_compared_array_holders(importlib.import_module(f"waveng.{path.stem}")) == []
+
+
+def held_arrays(item: object, path: str) -> typing.Iterator[tuple[str, np.ndarray]]:
+    """(path, array) for every array the item holds: its own, a CSR's three, and
+    those of its tuple entries and dataclass fields, recursively."""
+    if isinstance(item, np.ndarray):
+        yield path, item
+    elif sp.issparse(item):
+        for name in ("data", "indices", "indptr"):
+            yield f"{path}.{name}", getattr(item, name)
+    elif isinstance(item, tuple):
+        for i, entry in enumerate(item):
+            yield from held_arrays(entry, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(item):
+        for f in dataclasses.fields(item):
+            yield from held_arrays(getattr(item, f.name), f"{path}.{f.name}")
+
+
+def writable_arrays(item: object, path: str) -> list[str]:
+    """The path of every array the item holds that takes a write."""
+    found = []
+    for name, a in held_arrays(item, path):
+        try:
+            a.flat[:1] = a.flat[:1]  # rewrites a value in place, so no cache is skewed
+        except ValueError:
+            assert not a.flags.writeable
+        else:
+            found.append(name)
+    return found
+
+
+def test_checker_flags_writable_arrays():
+    matrix = sp.csr_matrix(np.eye(3))
+    matrix.indices.flags.writeable = False
+    assert writable_arrays((np.zeros(2), matrix), "x") == ["x[0]", "x[1].data", "x[1].indptr"]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_cached_and_keyed_arrays_are_read_only(dim, n):
+    # the coarse-block cache keys on the precompute (and so the basis) and
+    # mu by identity, which is sound only while none of their arrays can change
+    grid = make_grid(dim, n)
+    mu = Density(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.total))
+    basis = make_basis(grid)
+    pre = build_precomp(basis)
+    held = {
+        "mu": mu,
+        "basis": basis,
+        "precomp": pre,
+        "block": build_coarse_block(pre, mu, (1.0, 1e-3, 1e-4), 16),
+        "difference_matrix": difference_matrix(16),
+        "lowpass": daubechies_lowpass(3),
+    }
+    if dim == 2:
+        held["scaled_operator"] = scaled_operator(mu)
+    names = [name for key, item in held.items() for name, _ in held_arrays(item, key)]
+    assert {"basis.matrix.indptr", "precomp.h2.data", "precomp.h3", "block.inverse"} <= set(names)
+    assert [name for key, item in held.items() for name in writable_arrays(item, key)] == []
+
+
+def test_frozen_freezes_in_place_and_returns_its_items():
+    matrix, vector = sp.csr_matrix(np.eye(3)), np.arange(3.0)
+    items = frozen(matrix, vector)
+    assert len(items) == 2 and items[0] is matrix and items[1] is vector
+    assert writable_arrays(items, "items") == []
+    assert frozen(matrix)[0] is matrix  # a second call is a no-op
+    assert writable_arrays(matrix, "matrix") == []
+    assert frozen() == ()
 
 
 def test_bases_hash_and_differ_by_order():

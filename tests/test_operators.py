@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,22 +24,31 @@ from waveng.operators import (
     laplacian_apply,
     laplacian_pinv_apply,
     scaled_operator,
+    symmetric_inverse,
     weighted_elliptic_pinv_apply,
     weighted_flux_apply,
 )
 from waveng.optimizer import DescentConfig, run_descent
 from waveng.wavelets import make_basis
 
+ROOT = Path(__file__).resolve().parents[1]
 
-# the BLAS/OpenMP thread variables, as `tools/preset_digests.py` lists them
-THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+
+def load_script(path: Path):
+    """The module at path, loaded from its file and not added to sys.modules."""
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the BLAS/OpenMP thread variables, one list with the byte-check tool
+THREAD_VARS = load_script(ROOT / "tools" / "preset_digests.py").THREAD_VARS
+
+
+def test_thread_variables_are_the_ones_the_benchmark_pins():
+    assert THREAD_VARS == load_script(ROOT / "perfbench" / "common.py").THREAD_VARS
+
 
 # (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
 STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64)]
@@ -679,6 +689,30 @@ class TestResidualGate:
         assert excinfo.value.achieved_residual == pytest.approx(unscaled, rel=rel, abs=0)
 
 
+class TestSymmetricInverse:
+    """The Gauss-Jordan sweeps that both coarse solves use, against np.linalg.inv."""
+
+    @staticmethod
+    def spd(n: int) -> np.ndarray:
+        b = np.random.default_rng(n).standard_normal((n, n))
+        return b @ b.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_inverts_in_place_exactly_symmetric(self, n):
+        a = self.spd(n)
+        expected = np.linalg.inv(a)
+        out = symmetric_inverse(a)
+        assert out is a
+        assert np.array_equal(out, out.T)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_reads_only_the_lower_triangle(self, n):
+        a = self.spd(n)
+        noisy = a + np.triu(np.random.default_rng(n + 1).standard_normal((n, n)), k=1)
+        assert np.array_equal(symmetric_inverse(noisy), symmetric_inverse(a))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
 @example(8, 0)
@@ -830,7 +864,7 @@ def test_2d_coarse_space_is_the_whole_grid_at_n8(seed):
 
 def stdout_at_1_and_2_threads(code: str) -> list[str]:
     """What `code` prints in a fresh interpreter at 1 and at 2 BLAS threads."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     out = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(THREAD_VARS, threads))
