@@ -1,13 +1,14 @@
 """Periodic uniform grids on [0,1]^d, densities over them, and the tensor rule.
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
-wavelet layout requires).  A density is a nonnegative mass-per-site vector
-whose mass is `Density.mass`.  A Density holds a read-only copy of its
-values and is compared and hashed by identity, so a cache can key on it
+wavelet layout requires).  A Density holds a read-only copy of its mass
+per site, finite values that may be <= 0: the loss, the weighted solve,
+`run_descent` and the Wasserstein and combined metrics each refuse a site
+<= 0.  It is compared and hashed by identity, so a cache can key on it
 (`operators` keeps the 2D solve's set-up per weight density); `frozen`
-alone makes arrays read-only.  Every other
-site vector, a potential, a gradient or the argument of a loss, is a plain
-array of one value per site, and each public entry checks its length.
+alone makes arrays read-only.  Every other site vector, a potential, a
+gradient or the argument of a loss, is a plain array of one value per
+site, and each public entry checks its length.
 Densities and site vectors take integer or real float dtypes, cast to
 float64; complex or non-numeric input raises TypeError, decided by the
 dtype alone.
@@ -84,12 +85,11 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Mass-per-site vector over a grid.
+    """Mass-per-site vector over a grid, of finite values that may be <= 0.
 
     `values` is a read-only copy of the array passed in, so neither the
     density nor a cache keyed on it changes when the caller writes to that
-    array.  Equality and hash are by identity: two densities with equal
-    values are distinct.
+    array.  Equality and hash are by identity.
     """
 
     grid: Grid

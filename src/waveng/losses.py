@@ -5,10 +5,11 @@ the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
 divergence to mu in its mass-corrected form, and the Dirichlet energy of
 p - mu.  Every term is nonnegative and vanishes at mu, so E(mu) = 0 is the
 minimum; E2 vanishes only there.  Each evaluation takes p as a plain array
-of site values and raises ValueError unless it holds one finite value per
-site of mu's grid (one isfinite pass at entry).  Infeasible points (any
-site <= 0) evaluate to +inf so that a backtracking line search can reject
-them uniformly instead of catching exceptions.
+of site values and raises ValueError unless it holds one finite, strictly
+positive value per site of mu's grid, at every alpha and before any solve,
+so every LossEval holds a gradient and its quadratic part.  Only a trial
+of a Line prices a site <= 0, as +inf, so that the backtracking line
+search rejects it like any other failed trial.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
@@ -110,22 +111,16 @@ def check_alphas(alphas: tuple[float, float, float]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LossEval:
-    """Loss value and its Euclidean gradient (None when value is +inf).
+    """Loss value, its Euclidean gradient and its quadratic part.
 
-    `quadratic` is the (value, gradient) pair (r^T Q r / 2, Q r) of the
-    quadratic terms of a combined loss, already included in value and
-    gradient; combined_eval and Line.loss_eval set it, and
-    along_line needs it.  Only an infeasible evaluation leaves it None.
-    Compared by identity.
+    `quadratic` is (r^T Q r / 2, Q r), the value and gradient of the
+    quadratic terms, already included in both; along_line takes it from
+    combined_eval or Line.loss_eval.  Compared by identity.
     """
 
     value: float
-    gradient: np.ndarray | None
-    quadratic: tuple[float, np.ndarray] | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return np.isfinite(self.value)
+    gradient: np.ndarray
+    quadratic: tuple[float, np.ndarray]
 
 
 def e1_eval(p: np.ndarray, mu: Density) -> LossEval:
@@ -143,7 +138,7 @@ def e2_eval(p: np.ndarray, mu: Density) -> LossEval:
 
     Each term is nonnegative and zero only at p = mu, so mu is the exact
     unconstrained minimizer even when a metric moves mass; gradient
-    log(p/mu).  Any site with p <= 0 yields value +inf.
+    log(p/mu).  A site with p <= 0 raises ValueError.
     """
     return combined_eval(p, LossSpec(0.0, 1.0, 0.0, mu))
 
@@ -182,18 +177,16 @@ def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
 
     The sum is alpha2 E2 + q with q = alpha1 E1 + alpha3 E3 formed as
     r^T Q r / 2, and q with its gradient Q r is also returned as
-    `quadratic`.
+    `quadratic`.  A site that is not finite and > 0 raises ValueError first.
     """
     pv = check_vector(spec.grid, p)
-    if not np.isfinite(pv).all():
-        raise ValueError("density values must be finite")
+    if not (pv.min() > 0.0 and pv.max() < np.inf):  # a NaN fails both
+        raise ValueError("density values must be finite and strictly positive")
     r = pv - spec.mu.values
     qr = _quadratic_apply(spec, r)
     quadratic = (0.5 * float(r @ qr), qr)
     if spec.alpha2 == 0:
         return LossEval(*quadratic, quadratic=quadratic)
-    if pv.min() <= 0.0:
-        return LossEval(value=np.inf, gradient=None)
     kl, log_ratio = _kl(pv, spec.mu.values, spec.mu.mass)
     return LossEval(spec.alpha2 * kl + quadratic[0], spec.alpha2 * log_ratio + qr, quadratic)
 
@@ -214,10 +207,6 @@ class LineTrial:
     eta: float
     point: np.ndarray | None = None
     log_ratio: np.ndarray | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return np.isfinite(self.value)
 
 
 @dataclass(eq=False, slots=True)
@@ -331,8 +320,6 @@ def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Li
     taken from ev, which must come from combined_eval or an accepted trial.
     A trial point with a site <= 0 evaluates to +inf whatever the alphas.
     """
-    if ev.quadratic is None:
-        raise ValueError("ev carries no quadratic part: evaluate p with combined_eval")
     pv = check_vector(spec.grid, p)
     s = check_vector(spec.grid, s)
     qv, qr = ev.quadratic

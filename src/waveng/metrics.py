@@ -84,8 +84,8 @@ __all__ = [
 
 # Coarsest basis indices per axis on which the combined metric applies the
 # exact block H_c^-1 (m^dim of them), 0 for the paper's diagonal alone.
-# Iterations to a 1e-6 relative gap on 2d-1: 15 at m = 8, 10 at m = 16; m = 32
-# built slowly and took more.
+# Iterations to a 1e-6 relative gap on 2d-1: 15 at m = 8, 10 at m = 16; m = 32 built slowly
+# and took more.  On 1d-1..4 at n = 512: 8/9/8/9 at m = 16, 10/9/7/10 at 32, 10/10/6/10 at 64.
 COARSE_BLOCK = 16
 
 

@@ -10,9 +10,9 @@ step size eta (starting from 1, at most MAX_HALVINGS times) until
 up to a rounding slack (ROUNDING_SLACK), and never for a trial that
 raises the loss (`armijo_accepts`).  The loss E is the combined loss of a
 LossSpec.
-Infeasible trial points evaluate to +inf and are rejected like any other
-failed trial.  A step with nonpositive directional slope <s, g> stalls the
-run rather than ascending.
+A trial point with a site <= 0 evaluates to +inf and is rejected like any
+other failed trial, so every accepted point is > 0.  A step with
+nonpositive directional slope <s, g> stalls the run rather than ascending.
 
 The trials go through `losses.along_line`, which prices the quadratic
 terms in closed form: a step costs one K-solve (for Q s) however many
@@ -197,11 +197,11 @@ def armijo_step(
 
     Returns (next density, its evaluation, diagnostics).  On a stall the
     density is returned unchanged and the evaluation is the one at p.
-    `evaluated` is combined_eval's result at p, whose quadratic part saves
-    a K-solve.  The metric is called as metric(p, g, spec.mu), so a metric
-    built at mu (the two-level combined one) gets the loss's own.  A p that
-    is not a Density raises TypeError, and one on another grid than the
-    loss's ValueError.
+    `evaluated` is the evaluation at p (combined_eval's or the previous
+    step's), whose quadratic part saves a K-solve.  The metric is called
+    as metric(p, g, spec.mu), so a metric built at mu (the two-level
+    combined one) gets the loss's own.  A p that is not a Density raises
+    TypeError, and one on another grid than the loss's ValueError.
     """
     if not isinstance(p, Density):
         raise TypeError(f"p must be a Density, got {type(p).__name__}")
@@ -217,8 +217,6 @@ def armijo_step(
         )
         return p, evaluated, diag
 
-    if not evaluated.feasible or evaluated.gradient is None:
-        return stall("loss not differentiable at current point", np.nan)
     g = evaluated.gradient
     try:
         s = metric(p, g, spec.mu)
@@ -227,8 +225,6 @@ def armijo_step(
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
         return stall("non-descent direction", slope)
-    # nonpositive trials evaluate to +inf, keeping the descent in the
-    # metrics' domain (the positive orthant)
     line = along_line(spec, p.values, evaluated, s)
     eta, trials = 1.0, 0
     for halvings in range(MAX_HALVINGS + 1):
@@ -259,12 +255,11 @@ def run_descent(
     The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of the
     loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
     (converged), cfg.max_iterations, or a stalled line search.  p0 must be
-    a Density (TypeError otherwise) on the grid of mu.
+    a Density (TypeError otherwise) on the grid of mu, and combined_eval
+    refuses a site <= 0.
     """
     if not isinstance(p0, Density):
         raise TypeError(f"p0 must be a Density, got {type(p0).__name__}")
-    if p0.min <= 0.0:
-        raise ValueError("initial density must be strictly positive")
     if p0.grid != spec.grid:
         raise ValueError(f"start grid {p0.grid} is not the loss grid {spec.grid}")
     history = DescentHistory()
@@ -285,8 +280,6 @@ def run_descent(
 
     p = p0
     ev = combined_eval(p.values, spec)
-    if not ev.feasible:
-        raise ValueError("loss is infeasible at the initial density")
     record(0, ev, p, 0.0, 0)
     if ev.value <= cfg.gap_tolerance:
         history.status = "converged"

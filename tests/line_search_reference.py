@@ -22,8 +22,6 @@ def armijo_step(p, spec, metric, evaluated):
     `optimizer.armijo_step`.
     """
     ev = evaluated
-    if not ev.feasible or ev.gradient is None:
-        return p, ev, False, 0.0, 0, ev.value
     g = ev.gradient
     try:
         s = metric(p, g, spec.mu)

@@ -4,7 +4,13 @@ import pytest
 from waveng.experiments import build_potential, load_preset
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossEval, LossSpec, along_line, combined_eval, e2_eval
-from waveng.metrics import COARSE_BLOCK, MetricKind, build_precomp, metric_apply_fn
+from waveng.metrics import (
+    COARSE_BLOCK,
+    MetricInfeasibleError,
+    MetricKind,
+    build_precomp,
+    metric_apply_fn,
+)
 from waveng.operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
 from waveng.optimizer import MAX_HALVINGS, DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
@@ -86,6 +92,20 @@ class TestArmijoStep:
             assert not diag.accepted and diag.reason == "non-descent direction"
             assert diag.halvings == diag.trials == 0
             np.testing.assert_array_equal(p_next.values, p.values)
+
+    def test_metric_infeasible_stalls(self):
+        # a metric that refuses the point stalls the step before any trial
+        p, _, spec, _ = newton_setup()
+        ev = combined_eval(p.values, spec)
+
+        def refusing(dens, grad, mu):
+            raise MetricInfeasibleError("no direction here")
+
+        p_next, ev_next, diag = armijo_step(p, spec, refusing, ev)
+        assert not diag.accepted and diag.reason == "metric infeasible: no direction here"
+        assert p_next is p and ev_next is ev
+        assert diag.value_before == diag.value_after == ev.value
+        assert diag.halvings == diag.trials == 0
 
     def test_infeasible_trial_forces_halving(self):
         # a direction large enough to leave the positive orthant at eta = 1
@@ -182,7 +202,7 @@ class TestLineSearch:
         s = 2.0 * np.max(p.values[g > 0] / g[g > 0]) * g
         line = along_line(spec, p.values, ev, s)
         infeasible = line(1.0)
-        assert infeasible.value == np.inf and not infeasible.feasible
+        assert infeasible.value == np.inf and infeasible.point is None
         with pytest.raises(ValueError, match="infeasible"):
             line.loss_eval(infeasible)
         p_next, got, diag = armijo_step(p, spec, lambda dens, grad, mu: s, evaluated=ev)
@@ -210,7 +230,7 @@ class TestLineSearch:
         ev = combined_eval(p.values, spec)
         line = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)
         trial = line(0.5)
-        assert trial.feasible
+        assert trial.point is not None
         point = trial.point.copy()
         log_ratio = None if trial.log_ratio is None else trial.log_ratio.copy()
         first, second = line.loss_eval(trial), line.loss_eval(trial)
@@ -224,13 +244,11 @@ class TestLineSearch:
 
     def test_evaluated_without_quadratic_part(self):
         # the line search takes q(r) and Q r from the evaluation it is given
-        # and never re-solves for them
-        grid, spec, metric = preset_setup("1d-4")
-        p = uniform_density(grid)
-        ev = combined_eval(p.values, spec)
-        bare = LossEval(value=ev.value, gradient=ev.gradient)
-        with pytest.raises(ValueError, match="combined_eval"):
-            armijo_step(p, spec, metric, evaluated=bare)
+        # and never re-solves for them, so no evaluation can lack them
+        grid, spec, _ = preset_setup("1d-4")
+        ev = combined_eval(uniform_density(grid).values, spec)
+        with pytest.raises(TypeError, match="quadratic"):
+            LossEval(value=ev.value, gradient=ev.gradient)
 
 
 class TestRunDescent:
@@ -391,7 +409,7 @@ class TestRunDescent:
         values = np.full(16, 1.0 / 16)
         values[0] = 0.0
         _, mu, spec, metric = sin_setup(16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly positive"):
             run_descent(Density(grid, values), spec, metric)
 
     def test_rejects_start_on_another_grid(self):
