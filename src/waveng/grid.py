@@ -2,13 +2,14 @@
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A Density holds a read-only copy of its mass
-per site, finite values that may be <= 0: the loss, the weighted solve,
-`run_descent` and the Wasserstein and combined metrics each refuse a site
-<= 0.  It is compared and hashed by identity, so a cache can key on it
-(`operators` keeps the 2D solve's set-up per weight density); `frozen`
-alone makes arrays read-only.  Every other site vector, a potential, a
-gradient or the argument of a loss, is a plain array of one value per
-site, and each public entry checks its length.
+per site, finite and strictly positive values: construction refuses any
+other, so the loss spec, the weighted solve, the metrics and the descent
+take a Density's positivity as given.  It is compared and hashed by
+identity, so a cache can key on it (`operators` keeps the 2D solve's
+set-up per weight density); `frozen` alone makes arrays read-only.
+Every other site vector, a potential, a gradient or the argument of a
+loss, is a plain array of one value per site, and each public entry
+checks its length.
 Densities and site vectors take integer or real float dtypes, cast to
 float64; complex or non-numeric input raises TypeError, decided by the
 dtype alone.
@@ -85,7 +86,7 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Mass-per-site vector over a grid, of finite values that may be <= 0.
+    """Mass-per-site vector over a grid, of finite, strictly positive values.
 
     `values` is a read-only copy of the array passed in, so neither the
     density nor a cache keyed on it changes when the caller writes to that
@@ -102,8 +103,8 @@ class Density:
             raise ValueError(
                 f"density has {values.shape} values, grid expects ({self.grid.total},)"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
+        if not (values.min() > 0.0 and values.max() < np.inf):  # a NaN fails both
+            raise ValueError("density values must be finite and strictly positive")
 
     @property
     def min(self) -> float:

@@ -86,8 +86,6 @@ class LossSpec:
         object.__setattr__(self, "kl_form", KLForm(self.kl_form))
         if not isinstance(self.mu, Density):
             raise TypeError(f"mu must be a Density, got {type(self.mu).__name__}")
-        if self.mu.min <= 0:
-            raise ValueError("reference measure must be strictly positive")
 
     @property
     def alphas(self) -> tuple[float, float, float]:

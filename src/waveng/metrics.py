@@ -23,9 +23,10 @@ precomp and alphas once when it binds, picks that
 kind's private helper, and the bound callable, metric(p, g, mu), checks
 each call's densities p and mu (type, grid) and gradient (dtype, length)
 once, but not g's finiteness: the descent stalls on the non-finite slope
-of a NaN or infinite direction.  The descent passes the loss's mu, so the
-block is built at the measure the loss is minimized towards, on the first
-call, and cached for the run.
+of a NaN or infinite direction.  A Density is strictly positive, so each
+metric is defined at every p and mu it is given.  The descent passes the
+loss's mu, so the block is built at the measure the loss is minimized
+towards, on the first call, and cached for the run.
 
 H1 rows hold the squared entries of the differentiated 1D basis columns,
 H2 rows the squared 1D basis columns, and h3 the diagonal of the
@@ -76,7 +77,6 @@ __all__ = [
     "CoarseBlock",
     "MetricPrecomp",
     "MetricKind",
-    "MetricInfeasibleError",
     "build_coarse_block",
     "build_precomp",
     "metric_apply_fn",
@@ -87,10 +87,6 @@ __all__ = [
 # Iterations to a 1e-6 relative gap on 2d-1: 15 at m = 8, 10 at m = 16; m = 32 built slowly
 # and took more.  On 1d-1..4 at n = 512: 8/9/8/9 at m = 16, 10/9/7/10 at 32, 10/10/6/10 at 64.
 COARSE_BLOCK = 16
-
-
-class MetricInfeasibleError(ValueError):
-    """Raised when a metric requiring positivity sees a nonpositive density."""
 
 
 class MetricKind(str, Enum):
@@ -175,12 +171,6 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
 
 
-def _positive_values(p: Density) -> np.ndarray:
-    if p.min <= 0.0:
-        raise MetricInfeasibleError("metric requires a strictly positive density")
-    return p.values
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseBlock:
     """H_c^-1 of the two-level combined metric at one mu, and the indices it applies to.
@@ -212,11 +202,10 @@ def build_coarse_block(
     `symmetric_inverse` sweeps, so H_c^-1 is exactly symmetric and its
     bytes do not depend on the thread count.  Raises ValueError for alphas
     LossSpec refuses, an m that is not an integer >= 1, or a mu on another
-    grid, and MetricInfeasibleError for a mu that is not strictly positive.
-    The arguments are checked before the cache is asked, which then keys on
-    (precomp, mu, the alphas as three floats, min(m, n)), precomp and mu by
-    identity: alphas given as a list or an array share the tuple's block,
-    and every metric bound for one run shares one build.
+    grid.  The arguments are checked before the cache is asked, which then
+    keys on (precomp, mu, the alphas as three floats, min(m, n)), precomp
+    and mu by identity: alphas given as a list or an array share the
+    tuple's block, and every metric bound for one run shares one build.
     """
     check_alphas(alphas)
     grid = precomp.basis.grid
@@ -234,7 +223,6 @@ def _coarse_block(
     grid = precomp.basis.grid
     a1, a2, _ = alphas
     n = grid.n
-    mu_values = _positive_values(mu)
     v = precomp.basis.matrix[:, n - m :].toarray()
     u = difference_matrix(n)[0] @ v
     corner = np.arange(n - m, n)
@@ -242,7 +230,7 @@ def _coarse_block(
     if a1 > 0 or a1 == a2 == 0.0:
         indices = indices[:-1]
     h_c = None
-    blocks = _galerkin_blocks(u, v, mu_values, grid.dim, len(indices))
+    blocks = _galerkin_blocks(u, v, mu.values, grid.dim, len(indices))
     for a, term, inverted in zip(alphas, blocks, (True, True, False)):
         if a > 0:
             if inverted:
@@ -334,11 +322,10 @@ def _combined_metric_fn(
             fixed_scale = np.where(d3 > 0.0, 1.0 / d3, 0.0)  # d = 0 -> 0
 
     def apply(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:
-        pv = _positive_values(p)
         scale = fixed_scale
         if scale is None:
             with np.errstate(divide="ignore"):
-                terms = zip((a1, a2), pre.diagonals(pv, a1 > 0, a2 > 0))
+                terms = zip((a1, a2), pre.diagonals(p.values, a1 > 0, a2 > 0))
                 d = [a / h for a, h in terms if h is not None]
             if d3 is not None:
                 d.append(d3)
@@ -355,7 +342,7 @@ def _combined_metric_fn(
 
 def _wasserstein_metric(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:
     """sum_a D_a^T diag(p) D_a g: the transport preconditioner at p."""
-    return weighted_flux_apply(p.grid, _positive_values(p), g)
+    return weighted_flux_apply(p.grid, p.values, g)
 
 
 def _fisher_rao_metric(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:

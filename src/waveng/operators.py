@@ -359,8 +359,8 @@ def weighted_elliptic_pinv_apply(
     with a nonzero right-hand side for this w.  A right-hand side whose
     largest entry is outside [2^-400, 2^400], where ||P rhs||^2 could under-
     or overflow, is solved times a power of two, and x scaled back; both
-    scalings are exact.  Raises TypeError for a w that is not a Density,
-    ValueError for a weight density that is not strictly positive or a
+    scalings are exact.  w is strictly positive, as every Density is.
+    Raises TypeError for a w that is not a Density, ValueError for a
     right-hand side that is not finite, and EllipticSolveError when the
     residual misses cfg.rel_tolerance: in 1D the backward error of the
     closed form's true residual (see _closed_form_1d); in 2D the CG residual
@@ -369,8 +369,6 @@ def weighted_elliptic_pinv_apply(
     """
     if not isinstance(w, Density):
         raise TypeError(f"w must be a Density, got {type(w).__name__}")
-    if w.min <= 0.0:
-        raise ValueError("weight density must be strictly positive")
     grid = w.grid
     rhs = check_vector(grid, rhs)
     peak = float(np.abs(rhs).max())  # NaN or inf exactly when rhs is not finite

@@ -10,9 +10,12 @@ step size eta (starting from 1, at most MAX_HALVINGS times) until
 up to a rounding slack (ROUNDING_SLACK), and never for a trial that
 raises the loss (`armijo_accepts`).  The loss E is the combined loss of a
 LossSpec.
-A trial point with a site <= 0 evaluates to +inf and is rejected like any
-other failed trial, so every accepted point is > 0.  A step with
-nonpositive directional slope <s, g> stalls the run rather than ascending.
+Every Density is strictly positive, the start included; a trial point
+with a site <= 0 evaluates to +inf and is rejected like any other failed
+trial, so every accepted point is a Density too.  A step stalls the run
+for one of two reasons: "non-descent direction", a slope <s, g> that is
+not a finite positive number (the run does not ascend), or "line search
+exhausted max_halvings".
 
 The trials go through `losses.along_line`, which prices the quadratic
 terms in closed form: a step costs one K-solve (for Q s) however many
@@ -92,7 +95,6 @@ import numpy as np
 
 from .grid import Density
 from .losses import LossEval, LossSpec, along_line, combined_eval
-from .metrics import MetricInfeasibleError
 
 __all__ = [
     "DescentConfig",
@@ -195,8 +197,9 @@ def armijo_step(
 ) -> tuple[Density, LossEval, StepDiagnostics]:
     """One backtracking step from p.
 
-    Returns (next density, its evaluation, diagnostics).  On a stall the
-    density is returned unchanged and the evaluation is the one at p.
+    Returns (next density, its evaluation, diagnostics).  On a stall (see
+    the module docstring for its two reasons) the density is returned
+    unchanged and the evaluation is the one at p.
     `evaluated` is the evaluation at p (combined_eval's or the previous
     step's), whose quadratic part saves a K-solve.  The metric is called
     as metric(p, g, spec.mu), so a metric built at mu (the two-level
@@ -218,10 +221,7 @@ def armijo_step(
         return p, evaluated, diag
 
     g = evaluated.gradient
-    try:
-        s = metric(p, g, spec.mu)
-    except MetricInfeasibleError as err:
-        return stall(f"metric infeasible: {err}", np.nan)
+    s = metric(p, g, spec.mu)
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
         return stall("non-descent direction", slope)
@@ -254,9 +254,10 @@ def run_descent(
 
     The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of the
     loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
-    (converged), cfg.max_iterations, or a stalled line search.  p0 must be
-    a Density (TypeError otherwise) on the grid of mu, and combined_eval
-    refuses a site <= 0.
+    (converged), cfg.max_iterations, or a stalled step, with its reason
+    ("non-descent direction" or "line search exhausted max_halvings") in
+    `stall_reason`.  p0 must be a Density (TypeError otherwise), strictly
+    positive as every Density is, on the grid of mu (ValueError otherwise).
     """
     if not isinstance(p0, Density):
         raise TypeError(f"p0 must be a Density, got {type(p0).__name__}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from waveng.grid import Density
 from waveng.losses import along_line
-from waveng.metrics import MetricInfeasibleError
 from waveng.optimizer import ARMIJO_COEFFICIENT, MAX_HALVINGS, ROUNDING_SLACK
 
 
@@ -23,10 +22,7 @@ def armijo_step(p, spec, metric, evaluated):
     """
     ev = evaluated
     g = ev.gradient
-    try:
-        s = metric(p, g, spec.mu)
-    except MetricInfeasibleError:
-        return p, ev, False, 0.0, 0, ev.value
+    s = metric(p, g, spec.mu)
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
         return p, ev, False, 0.0, 0, ev.value

@@ -173,11 +173,15 @@ class TestDensityValidation:
         with pytest.raises(ValueError):
             Density(make_grid(1, 8), np.ones(7))
 
-    def test_non_finite_rejected(self):
-        grid = make_grid(1, 8)
-        values = np.full(8, 1 / 8)
-        values[0] = np.nan
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
+    def test_non_finite_rejected(self, dim, n, bad):
+        # a site <= 0 used to pass, and each consumer decided what to do
+        # with it: some refused it, the Fisher-Rao metric returned diag(p) g
+        grid = make_grid(dim, n)
+        values = np.full(grid.total, 1 / grid.total)
+        values[grid.total // 2] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
             Density(grid, values)
 
     @pytest.mark.parametrize("dtype", [complex, bool, str, object])

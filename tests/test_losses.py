@@ -274,13 +274,16 @@ class TestSiteArrays:
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_loss_refuses_mu_not_strictly_positive(self, loss):
-        # every entry is combined_eval on a LossSpec; e2 used to divide by
-        # the zero site (a RuntimeWarning) and e3 to return a number
+        # e2 used to divide by the zero site (a RuntimeWarning) and e3 to
+        # return a number; such a mu is now refused as a Density, and a loss
+        # takes its mu as nothing else
         grid = make_grid(1, 16)
         mu = np.full(16, 1 / 16)
         mu[3] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
-            self.LOSSES[loss](np.full(16, 1 / 16), Density(grid, mu))
+            Density(grid, mu)
+        with pytest.raises(TypeError, match="mu must be a Density"):
+            self.LOSSES[loss](np.full(16, 1 / 16), mu)
 
     @pytest.mark.parametrize("loss", [*LOSSES, "combined a2>0"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

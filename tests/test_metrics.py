@@ -7,7 +7,6 @@ from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
     COARSE_BLOCK,
-    MetricInfeasibleError,
     MetricKind,
     build_coarse_block,
     build_precomp,
@@ -234,8 +233,11 @@ class TestCombinedMetric:
         values = np.full(32, 1 / 32)
         values[5] = 0.0
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 0.0, 0.0))
-        with pytest.raises(MetricInfeasibleError):
-            metric(Density(grid, values), np.ones(32), uniform_density(grid))
+        # refused as a Density, and the metric takes p as nothing else
+        with pytest.raises(ValueError, match="strictly positive"):
+            Density(grid, values)
+        with pytest.raises(TypeError, match="p must be a Density"):
+            metric(values, np.ones(32), uniform_density(grid))
 
 
 def dense_factors(basis) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -474,8 +476,11 @@ class TestCoarseBlock:
         values[3] = 0.0
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=build_precomp(make_basis(grid)),
                                  alphas=(1.0, 1e-3, 1e-4))
-        with pytest.raises(MetricInfeasibleError):
-            metric(uniform_density(grid), np.ones(16), Density(grid, values))
+        # refused as a Density, and the coarse block is built at nothing else
+        with pytest.raises(ValueError, match="strictly positive"):
+            Density(grid, values)
+        with pytest.raises(TypeError, match="mu must be a Density"):
+            metric(uniform_density(grid), np.ones(16), values)
 
     def test_paper_metric_ignores_mu(self):
         # coarse_block = 0 is the paper's diagonal at p alone

@@ -541,8 +541,11 @@ class TestWeightedPinv:
         grid = make_grid(1, 16)
         wv = np.full(16, 1 / 16)
         wv[3] = 0.0
-        with pytest.raises(ValueError):
-            weighted_elliptic_pinv_apply(Density(grid, wv), np.ones(16))
+        # refused as a Density, and the solve takes w as nothing else
+        with pytest.raises(ValueError, match="strictly positive"):
+            Density(grid, wv)
+        with pytest.raises(TypeError, match="w must be a Density"):
+            weighted_elliptic_pinv_apply(wv, np.ones(16))
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_weight_that_is_not_a_density_rejected(self, dim, n):
@@ -559,7 +562,9 @@ class TestWeightedPinv:
         wv = np.full(16, 1 / 16)
         wv[3] = -1e-3
         with pytest.raises(ValueError, match="strictly positive"):
-            weighted_elliptic_pinv_apply(Density(grid, wv), np.arange(16.0))
+            Density(grid, wv)
+        with pytest.raises(TypeError, match="w must be a Density"):
+            weighted_elliptic_pinv_apply(wv, np.arange(16.0))
         assert scaled_operator.cache_info().currsize == 0
 
     def test_nonconvergence_reports_residual(self):

@@ -6,7 +6,6 @@ from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossEval, LossSpec, along_line, combined_eval, e2_eval
 from waveng.metrics import (
     COARSE_BLOCK,
-    MetricInfeasibleError,
     MetricKind,
     build_precomp,
     metric_apply_fn,
@@ -92,20 +91,6 @@ class TestArmijoStep:
             assert not diag.accepted and diag.reason == "non-descent direction"
             assert diag.halvings == diag.trials == 0
             np.testing.assert_array_equal(p_next.values, p.values)
-
-    def test_metric_infeasible_stalls(self):
-        # a metric that refuses the point stalls the step before any trial
-        p, _, spec, _ = newton_setup()
-        ev = combined_eval(p.values, spec)
-
-        def refusing(dens, grad, mu):
-            raise MetricInfeasibleError("no direction here")
-
-        p_next, ev_next, diag = armijo_step(p, spec, refusing, ev)
-        assert not diag.accepted and diag.reason == "metric infeasible: no direction here"
-        assert p_next is p and ev_next is ev
-        assert diag.value_before == diag.value_after == ev.value
-        assert diag.halvings == diag.trials == 0
 
     def test_infeasible_trial_forces_halving(self):
         # a direction large enough to leave the positive orthant at eta = 1
@@ -405,12 +390,12 @@ class TestRunDescent:
             armijo_step(p, spec, metric, combined_eval(p, spec))
 
     def test_rejects_nonpositive_start(self):
+        # no start with a site <= 0 reaches run_descent: the Density refuses it
         grid = make_grid(1, 16)
         values = np.full(16, 1.0 / 16)
         values[0] = 0.0
-        _, mu, spec, metric = sin_setup(16)
         with pytest.raises(ValueError, match="strictly positive"):
-            run_descent(Density(grid, values), spec, metric)
+            Density(grid, values)
 
     def test_rejects_start_on_another_grid(self):
         # same site count (16), different grid: 1D n = 16 against 2D 4 x 4
