@@ -15,9 +15,9 @@ float64; complex or non-numeric input raises TypeError, decided by the
 dtype alone.
 Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 
-Sites are flattened row-major, site (i1, i2) at i1*n + i2.  Every 2D
-operator is a Kronecker product of 1D matrices, one per axis, and
-`tensor_apply` applies it in this layout without forming the product:
+Sites are flattened row-major, site (i1, i2) at i1*n + i2.  A 2D
+operator is a Kronecker product of 1D matrices, one per axis, or a sum of
+them, and `tensor_apply` applies one in this layout without forming it:
 A0 X A1^T on the n x n site array X, with A1^T passed as the caller holds
 it.  `tensor_factor` alone picks a 1D factor's applied form, read-only:
 the CSR matrix in 1D (one sparse matvec), a dense copy in 2D (one dgemm
@@ -27,7 +27,11 @@ The (-Delta)^+ plan (`operators`), `MetricPrecomp.diagonals` and
 `metrics._galerkin_blocks` keep private 2D products: through
 `tensor_apply` the plan was slower and not bitwise the same, the
 diagonals share H2 P, and the coarse blocks B1 and B2 share P VV.  L_w
-alone is assembled, by Kronecker products.
+alone is assembled, by Kronecker products.  The difference stencils,
+-Delta and the weighted flux, are sums of one-axis products with D, D^T
+or D^T D, which `operators` applies in 2D by shifted slices of the flat
+site vector (by n along axis 0, by 1 along axis 1): the CSR products'
+bits with no transposed copy.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "uniform_density",
     "check_vector",
     "frozen",
-    "axis_apply",
     "tensor_factor",
     "tensor_apply",
 ]
@@ -179,20 +182,6 @@ def _real(v: np.ndarray, what: str) -> np.ndarray:
     if v.dtype.kind not in _REAL_KINDS:
         raise TypeError(f"{what} must be real numbers, got dtype {v.dtype}")
     return v.astype(np.float64, copy=False)
-
-
-def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:
-    """Apply the 1D matrix A along `axis` of the site array of a dim-D grid.
-
-    In 2D: (A (x) I) v = A X on axis 0, (I (x) A) v = X A^T on axis 1, X the array of v.
-    """
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} invalid for a {dim}D grid")
-    if dim == 1:
-        return a @ v
-    if axis == 0:
-        return (a @ v.reshape(a.shape[1], -1)).reshape(-1)
-    return (a @ v.reshape(-1, a.shape[1]).T).T.reshape(-1)
 
 
 def frozen(*items: sp.csr_matrix | np.ndarray) -> tuple:

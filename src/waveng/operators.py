@@ -1,13 +1,22 @@
 """Periodic difference operators and elliptic pseudo-inverse solves.
 
 D is the 1D forward difference scaled by n, cached as read-only n x n CSR
-with D^T and D^T D (`difference_matrix`); D_a applies it along axis a by
-the tensor rule of `grid`, so the differences, -Delta = sum_a D_a^T D_a
-and the weighted flux hold no 2D matrix, and the metric precompute's DW is
-D W.  Only L_w = sum_a D_a^T diag(w) D_a is assembled in 2D, lifting D_a by
-Kronecker products.  L_w is inverted on the mean-zero subspace: in 1D in
-closed form with two cumulative sums, in 2D by conjugate gradients in the
-scaled variable y = S x, on A = S^-1 L_w S^-1 with the Jacobi scale
+with D^T and D^T D (`difference_matrix`).  -Delta = sum_a D_a^T D_a and
+the weighted flux sum_a D_a^T (w * D_a x) are applied with no 2D matrix,
+by one rule with no size switch: in 1D CSR matvecs with D, D^T and D^T D,
+which make no copy; in 2D shifted slices of the flat site vector, by n
+along axis 0 and by 1 along axis 1, with the wrap entries of each axis
+redone.  As n is a power of two the shifts give the CSR products' bits
+(see `laplacian_apply`), without the transposed copies that a CSR product
+along axis 1 takes.  Per 2D call (one thread, 2-vCPU VM) the Laplacian
+took 24-25 against 26-27 us at 64^2 and 58-66 against 95-98 us at 128^2,
+the flux 26-31 against 52 us at 64^2; in 1D shifts were no faster than the
+one CSR matvec (5.6-7.3 against 5.7-6.4 us at n = 512).  The metric
+precompute's DW is D W.  For the 2D solve alone, the flux's operator
+L_w = sum_a D_a^T diag(w) D_a is assembled, lifting D_a by Kronecker
+products.  L_w is inverted on the mean-zero subspace: in 1D in closed
+form with two cumulative sums, in 2D by conjugate gradients in the scaled
+variable y = S x, on A = S^-1 L_w S^-1 with the Jacobi scale
 S = diag(s), s_i^2 = L_w[i, i] / (2 dim n^2), the mean of the 2 dim edge
 weights at site i.  A then has the diagonal 2 dim n^2 of -Delta for every
 w, so CG is preconditioned by two levels: the exact inverse of A's
@@ -40,7 +49,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Density, Grid, axis_apply, check_vector, frozen, tensor_apply
+from .grid import Density, Grid, check_vector, frozen, tensor_apply
 
 __all__ = [
     "EllipticSolveConfig",
@@ -120,23 +129,82 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly.
 
     Summed axis by axis, not as one 5-point matrix: a 3-point row sums a
-    constant to exactly zero, a 5-point one need not where it wraps.
+    constant to exactly zero, a 5-point one need not where it wraps.  In 1D
+    one CSR matvec with D^T D.  In 2D each axis term is
+    n^2 fl(fl(2 v - v_+) - v_-), the order in which a row of D^T D's CSR
+    sums (v_+, v, v_-), and at index 0 of the axis, D^T D's wrap row
+    (v_{n-1}, v_1, v_0), n^2 fl(2 v_0 - fl(v_{n-1} + v_1)), the bits of
+    fl(fl(-v_{n-1} - v_1) + 2 v_0) as negation is exact; the axis terms are
+    summed, then scaled by n^2 once.  That is D^T D's CSR product along
+    each axis bit for bit, because n = 2^k: the entries -n^2 and 2 n^2 are
+    powers of two times -1 or 2, so the CSR products are exact, and for a
+    power of two c, fl(c a + c b) = c fl(a + b), subnormal sums included.
+    Only the sign of a zero could differ, and the final + 0.0 gives the +0
+    of the CSR sum, which starts at +0 and so never returns -0.  The bits
+    match while no product or partial sum of the CSR form overflows, so
+    wherever 8 n^2 max|v| is finite; past that the CSR form returns inf or
+    NaN where the shifts need not.
     """
     v = check_vector(grid, v)
-    _, _, dtd = difference_matrix(grid.n)
-    out = axis_apply(dtd, v, 0, grid.dim)
-    for a in range(1, grid.dim):
-        out += axis_apply(dtd, v, a, grid.dim)
+    n = grid.n
+    if grid.dim == 1:
+        return difference_matrix(n)[2] @ v
+    two = v + v
+    out = np.empty(grid.total)  # axis 0: v shifted by n, row 0 after the last row
+    np.subtract(two[:-n], v[n:], out=out[:-n])
+    np.subtract(two[-n:], v[:n], out=out[-n:])
+    out[n:] -= v[:-n]
+    np.add(v[-n:], v[n : 2 * n], out=out[:n])
+    np.subtract(two[:n], out[:n], out=out[:n])
+    axis1 = np.empty(grid.total)  # axis 1: v shifted by 1, then columns n - 1 and 0 redone
+    np.subtract(two[:-1], v[1:], out=axis1[:-1])
+    axis1[1:] -= v[:-1]
+    last, first = slice(n - 1, None, n), slice(0, None, n)
+    np.subtract(two[last], v[first], out=axis1[last])
+    axis1[last] -= v[n - 2 :: n]
+    np.add(v[last], v[1::n], out=axis1[first])
+    np.subtract(two[first], axis1[first], out=axis1[first])
+    out += axis1
+    out *= float(n * n)
+    out += 0.0
     return out
 
 
 def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time."""
-    d, dt, _ = difference_matrix(grid.n)
-    dim = grid.dim
-    out = axis_apply(dt, w * axis_apply(d, x, 0, dim), 0, dim)
-    for a in range(1, dim):
-        out += axis_apply(dt, w * axis_apply(d, x, a, dim), a, dim)
+    """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time.
+
+    In 1D two CSR matvecs.  In 2D, along each axis, g = w fl(n x_+ - n x)
+    is w times D_a x as D's CSR row sums it, and D_a^T g is n fl(g_- - g);
+    the axis terms are summed, then scaled by n once.  That is the CSR
+    products bit for bit, by the argument of `laplacian_apply` (n is a
+    power of two; the final + 0.0 gives the CSR sum's +0).  n x is formed
+    before w multiplies in, as in D's products: w fl(x_+ - x) scaled by n
+    afterwards rounds otherwise where w (x_+ - x) is subnormal.  The bits
+    match while no product or partial sum of the CSR form overflows, so
+    wherever 8 n^2 max|w| max|x| is finite.
+    """
+    n = grid.n
+    if grid.dim == 1:
+        d, dt, _ = difference_matrix(n)
+        return dt @ (w * (d @ x))
+    nx = x * float(n)
+    g = np.empty(grid.total)  # axis 0: shift by n, row 0 after the last row
+    np.subtract(nx[n:], nx[:-n], out=g[:-n])
+    np.subtract(nx[:n], nx[-n:], out=g[-n:])
+    g *= w
+    out = np.empty(grid.total)
+    np.subtract(g[:-n], g[n:], out=out[n:])
+    np.subtract(g[-n:], g[:n], out=out[:n])
+    last, first = slice(n - 1, None, n), slice(0, None, n)
+    np.subtract(nx[1:], nx[:-1], out=g[:-1])  # axis 1: shift by 1, columns n - 1 and 0 redone
+    np.subtract(nx[first], nx[last], out=g[last])
+    g *= w
+    axis1 = nx  # n x is spent
+    np.subtract(g[:-1], g[1:], out=axis1[1:])
+    np.subtract(g[last], g[first], out=axis1[first])
+    out += axis1
+    out *= float(n)
+    out += 0.0
     return out
 
 
@@ -318,7 +386,8 @@ def _laplacian_pinv_plan(grid: Grid) -> tuple[Callable, Callable | None]:
     axes = tuple(range(grid.dim))
 
     def fft_apply(v: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfftn(v.reshape(shape)) * inv
+        spec = np.fft.rfftn(v.reshape(shape))
+        spec *= inv
         return np.fft.irfftn(spec, s=shape, axes=axes).reshape(total)
 
     if grid.dim == 1:

@@ -1,4 +1,4 @@
-"""Slow references for the difference stencils: np.roll and sparse row shifts.
+"""Slow references for the difference stencils: np.roll, sparse row shifts and CSR products.
 
 Each function writes the periodic forward difference out by hand (array
 shifts, or a permutation of the rows of W), so it shares no code with the
@@ -6,9 +6,14 @@ difference matrices of `waveng.operators`.  The 2D Hessian diagonals are the
 two-sided products written out term by term instead of through
 `grid.tensor_apply`.
 
-`diff_apply` and `diff_adjoint_apply` are the exception: they apply the
-library's own D and D^T along one axis, so that a test can build them
-column by column into dense matrices or check them against the stencil.
+`axis_apply` applies a 1D matrix along one axis of the site array, by
+CSR products on (in 2D) transposed copies.  With the library's own D, D^T
+and D^T D it gives the CSR forms of the stencils (`csr_laplacian_apply`,
+`csr_flux_apply`), whose bits the library's 2D shifts must reproduce;
+`diff_apply` and `diff_adjoint_apply` apply D and D^T along one axis, so
+that a test can build them column by column into dense matrices or check
+them against the stencil.  `random_factor` is a non-symmetric sparse 1D
+matrix for the tensor-rule checks.
 
 `closed_form_1d` is the 1D weighted solve written with np.mean and
 np.linalg.norm, as the library's was before it took the bare sum and dot
@@ -16,9 +21,49 @@ product that those wrappers compute, so a test can require the same bits.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from waveng.grid import Grid, axis_apply, check_vector
+from waveng.grid import Grid, check_vector
 from waveng.operators import difference_matrix
+
+
+def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:
+    """Apply the 1D matrix A along `axis` of the site array of a dim-D grid.
+
+    In 2D: (A (x) I) v = A X on axis 0, (I (x) A) v = X A^T on axis 1, X the array of v.
+    """
+    if not 0 <= axis < dim:
+        raise ValueError(f"axis {axis} invalid for a {dim}D grid")
+    if dim == 1:
+        return a @ v
+    if axis == 0:
+        return (a @ v.reshape(a.shape[1], -1)).reshape(-1)
+    return (a @ v.reshape(-1, a.shape[1]).T).T.reshape(-1)
+
+
+def random_factor(n: int, seed: int) -> sp.csr_matrix:
+    """A sparse n x n matrix with a nonzero diagonal; almost surely not symmetric."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=0.4, random_state=rng) + sp.diags(rng.uniform(1, 2, n))
+    return sp.csr_matrix(a)
+
+
+def csr_laplacian_apply(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """-Delta x as the sum over the axes of D^T D applied by `axis_apply`."""
+    dtd = difference_matrix(grid.n)[2]
+    out = axis_apply(dtd, x, 0, grid.dim)
+    for axis in range(1, grid.dim):
+        out += axis_apply(dtd, x, axis, grid.dim)
+    return out
+
+
+def csr_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_a D_a^T (w * D_a x), each D_a and D_a^T applied by `axis_apply`."""
+    d, dt, _ = difference_matrix(grid.n)
+    out = axis_apply(dt, w * axis_apply(d, x, 0, grid.dim), 0, grid.dim)
+    for axis in range(1, grid.dim):
+        out += axis_apply(dt, w * axis_apply(d, x, axis, grid.dim), axis, grid.dim)
+    return out
 
 
 def flux_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:

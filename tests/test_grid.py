@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from stencil_reference import axis_apply, random_factor
 from waveng.grid import (
     Density,
     Grid,
-    axis_apply,
     boltzmann_weights,
     check_vector,
     make_grid,
@@ -212,38 +211,25 @@ class TestDensityValidation:
         assert len({a, b, a}) == 2
 
 
-def random_factor(n: int, seed: int) -> sp.csr_matrix:
-    """A sparse n x n matrix with a nonzero diagonal; almost surely not symmetric."""
-    rng = np.random.default_rng(seed)
-    a = sp.random(n, n, density=0.4, random_state=rng) + sp.diags(rng.uniform(1, 2, n))
-    return sp.csr_matrix(a)
-
-
 class TestTensorRule:
-    """axis_apply and tensor_apply against dense Kronecker products."""
+    """tensor_apply against dense Kronecker products and the axis-by-axis CSR oracle."""
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_1d_is_the_factor(self, n):
         a = random_factor(n, n)
         v = np.random.default_rng(1).standard_normal(n)
         assert np.abs(a.toarray() - a.toarray().T).max() > 0.1
-        np.testing.assert_allclose(axis_apply(a, v, 0, 1), a.toarray() @ v, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(tensor_apply([a], v), a.toarray() @ v, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_2d_matches_kron(self, n):
         a0, a1 = random_factor(n, 2 * n), random_factor(n, 2 * n + 1)
-        d0, d1, eye = a0.toarray(), a1.toarray(), np.eye(n)
+        d0, d1 = a0.toarray(), a1.toarray()
         assert min(np.abs(d - d.T).max() for d in (d0, d1)) > 0.1
         v = np.random.default_rng(2).standard_normal(n * n)
-        cases = [
-            (axis_apply(a0, v, 0, 2), np.kron(d0, eye) @ v),
-            (axis_apply(a1, v, 1, 2), np.kron(eye, d1) @ v),
-            (tensor_apply([a0, a1.T], v), np.kron(d0, d1) @ v),
-        ]
-        for got, want in cases:
-            assert got.shape == (n * n,)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        got = tensor_apply([a0, a1.T], v)
+        assert got.shape == (n * n,)
+        np.testing.assert_allclose(got, np.kron(d0, d1) @ v, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_2d_dense_factors_match_kron(self, n):
@@ -271,11 +257,6 @@ class TestTensorRule:
         assert isinstance(dense, np.ndarray)
         assert not dense.flags.writeable and dense.flags.c_contiguous
         np.testing.assert_array_equal(dense, a.toarray())
-
-    @pytest.mark.parametrize("axis,dim", [(1, 1), (-1, 1), (2, 2), (-1, 2)])
-    def test_invalid_axis(self, axis, dim):
-        with pytest.raises(ValueError, match="axis"):
-            axis_apply(random_factor(4, 0), np.zeros(4**dim), axis, dim)
 
 
 class TestSiteVectors:

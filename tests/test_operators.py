@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stencil_reference as ref
-from stencil_reference import diff_adjoint_apply, diff_apply
+from stencil_reference import axis_apply, diff_adjoint_apply, diff_apply, random_factor
 from waveng.experiments import build_potential
-from waveng.grid import Density, axis_apply, make_grid, reference_measure, uniform_density
+from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossSpec, combined_eval
 from waveng.metrics import MetricKind, build_precomp, metric_apply_fn
 from waveng.operators import (
@@ -52,6 +52,32 @@ def test_thread_variables_are_the_ones_the_benchmark_pins():
 
 # (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
 STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64)]
+
+# (dim, n, input) cases of the byte-exact stencil checks: a standard normal
+# input at every size, then at every size zeros of both signs and a normal
+# input scaled into the subnormal range, and on 2D grids a normal input on
+# row 0 or on column 0 alone, where the stencils wrap
+BYTE_CASES = [pytest.param(dim, n, "normal", id=f"{dim}-{n}") for dim, n in STENCIL_CASES] + [
+    pytest.param(dim, n, kind, id=f"{dim}-{n}-{kind}")
+    for kind in ("signed-zeros", "subnormal", "row-0", "column-0")
+    for dim, n in STENCIL_CASES
+    if dim == 2 or kind in ("signed-zeros", "subnormal")
+]
+
+
+def stencil_input(grid, kind: str, seed: int) -> np.ndarray:
+    """A site vector of one BYTE_CASES kind."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(grid.total)
+    if kind == "signed-zeros":
+        return np.where(x < 0.0, -0.0, 0.0)
+    if kind == "subnormal":
+        return np.ldexp(x, -1060)
+    if kind == "row-0":
+        x.reshape(grid.shape)[1:] = 0.0
+    if kind == "column-0":
+        x.reshape(grid.shape)[:, 1:] = 0.0
+    return x
 
 
 def circulant_eigenvalue(n: int, k: int) -> float:
@@ -171,6 +197,36 @@ class TestDiff:
                     array[0] += 1
 
 
+class TestAxisOracle:
+    """stencil_reference.axis_apply, the stencils' CSR oracle, against dense Kronecker products."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_1d_is_the_factor(self, n):
+        a = random_factor(n, n)
+        v = np.random.default_rng(1).standard_normal(n)
+        assert np.abs(a.toarray() - a.toarray().T).max() > 0.1
+        np.testing.assert_allclose(axis_apply(a, v, 0, 1), a.toarray() @ v, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_2d_matches_kron(self, n):
+        a0, a1 = random_factor(n, 2 * n), random_factor(n, 2 * n + 1)
+        d0, d1, eye = a0.toarray(), a1.toarray(), np.eye(n)
+        assert min(np.abs(d - d.T).max() for d in (d0, d1)) > 0.1
+        v = np.random.default_rng(2).standard_normal(n * n)
+        cases = [
+            (axis_apply(a0, v, 0, 2), np.kron(d0, eye) @ v),
+            (axis_apply(a1, v, 1, 2), np.kron(eye, d1) @ v),
+        ]
+        for got, want in cases:
+            assert got.shape == (n * n,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axis,dim", [(1, 1), (-1, 1), (2, 2), (-1, 2)])
+    def test_invalid_axis(self, axis, dim):
+        with pytest.raises(ValueError, match="axis"):
+            axis_apply(random_factor(4, 0), np.zeros(4**dim), axis, dim)
+
+
 class TestLaplacian:
     def test_constant(self):
         grid = make_grid(2, 8)
@@ -201,24 +257,28 @@ class TestLaplacian:
 class TestStencilOracles:
     """The difference-matrix operators against the np.roll stencils of stencil_reference."""
 
-    @pytest.mark.parametrize("dim,n", STENCIL_CASES)
-    def test_flux_bitwise(self, dim, n):
+    @pytest.mark.parametrize("dim,n,kind", BYTE_CASES)
+    def test_flux_bitwise(self, dim, n, kind):
+        # the bytes of the CSR products D^T (w * D x) along each axis, the
+        # sign of zero included; the np.roll stencil scales by n after w
+        # multiplies in, so it rounds otherwise where w (x_+ - x) is subnormal
         grid = make_grid(dim, n)
-        rng = np.random.default_rng(60 + n + dim)
         w = random_weight(grid, 61 + n).values
-        x = rng.standard_normal(grid.total)
-        want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
-        np.testing.assert_array_equal(weighted_flux_apply(grid, w, x), want)
+        x = stencil_input(grid, kind, 60 + n + dim)
+        got = weighted_flux_apply(grid, w, x)
+        assert got.tobytes() == ref.csr_flux_apply(grid, w, x).tobytes()
+        if kind != "subnormal":
+            want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
+            np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("dim,n", STENCIL_CASES)
-    def test_laplacian_bitwise(self, dim, n):
-        # the axis terms added in place, in 2D with no transposed copy, are
-        # the tensor rule's sum of D^T D along each axis
+    @pytest.mark.parametrize("dim,n,kind", BYTE_CASES)
+    def test_laplacian_bitwise(self, dim, n, kind):
+        # the bytes of the tensor rule's sum of D^T D along each axis, the
+        # sign of zero included
         grid = make_grid(dim, n)
-        dtd = difference_matrix(n)[2]
-        x = np.random.default_rng(65 + n + dim).standard_normal(grid.total)
-        want = sum(axis_apply(dtd, x, axis, dim) for axis in range(dim))
-        np.testing.assert_array_equal(laplacian_apply(grid, x), want)
+        x = stencil_input(grid, kind, 65 + n + dim)
+        got = laplacian_apply(grid, x)
+        assert got.tobytes() == ref.csr_laplacian_apply(grid, x).tobytes()
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
     def test_closed_form_1d_bitwise(self, n):
