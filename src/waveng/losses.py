@@ -21,8 +21,8 @@ log in place), one dot product and one sum.  It returns a LineTrial
 holding the value, t and log(t/mu), and builds no gradient.  The
 accepted trial alone forms its gradient and LossEval, by
 `Line.loss_eval(trial)`, and its point becomes the next density.
-`Line.lower_bounds` bounds a trial's value from below by scalar
-arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
+`Line.lower_bounds(eta, slope)` bounds a trial's value from below by
+scalar arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
 `combined_eval` at a one-hot alpha, and the KL formula is written once, in
 a private kernel that `combined_eval` and the line share.  A LossSpec holds no
 state: every K-solve passes mu itself, and `operators` caches the 2D
@@ -211,31 +211,24 @@ class LineTrial:
 class Line:
     """The combined loss along p - eta s as a function of eta, built by along_line.
 
+    It holds the loss and the evaluation at p, not copies of their fields.
     Calling it with eta prices that trial: one KL pass (none when alpha2 =
-    0) and the quadratic part in closed form.  `lower_bounds(eta)` yields
-    floats that the trial's value cannot undercut, by scalar arithmetic.
-    Compared by identity.
+    0) and the quadratic part in closed form.  Compared by identity.
     """
 
-    alpha2: float
-    mu: np.ndarray
-    mu_mass: float
+    spec: LossSpec
+    start: LossEval  # the evaluation at p: E(p), g and (q(r), Q r)
     p: np.ndarray
     s: np.ndarray
-    value: float  # E(p)
-    gradient: np.ndarray  # g, the gradient at p
-    qv: float  # q(r)
-    qr: np.ndarray  # Q r
     qs: np.ndarray  # Q s
     s_qr: float
     s_qs: float
-    kappa: float  # how far below 0 the computed KL of a t > 0 can round
-    # <s, g> and the convexity bound's rounding terms, formed at most once
-    _slope: float | None = field(default=None, init=False, repr=False)
+    mu_mass: float  # spec.mu.mass, an O(n) sum that every trial reads
+    # the convexity bound's rounding terms, formed at most once
     _rounding: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
 
     def q_at(self, eta: float) -> float:
-        return self.qv - eta * self.s_qr + 0.5 * eta * eta * self.s_qs
+        return self.start.quadratic[0] - eta * self.s_qr + 0.5 * eta * eta * self.s_qs
 
     # each vector below is one new array, written in place in the order of
     # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, p - eta s)
@@ -244,11 +237,11 @@ class Line:
         if trial.point is None:
             raise ValueError("an infeasible trial has no gradient")
         grad_q = self.qs * trial.eta
-        np.subtract(self.qr, grad_q, out=grad_q)
+        np.subtract(self.start.quadratic[1], grad_q, out=grad_q)
         if trial.log_ratio is None:
             gradient = grad_q
         else:  # trial.log_ratio is left as it is, so a second call sees the same trial
-            gradient = np.multiply(trial.log_ratio, self.alpha2)
+            gradient = np.multiply(trial.log_ratio, self.spec.alpha2)
             gradient += grad_q
         return LossEval(trial.value, gradient, (self.q_at(trial.eta), grad_q))
 
@@ -257,50 +250,49 @@ class Line:
         np.subtract(self.p, t, out=t)
         if t.min() <= 0.0:
             return LineTrial(np.inf, eta)
-        if self.alpha2 == 0:
+        if self.spec.alpha2 == 0:
             return LineTrial(self.q_at(eta), eta, t)
-        kl, log_ratio = _kl(t, self.mu, self.mu_mass)
-        return LineTrial(self.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
+        kl, log_ratio = _kl(t, self.spec.mu.values, self.mu_mass)
+        return LineTrial(self.spec.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
 
-    def lower_bounds(self, eta: float) -> Iterator[float]:
+    def lower_bounds(self, eta: float, slope: float) -> Iterator[float]:
         """Floats that self(eta).value provably cannot undercut, cheapest first.
 
-        For eta a power of two.  (i) q(eta) - alpha2 kappa, since the
-        computed KL of a t > 0 is at least -kappa; with alpha2 = 0 it is the
-        trial's value itself.  (ii) Only for eta < 1, so the first trial,
-        which most steps accept, pays for no dot product, and only when
-        eta <s, Q s> > <s, g>: the convexity bound
-        E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta), whose slope and norms
-        (five dot products) are formed once per line.  An infeasible trial
-        is +inf, above both.  The optimizer docstring derives both bounds.
+        For eta a power of two and the caller's slope <s, g>.  (i) q(eta) -
+        alpha2 kappa, kappa = (N + 16) eps M, since the computed KL of a t > 0
+        is at least -kappa; with alpha2 = 0 it is the trial's value itself.
+        (ii) Only for eta < 1, so the first trial, which most steps accept,
+        pays for no dot product, and only when eta <s, Q s> > slope: the
+        convexity bound E(p) - eta slope + eta^2/2 <s, Q s> - E(eta), whose
+        four norms are formed once per line.  An infeasible trial is +inf,
+        above both.  The optimizer docstring derives both bounds.
         """
-        yield self.q_at(eta) - self.alpha2 * self.kappa
-        if eta >= 1.0 or self.alpha2 == 0:
-            return
-        if self._slope is None:
-            self._slope = float(self.s @ self.gradient)
-        if not eta * self.s_qs > self._slope:
+        alpha2 = self.spec.alpha2
+        kappa = (self.p.size + 16) * _EPS * self.mu_mass
+        yield self.q_at(eta) - alpha2 * kappa
+        if eta >= 1.0 or alpha2 == 0 or not eta * self.s_qs > slope:
             return
         if self._rounding is None:
-            self._rounding = self._convexity_rounding()
+            self._rounding = self._convexity_rounding(slope)
         e0, e1, e2 = self._rounding
         yield (
-            self.value - eta * self._slope + 0.5 * eta * eta * self.s_qs
+            self.start.value - eta * slope + 0.5 * eta * eta * self.s_qs
             - (e0 + eta * (e1 + eta * e2))
         )
 
-    def _convexity_rounding(self) -> tuple[float, float, float]:
+    def _convexity_rounding(self, slope: float) -> tuple[float, float, float]:
         """(e0, e1, e2) of the rounding allowance E(eta) = e0 + eta e1 + eta^2 e2."""
         def norm(x: np.ndarray) -> float:
             return math.sqrt(x @ x)
 
+        alpha2, (qv, qr) = self.spec.alpha2, self.start.quadratic
         n = self.p.size
         c = 2 * (n + 16) * _EPS
-        gq = norm(self.gradient) + norm(self.qr) + self.alpha2 * math.sqrt(n)
+        gq = norm(self.start.gradient) + norm(qr) + alpha2 * math.sqrt(n)
         p_norm = norm(self.p)
-        e0 = c * (p_norm * gq + 5 * self.alpha2 * self.mu_mass)
-        e0 += 8 * _EPS * (abs(self.value) + abs(self.qv))
-        e1 = c * norm(self.s) * gq + 8 * _EPS * (abs(self.s_qr) + abs(self._slope))
+        e0 = c * (p_norm * gq + 5 * alpha2 * self.mu_mass)
+        e0 += 8 * _EPS * (abs(self.start.value) + abs(qv))
+        e1 = c * norm(self.s) * gq + 8 * _EPS * (abs(self.s_qr) + abs(slope))
         return e0, e1, 8 * _EPS * abs(self.s_qs)
 
 
@@ -320,12 +312,8 @@ def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Li
     """
     pv = check_vector(spec.grid, p)
     s = check_vector(spec.grid, s)
-    qv, qr = ev.quadratic
     qs = _quadratic_apply(spec, s)
-    mu_mass = spec.mu.mass
     return Line(
-        alpha2=spec.alpha2, mu=spec.mu.values, mu_mass=mu_mass, p=pv, s=s,
-        value=ev.value, gradient=ev.gradient, qv=qv, qr=qr, qs=qs,
-        s_qr=float(s @ qr), s_qs=float(s @ qs),
-        kappa=(pv.size + 16) * _EPS * mu_mass,
+        spec=spec, start=ev, p=pv, s=s, qs=qs,
+        s_qr=float(s @ ev.quadratic[1]), s_qs=float(s @ qs), mu_mass=spec.mu.mass,
     )

@@ -200,14 +200,17 @@ def build_coarse_block(
     alpha1 = alpha2 = 0 (1/0 := 0).  Where alpha1 = 0 and alpha2 > 0, B2 is
     nonsingular and the column stays.  B1^-1, B2^-1 and H_c^-1 are
     `symmetric_inverse` sweeps, so H_c^-1 is exactly symmetric and its
-    bytes do not depend on the thread count.  Raises ValueError for alphas
-    LossSpec refuses, an m that is not an integer >= 1, or a mu on another
-    grid.  The arguments are checked before the cache is asked, which then
-    keys on (precomp, mu, the alphas as three floats, min(m, n)), precomp
-    and mu by identity: alphas given as a list or an array share the
-    tuple's block, and every metric bound for one run shares one build.
+    bytes do not depend on the thread count.  Raises TypeError for a mu
+    that is not a Density, and ValueError for alphas LossSpec refuses, an m
+    that is not an integer >= 1, or a mu on another grid, all before the
+    cache is asked, which then keys on (precomp, mu, the alphas as three
+    floats, min(m, n)), precomp and mu by identity: alphas given as a list
+    or an array share the tuple's block, and every metric bound for one run
+    shares one build.
     """
     check_alphas(alphas)
+    if not isinstance(mu, Density):
+        raise TypeError(f"mu must be a Density, got {type(mu).__name__}")
     grid = precomp.basis.grid
     if mu.grid != grid:
         raise ValueError(f"mu grid {mu.grid} is not the precomp grid {grid}")
@@ -342,7 +345,7 @@ def _combined_metric_fn(
 
 def _wasserstein_metric(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:
     """sum_a D_a^T diag(p) D_a g: the transport preconditioner at p."""
-    return weighted_flux_apply(p.grid, p.values, g)
+    return weighted_flux_apply(p, g)
 
 
 def _fisher_rao_metric(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:

@@ -31,11 +31,11 @@ keyed by identity), so a caller with a fixed w (the loss's mu) pays once
 per run.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
-periodic Fourier modes.  Each grid gets one cached plan, which maps v to
-(-Delta)^+ v and, in 2D, is the two-level preconditioner's fine part: for
-2D grids with n <= 64 dense products in the real periodic eigenbasis (the
-fast diagonalization method), otherwise the FFT with its inverse symbol
-computed once.
+periodic Fourier modes.  Each grid gets one cached map, v -> (-Delta)^+ v:
+for 2D grids with n <= 64 dense products in the real periodic eigenbasis
+(the fast diagonalization method), otherwise the FFT with its inverse
+symbol computed once.  Given a weight density's coarse inverse, the same
+map is the 2D solve's two-level preconditioner, exact on the low modes.
 """
 
 from __future__ import annotations
@@ -170,35 +170,41 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def weighted_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_a D_a^T (w * D_a x) on flat vectors, one axis at a time.
+def weighted_flux_apply(w: Density, x: np.ndarray) -> np.ndarray:
+    """sum_a D_a^T (w * D_a x) on w's grid, one axis at a time.
 
-    In 1D two CSR matvecs.  In 2D, along each axis, g = w fl(n x_+ - n x)
-    is w times D_a x as D's CSR row sums it, and D_a^T g is n fl(g_- - g);
-    the axis terms are summed, then scaled by n once.  That is the CSR
-    products bit for bit, by the argument of `laplacian_apply` (n is a
-    power of two; the final + 0.0 gives the CSR sum's +0).  n x is formed
-    before w multiplies in, as in D's products: w fl(x_+ - x) scaled by n
-    afterwards rounds otherwise where w (x_+ - x) is subnormal.  The bits
-    match while no product or partial sum of the CSR form overflows, so
-    wherever 8 n^2 max|w| max|x| is finite.
+    A w that is not a Density raises TypeError; x goes through
+    `check_vector`.  In 1D two CSR matvecs.  In 2D, along each axis,
+    g = w fl(n x_+ - n x) is w times D_a x as D's CSR row sums it, and
+    D_a^T g is n fl(g_- - g); the axis terms are summed, then scaled by n
+    once.  That is the CSR products bit for bit, by the argument of
+    `laplacian_apply` (n is a power of two; the final + 0.0 gives the CSR
+    sum's +0).  n x is formed before w multiplies in, as in D's products:
+    w fl(x_+ - x) scaled by n afterwards rounds otherwise where
+    w (x_+ - x) is subnormal.  The bits match while no product or partial
+    sum of the CSR form overflows, so wherever 8 n^2 max|w| max|x| is
+    finite.
     """
+    if not isinstance(w, Density):
+        raise TypeError(f"w must be a Density, got {type(w).__name__}")
+    grid, weights = w.grid, w.values
+    x = check_vector(grid, x)
     n = grid.n
     if grid.dim == 1:
         d, dt, _ = difference_matrix(n)
-        return dt @ (w * (d @ x))
+        return dt @ (weights * (d @ x))
     nx = x * float(n)
     g = np.empty(grid.total)  # axis 0: shift by n, row 0 after the last row
     np.subtract(nx[n:], nx[:-n], out=g[:-n])
     np.subtract(nx[:n], nx[-n:], out=g[-n:])
-    g *= w
+    g *= weights
     out = np.empty(grid.total)
     np.subtract(g[:-n], g[n:], out=out[n:])
     np.subtract(g[-n:], g[:n], out=out[:n])
     last, first = slice(n - 1, None, n), slice(0, None, n)
     np.subtract(nx[1:], nx[:-1], out=g[:-1])  # axis 1: shift by 1, columns n - 1 and 0 redone
     np.subtract(nx[first], nx[last], out=g[last])
-    g *= w
+    g *= weights
     axis1 = nx  # n x is spent
     np.subtract(g[:-1], g[1:], out=axis1[1:])
     np.subtract(g[last], g[first], out=axis1[first])
@@ -341,68 +347,63 @@ def _real_periodic_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _laplacian_pinv_plan(grid: Grid) -> tuple[Callable, Callable | None]:
-    """(-Delta)^+ v and, None in 1D, the 2D solve's (v, C) -> M^-1 v, as maps on flat vectors.
+def _laplacian_pinv_plan(grid: Grid) -> Callable[..., np.ndarray]:
+    """The grid's map v -> (-Delta)^+ v, or with a coarse inverse C, the 2D solve's M^-1 v.
 
-    On a 2D grid with n <= DENSE_PLAN_MAX_N, (-Delta)^+ is
-    Q ((Q^T X Q) / Lambda) Q^T on the n x n array X, with Q the real
-    periodic eigenbasis and Lambda_ij = lam_i + lam_j; otherwise the real
-    FFT pair with the inverse symbol.  Both drop the constant mode, so the
-    output has zero mean up to roundoff.  M^-1 = F + E C E^T is the
+    One map on flat vectors, apply(v, coarse_inverse=None).  On a 2D grid
+    with n <= DENSE_PLAN_MAX_N, (-Delta)^+ is Q ((Q^T X Q) / Lambda) Q^T
+    on the n x n array X, with Q the real periodic eigenbasis and
+    Lambda_ij = lam_i + lam_j; otherwise the real FFT pair with the inverse
+    symbol.  Both drop the constant mode, so the output has zero mean up to
+    roundoff.  Given C (2D only), the map is M^-1 = F + E C E^T, the
     two-level preconditioner: E = q_c (x) q_c spans the coarse modes, the
     first m columns of Q per axis (`_coarse_modes`), C is the weight
     density's coarse inverse and F is (-Delta)^+ on the other modes.  The
-    dense map overwrites the [:m, :m] block of the spectral array, which is
-    E^T v, with C E^T v after the multiply by 1 / Lambda.  The FFT map adds
-    the exact coarse correction E (C - Lambda_c^+) E^T v to (-Delta)^+ v,
-    with Lambda_c^+ the inverse symbol on the coarse block.  M^-1 is SPD,
-    since F and E C E^T are SPD on complementary sets of modes.  Plans stay
-    cached for the life of the process; one holds O(n^2) floats (about
-    100 KB at n = 64).
+    dense map then overwrites the [:m, :m] block of the spectral array,
+    which is E^T v, with C E^T v after the multiply by 1 / Lambda; the FFT
+    map adds the exact coarse correction E (C - Lambda_c^+) E^T v to
+    (-Delta)^+ v, with Lambda_c^+ the inverse symbol on the coarse block.
+    M^-1 is SPD, since F and E C E^T are SPD on complementary sets of
+    modes.  Plans stay cached for the life of the process; one holds
+    O(n^2) floats (about 100 KB at n = 64).
     """
     n, shape, total = grid.n, grid.shape, grid.total
     if grid.dim == 2:
         q, lam = _real_periodic_eigenbasis(n)
         q_c = np.ascontiguousarray(_coarse_modes(q))
+        q_ct = np.ascontiguousarray(q_c.T)
         m = q_c.shape[1]
+        inv_c = _pinv_symbol(lam[:m, None] + lam[None, :m])
     if grid.dim == 2 and n <= DENSE_PLAN_MAX_N:
         qt = np.ascontiguousarray(q.T)
         inv = _pinv_symbol(lam[:, None] + lam[None, :])
 
-        def dense_apply(v: np.ndarray) -> np.ndarray:
-            return (q @ ((qt @ v.reshape(shape) @ q) * inv) @ qt).reshape(total)
-
-        def dense_two_level(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
+        def dense_apply(v: np.ndarray, coarse_inverse: np.ndarray | None = None) -> np.ndarray:
             spec = qt @ v.reshape(shape) @ q
-            coarse = coarse_inverse @ spec[:m, :m].ravel()
+            if coarse_inverse is not None:
+                coarse = coarse_inverse @ spec[:m, :m].ravel()
             spec *= inv
-            spec[:m, :m] = coarse.reshape(m, m)
+            if coarse_inverse is not None:
+                spec[:m, :m] = coarse.reshape(m, m)
             return (q @ spec @ qt).reshape(total)
 
-        return dense_apply, dense_two_level
+        return dense_apply
     eigenvalues = _laplacian_eigenvalues(n)
     half = eigenvalues[: n // 2 + 1]
     inv = _pinv_symbol(half if grid.dim == 1 else eigenvalues[:, None] + half[None, :])
     axes = tuple(range(grid.dim))
 
-    def fft_apply(v: np.ndarray) -> np.ndarray:
+    def fft_apply(v: np.ndarray, coarse_inverse: np.ndarray | None = None) -> np.ndarray:
         spec = np.fft.rfftn(v.reshape(shape))
         spec *= inv
-        return np.fft.irfftn(spec, s=shape, axes=axes).reshape(total)
-
-    if grid.dim == 1:
-        return fft_apply, None
-    q_ct = np.ascontiguousarray(q_c.T)
-    inv_c = _pinv_symbol(lam[:m, None] + lam[None, :m])
-
-    def fft_two_level(v: np.ndarray, coarse_inverse: np.ndarray) -> np.ndarray:
-        coarse = q_ct @ v.reshape(shape) @ q_c
-        correction = (coarse_inverse @ coarse.ravel()).reshape(m, m) - inv_c * coarse
-        out = fft_apply(v)
-        out += (q_c @ correction @ q_ct).reshape(total)
+        out = np.fft.irfftn(spec, s=shape, axes=axes).reshape(total)
+        if coarse_inverse is not None:
+            coarse = q_ct @ v.reshape(shape) @ q_c
+            correction = (coarse_inverse @ coarse.ravel()).reshape(m, m) - inv_c * coarse
+            out += (q_c @ correction @ q_ct).reshape(total)
         return out
 
-    return fft_apply, fft_two_level
+    return fft_apply
 
 
 def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -411,7 +412,7 @@ def laplacian_pinv_apply(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     P projects out the constant mode, so constant input maps to zero and the
     output always has zero mean.
     """
-    return _laplacian_pinv_plan(grid)[0](check_vector(grid, rhs))
+    return _laplacian_pinv_plan(grid)(check_vector(grid, rhs))
 
 
 def weighted_elliptic_pinv_apply(
@@ -491,7 +492,7 @@ def _closed_form_1d(
     x[0] = 0.0
     np.add.accumulate(step[:-1], out=x[1:])
     x -= x.sum() / n
-    residual = weighted_flux_apply(w.grid, w.values, x)
+    residual = weighted_flux_apply(w, x)
     residual -= b
     residual -= residual.sum() / n
     rnorm = math.sqrt(residual @ residual)
@@ -522,7 +523,8 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     cap, where sqrt w missed it at every size.  The variation of
     w matters on the low modes, where it changes A as much as -Delta's own
     eigenvalues there, so CG is preconditioned by the two-level map
-    M^-1 = F + E A_c^-1 E^T (see _laplacian_pinv_plan and _coarse_inverse):
+    M^-1 = F + E A_c^-1 E^T, the grid's (-Delta)^+ map bound to the set-up's
+    coarse inverse (see _laplacian_pinv_plan and _coarse_inverse):
     exact on the coarse modes E, (-Delta)^+ on the rest (iteration counts:
     see COARSE_WAVENUMBER).  It is the same iteration as CG on L_w x = b
     preconditioned by P S^-1 M^-1 S^-1 P: the projections P drop out,
@@ -541,8 +543,9 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     grid = w.grid
     set_up = scaled_operator(w)
     a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
-    _, two_level = _laplacian_pinv_plan(grid)
-    precondition = functools.partial(two_level, coarse_inverse=set_up.coarse_inverse)
+    precondition = functools.partial(
+        _laplacian_pinv_plan(grid), coarse_inverse=set_up.coarse_inverse
+    )
     tol = cfg.rel_tolerance * bnorm
 
     y = np.zeros(grid.total)

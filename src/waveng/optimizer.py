@@ -28,11 +28,12 @@ Trials ruled out unpriced.  The rule is monotone in the computed trial
 value, so a float L that the value provably cannot undercut, and that
 already fails the rule, rejects the trial with no trial array and no KL
 pass.  The halving still counts; `StepDiagnostics.trials` counts the
-priced trials only.  `Line.lower_bounds` gives two such floats.  Every
-trial tries (i); after a rejected first trial, (ii) is tried too.  An
-infeasible trial is +inf, above any L, so neither needs a feasibility
-test.  A NaN bound rules a trial out, as pricing would: it comes from a
-NaN q(eta), which the trial's value carries too.
+priced trials only.  `Line.lower_bounds(eta, slope)`, given the step's
+slope <s, g>, yields two such floats.  Every trial tries (i); after a
+rejected first trial, (ii) is tried too.  An infeasible trial is +inf,
+above any L, so neither needs a feasibility test.  A NaN bound rules a
+trial out, as pricing would: it comes from a NaN q(eta), which the
+trial's value carries too.
 
 Notation: u = eps/2 is the unit roundoff, gamma_k = k u / (1 - k u), N
 the number of sites, M = mass(mu) as computed, and fl() a rounded result.
@@ -80,8 +81,7 @@ and 4 eps on the last sum: E(eta) holds a margin of a quarter or more on
 each, which covers the second-order terms and the rounding of the norms.
 In exact arithmetic L = E(p) - eta <s, g> + eta^2/2 <s, Q s> - E(eta)
 fails the rule only when eta <s, Q s> > <s, g>, so (ii) is formed only
-then; its five dot products, <s, g> and the four norms, at most once per
-step.
+then, and its four norms at most once per step.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ def armijo_step(
     step's), whose quadratic part saves a K-solve.  The metric is called
     as metric(p, g, spec.mu), so a metric built at mu (the two-level
     combined one) gets the loss's own.  A p that is not a Density raises
-    TypeError, and one on another grid than the loss's ValueError.
+    TypeError, and one on another grid than the loss's ValueError.  The
+    slope <s, g> is formed once, here, for the rule and the lower bounds.
     """
     if not isinstance(p, Density):
         raise TypeError(f"p must be a Density, got {type(p).__name__}")
@@ -230,7 +231,7 @@ def armijo_step(
     for halvings in range(MAX_HALVINGS + 1):
         # a trial whose value a lower bound already shows to fail the rule
         # is rejected unpriced (the rule is monotone in the value)
-        bounds = line.lower_bounds(eta)
+        bounds = line.lower_bounds(eta, slope)
         if all(armijo_accepts(bound, evaluated.value, eta, slope) for bound in bounds):
             trials += 1
             trial = line(eta)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from waveng import experiments
 from waveng.cli import build_parser, main
-from waveng.experiments import RunReport
+from waveng.experiments import RunReport, load_preset
 from waveng.optimizer import DescentHistory, IterationRecord
 
 
@@ -74,6 +75,39 @@ class TestCli:
         assert (
             "1d-1 combined: stalled (line search exhausted max_halvings) after 0 iterations" in out
         )
+
+    def test_failed_metric_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the second metric's descent raises: its siblings still run and
+        # write their CSVs, it writes none, and the run exits 1
+        real = experiments.run_descent
+        calls = []
+
+        def descent(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_descent", descent)
+        argv = ["run", "--preset", "1d-1", "--max-iter", "3", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        metrics = [kind.value for kind in load_preset("1d-1").metrics]
+        failed = metrics[1]
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {f"1d-1_{name}.csv" for name in metrics if name != failed}
+        out = capsys.readouterr().out
+        assert f"1d-1 {failed}: FAILED: RuntimeError: synthetic failure\n" in out
+        assert out.count("FAILED") == 1 and out.count("wrote") == len(metrics) - 1
+
+    def test_run_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(preset, overrides):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr("waveng.cli.run_experiment", fail)
+        assert main(["run", "--preset", "1d-1", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: run failed: RuntimeError: synthetic failure\n"
+        assert not any(tmp_path.iterdir())
 
     def test_out_dir_that_is_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected before any descent runs

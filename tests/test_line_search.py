@@ -113,7 +113,8 @@ def certified_but_accepted(spec, p, s):
     wrong = []
     for k in range(SOUNDNESS_HALVINGS + 1):
         eta = 0.5**k
-        ruled_out = not all(armijo_accepts(b, ev.value, eta, slope) for b in line.lower_bounds(eta))
+        bounds = line.lower_bounds(eta, slope)
+        ruled_out = not all(armijo_accepts(b, ev.value, eta, slope) for b in bounds)
         if ruled_out and armijo_accepts(line(eta).value, ev.value, eta, slope):
             wrong.append(eta)
     return wrong

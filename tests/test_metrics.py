@@ -428,6 +428,9 @@ class TestCoarseBlock:
         build_coarse_block(pre, mu, alphas, 1)
         with pytest.raises(ValueError, match="coarse_block"):
             build_coarse_block(pre, mu, alphas, True)
+        # an array mu used to raise AttributeError on its missing .grid
+        with pytest.raises(TypeError, match="^mu must be a Density, got ndarray$"):
+            build_coarse_block(pre, mu.values, alphas, 16)
         # a list or an array of alphas keys like the tuple
         block = build_coarse_block(pre, mu, alphas, 16)
         assert build_coarse_block(pre, mu, list(alphas), 16) is block

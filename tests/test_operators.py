@@ -263,13 +263,31 @@ class TestStencilOracles:
         # sign of zero included; the np.roll stencil scales by n after w
         # multiplies in, so it rounds otherwise where w (x_+ - x) is subnormal
         grid = make_grid(dim, n)
-        w = random_weight(grid, 61 + n).values
+        w = random_weight(grid, 61 + n)
         x = stencil_input(grid, kind, 60 + n + dim)
-        got = weighted_flux_apply(grid, w, x)
-        assert got.tobytes() == ref.csr_flux_apply(grid, w, x).tobytes()
+        got = weighted_flux_apply(w, x)
+        assert got.tobytes() == ref.csr_flux_apply(grid, w.values, x).tobytes()
         if kind != "subnormal":
-            want = ref.flux_apply(w.reshape(grid.shape), x.reshape(grid.shape)).ravel()
+            want = ref.flux_apply(w.values.reshape(grid.shape), x.reshape(grid.shape)).ravel()
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_flux_checks_arguments(self, dim, n):
+        # a complex x used to give a complex result in 1D, a scalar weight
+        # was taken in 1D and 2D, and a wrong length failed inside numpy
+        grid = make_grid(dim, n)
+        w = random_weight(grid, 68 + n)
+        x = np.ones(grid.total)
+        with pytest.raises(TypeError, match="^w must be a Density, got float$"):
+            weighted_flux_apply(2.0, x)
+        with pytest.raises(TypeError, match="^w must be a Density, got ndarray$"):
+            weighted_flux_apply(w.values, x)
+        with pytest.raises(TypeError, match="must be real numbers"):
+            weighted_flux_apply(w, x + 1j)
+        with pytest.raises(TypeError, match="pass its .values"):
+            weighted_flux_apply(w, w)
+        with pytest.raises(ValueError, match="does not match grid"):
+            weighted_flux_apply(w, np.ones(grid.total + 1))
 
     @pytest.mark.parametrize("dim,n,kind", BYTE_CASES)
     def test_laplacian_bitwise(self, dim, n, kind):
@@ -394,7 +412,7 @@ class TestWeightedLaplacianMatrix:
         dense = s_inv @ lw @ s_inv
         np.testing.assert_allclose(a.toarray(), dense, rtol=1e-14, atol=0.0)
         x = np.random.default_rng(31).standard_normal(grid.total)
-        stencil = inv_scale * weighted_flux_apply(grid, w.values, inv_scale * x)
+        stencil = inv_scale * weighted_flux_apply(w, inv_scale * x)
         assert np.max(np.abs(a @ x - stencil)) <= 1e-14 * np.max(np.abs(stencil))
         # the null direction is S 1, the image of the constants
         assert np.max(np.abs(a @ scale)) <= 1e-12 * np.max(np.abs(a.data))
@@ -865,12 +883,12 @@ def test_fft_two_level_capped_solve_matches_oracle(cap):
     z = precondition(r)
     p, rz = z, r @ z
     for _ in range(cap):
-        ap = weighted_flux_apply(grid, mu.values, p)
+        ap = weighted_flux_apply(mu, p)
         alpha = rz / (p @ ap)
         x, r = x + alpha * p, r - alpha * ap
         z = precondition(r)
         p, rz = z + (r @ z / rz) * p, r @ z
-    residual = weighted_flux_apply(grid, mu.values, x) - b
+    residual = weighted_flux_apply(mu, x) - b
     with pytest.raises(EllipticSolveError) as excinfo:
         weighted_elliptic_pinv_apply(mu, rhs, EllipticSolveConfig(max_iterations=cap))
     assert excinfo.value.iterations == cap
@@ -893,7 +911,7 @@ def test_2d_rough_weight_converges(n):
         x = weighted_elliptic_pinv_apply(w, rhs, cfg)
         assert abs(x.mean()) <= 1e-12 * np.max(np.abs(x))
         b = rhs - rhs.mean()
-        residual = weighted_flux_apply(grid, w.values, x) - b
+        residual = weighted_flux_apply(w, x) - b
         assert np.linalg.norm(residual) <= 1.01 * cfg.rel_tolerance * np.linalg.norm(b)
 
 

@@ -247,6 +247,14 @@ class TestRunDescent:
         distance = hist.column("distance_to_reference")
         assert np.all(np.isfinite(distance)) and distance[-1] <= 1e-15
 
+    def test_ascent_direction_stalls_the_run(self):
+        # the first step stalls, so the history holds the start alone
+        p0, _, spec, _ = newton_setup()
+        hist = run_descent(p0, spec, lambda p, g, mu: -g)
+        assert hist.status == "stalled" and hist.stall_reason == "non-descent direction"
+        assert len(hist.records) == 1 and hist.iterations == 0
+        assert hist.final_gap == combined_eval(p0.values, spec).value
+
     def test_fixed_point_terminates_at_iteration_zero(self):
         grid, mu, spec, metric = sin_setup()
         hist = run_descent(mu, spec, metric)
