@@ -132,13 +132,13 @@ class RunReport:
     wall_times: dict[str, float] = field(default_factory=dict)
 
 
-def run_experiment(preset: ExperimentPreset, overrides: RunOverrides | None = None) -> RunReport:
+def run_experiment(
+    preset: ExperimentPreset, overrides: RunOverrides = RunOverrides()
+) -> RunReport:
     """Run every metric of a preset from the shared initial density.
 
     A failure in one metric run is recorded and does not abort the others.
     """
-    if overrides is None:
-        overrides = RunOverrides()
     grid = make_grid(preset.dim, preset.n)
     mu = reference_measure(grid, build_potential(grid, preset.potential_id))
     p0 = uniform_density(grid)

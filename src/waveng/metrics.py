@@ -33,8 +33,9 @@ H2 rows the squared 1D basis columns, and h3 the diagonal of the
 wavelet-transformed 1D Laplacian.  All three are entrywise squares of W
 and of DW, formed once per basis with no sparse product: H2 from the
 stored W^T, H1 and h3 from the basis's one column per level, differenced
-by the 1D difference matrix D of `operators` (so this module writes no
-stencil of its own) and shifted into place (`WaveletBasis.translates`).
+along the sites by exact shifts (`_site_difference`, the bits of the 1D
+difference matrix D's product) and shifted into place
+(`WaveletBasis.translates`).
 `MetricPrecomp.diagonals` applies one 1D factor per axis (A0 X A1^T
 in 2D, the rule of `grid.tensor_apply`), so no n^2 x n^2 matrix is ever
 built, and forms H2 P once for both 2D diagonals.  The precomp holds the
@@ -64,12 +65,7 @@ import scipy.sparse as sp
 
 from .grid import Density, Grid, check_vector, frozen, tensor_factor
 from .losses import check_alphas
-from .operators import (
-    difference_matrix,
-    laplacian_pinv_apply,
-    symmetric_inverse,
-    weighted_flux_apply,
-)
+from .operators import laplacian_pinv_apply, symmetric_inverse, weighted_flux_apply
 from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
 __all__ = [
@@ -147,11 +143,26 @@ class MetricPrecomp:
         return functools.reduce(np.add.outer, [self.h3] * self.basis.grid.dim).ravel()
 
 
+def _site_difference(x: np.ndarray) -> np.ndarray:
+    """D x down axis 0 of x, the sites: n (x_{s+1} - x_s), wrapping at s = n - 1.
+
+    Formed as fl(n x_{s+1} - n x_s), by exact shifts, which is D's CSR
+    product bit for bit by the argument of `operators.laplacian_apply`
+    (n is a power of two, and the + 0.0 gives the CSR sum's +0).
+    """
+    nx = x * float(x.shape[0])
+    out = np.empty_like(nx)
+    np.subtract(nx[1:], nx[:-1], out=out[:-1])
+    np.subtract(nx[:1], nx[-1:], out=out[-1:])
+    out += 0.0
+    return out
+
+
 def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     """Assemble the 1D factors H2 = (W o W)^T, H1 = (DW o DW)^T and h3.
 
-    o is the entrywise product and D the 1D forward difference of
-    operators.difference_matrix.  H2 is W^T with its entries squared.  D is
+    o is the entrywise product and D the 1D periodic forward difference,
+    taken by `_site_difference`.  H2 is W^T with its entries squared.  D is
     circulant, so each column of DW is its level's D-differenced column
     shifted as the column of W is, and H1 is the basis's translates of the
     squared differences of its level columns: neither W nor DW passes
@@ -165,7 +176,7 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     n = basis.grid.n
     wt = basis.matrix.T.tocsr()
     h2 = sp.csr_matrix((np.square(wt.data), wt.indices, wt.indptr), shape=wt.shape)
-    differences = difference_matrix(n)[0] @ basis.level_columns.T
+    differences = _site_difference(basis.level_columns.T)
     h1 = basis.translates(np.square(differences.T))
     h3 = h1 @ np.ones(n)  # each row summed in site order, as the column sums of (DW)^2 are
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
@@ -227,7 +238,7 @@ def _coarse_block(
     a1, a2, _ = alphas
     n = grid.n
     v = precomp.basis.matrix[:, n - m :].toarray()
-    u = difference_matrix(n)[0] @ v
+    u = _site_difference(v)
     corner = np.arange(n - m, n)
     indices = corner if grid.dim == 1 else (corner[:, None] * n + corner).ravel()
     if a1 > 0 or a1 == a2 == 0.0:
@@ -273,24 +284,24 @@ def _galerkin_blocks(
     if dim == 1:
         yield trimmed((u.T * mu_values) @ u)
         yield trimmed((v.T * mu_values) @ v)
-        yield trimmed(gram)
-        return
-    n, m = v.shape
+        b = gram
+    else:
+        n, m = v.shape
 
-    def reindexed(b: np.ndarray) -> np.ndarray:
-        return trimmed(b.reshape((m,) * 4).transpose(0, 2, 1, 3).reshape(m * m, m * m))
+        def reindexed(b: np.ndarray) -> np.ndarray:
+            return trimmed(b.reshape((m,) * 4).transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
-    uu, vv = ((x[:, :, None] * x[:, None, :]).reshape(n, m * m) for x in (u, v))
-    weights = mu_values.reshape(n, n)
-    pv = weights @ vv
-    b = uu.T @ pv
-    b += vv.T @ (weights @ uu)
-    b = reindexed(b)
-    yield b
-    b = reindexed(vv.T @ pv)
-    yield b
-    b = np.kron(gram, np.eye(m))
-    b += np.kron(np.eye(m), gram)
+        uu, vv = ((x[:, :, None] * x[:, None, :]).reshape(n, m * m) for x in (u, v))
+        weights = mu_values.reshape(n, n)
+        pv = weights @ vv
+        b = uu.T @ pv
+        b += vv.T @ (weights @ uu)
+        b = reindexed(b)
+        yield b
+        b = reindexed(vv.T @ pv)
+        yield b
+        b = np.kron(gram, np.eye(m))
+        b += np.kron(np.eye(m), gram)
     b = trimmed(b)
     yield b
 

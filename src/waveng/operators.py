@@ -1,34 +1,35 @@
 """Periodic difference operators and elliptic pseudo-inverse solves.
 
-D is the 1D forward difference scaled by n, cached as read-only n x n CSR
-with D^T and D^T D (`difference_matrix`).  -Delta = sum_a D_a^T D_a and
-the weighted flux sum_a D_a^T (w * D_a x) are applied with no 2D matrix,
-by one rule with no size switch: in 1D CSR matvecs with D, D^T and D^T D,
-which make no copy; in 2D shifted slices of the flat site vector, by n
-along axis 0 and by 1 along axis 1, with the wrap entries of each axis
-redone.  As n is a power of two the shifts give the CSR products' bits
-(see `laplacian_apply`), without the transposed copies that a CSR product
-along axis 1 takes.  Per 2D call (one thread, 2-vCPU VM) the Laplacian
-took 24-25 against 26-27 us at 64^2 and 58-66 against 95-98 us at 128^2,
-the flux 26-31 against 52 us at 64^2; in 1D shifts were no faster than the
-one CSR matvec (5.6-7.3 against 5.7-6.4 us at n = 512).  The metric
-precompute's DW is D W.  For the 2D solve alone, the flux's operator
-L_w = sum_a D_a^T diag(w) D_a is assembled, lifting D_a by Kronecker
-products.  L_w is inverted on the mean-zero subspace: in 1D in closed
-form with two cumulative sums, in 2D by conjugate gradients in the scaled
-variable y = S x, on A = S^-1 L_w S^-1 with the Jacobi scale
-S = diag(s), s_i^2 = L_w[i, i] / (2 dim n^2), the mean of the 2 dim edge
-weights at site i.  A then has the diagonal 2 dim n^2 of -Delta for every
-w, so CG is preconditioned by two levels: the exact inverse of A's
-Galerkin block on the low Fourier modes (wavenumber <= COARSE_WAVENUMBER
-per axis), where the variation of w changes A as much as -Delta's own
-eigenvalues there, and the Laplacian pseudo-inverse on the other modes,
-where A and -Delta differ only at second order in the grid spacing for a
-smooth w.  A as CSR, s, 1/s and the coarse block's inverse are the part
-of that 2D solve fixed by w (`ScaledOperator`); they are cached,
-read-only, for the last weight density they were built for (a Density is
-keyed by identity), so a caller with a fixed w (the loss's mu) pays once
-per run.
+D is the 1D forward difference scaled by n.  -Delta = sum_a D_a^T D_a,
+the weighted flux sum_a D_a^T (w * D_a x) and the metric precompute's
+differences are applied by one rule in every dimension, with no matrix:
+shifted slices of the flat site vector, by 1 along the last axis and, in
+2D, by n along axis 0, with the wrap entries of each axis redone by hand.
+As n is a power of two the shifts give the CSR products' bits (see
+`laplacian_apply`), without the transposed copies that a CSR product
+along axis 1 takes or scipy's dispatch on every call.  Per call (one
+thread, 2-vCPU VM) the 2D Laplacian took 24-25 against 26-27 us at 64^2
+and 58-66 against 95-98 us at 128^2, the 2D flux 26-31 against 52 us at
+64^2, and the 1D flux 7.5 against 11.4 us at n = 512, where the 1D
+Laplacian took 6.5 against 6.2 us, about its one CSR matvec's time.  D
+itself (`difference_matrix`, cached read-only CSR) is kept only for the
+2D solve, whose operator L_w = sum_a D_a^T diag(w) D_a is assembled by
+lifting D_a with Kronecker products.  L_w is inverted on the mean-zero
+subspace: in 1D in closed form with two cumulative sums, in 2D by
+conjugate gradients in the scaled variable y = S x, on A = S^-1 L_w S^-1
+with the Jacobi scale S = diag(s), s_i^2 = L_w[i, i] / (2 dim n^2), the
+mean of the 2 dim edge weights at site i.  A then has the diagonal
+2 dim n^2 of -Delta for every w, so CG is preconditioned by two levels:
+the exact inverse of A's Galerkin block on the low Fourier modes
+(wavenumber <= COARSE_WAVENUMBER per axis), where the variation of w
+changes A as much as -Delta's own eigenvalues there, and the Laplacian
+pseudo-inverse on the other modes, where A and -Delta differ only at
+second order in the grid spacing for a smooth w.  The part of each solve
+fixed by w is cached, read-only, for the last weight density it was built
+for (a Density is keyed by identity), so a caller with a fixed w (the
+loss's mu) pays once per run: in 2D A as CSR, s, 1/s and the coarse
+block's inverse (`ScaledOperator`), in 1D 1/w, its sum, argmin w and
+max w.
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached map, v -> (-Delta)^+ v:
@@ -109,62 +110,69 @@ class EllipticSolveConfig:
 
 
 @functools.cache
-def difference_matrix(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """(D, D^T, D^T D) for n sites as n x n CSR, cached per n for the life of the process.
+def difference_matrix(n: int) -> sp.csr_matrix:
+    """D for n sites as n x n CSR, cached per n for the life of the process.
 
     Row s of D holds -n at s and +n at s + 1 (wrapping), so
     (D v)_s = n (v_{s+1} - v_s) and D annihilates exactly the constants.
-    Every caller shares the cached matrices, so their arrays are read-only.
+    Only the 2D L_w lifts it (`scaled_operator`); every stencil takes its
+    differences by shifts.  Every caller shares the cached matrix, so its
+    arrays are read-only.
     """
     sites = np.arange(n)
     cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
     data = np.tile([-float(n), float(n)], n)
     d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
     d.sort_indices()
-    dt = d.T.tocsr()
-    return frozen(d, dt, dt @ d)
+    return frozen(d)[0]
+
+
+def _last_axis_index(grid: Grid, j: int) -> int | slice:
+    """The flat sites at index j of the last axis: site j in 1D, column j in 2D.
+
+    A stencil redoes its wrap entries there by plain item assignment; in
+    1D the int index makes them numpy scalars, which is about 3 us cheaper
+    per 1D Laplacian at n = 512 than ufuncs on one-element slices.
+    """
+    return j if grid.dim == 1 else slice(j, None, grid.n)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply -Delta = sum_axes D_a^T D_a; annihilates constants exactly.
 
     Summed axis by axis, not as one 5-point matrix: a 3-point row sums a
-    constant to exactly zero, a 5-point one need not where it wraps.  In 1D
-    one CSR matvec with D^T D.  In 2D each axis term is
-    n^2 fl(fl(2 v - v_+) - v_-), the order in which a row of D^T D's CSR
-    sums (v_+, v, v_-), and at index 0 of the axis, D^T D's wrap row
-    (v_{n-1}, v_1, v_0), n^2 fl(2 v_0 - fl(v_{n-1} + v_1)), the bits of
-    fl(fl(-v_{n-1} - v_1) + 2 v_0) as negation is exact; the axis terms are
-    summed, then scaled by n^2 once.  That is D^T D's CSR product along
-    each axis bit for bit, because n = 2^k: the entries -n^2 and 2 n^2 are
-    powers of two times -1 or 2, so the CSR products are exact, and for a
-    power of two c, fl(c a + c b) = c fl(a + b), subnormal sums included.
-    Only the sign of a zero could differ, and the final + 0.0 gives the +0
-    of the CSR sum, which starts at +0 and so never returns -0.  The bits
-    match while no product or partial sum of the CSR form overflows, so
-    wherever 8 n^2 max|v| is finite; past that the CSR form returns inf or
-    NaN where the shifts need not.
+    constant to exactly zero, a 5-point one need not where it wraps.  Each
+    axis term is n^2 fl(fl(2 v - v_+) - v_-), the order in which a row of
+    D^T D's CSR sums (v_+, v, v_-), and at index 0 of the axis, D^T D's
+    wrap row (v_{n-1}, v_1, v_0), n^2 fl(2 v_0 - fl(v_{n-1} + v_1)), the
+    bits of fl(fl(-v_{n-1} - v_1) + 2 v_0) as negation is exact; the axis
+    terms are summed, then scaled by n^2 once.  That is D^T D's CSR product
+    along each axis bit for bit, because n = 2^k: the entries -n^2 and
+    2 n^2 are powers of two times -1 or 2, so the CSR products are exact,
+    and for a power of two c, fl(c a + c b) = c fl(a + b), subnormal sums
+    included.  Only the sign of a zero could differ, and the final + 0.0
+    gives the +0 of the CSR sum, which starts at +0 and so never returns
+    -0.  The bits match while no product or partial sum of the CSR form
+    overflows, so wherever 8 n^2 max|v| is finite; past that the CSR form
+    returns inf or NaN where the shifts need not.
     """
     v = check_vector(grid, v)
     n = grid.n
-    if grid.dim == 1:
-        return difference_matrix(n)[2] @ v
     two = v + v
-    out = np.empty(grid.total)  # axis 0: v shifted by n, row 0 after the last row
-    np.subtract(two[:-n], v[n:], out=out[:-n])
-    np.subtract(two[-n:], v[:n], out=out[-n:])
-    out[n:] -= v[:-n]
-    np.add(v[-n:], v[n : 2 * n], out=out[:n])
-    np.subtract(two[:n], out[:n], out=out[:n])
-    axis1 = np.empty(grid.total)  # axis 1: v shifted by 1, then columns n - 1 and 0 redone
-    np.subtract(two[:-1], v[1:], out=axis1[:-1])
-    axis1[1:] -= v[:-1]
-    last, first = slice(n - 1, None, n), slice(0, None, n)
-    np.subtract(two[last], v[first], out=axis1[last])
-    axis1[last] -= v[n - 2 :: n]
-    np.add(v[last], v[1::n], out=axis1[first])
-    np.subtract(two[first], axis1[first], out=axis1[first])
-    out += axis1
+    last, first = _last_axis_index(grid, n - 1), _last_axis_index(grid, 0)
+    out = np.empty(grid.total)  # the last axis: v shifted by 1, then indices n - 1 and 0 redone
+    np.subtract(two[:-1], v[1:], out=out[:-1])
+    out[last] = two[last] - v[first]
+    out[1:] -= v[:-1]
+    out[first] = two[first] - (v[last] + v[_last_axis_index(grid, 1)])
+    if grid.dim == 2:
+        axis0 = np.empty(grid.total)  # axis 0: v shifted by n, row 0 after the last row
+        np.subtract(two[:-n], v[n:], out=axis0[:-n])
+        np.subtract(two[-n:], v[:n], out=axis0[-n:])
+        axis0[n:] -= v[:-n]
+        np.add(v[-n:], v[n : 2 * n], out=axis0[:n])
+        np.subtract(two[:n], axis0[:n], out=axis0[:n])
+        out += axis0
     out *= float(n * n)
     out += 0.0
     return out
@@ -174,41 +182,38 @@ def weighted_flux_apply(w: Density, x: np.ndarray) -> np.ndarray:
     """sum_a D_a^T (w * D_a x) on w's grid, one axis at a time.
 
     A w that is not a Density raises TypeError; x goes through
-    `check_vector`.  In 1D two CSR matvecs.  In 2D, along each axis,
-    g = w fl(n x_+ - n x) is w times D_a x as D's CSR row sums it, and
-    D_a^T g is n fl(g_- - g); the axis terms are summed, then scaled by n
-    once.  That is the CSR products bit for bit, by the argument of
-    `laplacian_apply` (n is a power of two; the final + 0.0 gives the CSR
-    sum's +0).  n x is formed before w multiplies in, as in D's products:
-    w fl(x_+ - x) scaled by n afterwards rounds otherwise where
-    w (x_+ - x) is subnormal.  The bits match while no product or partial
-    sum of the CSR form overflows, so wherever 8 n^2 max|w| max|x| is
-    finite.
+    `check_vector`.  Along each axis, g = w fl(n x_+ - n x) is w times
+    D_a x as D's CSR row sums it, and D_a^T g is n fl(g_- - g); the axis
+    terms are summed, then scaled by n once.  That is the CSR products bit
+    for bit, by the argument of `laplacian_apply` (n is a power of two; the
+    final + 0.0 gives the CSR sum's +0).  n x is formed before w multiplies
+    in, as in D's products: w fl(x_+ - x) scaled by n afterwards rounds
+    otherwise where w (x_+ - x) is subnormal.  The bits match while no
+    product or partial sum of the CSR form overflows, so wherever
+    8 n^2 max|w| max|x| is finite.
     """
     if not isinstance(w, Density):
         raise TypeError(f"w must be a Density, got {type(w).__name__}")
     grid, weights = w.grid, w.values
     x = check_vector(grid, x)
     n = grid.n
-    if grid.dim == 1:
-        d, dt, _ = difference_matrix(n)
-        return dt @ (weights * (d @ x))
     nx = x * float(n)
-    g = np.empty(grid.total)  # axis 0: shift by n, row 0 after the last row
-    np.subtract(nx[n:], nx[:-n], out=g[:-n])
-    np.subtract(nx[:n], nx[-n:], out=g[-n:])
+    last, first = _last_axis_index(grid, n - 1), _last_axis_index(grid, 0)
+    g = np.empty(grid.total)  # the last axis: shift by 1, indices n - 1 and 0 redone
+    np.subtract(nx[1:], nx[:-1], out=g[:-1])
+    g[last] = nx[first] - nx[last]
     g *= weights
     out = np.empty(grid.total)
-    np.subtract(g[:-n], g[n:], out=out[n:])
-    np.subtract(g[-n:], g[:n], out=out[:n])
-    last, first = slice(n - 1, None, n), slice(0, None, n)
-    np.subtract(nx[1:], nx[:-1], out=g[:-1])  # axis 1: shift by 1, columns n - 1 and 0 redone
-    np.subtract(nx[first], nx[last], out=g[last])
-    g *= weights
-    axis1 = nx  # n x is spent
-    np.subtract(g[:-1], g[1:], out=axis1[1:])
-    np.subtract(g[last], g[first], out=axis1[first])
-    out += axis1
+    np.subtract(g[:-1], g[1:], out=out[1:])
+    out[first] = g[last] - g[first]
+    if grid.dim == 2:
+        np.subtract(nx[n:], nx[:-n], out=g[:-n])  # axis 0: shift by n, row 0 after the last row
+        np.subtract(nx[:n], nx[-n:], out=g[-n:])
+        g *= weights
+        axis0 = nx  # n x is spent
+        np.subtract(g[:-n], g[n:], out=axis0[n:])
+        np.subtract(g[-n:], g[:n], out=axis0[:n])
+        out += axis0
     out *= float(n)
     out += 0.0
     return out
@@ -244,7 +249,7 @@ def scaled_operator(w: Density) -> ScaledOperator:
     grid = w.grid
     if grid.dim != 2:
         raise ValueError(f"the scaled operator is 2D only, got a {grid.dim}D density")
-    d, eye = difference_matrix(grid.n)[0], sp.identity(grid.n, format="csr")
+    d, eye = difference_matrix(grid.n), sp.identity(grid.n, format="csr")
     lifted = [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     weights = sp.diags(w.values, format="csr")
     matrix = sum(da.T.tocsr() @ (weights @ da) for da in lifted)
@@ -425,8 +430,10 @@ def weighted_elliptic_pinv_apply(
     scale of L_w and a two-level preconditioner, the exact coarse inverse
     on the low Fourier modes plus (-Delta)^+ on the rest: one sparse matvec
     with the cached A and one preconditioner application per iteration (see
-    _pcg_2d).  A and the coarse inverse are built on the first 2D solve
-    with a nonzero right-hand side for this w.  A right-hand side whose
+    _pcg_2d).  The first solve for this w with a nonzero right-hand side
+    builds the part fixed by w, which later solves for it reuse: in 2D A
+    and the coarse inverse (`scaled_operator`), in 1D 1/w, its sum,
+    argmin w and max w (`_closed_form_set_up`).  A right-hand side whose
     largest entry is outside [2^-400, 2^400], where ||P rhs||^2 could under-
     or overflow, is solved times a power of two, and x scaled back; both
     scalings are exact.  w is strictly positive, as every Density is.
@@ -460,6 +467,17 @@ def weighted_elliptic_pinv_apply(
     return _pcg_2d(w, b, bnorm, cfg)
 
 
+@functools.lru_cache(maxsize=1)  # a run has one reference measure
+def _closed_form_set_up(w: Density) -> tuple[np.ndarray, float, int, float]:
+    """1 / w, its sum, argmin w and max w: the part of the 1D solve fixed by w.
+
+    Cached for the last w it was called with, as `scaled_operator` is for
+    the 2D solve; 1 / w is read-only.
+    """
+    inv_w = 1.0 / w.values
+    return frozen(inv_w)[0], float(inv_w.sum()), int(w.values.argmin()), float(w.values.max())
+
+
 def _closed_form_1d(
     w: Density, b: np.ndarray, rhs_norm: float, rel_tolerance: float
 ) -> np.ndarray:
@@ -470,7 +488,9 @@ def _closed_form_1d(
     i.e. sum f / w = 0.  Then x is the running sum of the steps f / (n w)
     with its mean removed, the step of the weakest link k being minus the
     sum of the others: f_k / (n w_k), for a w_k orders below the rest, would
-    amplify the cancellation in f_k into every x past k.
+    amplify the cancellation in f_k into every x past k.  1 / w, its sum,
+    k and max w come from w's cached set-up (`_closed_form_set_up`), and
+    f becomes the steps in place.
 
     The true residual is gated as a normwise backward error: it must be at
     most rel_tolerance * (||rhs|| + ||L|| ||x||), with ||L|| <= 4 n^2 max(w).
@@ -481,11 +501,13 @@ def _closed_form_1d(
     failing.
     """
     n = b.size
-    inv_w = 1.0 / w.values
-    f = -np.cumsum(b) / n
-    f -= (f @ inv_w) / inv_w.sum()
-    step = f * inv_w / n
-    k = w.values.argmin()
+    inv_w, inv_w_sum, k, w_max = _closed_form_set_up(w)
+    f = np.cumsum(b)
+    f /= -n  # the bits of -cumsum(b) / n: negation is exact
+    f -= (f @ inv_w) / inv_w_sum
+    step = f  # f / (n w), in place
+    step *= inv_w
+    step /= n
     step[k] = 0.0
     step[k] = -step.sum()
     x = np.empty(n)  # x[0] = 0 and the running sum of step after it, in one array
@@ -496,7 +518,7 @@ def _closed_form_1d(
     residual -= b
     residual -= residual.sum() / n
     rnorm = math.sqrt(residual @ residual)
-    scale = rhs_norm + 4.0 * n**2 * float(w.values.max()) * math.sqrt(x @ x)
+    scale = rhs_norm + 4.0 * n**2 * w_max * math.sqrt(x @ x)
     if not rnorm <= rel_tolerance * scale:
         raise EllipticSolveError(
             f"closed-form elliptic solve: backward error {rnorm / scale:.3e} "

@@ -7,9 +7,10 @@ two-sided products written out term by term instead of through
 `grid.tensor_apply`.
 
 `axis_apply` applies a 1D matrix along one axis of the site array, by
-CSR products on (in 2D) transposed copies.  With the library's own D, D^T
-and D^T D it gives the CSR forms of the stencils (`csr_laplacian_apply`,
-`csr_flux_apply`), whose bits the library's 2D shifts must reproduce;
+CSR products on (in 2D) transposed copies.  With the library's own D and
+the D^T and D^T D formed from it here (`csr_difference_matrices`) it gives
+the CSR forms of the stencils (`csr_laplacian_apply`, `csr_flux_apply`),
+whose bits the library's shifts must reproduce in every dimension;
 `diff_apply` and `diff_adjoint_apply` apply D and D^T along one axis, so
 that a test can build them column by column into dense matrices or check
 them against the stencil.  `random_factor` is a non-symmetric sparse 1D
@@ -25,6 +26,13 @@ import scipy.sparse as sp
 
 from waveng.grid import Grid, check_vector
 from waveng.operators import difference_matrix
+
+
+def csr_difference_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """(D, D^T, D^T D) as n x n CSR: the library's D, its transpose and their product."""
+    d = difference_matrix(n)
+    dt = d.T.tocsr()
+    return d, dt, dt @ d
 
 
 def axis_apply(a: sp.csr_matrix, v: np.ndarray, axis: int, dim: int) -> np.ndarray:
@@ -50,7 +58,7 @@ def random_factor(n: int, seed: int) -> sp.csr_matrix:
 
 def csr_laplacian_apply(grid: Grid, x: np.ndarray) -> np.ndarray:
     """-Delta x as the sum over the axes of D^T D applied by `axis_apply`."""
-    dtd = difference_matrix(grid.n)[2]
+    dtd = csr_difference_matrices(grid.n)[2]
     out = axis_apply(dtd, x, 0, grid.dim)
     for axis in range(1, grid.dim):
         out += axis_apply(dtd, x, axis, grid.dim)
@@ -59,7 +67,7 @@ def csr_laplacian_apply(grid: Grid, x: np.ndarray) -> np.ndarray:
 
 def csr_flux_apply(grid: Grid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_a D_a^T (w * D_a x), each D_a and D_a^T applied by `axis_apply`."""
-    d, dt, _ = difference_matrix(grid.n)
+    d, dt, _ = csr_difference_matrices(grid.n)
     out = axis_apply(dt, w * axis_apply(d, x, 0, grid.dim), 0, grid.dim)
     for axis in range(1, grid.dim):
         out += axis_apply(dt, w * axis_apply(d, x, axis, grid.dim), axis, grid.dim)
@@ -101,12 +109,12 @@ def diagonals_2d(h1: np.ndarray, h2: np.ndarray, p: np.ndarray) -> tuple[np.ndar
 
 def diff_apply(grid: Grid, v: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D along `axis` with periodic wrap: (Dv)_s = n (v_{s+1} - v_s)."""
-    return axis_apply(difference_matrix(grid.n)[0], check_vector(grid, v), axis, grid.dim)
+    return axis_apply(difference_matrix(grid.n), check_vector(grid, v), axis, grid.dim)
 
 
 def diff_adjoint_apply(grid: Grid, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply D^T along `axis`: (D^T u)_s = n (u_{s-1} - u_s)."""
-    return axis_apply(difference_matrix(grid.n)[1], check_vector(grid, u), axis, grid.dim)
+    return axis_apply(csr_difference_matrices(grid.n)[1], check_vector(grid, u), axis, grid.dim)
 
 
 def closed_form_1d(wv: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from waveng.experiments import (
     PRESET_IDS,
     RunOverrides,
+    RunReport,
     build_potential,
     history_csv,
     load_preset,
@@ -85,6 +87,15 @@ class TestPresets:
         want = np.outer(np.sin(4 * np.pi * t), np.sin(4 * np.pi * t))
         np.testing.assert_allclose(v2, want, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "dim,potential_id,message",
+        [(2, "sin4pi", "1D potential"), (1, "sin4pi-product", "2D potential"),
+         (1, "cos2pi", "unknown potential 'cos2pi'")],
+    )
+    def test_potential_refuses_other_grid_or_id(self, dim, potential_id, message):
+        with pytest.raises(ValueError, match=message):
+            build_potential(make_grid(dim, 8), potential_id)
+
 
 class TestRunExperiment:
     def test_histories_share_start(self):
@@ -93,6 +104,12 @@ class TestRunExperiment:
         first_losses = {h.records[0].loss for h in report.histories.values()}
         assert len(first_losses) == 1  # same p0 and loss for all metrics
         assert not report.failures
+
+    def test_default_overrides(self):
+        preset = replace(load_preset("1d-3"), n=16)
+        report = run_experiment(preset)
+        assert not report.failures and len(report.histories) == len(preset.metrics)
+        assert report.histories == run_experiment(preset, RunOverrides()).histories
 
     def test_kl_only_override_monotone(self):
         report = run_experiment(load_preset("1d-3"), FAST)
@@ -212,6 +229,16 @@ class TestSvg:
         for name in ("wasserstein", "fisher_rao", "combined"):
             assert name in text
         assert "<svg" in text and text.rstrip().endswith("</svg>")
+
+    def test_flat_gap_spans_one_decade(self):
+        # every gap 1e-3: floor and ceiling of the log range coincide, and
+        # the chart takes the decade above instead of dividing by zero
+        records = [IterationRecord(k, 1e-3, 0.5, 0, 1.0, 0.1, 0.0) for k in range(3)]
+        report = RunReport(load_preset("1d-1"), {"combined": DescentHistory(records)})
+        text = svg_text(report)
+        assert ">1e-3</text>" in text and ">1e-2</text>" in text
+        points = text.split('points="')[1].split('"')[0].split()
+        assert [p.split(",")[1] for p in points] == ["430.00"] * 3  # the plot's bottom edge
 
     def test_empty_report_is_valid_svg(self):
         report = run_experiment(load_preset("1d-1"), FAST)

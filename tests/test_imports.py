@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from waveng import operators
 from waveng.grid import Density, frozen, make_grid
 from waveng.metrics import build_coarse_block, build_precomp
 from waveng.operators import difference_matrix, scaled_operator
@@ -176,7 +177,8 @@ def test_checker_flags_writable_arrays():
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
 def test_cached_and_keyed_arrays_are_read_only(dim, n):
     # the coarse-block cache keys on the precompute (and so the basis) and
-    # mu by identity, which is sound only while none of their arrays can change
+    # mu by identity, which is sound only while none of their arrays can
+    # change; the K-solve's set-up is shared by every solve at mu
     grid = make_grid(dim, n)
     mu = Density(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.total))
     basis = make_basis(grid)
@@ -191,8 +193,11 @@ def test_cached_and_keyed_arrays_are_read_only(dim, n):
     }
     if dim == 2:
         held["scaled_operator"] = scaled_operator(mu)
+    else:
+        held["closed_form_set_up"] = operators._closed_form_set_up(mu)
     names = [name for key, item in held.items() for name, _ in held_arrays(item, key)]
     assert {"basis.matrix.indptr", "precomp.h2.data", "precomp.h3", "block.inverse"} <= set(names)
+    assert ("scaled_operator.matrix.data" if dim == 2 else "closed_form_set_up[0]") in names
     assert [name for key, item in held.items() for name in writable_arrays(item, key)] == []
 
 

@@ -4,6 +4,7 @@ import pytest
 import stencil_reference as ref
 from cascade_reference import dense_matrix
 from stencil_reference import diff_adjoint_apply, diff_apply
+from waveng import metrics
 from waveng.grid import Density, make_grid, uniform_density
 from waveng.metrics import (
     COARSE_BLOCK,
@@ -12,7 +13,7 @@ from waveng.metrics import (
     build_precomp,
     metric_apply_fn,
 )
-from waveng.operators import laplacian_apply
+from waveng.operators import difference_matrix, laplacian_apply
 from waveng.wavelets import make_basis
 
 
@@ -69,8 +70,8 @@ class TestBuildPrecomp:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("order", range(1, 11))
     def test_h1_h3_match_row_shift_bitwise(self, order, dim):
-        # DW from the difference matrix against n (next row of W - W); the
-        # whole of H1 is compared, the rows built from D's wrap row included
+        # DW by shifts against n (next row of W - W); the whole of H1 is
+        # compared, the rows built from D's wrap row included
         for n in (8, 16, 32, 64, 128, 256, 512):
             basis = make_basis(make_grid(dim, n), order=order)
             pre = build_precomp(basis)
@@ -78,6 +79,22 @@ class TestBuildPrecomp:
             assert pre.h1.nnz == h1.nnz
             np.testing.assert_array_equal(pre.h1.toarray(), h1.toarray())
             np.testing.assert_array_equal(pre.h3, h3)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512])
+    def test_site_difference_is_the_csr_product_bitwise(self, n):
+        # DW and the coarse block's U = D V, by shifts down the sites: the
+        # bytes of D's CSR product, the sign of zero included, for a normal,
+        # a signed-zero and a subnormal column, in either memory order and
+        # one column at a time
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        x[:, 1] = np.where(x[:, 1] < 0.0, -0.0, 0.0)
+        x[:, 2] = np.ldexp(x[:, 2], -1060)
+        d = difference_matrix(n)
+        want = d @ x
+        for got in (metrics._site_difference(x), metrics._site_difference(np.asfortranarray(x))):
+            assert got.tobytes() == want.tobytes()
+        for j in range(3):
+            assert metrics._site_difference(x[:, j]).tobytes() == (d @ x[:, j]).tobytes()
 
     @pytest.mark.parametrize("n,order", [(4, 10), (16, 3), (512, 1), (512, 10), (4096, 3)])
     def test_h2_is_squared_transpose_bitwise(self, n, order):

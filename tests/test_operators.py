@@ -55,13 +55,15 @@ STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2,
 
 # (dim, n, input) cases of the byte-exact stencil checks: a standard normal
 # input at every size, then at every size zeros of both signs and a normal
-# input scaled into the subnormal range, and on 2D grids a normal input on
-# row 0 or on column 0 alone, where the stencils wrap
+# input scaled into the subnormal range, and a normal input on the wrap
+# sites alone, whose entries the shifts redo by hand: site 0 or site n - 1
+# of a 1D grid, row 0 or column 0 of a 2D one
+WRAP_KINDS = {1: ("site-0", "site-last"), 2: ("row-0", "column-0")}
 BYTE_CASES = [pytest.param(dim, n, "normal", id=f"{dim}-{n}") for dim, n in STENCIL_CASES] + [
     pytest.param(dim, n, kind, id=f"{dim}-{n}-{kind}")
-    for kind in ("signed-zeros", "subnormal", "row-0", "column-0")
+    for kind in ("signed-zeros", "subnormal", "row-0", "column-0", "site-0", "site-last")
     for dim, n in STENCIL_CASES
-    if dim == 2 or kind in ("signed-zeros", "subnormal")
+    if kind in ("signed-zeros", "subnormal") + WRAP_KINDS[dim]
 ]
 
 
@@ -77,6 +79,10 @@ def stencil_input(grid, kind: str, seed: int) -> np.ndarray:
         x.reshape(grid.shape)[1:] = 0.0
     if kind == "column-0":
         x.reshape(grid.shape)[:, 1:] = 0.0
+    if kind == "site-0":
+        x[1:] = 0.0
+    if kind == "site-last":
+        x[:-1] = 0.0
     return x
 
 
@@ -190,11 +196,11 @@ class TestDiff:
             diff_adjoint_apply(make_grid(2, 4), np.zeros(16), axis=2)
 
     def test_cached_matrices_are_read_only(self):
-        # every later stencil shares them: a write must raise, not corrupt
-        for m in difference_matrix(16):
-            for array in (m.data, m.indices, m.indptr):
-                with pytest.raises(ValueError):
-                    array[0] += 1
+        # every later L_w lift shares it: a write must raise, not corrupt
+        m = difference_matrix(16)
+        for array in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError):
+                array[0] += 1
 
 
 class TestAxisOracle:
@@ -255,7 +261,7 @@ class TestLaplacian:
 
 
 class TestStencilOracles:
-    """The difference-matrix operators against the np.roll stencils of stencil_reference."""
+    """The shifted stencils against the CSR products and np.roll stencils of stencil_reference."""
 
     @pytest.mark.parametrize("dim,n,kind", BYTE_CASES)
     def test_flux_bitwise(self, dim, n, kind):
@@ -270,6 +276,17 @@ class TestStencilOracles:
         if kind != "subnormal":
             want = ref.flux_apply(w.values.reshape(grid.shape), x.reshape(grid.shape)).ravel()
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_1d_wrap_entries_bitwise(self, n):
+        # a 1D wrap entry is one sum per call, whose rounding order a few
+        # normal inputs test only by chance (the 2D ones test n per call)
+        grid = make_grid(1, n)
+        w = random_weight(grid, 70 + n)
+        for x in np.random.default_rng(71 + n).standard_normal((200, n)):
+            assert laplacian_apply(grid, x).tobytes() == ref.csr_laplacian_apply(grid, x).tobytes()
+            flux = weighted_flux_apply(w, x)
+            assert flux.tobytes() == ref.csr_flux_apply(grid, w.values, x).tobytes()
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_flux_checks_arguments(self, dim, n):
