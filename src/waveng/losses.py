@@ -25,14 +25,14 @@ accepted trial alone forms its gradient and LossEval, by
 scalar arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
 `combined_eval` at a one-hot alpha, and the KL formula is written once, in
 a private kernel that `combined_eval` and the line share.  A LossSpec holds no
-state: every K-solve passes mu itself, and `operators` caches the 2D
-solve's set-up per weight density (by identity): the scaled operator
-S^-1 L_mu S^-1, S the Jacobi scale of L_mu, and the inverse of its
-Galerkin block on the low Fourier modes, the coarse half of the solve's
-two-level preconditioner.  It is built on the first nonzero right-hand
-side and reused for the rest of the run, and never for alpha1 = 0 or in 1D.
-The 1D difference matrices (cached per n in `operators`) are likewise
-built on the first nonzero Q v.  Q 0 = 0 touches no operator, so
+state: every K-solve passes mu itself, and `operators` caches the
+solve's set-up per weight density (by identity): in 2D the scaled
+operator S^-1 L_mu S^-1, S the Jacobi scale of L_mu, and the inverse of
+its Galerkin block on the low Fourier modes, the coarse half of the
+solve's two-level preconditioner; in 1D 1/mu, its sum, argmin mu and
+max mu, the closed form's fixed part (`_closed_form_set_up`).  Each is
+built on the first nonzero right-hand side and reused for the rest of
+the run, and never for alpha1 = 0.  Q 0 = 0 touches no operator, so
 evaluating E(mu) builds nothing.
 """
 

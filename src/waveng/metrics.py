@@ -13,13 +13,13 @@ Four preconditioners map a Euclidean gradient g to a descent direction:
   to its neighbours and the diagonal falls short, the coefficients are
   H_c^-1 times theirs instead, the exact inverse of the coarse block
   H_c = a1 B1^-1 + a2 B2^-1 + a3 B3 of the Hessian built at the reference
-  measure mu (`build_coarse_block`).  It halves the iterations on most
+  measure mu (`_coarse_block`).  It halves the iterations on most
   mixes and holds them at 5-14 from 1D n = 128 to 4096 and 2D 32^2 to
   128^2, rough starts included, where the paper's diagonal grows with n
   on the alpha2 = 0 mixes and stalls from rough starts at n >= 2048.
 
 `metric_apply_fn` is the only public way to apply one: it checks the kind,
-precomp and alphas once when it binds, picks that
+precomp, alphas and coarse block size once when it binds, picks that
 kind's private helper, and the bound callable, metric(p, g, mu), checks
 each call's densities p and mu (type, grid) and gradient (dtype, length)
 once, but not g's finiteness: the descent stalls on the non-finite slope
@@ -70,10 +70,8 @@ from .wavelets import WaveletBasis, transform_forward, transform_inverse
 
 __all__ = [
     "COARSE_BLOCK",
-    "CoarseBlock",
     "MetricPrecomp",
     "MetricKind",
-    "build_coarse_block",
     "build_precomp",
     "metric_apply_fn",
 ]
@@ -182,58 +180,31 @@ def build_precomp(basis: WaveletBasis) -> MetricPrecomp:
     return MetricPrecomp(basis=basis, h1=h1, h2=h2, h3=h3)
 
 
-@dataclass(frozen=True, eq=False)
-class CoarseBlock:
-    """H_c^-1 of the two-level combined metric at one mu, and the indices it applies to.
-
-    `indices` are the flat coefficient indices of the coarse columns E_c
-    (see build_coarse_block), row-major over the block of the last m
-    indices per axis; `inverse` is H_c^-1 in that order.  Both arrays are
-    read-only, and equality and hash are by identity.
-    """
-
-    indices: np.ndarray
-    inverse: np.ndarray
-
-
-def build_coarse_block(
+@functools.lru_cache(maxsize=1)  # a run has one precomp, one mu and one alpha mix
+def _coarse_block(
     precomp: MetricPrecomp, mu: Density, alphas: tuple[float, float, float], m: int
-) -> CoarseBlock:
-    """H_c^-1 at mu on the last min(m, n) indices per axis, cached for the last key.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, H_c^-1) at mu on the last m indices per axis, cached for the last key.
 
     H_c = a1 B1^-1 + a2 B2^-1 + a3 B3, terms with alpha = 0 skipped, with
     B1 = E_c^T L_mu E_c, B2 = E_c^T diag(mu) E_c and B3 = E_c^T (-Delta) E_c,
     E_c the coarse basis columns (their tensor products in 2D).  They are
     built by tensor contraction (`_galerkin_blocks`), never forming the
-    n^dim x m^dim matrix E_c.  The constant column, the block's last, is
-    dropped exactly where the paper's metric fixes its coefficient: where
-    alpha1 > 0 (d = +inf, the mass stays frozen) and where
-    alpha1 = alpha2 = 0 (1/0 := 0).  Where alpha1 = 0 and alpha2 > 0, B2 is
-    nonsingular and the column stays.  B1^-1, B2^-1 and H_c^-1 are
-    `symmetric_inverse` sweeps, so H_c^-1 is exactly symmetric and its
-    bytes do not depend on the thread count.  Raises TypeError for a mu
-    that is not a Density, and ValueError for alphas LossSpec refuses, an m
-    that is not an integer >= 1, or a mu on another grid, all before the
-    cache is asked, which then keys on (precomp, mu, the alphas as three
-    floats, min(m, n)), precomp and mu by identity: alphas given as a list
-    or an array share the tuple's block, and every metric bound for one run
-    shares one build.
+    n^dim x m^dim matrix E_c.  `indices` are the flat coefficient indices
+    of E_c's columns, row-major over the block of the last m indices per
+    axis, and H_c^-1 is in that order; both arrays are read-only.  The
+    constant column, the block's last, is dropped exactly where the paper's
+    metric fixes its coefficient: where alpha1 > 0 (d = +inf, the mass
+    stays frozen) and where alpha1 = alpha2 = 0 (1/0 := 0).  Where
+    alpha1 = 0 and alpha2 > 0, B2 is nonsingular and the column stays.
+    B1^-1, B2^-1 and H_c^-1 are `symmetric_inverse` sweeps, so H_c^-1 is
+    exactly symmetric and its bytes do not depend on the thread count.
+
+    The bound combined metric is the only caller, with arguments it has
+    checked: mu a Density on the precomp's grid, the alphas as three floats
+    and 1 <= m <= n.  The cache keys on them, precomp and mu by identity,
+    so every metric bound for one run shares one build.
     """
-    check_alphas(alphas)
-    if not isinstance(mu, Density):
-        raise TypeError(f"mu must be a Density, got {type(mu).__name__}")
-    grid = precomp.basis.grid
-    if mu.grid != grid:
-        raise ValueError(f"mu grid {mu.grid} is not the precomp grid {grid}")
-    m = min(_block_size(m, least=1), grid.n)
-    return _coarse_block(precomp, mu, tuple(map(float, alphas)), m)
-
-
-@functools.lru_cache(maxsize=1)  # a run has one precomp, one mu and one alpha mix
-def _coarse_block(
-    precomp: MetricPrecomp, mu: Density, alphas: tuple[float, float, float], m: int
-) -> CoarseBlock:
-    """build_coarse_block on checked arguments: float alphas and 1 <= m <= n."""
     grid = precomp.basis.grid
     a1, a2, _ = alphas
     n = grid.n
@@ -254,7 +225,7 @@ def _coarse_block(
                 h_c = term
             else:
                 h_c += term
-    return CoarseBlock(*frozen(indices, symmetric_inverse(h_c)))
+    return frozen(indices, symmetric_inverse(h_c))
 
 
 def _galerkin_blocks(
@@ -306,13 +277,6 @@ def _galerkin_blocks(
     yield b
 
 
-def _block_size(m: object, least: int) -> int:
-    """m as an int; ValueError unless it is an integer >= least (a bool is no block size)."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < least:
-        raise ValueError(f"coarse_block must be an integer >= {least}, got {m!r}")
-    return int(m)
-
-
 def _combined_metric_fn(
     pre: MetricPrecomp, alphas: tuple[float, float, float], m: int
 ) -> Callable[[Density, np.ndarray, Density], np.ndarray]:
@@ -323,7 +287,7 @@ def _combined_metric_fn(
     is fixed too.  Otherwise every slot has d > 0 or d = +inf, and the
     scale is plain 1/d.  The terms are added in the order alpha1, alpha2,
     alpha3.  For m > 0 the coefficients of the coarse block's indices are
-    H_c^-1 times theirs instead (see build_coarse_block), the block built
+    H_c^-1 times theirs instead (see _coarse_block), the block built
     at mu on the first call and taken from the cache after.
     """
     a1, a2, a3 = alphas
@@ -347,8 +311,8 @@ def _combined_metric_fn(
         c = transform_forward(basis, g)
         coefficients = scale * c
         if m:
-            block = _coarse_block(pre, mu, alphas, m)
-            coefficients[block.indices] = block.inverse @ c[block.indices]
+            indices, inverse = _coarse_block(pre, mu, alphas, m)
+            coefficients[indices] = inverse @ c[indices]
         return transform_inverse(basis, coefficients)
 
     return apply
@@ -386,7 +350,7 @@ def metric_apply_fn(
     of the wrong length.  The baselines ignore mu.  The combined metric
     needs a precomp on this grid and alphas that LossSpec would accept; it
     is two-level, with the exact block H_c^-1 at mu on the coarsest
-    min(COARSE_BLOCK, n) indices per axis (see build_coarse_block).
+    min(COARSE_BLOCK, n) indices per axis (see _coarse_block).
     `coarse_block` is a reference for tests: 0 gives the paper's diagonal
     alone, bit for bit; the combined metric raises ValueError unless it is
     an integer >= 0, and the baselines ignore it.
@@ -398,8 +362,10 @@ def metric_apply_fn(
         if precomp.basis.grid != grid:
             raise ValueError(f"precomp grid {precomp.basis.grid} is not the metric grid {grid}")
         check_alphas(alphas)
-        m = _block_size(coarse_block, least=0)
-        apply = _combined_metric_fn(precomp, tuple(map(float, alphas)), m)
+        m = coarse_block  # a bool is an Integral, but True is no block size
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 0:
+            raise ValueError(f"coarse_block must be an integer >= 0, got {m!r}")
+        apply = _combined_metric_fn(precomp, tuple(map(float, alphas)), int(m))
     else:
         apply = {
             MetricKind.WASSERSTEIN: _wasserstein_metric,

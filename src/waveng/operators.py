@@ -12,8 +12,8 @@ thread, 2-vCPU VM) the 2D Laplacian took 24-25 against 26-27 us at 64^2
 and 58-66 against 95-98 us at 128^2, the 2D flux 26-31 against 52 us at
 64^2, and the 1D flux 7.5 against 11.4 us at n = 512, where the 1D
 Laplacian took 6.5 against 6.2 us, about its one CSR matvec's time.  D
-itself (`difference_matrix`, cached read-only CSR) is kept only for the
-2D solve, whose operator L_w = sum_a D_a^T diag(w) D_a is assembled by
+itself is built as a matrix only by the 2D solve's set-up
+(`scaled_operator`), which assembles L_w = sum_a D_a^T diag(w) D_a by
 lifting D_a with Kronecker products.  L_w is inverted on the mean-zero
 subspace: in 1D in closed form with two cumulative sums, in 2D by
 conjugate gradients in the scaled variable y = S x, on A = S^-1 L_w S^-1
@@ -55,7 +55,6 @@ from .grid import Density, Grid, check_vector, frozen, tensor_apply
 __all__ = [
     "EllipticSolveConfig",
     "EllipticSolveError",
-    "difference_matrix",
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
@@ -107,24 +106,6 @@ class EllipticSolveConfig:
         # a bool is an Integral, but True is no iteration cap
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
             raise ValueError(f"max_iterations must be None or an integer >= 1, got {cap}")
-
-
-@functools.cache
-def difference_matrix(n: int) -> sp.csr_matrix:
-    """D for n sites as n x n CSR, cached per n for the life of the process.
-
-    Row s of D holds -n at s and +n at s + 1 (wrapping), so
-    (D v)_s = n (v_{s+1} - v_s) and D annihilates exactly the constants.
-    Only the 2D L_w lifts it (`scaled_operator`); every stencil takes its
-    differences by shifts.  Every caller shares the cached matrix, so its
-    arrays are read-only.
-    """
-    sites = np.arange(n)
-    cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
-    data = np.tile([-float(n), float(n)], n)
-    d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
-    d.sort_indices()
-    return frozen(d)[0]
 
 
 def _last_axis_index(grid: Grid, j: int) -> int | slice:
@@ -234,8 +215,9 @@ def scaled_operator(w: Density) -> ScaledOperator:
     """A = S^-1 L_w S^-1 as CSR, its scale s, 1 / s and the coarse inverse, for a 2D w.
 
     L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (5 entries per row,
-    sorted indices), with D_a = D (x) I or I (x) D held only while it is
-    assembled.  The scale is its Jacobi one: s_i^2 = L_w[i, i] / (2 dim n^2),
+    sorted indices), with D (row s holds -n at s and +n at s + 1, wrapping,
+    so D annihilates exactly the constants) and D_a = D (x) I or I (x) D
+    held only while it is assembled.  The scale is its Jacobi one: s_i^2 = L_w[i, i] / (2 dim n^2),
     the mean of the 2 dim edge weights at site i (w_i for a constant w),
     read off the diagonal before entry (i, j) is multiplied in place by
     the one factor 1/s_j * 1/s_i, the same for (j, i), so the result is
@@ -249,18 +231,24 @@ def scaled_operator(w: Density) -> ScaledOperator:
     grid = w.grid
     if grid.dim != 2:
         raise ValueError(f"the scaled operator is 2D only, got a {grid.dim}D density")
-    d, eye = difference_matrix(grid.n), sp.identity(grid.n, format="csr")
+    n = grid.n
+    sites = np.arange(n)
+    cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
+    data = np.tile([-float(n), float(n)], n)
+    d = sp.csr_matrix((data, cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    d.sort_indices()
+    eye = sp.identity(n, format="csr")
     lifted = [sp.kron(d, eye, "csr"), sp.kron(eye, d, "csr")]
     weights = sp.diags(w.values, format="csr")
     matrix = sum(da.T.tocsr() @ (weights @ da) for da in lifted)
     matrix.sort_indices()  # the column order a CG matvec sums in
-    scale = np.sqrt(matrix.diagonal() / (2 * grid.dim * grid.n**2))
+    scale = np.sqrt(matrix.diagonal() / (2 * grid.dim * n**2))
     inv_scale = 1.0 / scale
     # every row holds the same count of entries, so row i of this view is row i of L_w
     factor = inv_scale[matrix.indices].reshape(grid.total, -1)
     factor *= inv_scale[:, None]
     matrix.data *= factor.ravel()
-    coarse_inverse = _coarse_inverse(matrix, scale, grid.n)
+    coarse_inverse = _coarse_inverse(matrix, scale, n)
     return ScaledOperator(*frozen(matrix, scale, inv_scale, coarse_inverse))
 
 

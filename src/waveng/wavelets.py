@@ -123,8 +123,11 @@ def daubechies_lowpass(order: int) -> np.ndarray:
     Ordering matches the convention with h[0] = (1+sqrt 3)/(4 sqrt 2) for
     order 2.  Every caller shares the cached array, so it is read-only.
     """
-    # checked before the cache, which would raise TypeError for an unhashable order
-    _check_integer("order", order, len(_LOWPASS_HEX))  # the table holds orders 1 .. 10
+    # checked before the cache, which would raise TypeError for an unhashable order;
+    # a bool is an Integral, but True is no order
+    high = len(_LOWPASS_HEX)  # the table holds orders 1 .. 10
+    if isinstance(order, bool) or not isinstance(order, Integral) or not 1 <= order <= high:
+        raise ValueError(f"order must be an integer in [1, {high}], got {order!r}")
     return _cached_lowpass(int(order))
 
 
@@ -236,12 +239,6 @@ def make_basis(grid: Grid, order: int = 3, levels: None = None) -> WaveletBasis:
         m //= 2
     columns[-1] = 1.0 / np.sqrt(n)  # exact, unlike the cascade's last scaling function
     return WaveletBasis(grid, columns)
-
-
-def _check_integer(name: str, value: object, high: int) -> None:
-    """Raise ValueError unless value is an int or numpy integer in [1, high]; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= high:
-        raise ValueError(f"{name} must be an integer in [1, {high}], got {value!r}")
 
 
 def transform_forward(basis: WaveletBasis, v: np.ndarray) -> np.ndarray:

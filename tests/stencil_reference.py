@@ -1,14 +1,14 @@
 """Slow references for the difference stencils: np.roll, sparse row shifts and CSR products.
 
 Each function writes the periodic forward difference out by hand (array
-shifts, or a permutation of the rows of W), so it shares no code with the
-difference matrices of `waveng.operators`.  The 2D Hessian diagonals are the
+shifts, a permutation of the rows of W, or D's entries from its
+definition), so it shares no code with `waveng.operators`.  The 2D Hessian diagonals are the
 two-sided products written out term by term instead of through
 `grid.tensor_apply`.
 
 `axis_apply` applies a 1D matrix along one axis of the site array, by
-CSR products on (in 2D) transposed copies.  With the library's own D and
-the D^T and D^T D formed from it here (`csr_difference_matrices`) it gives
+CSR products on (in 2D) transposed copies.  With D built here from its
+entries, and D^T and D^T D formed from it (`csr_difference_matrices`), it gives
 the CSR forms of the stencils (`csr_laplacian_apply`, `csr_flux_apply`),
 whose bits the library's shifts must reproduce in every dimension;
 `diff_apply` and `diff_adjoint_apply` apply D and D^T along one axis, so
@@ -25,11 +25,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from waveng.grid import Grid, check_vector
-from waveng.operators import difference_matrix
+
+
+def difference_matrix(n: int) -> sp.csr_matrix:
+    """D as n x n CSR from its definition: -n at (s, s) and +n at (s, s + 1), wrapping."""
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=-1).ravel()
+    data = np.tile([-float(n), float(n)], n)
+    d = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    d.sort_indices()
+    return d
 
 
 def csr_difference_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """(D, D^T, D^T D) as n x n CSR: the library's D, its transpose and their product."""
+    """(D, D^T, D^T D) as n x n CSR: D from its definition, its transpose and their product."""
     d = difference_matrix(n)
     dt = d.T.tocsr()
     return d, dt, dt @ d

@@ -77,7 +77,7 @@ def test_benchmark_only_levels_names_are_the_full_basis():
     """`RunOverrides.levels` and `make_basis`'s `levels` keyword select nothing.
 
     `perfbench/workloads.py` passes `levels=RunOverrides().levels`, so both
-    names stay, accepting None only, until ROADMAP item 1(b)'s benchmark change
+    names stay, accepting None only, until ROADMAP item 3(b)'s benchmark change
     deletes them together with that argument.
     """
     assert RunOverrides().levels is None

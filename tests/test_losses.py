@@ -370,17 +370,13 @@ class TestDomain:
         mu = TestSiteArrays.measure(dim, n)
         p = uniform_density(mu.grid).values.copy()
         p[3] = bad
-        caches = (
-            operators.scaled_operator,
-            operators._closed_form_set_up,
-            operators.difference_matrix,
-        )
+        caches = (operators.scaled_operator, operators._closed_form_set_up)
         for cache in caches:
             cache.cache_clear()
         with pytest.raises(ValueError, match="positive"):
             self.ENTRIES[entry](p, mu)
-        # no K-solve set-up (2D or 1D, alpha1 > 0) and no difference matrix was built
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        # no K-solve set-up (2D or 1D, alpha1 > 0) was built
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
     @pytest.mark.parametrize("mix", MIXES)
     @pytest.mark.parametrize("bad", [0.0, -1e-9])
@@ -444,22 +440,6 @@ class TestSolveSetUp:
         self.descend("1d-4", [MetricKind.COMBINED])  # closed-form 1D solve
         assert builds.cache_info().misses == 0
 
-    @pytest.mark.parametrize("preset_id", ["1d-4", "2d-4"])
-    def test_loss_at_mu_builds_no_difference_operator(self, preset_id):
-        # the 1D D is cached per n; E(mu) must not build it, so a
-        # benchmark's set-up does not pay for it, and only the 2D K-solve's
-        # L_w lifts it: a 1D descent builds none
-        cache = operators.difference_matrix
-        cache.cache_clear()
-        preset = load_preset(preset_id)
-        grid = make_grid(preset.dim, preset.n)
-        mu = reference_measure(grid, build_potential(grid, preset.potential_id))
-        spec = LossSpec(*preset.alphas, mu=mu)
-        assert combined_eval(mu.values, spec).value == 0.0
-        assert cache.cache_info().currsize == 0
-        run_descent(uniform_density(grid), spec, lambda p, g, mu: g, DescentConfig(max_iterations=1))
-        assert cache.cache_info().currsize == (1 if preset.dim == 2 else 0)
-
     def test_once_over_1d_descents(self):
         # 1 / mu, its sum, argmin and max, built by the first K-solve and
         # shared by the line searches of all four metrics; E(mu) builds none
@@ -474,16 +454,3 @@ class TestSolveSetUp:
         self.descend("1d-4", preset.metrics, spec=spec)
         info = cache.cache_info()
         assert info.misses == 1 and info.hits > 0
-
-    def test_difference_cache_holds_only_1d_matrices(self):
-        # no 2D D_a or D_a^T D_a outlives the call that used it, the
-        # scaled operator's included
-        cache = operators.difference_matrix
-        cache.cache_clear()
-        spec = self.descend("2d-4", [MetricKind.COMBINED, MetricKind.WASSERSTEIN])
-        assert operators.scaled_operator(spec.mu).matrix.shape == (spec.grid.total,) * 2
-        info = cache.cache_info()
-        n = spec.grid.n
-        matrix = cache(n)
-        assert info.currsize == 1 and cache.cache_info().hits == info.hits + 1
-        assert matrix.shape == (n, n)

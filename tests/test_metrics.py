@@ -6,14 +6,8 @@ from cascade_reference import dense_matrix
 from stencil_reference import diff_adjoint_apply, diff_apply
 from waveng import metrics
 from waveng.grid import Density, make_grid, uniform_density
-from waveng.metrics import (
-    COARSE_BLOCK,
-    MetricKind,
-    build_coarse_block,
-    build_precomp,
-    metric_apply_fn,
-)
-from waveng.operators import difference_matrix, laplacian_apply
+from waveng.metrics import COARSE_BLOCK, MetricKind, build_precomp, metric_apply_fn
+from waveng.operators import laplacian_apply
 from waveng.wavelets import make_basis
 
 
@@ -89,7 +83,7 @@ class TestBuildPrecomp:
         x = np.random.default_rng(n).standard_normal((n, 3))
         x[:, 1] = np.where(x[:, 1] < 0.0, -0.0, 0.0)
         x[:, 2] = np.ldexp(x[:, 2], -1060)
-        d = difference_matrix(n)
+        d = ref.difference_matrix(n)
         want = d @ x
         for got in (metrics._site_difference(x), metrics._site_difference(np.asfortranarray(x))):
             assert got.tobytes() == want.tobytes()
@@ -394,17 +388,18 @@ class TestCoarseBlock:
         rng = np.random.default_rng(70 + 7 * dim + n + m)
         p, mu = random_density(grid, rng), random_density(grid, rng)
         g = rng.standard_normal(grid.total)
-        block = build_coarse_block(pre, mu, alphas, m)
+        # the block as the bound metric asks for it: float alphas, m at most n
+        block_indices, block_inverse = metrics._coarse_block(pre, mu, alphas, min(m, n))
         indices, b1, b2, b3, inverse = coarse_oracle(basis, alphas, mu.values, min(m, n), drops)
-        np.testing.assert_array_equal(block.indices, indices)
-        np.testing.assert_allclose(block.inverse, inverse, rtol=0, atol=1e-10 * np.abs(inverse).max())
+        np.testing.assert_array_equal(block_indices, indices)
+        np.testing.assert_allclose(block_inverse, inverse, rtol=0, atol=1e-10 * np.abs(inverse).max())
         # a one-hot alpha leaves one block: H_c^-1 is B1, B2 or B3^-1
         one_hot = {(1.0, 0.0, 0.0): b1, (0.0, 1.0, 0.0): b2, (0.0, 0.0, 1.0): b3}
         if alphas in one_hot:
-            got = np.linalg.inv(block.inverse) if alphas[2] else block.inverse
+            got = np.linalg.inv(block_inverse) if alphas[2] else block_inverse
             want = one_hot[alphas]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
-        np.testing.assert_array_equal(block.inverse, block.inverse.T)
+        np.testing.assert_array_equal(block_inverse, block_inverse.T)
         metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas, coarse_block=m)
         got = metric(p, g, mu)
         w, _ = dense_factors(basis)
@@ -417,41 +412,55 @@ class TestCoarseBlock:
             assert abs(got.sum()) <= 1e-14 * np.abs(got).sum()
 
     def test_cached_read_only_and_shared(self):
+        # every metric bound for one run applies one build, alphas given as
+        # a list or an array included, and its arrays are read-only
         grid = make_grid(2, 16)
         pre = build_precomp(make_basis(grid))
         mu = random_density(grid, np.random.default_rng(71))
         alphas = (1.0, 1e-3, 1e-4)
-        block = build_coarse_block(pre, mu, alphas, 16)
-        assert build_coarse_block(pre, mu, alphas, 16) is block
-        for array in (block.indices, block.inverse):
+        g = np.ones(grid.total)
+        cache = metrics._coarse_block
+        cache.cache_clear()
+        first = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)(mu, g, mu)
+        for given in (list(alphas), np.array(alphas)):
+            metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=given)
+            assert metric(mu, g, mu).tobytes() == first.tobytes()
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        block = cache(pre, mu, alphas, COARSE_BLOCK)  # a hit: the block those metrics applied
+        assert cache.cache_info().misses == 1 and len(block) == 2
+        for array in block:
             with pytest.raises(ValueError):
                 array.flat[0] += 1
-        # a metric bound for the same run applies that very block
-        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
-        metric(mu, np.ones(grid.total), mu)
-        assert build_coarse_block(pre, mu, alphas, COARSE_BLOCK) is block
 
     def test_checks_arguments_before_the_cache(self):
-        # a warm cache used to answer these with the block cached for equal keys
+        # a warm cache used to answer these with the block cached for equal
+        # keys; now they are refused when the metric is bound, or, for mu,
+        # by the bound metric, and the cache is not asked
         grid = make_grid(1, 32)
         pre = build_precomp(make_basis(grid))
         mu = random_density(grid, np.random.default_rng(72))
         alphas = (1.0, 1e-3, 0.0)
-        build_coarse_block(pre, mu, alphas, 16)
+        g = np.ones(grid.total)
+        cache = metrics._coarse_block
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas)
+        metric(mu, g, mu)
+        info = cache.cache_info()
         with pytest.raises(ValueError, match="alphas must be finite and nonnegative"):
-            build_coarse_block(pre, mu, (True, 1e-3, 0.0), 16)
-        with pytest.raises(ValueError, match="coarse_block"):
-            build_coarse_block(pre, mu, alphas, 16.0)
-        build_coarse_block(pre, mu, alphas, 1)
-        with pytest.raises(ValueError, match="coarse_block"):
-            build_coarse_block(pre, mu, alphas, True)
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(True, 1e-3, 0.0))
+        for bad in (16.0, True):
+            with pytest.raises(ValueError, match="coarse_block"):
+                metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas,
+                                coarse_block=bad)
         # an array mu used to raise AttributeError on its missing .grid
         with pytest.raises(TypeError, match="^mu must be a Density, got ndarray$"):
-            build_coarse_block(pre, mu.values, alphas, 16)
-        # a list or an array of alphas keys like the tuple
-        block = build_coarse_block(pre, mu, alphas, 16)
-        assert build_coarse_block(pre, mu, list(alphas), 16) is block
-        assert build_coarse_block(pre, mu, np.array(alphas), 16) is block
+            metric(mu, g, mu.values)
+        assert cache.cache_info() == info
+        # the smallest block, one index per axis, is built
+        metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=alphas, coarse_block=1)(
+            mu, g, mu
+        )
+        assert cache.cache_info().misses == info.misses + 1
 
     @pytest.mark.parametrize("bad", [-1, True, 1.5, "16", None])
     def test_rejects_bad_block_size(self, bad):
@@ -468,15 +477,15 @@ class TestCoarseBlock:
         assert metric(mu, np.ones(16), mu).shape == (16,)
 
     def test_builder_rejects_bad_input(self):
+        # the block is built only for a bound metric, which refuses a mu on
+        # another grid and alphas that are all zero
         grid = make_grid(1, 16)
         pre = build_precomp(make_basis(grid))
-        mu = uniform_density(grid)
-        with pytest.raises(ValueError, match="integer >= 1"):
-            build_coarse_block(pre, mu, (1.0, 1e-3, 1e-4), 0)
+        metric = metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(1.0, 1e-3, 1e-4))
         with pytest.raises(ValueError, match="grid"):
-            build_coarse_block(pre, uniform_density(make_grid(2, 4)), (1.0, 1e-3, 1e-4), 16)
+            metric(uniform_density(grid), np.ones(16), uniform_density(make_grid(2, 4)))
         with pytest.raises(ValueError, match="positive"):
-            build_coarse_block(pre, mu, (0.0, 0.0, 0.0), 16)
+            metric_apply_fn(MetricKind.COMBINED, grid, precomp=pre, alphas=(0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_bound_metric_checks_mu(self, kind):
