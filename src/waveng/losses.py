@@ -32,8 +32,11 @@ its Galerkin block on the low Fourier modes, the coarse half of the
 solve's two-level preconditioner; in 1D 1/mu, its sum, argmin mu and
 max mu, the closed form's fixed part (`_closed_form_set_up`).  Each is
 built on the first nonzero right-hand side and reused for the rest of
-the run, and never for alpha1 = 0.  Q 0 = 0 touches no operator, so
-evaluating E(mu) builds nothing.
+the run, and never for alpha1 = 0.  Q 0 = 0 needs no case of its own:
+the K-solve returns +0 for a zero right-hand side before any set-up, and
+the Laplacian ends in + 0.0, so evaluating E(mu) builds nothing.  Every
+LossEval is read-only when built (its gradient and Q r refuse a write),
+so one evaluation can be shared, as the descent shares its start's.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import Density, Grid, check_vector
+from .grid import Density, Grid, check_vector, frozen
 from .operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
 
 __all__ = [
@@ -113,12 +116,20 @@ class LossEval:
 
     `quadratic` is (r^T Q r / 2, Q r), the value and gradient of the
     quadratic terms, already included in both; along_line takes it from
-    combined_eval or Line.loss_eval.  Compared by identity.
+    combined_eval or Line.loss_eval.  The gradient and Q r are made
+    read-only when it is built, so a shared evaluation, such as the start
+    evaluation every descent from one start reuses, cannot be changed by a
+    metric.  Q 0 = 0, so E(mu) has a zero gradient and builds no K-solve
+    set-up: the K-solve returns zeros for a zero right-hand side.
+    Compared by identity.
     """
 
     value: float
     gradient: np.ndarray
     quadratic: tuple[float, np.ndarray]
+
+    def __post_init__(self) -> None:
+        frozen(self.gradient, self.quadratic[1])
 
 
 def e1_eval(p: np.ndarray, mu: Density) -> LossEval:
@@ -154,9 +165,13 @@ def _kl(p: np.ndarray, mu: np.ndarray, mu_mass: float) -> tuple[float, np.ndarra
 
 
 def _quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
-    """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v."""
-    if not v.any() or spec.alpha1 == spec.alpha3 == 0:  # Q 0 = 0 with no operator built,
-        return np.zeros(spec.grid.total)  # so E(mu) builds nothing
+    """Q v = alpha1 K v + alpha3 A v, the Hessian of the quadratic terms applied to v.
+
+    Q 0 is +0 at every site with no operator set up: the K-solve returns
+    zeros for a zero right-hand side before its set-up, and A 0 is +0.
+    """
+    if spec.alpha1 == spec.alpha3 == 0:
+        return np.zeros(spec.grid.total)
     if spec.alpha1 == 0:
         out = laplacian_apply(spec.grid, v)
         out *= spec.alpha3

@@ -24,6 +24,16 @@ accepted trial forms its evaluation, whose gradient and quadratic part
 the next step uses with no solve, and its trial point becomes the next
 density.
 
+One evaluation per start.  The paper compares its metrics from a common
+start, and so does every `waveng run` preset and benchmark panel, so
+`run_descent` takes E(p0) from `_start_evaluation`, an lru_cache of one
+entry keyed as the K-solve's set-up caches are: the Density p0 by
+identity, the LossSpec by value (its mu by identity).  A descent from the
+start and loss of the previous descent reuses that very LossEval, with no
+K-solve, and its history is bit for bit the one a fresh evaluation gives.
+Every LossEval is read-only, so no metric can change a shared one: a
+metric that writes into its gradient argument raises ValueError.
+
 Trials ruled out unpriced.  The rule is monotone in the computed trial
 value, so a float L that the value provably cannot undercut, and that
 already fails the rule, rejects the trial with no trial array and no KL
@@ -86,6 +96,7 @@ then, and its four norms at most once per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -203,12 +214,15 @@ def armijo_step(
     `evaluated` is the evaluation at p (combined_eval's or the previous
     step's), whose quadratic part saves a K-solve.  The metric is called
     as metric(p, g, spec.mu), so a metric built at mu (the two-level
-    combined one) gets the loss's own.  A p that is not a Density raises
-    TypeError, and one on another grid than the loss's ValueError.  The
-    slope <s, g> is formed once, here, for the rule and the lower bounds.
+    combined one) gets the loss's own.  A p that is not a Density or a
+    spec that is not a LossSpec raises TypeError, and a p on another grid
+    than the loss's ValueError.  The slope <s, g> is formed once, here,
+    for the rule and the lower bounds.
     """
     if not isinstance(p, Density):
         raise TypeError(f"p must be a Density, got {type(p).__name__}")
+    if not isinstance(spec, LossSpec):
+        raise TypeError(f"spec must be a LossSpec, got {type(spec).__name__}")
     if p.grid != spec.grid:
         raise ValueError(f"start grid {p.grid} is not the loss grid {spec.grid}")
 
@@ -245,6 +259,12 @@ def armijo_step(
     return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS, trials)
 
 
+@functools.lru_cache(maxsize=1)  # the descents of a panel or a preset share one start
+def _start_evaluation(p0: Density, spec: LossSpec) -> LossEval:
+    """E(p0) under spec, cached for the last (p0, spec): p0 by identity, spec by value."""
+    return combined_eval(p0.values, spec)
+
+
 def run_descent(
     p0: Density,
     spec: LossSpec,
@@ -257,11 +277,20 @@ def run_descent(
     loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
     (converged), cfg.max_iterations, or a stalled step, with its reason
     ("non-descent direction" or "line search exhausted max_halvings") in
-    `stall_reason`.  p0 must be a Density (TypeError otherwise), strictly
-    positive as every Density is, on the grid of mu (ValueError otherwise).
+    `stall_reason`.  p0 must be a Density and spec a LossSpec (TypeError
+    otherwise), p0 strictly positive as every Density is, on the grid of mu
+    (ValueError otherwise).
+
+    E(p0) comes from `_start_evaluation`, which holds one entry: the
+    evaluation for the last (p0, spec) it was asked for, p0 matched by
+    identity and spec by value.  Descents from one start under one loss,
+    such as the metrics of a preset, share it; it is read-only, as every
+    LossEval is, and the history is the one a fresh evaluation gives.
     """
     if not isinstance(p0, Density):
         raise TypeError(f"p0 must be a Density, got {type(p0).__name__}")
+    if not isinstance(spec, LossSpec):
+        raise TypeError(f"spec must be a LossSpec, got {type(spec).__name__}")
     if p0.grid != spec.grid:
         raise ValueError(f"start grid {p0.grid} is not the loss grid {spec.grid}")
     history = DescentHistory()
@@ -281,7 +310,7 @@ def run_descent(
         )
 
     p = p0
-    ev = combined_eval(p.values, spec)
+    ev = _start_evaluation(p0, spec)
     record(0, ev, p, 0.0, 0)
     if ev.value <= cfg.gap_tolerance:
         history.status = "converged"

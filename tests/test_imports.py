@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from waveng import metrics, operators
-from waveng.grid import Density, frozen, make_grid
+from waveng import metrics, operators, optimizer
+from waveng.grid import Density, frozen, make_grid, uniform_density
+from waveng.losses import LossSpec, along_line
 from waveng.metrics import build_precomp
 from waveng.operators import scaled_operator
 from waveng.wavelets import daubechies_lowpass, make_basis
@@ -178,24 +179,34 @@ def test_checker_flags_writable_arrays():
 def test_cached_and_keyed_arrays_are_read_only(dim, n):
     # the coarse-block cache keys on the precompute (and so the basis) and
     # mu by identity, which is sound only while none of their arrays can
-    # change; the K-solve's set-up is shared by every solve at mu
+    # change; the K-solve's set-up is shared by every solve at mu, the
+    # start evaluation by every descent from its start, and each accepted
+    # step's evaluation is handed to a metric as g
     grid = make_grid(dim, n)
     mu = Density(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.total))
     basis = make_basis(grid)
     pre = build_precomp(basis)
+    p0 = uniform_density(grid)
+    spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
+    start = optimizer._start_evaluation(p0, spec)
+    line = along_line(spec, p0.values, start, 0.5 * (p0.values - mu.values))
     held = {
         "mu": mu,
         "basis": basis,
         "precomp": pre,
         "block": metrics._coarse_block(pre, mu, (1.0, 1e-3, 1e-4), min(16, n)),
         "lowpass": daubechies_lowpass(3),
+        "start_evaluation": start,
+        "step_evaluation": line.loss_eval(line(1.0)),
     }
     if dim == 2:
         held["scaled_operator"] = scaled_operator(mu)
     else:
         held["closed_form_set_up"] = operators._closed_form_set_up(mu)
     names = [name for key, item in held.items() for name, _ in held_arrays(item, key)]
-    want = {"basis.matrix.indptr", "precomp.h2.data", "precomp.h3", "block[0]", "block[1]"}
+    want = {"basis.matrix.indptr", "precomp.h2.data", "precomp.h3", "block[0]", "block[1]",
+            "start_evaluation.gradient", "start_evaluation.quadratic[1]",
+            "step_evaluation.gradient", "step_evaluation.quadratic[1]"}
     assert want <= set(names)
     assert ("scaled_operator.matrix.data" if dim == 2 else "closed_form_set_up[0]") in names
     assert [name for key, item in held.items() for name in writable_arrays(item, key)] == []

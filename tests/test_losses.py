@@ -164,6 +164,18 @@ class TestCombined:
         spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
         assert combined_eval(mu.values, spec).value == 0.0
 
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1e-4),
+                                        (0.0, 1e-3, 1e-4), (1.0, 1e-3, 1e-4)])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_gradient_at_mu_is_positive_zero(self, alphas, dim, n):
+        # Q 0 takes no case of its own: the K-solve of a zero right-hand
+        # side and the Laplacian of zeros both return +0 at every site
+        mu = TestSiteArrays.measure(dim, n)
+        ev = combined_eval(mu.values, LossSpec(*alphas, mu=mu))
+        assert ev.value == 0.0 and ev.quadratic[0] == 0.0
+        for v in (ev.gradient, ev.quadratic[1]):
+            assert not v.any() and not np.signbit(v).any() and not v.flags.writeable
+
     def test_single_term_reduces_to_e2(self):
         rng = np.random.default_rng(36)
         mu = sin_measure(32)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from waveng.metrics import (
     metric_apply_fn,
 )
 from waveng.operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
+from waveng import optimizer
 from waveng.optimizer import MAX_HALVINGS, DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
@@ -390,6 +393,17 @@ class TestRunDescent:
         with pytest.raises(TypeError, match="p0 must be a Density, got ndarray"):
             run_descent(uniform_density(grid).values, spec, metric)
 
+    def test_rejects_spec_that_is_not_a_loss_spec(self):
+        # both used to raise AttributeError: 'str' object has no attribute 'grid'
+        grid, mu, spec, metric = sin_setup(16)
+        p = uniform_density(grid)
+        with pytest.raises(TypeError, match="spec must be a LossSpec, got str"):
+            run_descent(p, "1d-4", metric)
+        with pytest.raises(TypeError, match="spec must be a LossSpec, got str"):
+            armijo_step(p, "1d-4", metric, combined_eval(p.values, spec))
+        with pytest.raises(TypeError, match="spec must be a LossSpec, got dict"):
+            run_descent(p, {}, metric)  # refused before the start cache hashes it
+
     def test_armijo_step_rejects_point_that_is_not_a_density(self):
         # used to raise AttributeError: 'numpy.ndarray' object has no attribute 'grid'
         grid, mu, spec, metric = sin_setup(16)
@@ -443,6 +457,99 @@ class TestRunDescent:
         assert hist.records[0].iteration == 0
         assert hist.records[0].eta == 0.0
         assert np.all(np.isfinite(hist.column("distance_to_reference")))
+
+
+def panel_setup(preset_id, n):
+    """A preset's loss and its bound metric panel, on n sites per axis."""
+    preset = load_preset(preset_id)
+    grid = make_grid(preset.dim, n)
+    mu = reference_measure(grid, build_potential(grid, preset.potential_id))
+    pre = build_precomp(make_basis(grid))
+    metrics = [
+        metric_apply_fn(kind, grid, precomp=pre, alphas=preset.alphas) for kind in preset.metrics
+    ]
+    return grid, LossSpec(*preset.alphas, mu=mu), metrics
+
+
+def history_bits(history):
+    """Every field of every record, floats by their bits, with the status."""
+    fields = [
+        tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(r))
+        for r in history.records
+    ]
+    return history.status, history.stall_reason, fields
+
+
+class TestSharedStart:
+    """Descents from one start under one loss share one read-only E(p0)."""
+
+    PANELS = [("1d-4", 64), ("2d-4", 16)]
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The specs of the descents' own combined_eval calls, under the tracer's name."""
+        optimizer._start_evaluation.cache_clear()
+        calls = []
+
+        def counted(p, spec):
+            calls.append(spec)
+            return combined_eval(p, spec)
+
+        monkeypatch.setattr(optimizer, "combined_eval", counted)
+        return calls
+
+    @pytest.mark.parametrize("preset_id,n", PANELS)
+    def test_one_evaluation_per_shared_start(self, preset_id, n, evaluations):
+        grid, spec, metrics = panel_setup(preset_id, n)
+        cfg = DescentConfig(max_iterations=3)
+        p0 = uniform_density(grid)
+        for metric in metrics:
+            run_descent(p0, spec, metric, cfg)
+        assert len(metrics) == 4 and evaluations == [spec]
+        # the spec is matched by value, its mu by identity
+        run_descent(p0, LossSpec(*spec.alphas, mu=spec.mu), metrics[0], cfg)
+        assert len(evaluations) == 1
+        # the start by identity: equal values are another start
+        run_descent(Density(grid, p0.values), spec, metrics[0], cfg)
+        assert len(evaluations) == 2
+        other = LossSpec(spec.alpha1, 2 * spec.alpha2, spec.alpha3, mu=spec.mu)
+        run_descent(p0, other, metrics[0], cfg)
+        assert len(evaluations) == 3 and evaluations[-1] is other
+
+    @pytest.mark.parametrize("preset_id,n", PANELS)
+    def test_histories_match_fresh_evaluations(self, preset_id, n):
+        grid, spec, metrics = panel_setup(preset_id, n)
+        cfg = DescentConfig(max_iterations=25)
+        p0 = uniform_density(grid)
+        optimizer._start_evaluation.cache_clear()
+        shared = [history_bits(run_descent(p0, spec, metric, cfg)) for metric in metrics]
+        assert optimizer._start_evaluation.cache_info().hits == len(metrics) - 1
+        fresh = []
+        for metric in metrics:
+            optimizer._start_evaluation.cache_clear()
+            fresh.append(history_bits(run_descent(p0, spec, metric, cfg)))
+        assert shared == fresh
+
+    @pytest.mark.parametrize("writes_at", [1, 3])
+    def test_metric_that_writes_its_gradient_raises(self, writes_at):
+        # the start evaluation and every accepted step's are read-only, so a
+        # metric that scales g in place used to skew the slope unseen, and
+        # with the shared start the next descent's too
+        grid, mu, spec, metric = sin_setup(16)
+        calls = []
+
+        def writing(p, g, mu):
+            calls.append(p)
+            if len(calls) == writes_at:
+                g *= 2.0
+            return metric(p, g, mu)
+
+        p0 = uniform_density(grid)
+        with pytest.raises(ValueError, match="read-only"):
+            run_descent(p0, spec, writing)
+        assert len(calls) == writes_at
+        start = optimizer._start_evaluation(p0, spec)
+        np.testing.assert_array_equal(start.gradient, combined_eval(p0.values, spec).gradient)
 
 
 class TestDescentConfig:
