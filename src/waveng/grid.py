@@ -1,10 +1,13 @@
 """Periodic uniform grids on [0,1]^d, densities over them, and the tensor rule.
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
-wavelet layout requires).  A Density holds a read-only copy of its mass
-per site, finite and strictly positive values: construction refuses any
-other, so the loss spec, the weighted solve, the metrics and the descent
-take a Density's positivity as given.  It is compared and hashed by
+wavelet layout requires).  A Density holds its mass per site, finite and
+strictly positive values, read-only: construction refuses any other, so
+the loss spec, the weighted solve, the metrics and the descent take a
+Density's positivity as given.  It copies the array it is given unless
+that array is already frozen, C-contiguous float64 and owns its data, as
+the line search's accepted trial point is, and it keeps the min and the
+mass that its check computes.  It is compared and hashed by
 identity, so a cache can key on it (`operators` keeps the 2D solve's
 set-up per weight density); `frozen` alone makes arrays read-only.
 Every other site vector, a potential, a gradient or the argument of a
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,31 +94,35 @@ class Grid:
 class Density:
     """Mass-per-site vector over a grid, of finite, strictly positive values.
 
-    `values` is a read-only copy of the array passed in, so neither the
-    density nor a cache keyed on it changes when the caller writes to that
-    array.  Equality and hash are by identity.
+    `values` is read-only and no writable array shares its data, so neither
+    the density nor a cache keyed on it changes when the caller writes to
+    the array passed in.  A frozen, C-contiguous float64 array that owns
+    its data is held as it is (the descent's accepted trial point, which
+    the line search froze); any other input is copied, then frozen.  `min`
+    and `mass` are the values' min and sum, computed once, when the values
+    are checked.  Equality and hash are by identity.
     """
 
     grid: Grid
     values: np.ndarray
+    min: float = field(init=False, repr=False)
+    mass: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        (values,) = frozen(np.array(_real(self.values, "density values"), dtype=np.float64))
+        values = _real(self.values, "density values")
+        flags = values.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous):
+            (values,) = frozen(np.array(values))
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
             raise ValueError(
                 f"density has {values.shape} values, grid expects ({self.grid.total},)"
             )
-        if not (values.min() > 0.0 and values.max() < np.inf):  # a NaN fails both
+        lowest = float(values.min())
+        if not (lowest > 0.0 and values.max() < np.inf):  # a NaN fails both
             raise ValueError("density values must be finite and strictly positive")
-
-    @property
-    def min(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum())
+        object.__setattr__(self, "min", lowest)
+        object.__setattr__(self, "mass", float(values.sum()))
 
 
 def make_grid(dim: int, n: int) -> Grid:

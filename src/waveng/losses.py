@@ -15,12 +15,16 @@ With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and returns a Line, on which
-a trial step costs one KL pass: two new arrays, t = p - eta s (a
-multiply, then the subtract in place) and log(t/mu) (a divide, then the
-log in place), one dot product and one sum.  It returns a LineTrial
-holding the value, t and log(t/mu), and builds no gradient.  The
+a trial step costs one KL pass: two new arrays, t = p - eta s (at eta = 1
+the subtract alone, since 1 * s is exact; otherwise a multiply, then the
+subtract in place) and log(t/mu) (a divide, then the log in place), one
+dot product and one sum.  It returns a LineTrial holding the value, t
+and log(t/mu), and builds no gradient.  A feasible t is frozen, so the
+accepted trial's point becomes the next Density as it is, with no copy;
+mass(mu) is the sum that the Density mu stored when it was built.  The
 accepted trial alone forms its gradient and LossEval, by
-`Line.loss_eval(trial)`, and its point becomes the next density.
+`Line.loss_eval(trial)`, whose Q r - eta Q s skips the multiply at
+eta = 1 too.
 `Line.lower_bounds(eta, slope)` bounds a trial's value from below by
 scalar arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
 `combined_eval` at a one-hot alpha, and the KL formula is written once, in
@@ -238,7 +242,6 @@ class Line:
     qs: np.ndarray  # Q s
     s_qr: float
     s_qs: float
-    mu_mass: float  # spec.mu.mass, an O(n) sum that every trial reads
     # the convexity bound's rounding terms, formed at most once
     _rounding: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
 
@@ -246,13 +249,17 @@ class Line:
         return self.start.quadratic[0] - eta * self.s_qr + 0.5 * eta * eta * self.s_qs
 
     # each vector below is one new array, written in place in the order of
-    # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, p - eta s)
+    # the plain expressions (qr - eta qs, alpha2 log_ratio + grad_q, p - eta s);
+    # at eta = 1 the multiply is exact and skipped (qr - qs, p - s)
     def loss_eval(self, trial: LineTrial) -> LossEval:
         """The LossEval at trial t: gradient alpha2 log(t/mu) + Q r - eta Q s, quadratic q(t)."""
         if trial.point is None:
             raise ValueError("an infeasible trial has no gradient")
-        grad_q = self.qs * trial.eta
-        np.subtract(self.start.quadratic[1], grad_q, out=grad_q)
+        if trial.eta == 1.0:
+            grad_q = np.subtract(self.start.quadratic[1], self.qs)
+        else:
+            grad_q = self.qs * trial.eta
+            np.subtract(self.start.quadratic[1], grad_q, out=grad_q)
         if trial.log_ratio is None:
             gradient = grad_q
         else:  # trial.log_ratio is left as it is, so a second call sees the same trial
@@ -261,13 +268,17 @@ class Line:
         return LossEval(trial.value, gradient, (self.q_at(trial.eta), grad_q))
 
     def __call__(self, eta: float) -> LineTrial:
-        t = np.multiply(self.s, eta)
-        np.subtract(self.p, t, out=t)
+        if eta == 1.0:
+            t = np.subtract(self.p, self.s)
+        else:
+            t = np.multiply(self.s, eta)
+            np.subtract(self.p, t, out=t)
         if t.min() <= 0.0:
             return LineTrial(np.inf, eta)
+        frozen(t)  # so that the accepted point becomes the next Density with no copy
         if self.spec.alpha2 == 0:
             return LineTrial(self.q_at(eta), eta, t)
-        kl, log_ratio = _kl(t, self.spec.mu.values, self.mu_mass)
+        kl, log_ratio = _kl(t, self.spec.mu.values, self.spec.mu.mass)
         return LineTrial(self.spec.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
 
     def lower_bounds(self, eta: float, slope: float) -> Iterator[float]:
@@ -283,7 +294,7 @@ class Line:
         above both.  The optimizer docstring derives both bounds.
         """
         alpha2 = self.spec.alpha2
-        kappa = (self.p.size + 16) * _EPS * self.mu_mass
+        kappa = (self.p.size + 16) * _EPS * self.spec.mu.mass
         yield self.q_at(eta) - alpha2 * kappa
         if eta >= 1.0 or alpha2 == 0 or not eta * self.s_qs > slope:
             return
@@ -305,7 +316,7 @@ class Line:
         c = 2 * (n + 16) * _EPS
         gq = norm(self.start.gradient) + norm(qr) + alpha2 * math.sqrt(n)
         p_norm = norm(self.p)
-        e0 = c * (p_norm * gq + 5 * alpha2 * self.mu_mass)
+        e0 = c * (p_norm * gq + 5 * alpha2 * self.spec.mu.mass)
         e0 += 8 * _EPS * (abs(self.start.value) + abs(qv))
         e1 = c * norm(self.s) * gq + 8 * _EPS * (abs(self.s_qr) + abs(slope))
         return e0, e1, 8 * _EPS * abs(self.s_qs)
@@ -330,5 +341,5 @@ def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Li
     qs = _quadratic_apply(spec, s)
     return Line(
         spec=spec, start=ev, p=pv, s=s, qs=qs,
-        s_qr=float(s @ ev.quadratic[1]), s_qs=float(s @ qs), mu_mass=spec.mu.mass,
+        s_qr=float(s @ ev.quadratic[1]), s_qs=float(s @ qs),
     )

@@ -288,7 +288,11 @@ def _combined_metric_fn(
     scale is plain 1/d.  The terms are added in the order alpha1, alpha2,
     alpha3.  For m > 0 the coefficients of the coarse block's indices are
     H_c^-1 times theirs instead (see _coarse_block), the block built
-    at mu on the first call and taken from the cache after.
+    at mu on the first call and taken from the cache after.  Beyond the
+    diagonals at p and the transforms' arrays a call makes no site-sized
+    array: a / h, the sum and 1/d are formed in place in the diagonals, and
+    the coefficients are scaled in place once H_c^-1 has read the coarse
+    block's.
     """
     a1, a2, a3 = alphas
     basis = pre.basis
@@ -301,19 +305,24 @@ def _combined_metric_fn(
 
     def apply(p: Density, g: np.ndarray, mu: Density) -> np.ndarray:
         scale = fixed_scale
-        if scale is None:
+        if scale is None:  # in place in the fresh diagonals: a / h, their sum, 1 / d
             with np.errstate(divide="ignore"):
                 terms = zip((a1, a2), pre.diagonals(p.values, a1 > 0, a2 > 0))
-                d = [a / h for a, h in terms if h is not None]
+                d = [np.divide(a, h, out=h) for a, h in terms if h is not None]
             if d3 is not None:
                 d.append(d3)
-            scale = 1.0 / functools.reduce(np.add, d)  # d = +inf -> 0
+            scale = d[0]  # a diagonal of p, never d3: here alpha1 or alpha2 is > 0
+            for term in d[1:]:
+                scale += term
+            np.divide(1.0, scale, out=scale)  # d = +inf -> 0
         c = transform_forward(basis, g)
-        coefficients = scale * c
         if m:
             indices, inverse = _coarse_block(pre, mu, alphas, m)
-            coefficients[indices] = inverse @ c[indices]
-        return transform_inverse(basis, coefficients)
+            coarse = inverse @ c[indices]
+        c *= scale
+        if m:
+            c[indices] = coarse
+        return transform_inverse(basis, c)
 
     return apply
 

@@ -11,7 +11,9 @@ along axis 1 takes or scipy's dispatch on every call.  Per call (one
 thread, 2-vCPU VM) the 2D Laplacian took 24-25 against 26-27 us at 64^2
 and 58-66 against 95-98 us at 128^2, the 2D flux 26-31 against 52 us at
 64^2, and the 1D flux 7.5 against 11.4 us at n = 512, where the 1D
-Laplacian took 6.5 against 6.2 us, about its one CSR matvec's time.  D
+Laplacian took 6.5 against 6.2 us, about its one CSR matvec's time.
+The Laplacian makes two site arrays, its output and 2 v, in which the 2D
+form then sums its axis-0 term once the last axis has read it.  D
 itself is built as a matrix only by the 2D solve's set-up
 (`scaled_operator`), which assembles L_w = sum_a D_a^T diag(w) D_a by
 lifting D_a with Kronecker products.  L_w is inverted on the mean-zero
@@ -35,8 +37,12 @@ The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached map, v -> (-Delta)^+ v:
 for 2D grids with n <= 64 dense products in the real periodic eigenbasis
 (the fast diagonalization method), otherwise the FFT with its inverse
-symbol computed once.  Given a weight density's coarse inverse, the same
-map is the 2D solve's two-level preconditioner, exact on the low modes.
+symbol computed once.  The FFT map calls numpy's 1D transforms: rfft and
+irfft in 1D, and in 2D rfft on the last axis, then fft and ifft on axis 0
+in place (`out=`, numpy >= 2.0), the steps and so the bytes of rfftn and
+irfftn with one complex array fewer per transform.  Given a weight
+density's coarse inverse, the same map is the 2D solve's two-level
+preconditioner, exact on the low modes.
 """
 
 from __future__ import annotations
@@ -147,12 +153,13 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     out[1:] -= v[:-1]
     out[first] = two[first] - (v[last] + v[_last_axis_index(grid, 1)])
     if grid.dim == 2:
-        axis0 = np.empty(grid.total)  # axis 0: v shifted by n, row 0 after the last row
-        np.subtract(two[:-n], v[n:], out=axis0[:-n])
-        np.subtract(two[-n:], v[:n], out=axis0[-n:])
+        # axis 0 in 2v, which the last axis has spent: v shifted by n, the
+        # last row wrapping to row 0, then row 0 redone from its own 2 v_0
+        axis0 = two
+        axis0[n:-n] -= v[2 * n :]
+        axis0[-n:] -= v[:n]
         axis0[n:] -= v[:-n]
-        np.add(v[-n:], v[n : 2 * n], out=axis0[:n])
-        np.subtract(two[:n], axis0[:n], out=axis0[:n])
+        axis0[:n] -= v[-n:] + v[n : 2 * n]
         out += axis0
     out *= float(n * n)
     out += 0.0
@@ -384,12 +391,18 @@ def _laplacian_pinv_plan(grid: Grid) -> Callable[..., np.ndarray]:
     eigenvalues = _laplacian_eigenvalues(n)
     half = eigenvalues[: n // 2 + 1]
     inv = _pinv_symbol(half if grid.dim == 1 else eigenvalues[:, None] + half[None, :])
-    axes = tuple(range(grid.dim))
 
     def fft_apply(v: np.ndarray, coarse_inverse: np.ndarray | None = None) -> np.ndarray:
-        spec = np.fft.rfftn(v.reshape(shape))
+        if grid.dim == 1:
+            spec = np.fft.rfft(v)
+            spec *= inv
+            return np.fft.irfft(spec, n)
+        # rfftn's and irfftn's 1D transforms, in their order, with axis 0's in place
+        spec = np.fft.rfft(v.reshape(shape))
+        np.fft.fft(spec, axis=0, out=spec)
         spec *= inv
-        out = np.fft.irfftn(spec, s=shape, axes=axes).reshape(total)
+        np.fft.ifft(spec, axis=0, out=spec)
+        out = np.fft.irfft(spec, n).reshape(total)
         if coarse_inverse is not None:
             coarse = q_ct @ v.reshape(shape) @ q_c
             correction = (coarse_inverse @ coarse.ravel()).reshape(m, m) - inv_c * coarse

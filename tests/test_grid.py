@@ -200,7 +200,38 @@ class TestDensityValidation:
         density = Density(make_grid(1, 8), values)
         with pytest.raises(ValueError, match="read-only"):
             density.values[0] = 0.5
-        assert values.flags.writeable
+        assert values.flags.writeable and not np.shares_memory(density.values, values)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
+    def test_min_and_mass_are_the_values(self, dim, n):
+        # kept from the construction check, not scanned again on each read
+        values = np.random.default_rng(dim + n).uniform(0.1, 1.0, n**dim)
+        density = Density(make_grid(dim, n), values)
+        assert density.min == values.min() and density.mass == values.sum()
+        assert type(density.min) is float and type(density.mass) is float
+
+    @pytest.mark.parametrize(
+        "frozen_input",
+        [lambda a: a[:8], lambda a: a[::2], lambda a: a.reshape(2, 8)[0],
+         lambda a: a[:8].astype(np.int64)],
+        ids=["head", "strided", "row", "int64"],
+    )
+    def test_frozen_input_is_copied_unless_it_owns_float64_data(self, frozen_input):
+        # a view's base may be made writable again by whoever holds it
+        base = np.full(16, 2.0)
+        values = frozen_input(base)
+        base.flags.writeable = values.flags.writeable = False
+        density = Density(make_grid(1, 8), values)
+        assert not np.shares_memory(density.values, base)
+        assert not np.shares_memory(density.values, values)
+        assert density.values.flags.c_contiguous and not density.values.flags.writeable
+        np.testing.assert_array_equal(density.values, values)
+
+    def test_frozen_array_that_owns_its_data_is_held(self):
+        # the descent's accepted trial point becomes the next density uncopied
+        values = np.full(8, 1 / 8)
+        values.flags.writeable = False
+        assert Density(make_grid(1, 8), values).values is values
 
     def test_compared_and_hashed_by_identity(self):
         # caches key on a density (operators.scaled_operator), so

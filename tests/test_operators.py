@@ -50,7 +50,9 @@ def test_thread_variables_are_the_ones_the_benchmark_pins():
 
 
 # (dim, n) grids for the stencil checks, from the smallest grid to the preset sizes
-STENCIL_CASES = [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64)]
+STENCIL_CASES = [
+    (1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 8), (2, 16), (2, 64), (2, 128),
+]
 
 # (dim, n, input) cases of the byte-exact stencil checks: a standard normal
 # input at every size, then at every size zeros of both signs and a normal
@@ -395,6 +397,24 @@ class TestLaplacianPinv:
         want = v @ ((v.T @ r @ v) * inv) @ v.T
         got = laplacian_pinv_apply(grid, r.ravel()).reshape(n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 2 * DENSE_PLAN_MAX_N)])
+    def test_fft_map_bitwise(self, dim, n):
+        # the plan's 1D transforms, axis 0's in place, give the bytes of
+        # numpy's n-dimensional pair with the inverse symbol 1 / lam, 0 for
+        # the constant mode, recomputed here from the 1D eigenvalues
+        grid = make_grid(dim, n)
+        lam = 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+        half = lam[: n // 2 + 1]
+        symbol = half if dim == 1 else lam[:, None] + half[None, :]
+        inv = np.zeros_like(symbol)
+        np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
+        rng = np.random.default_rng(30 + dim)
+        for v in (rng.standard_normal(grid.total), rng.uniform(0.0, 1e-3, grid.total)):
+            spec = np.fft.rfftn(v.reshape(grid.shape)) * inv
+            want = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(dim)))
+            got = laplacian_pinv_apply(grid, v)
+            assert got.tobytes() == want.ravel().tobytes()
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -180,7 +180,8 @@ class TestLineSearch:
     def test_accepted_step_is_the_public_composition(self, dim, n, alphas):
         # a trial costs one KL pass and only the accepted one forms its
         # evaluation: that step must equal, bit for bit, p - eta s and the
-        # loss composed from e2_eval and the closed-form quadratic part
+        # loss composed from e2_eval and the closed-form quadratic part,
+        # after halvings and at eta = 1, where the line skips its multiplies
         p, mu, _, _ = newton_setup(dim, n)
         spec = LossSpec(*alphas, mu=mu)
         a1, a2, a3 = alphas
@@ -193,21 +194,25 @@ class TestLineSearch:
         assert infeasible.value == np.inf and infeasible.point is None
         with pytest.raises(ValueError, match="infeasible"):
             line.loss_eval(infeasible)
-        p_next, got, diag = armijo_step(p, spec, lambda dens, grad, mu: s, evaluated=ev)
-        assert diag.accepted and diag.halvings >= 1
-        eta = diag.eta
-        t = p.values - eta * s
-        assert p_next.values.tobytes() == t.tobytes()
-        qv, qr = ev.quadratic
-        ks = weighted_elliptic_pinv_apply(mu, s, spec.solve_config)
-        qs = a1 * ks + a3 * laplacian_apply(mu.grid, s)
-        q = qv - eta * float(s @ qr) + 0.5 * eta * eta * float(s @ qs)
-        grad_q = qr - eta * qs
-        kl = e2_eval(t, mu)
-        assert got.value == a2 * kl.value + q == diag.value_after
-        np.testing.assert_array_equal(got.gradient, a2 * kl.gradient + grad_q)
-        assert got.quadratic[0] == q
-        np.testing.assert_array_equal(got.quadratic[1], grad_q)
+        halved = armijo_step(p, spec, lambda dens, grad, mu: s, evaluated=ev)
+        assert halved[2].accepted and halved[2].halvings >= 1
+        full_s = halved[2].eta * s  # the accepted step as the direction, which eta = 1 takes
+        full = armijo_step(p, spec, lambda dens, grad, mu: full_s, evaluated=ev)
+        assert full[2].accepted and full[2].eta == 1.0 and full[2].halvings == 0
+        for s, (p_next, got, diag) in ((s, halved), (full_s, full)):
+            eta = diag.eta
+            t = p.values - eta * s
+            assert p_next.values.tobytes() == t.tobytes()
+            qv, qr = ev.quadratic
+            ks = weighted_elliptic_pinv_apply(mu, s, spec.solve_config)
+            qs = a1 * ks + a3 * laplacian_apply(mu.grid, s)
+            q = qv - eta * float(s @ qr) + 0.5 * eta * eta * float(s @ qs)
+            grad_q = qr - eta * qs
+            kl = e2_eval(t, mu)
+            assert got.value == a2 * kl.value + q == diag.value_after
+            np.testing.assert_array_equal(got.gradient, a2 * kl.gradient + grad_q)
+            assert got.quadratic[0] == q
+            np.testing.assert_array_equal(got.quadratic[1], grad_q)
 
     @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
     def test_loss_eval_twice_is_the_same(self, alphas):
@@ -219,6 +224,8 @@ class TestLineSearch:
         line = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)
         trial = line(0.5)
         assert trial.point is not None
+        # frozen, so an accepted point becomes the next density uncopied
+        assert Density(p.grid, trial.point).values is trial.point
         point = trial.point.copy()
         log_ratio = None if trial.log_ratio is None else trial.log_ratio.copy()
         first, second = line.loss_eval(trial), line.loss_eval(trial)

@@ -13,9 +13,16 @@ warmed, or slowed, by the other.  Each run's last standard-output line is
 its JSON result.  For every end-to-end metric that CHANGE's BENCHMARK.json
 names, the tool prints both medians, the parent's quartiles and their
 distance (IQR), and the pairs the change won by its `better` direction;
-a tie counts for neither side.  It then prints each side's failed and
-attempted operations.  A gain holds when the change wins nine pairs in ten
-and the medians differ by more than the parent's IQR.
+a tie counts for neither side.  Each metric then gets one verdict:
+
+    gain holds          the change won at least nine pairs in ten and the
+                        medians differ by more than the parent's IQR;
+    beyond bound        the change's median is worse than the parent's by
+                        more than the metric's `bound`, a fraction of the
+                        parent's median;
+    no resolved change  otherwise.
+
+It then prints each side's failed and attempted operations.
 
 This tool imports nothing from perfbench/ and writes nothing there but what
 the benchmark itself writes.  It exits 1 when any run is not `correct`,
@@ -66,15 +73,31 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict | None:
     return result
 
 
-def directions(root: Path) -> dict[str, str]:
-    """End-to-end metric name -> "lower" or "higher", from root's BENCHMARK.json."""
+def end_to_end(root: Path) -> dict[str, tuple[str, float]]:
+    """End-to-end metric name -> ("lower" or "higher", bound), from root's BENCHMARK.json."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m.get("better", "lower") for m in spec["end_to_end"]}
+    return {m["name"]: (m.get("better", "lower"), m["bound"]) for m in spec["end_to_end"]}
+
+
+def verdict(
+    pm: float, cm: float, iqr: float, wins: int, pairs: int, sign: float, bound: float
+) -> str:
+    """The verdict on one metric from its medians, the parent's IQR and the pairs the change won.
+
+    sign is 1 when lower is better and -1 when higher is; bound is a
+    fraction of the parent's median.
+    """
+    worse = sign * (cm - pm)
+    if worse < 0 and 10 * wins >= 9 * pairs and -worse > iqr:
+        return "gain holds"
+    if worse > bound * abs(pm):
+        return "beyond bound"
+    return "no resolved change"
 
 
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
-    better = directions(args.change)
+    metrics = end_to_end(args.change)
     roots = dict(zip(SIDES, (args.parent, args.change)))
     results: dict[str, list[dict | None]] = {side: [] for side in SIDES}
     for seed in range(1, args.pairs + 1):
@@ -83,7 +106,7 @@ def main(argv: list[str]) -> int:
             results[side].append(result)
             shown = "no result" if result is None else " ".join(
                 f"{name}={result['metrics'][name]['value']:.6g}"
-                for name in better if name in result["metrics"]
+                for name in metrics if name in result["metrics"]
             )
             print(f"pair {seed} {side}: {shown}", flush=True)
 
@@ -93,7 +116,7 @@ def main(argv: list[str]) -> int:
         if p is not None and c is not None
     ]
     print(f"\n{args.workload}: {len(paired)} complete pairs of {args.pairs}, --seconds {args.seconds}")
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         pairs = [(p[name]["value"], c[name]["value"]) for p, c in paired if name in p and name in c]
         if not pairs:
             print(f"{name:16s} not reported")
@@ -109,7 +132,8 @@ def main(argv: list[str]) -> int:
         print(
             f"{name:16s} parent {pm:.6g} (q1 {q1:.6g}, q3 {q3:.6g}, IQR {q3 - q1:.3g})  "
             f"change {cm:.6g} ({drop}, {resolved} the IQR)  "
-            f"change won {wins}/{len(pairs)}, lost {losses}, {direction} is better"
+            f"change won {wins}/{len(pairs)}, lost {losses}, {direction} is better: "
+            f"{verdict(pm, cm, q3 - q1, wins, len(pairs), sign, bound)} (bound {bound:g})"
         )
     for side in SIDES:
         done = [r for r in results[side] if r is not None]
