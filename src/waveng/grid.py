@@ -2,14 +2,16 @@
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
 wavelet layout requires).  A Density holds its mass per site, finite and
-strictly positive values, read-only: construction refuses any other, so
-the loss spec, the weighted solve, the metrics and the descent take a
-Density's positivity as given.  It copies the array it is given unless
-that array is already frozen, C-contiguous float64 and owns its data, as
-the line search's accepted trial point is, and it keeps the min and the
-mass that its check computes.  It is compared and hashed by
-identity, so a cache can key on it (`operators` keeps the 2D solve's
-set-up per weight density); `frozen` alone makes arrays read-only.
+strictly positive values, read-only: construction refuses any other, and
+that check is the one domain rule: a loss evaluation builds the Density it
+holds, a line-search trial that is no Density is priced +inf, and the
+weighted solve, the metrics and the descent take positivity as given.  It
+copies the array it is given (a loss's writable p) unless that array is
+frozen, C-contiguous float64 and owns its data (a trial point, which the
+line froze), and keeps the min and the mass that its check computes.  It
+is compared and hashed by identity, so a cache can key on it (`operators`
+keeps the 2D solve's set-up per weight density); `frozen` alone makes
+arrays read-only.
 Every other site vector, a potential, a gradient or the argument of a
 loss, is a plain array of one value per site, and each public entry
 checks its length.
@@ -97,10 +99,10 @@ class Density:
     `values` is read-only and no writable array shares its data, so neither
     the density nor a cache keyed on it changes when the caller writes to
     the array passed in.  A frozen, C-contiguous float64 array that owns
-    its data is held as it is (the descent's accepted trial point, which
-    the line search froze); any other input is copied, then frozen.  `min`
-    and `mass` are the values' min and sum, computed once, when the values
-    are checked.  Equality and hash are by identity.
+    its data is held as it is (a line-search trial point, which the line
+    froze, or a Density's values); any other input is copied, then frozen.
+    `min` and `mass` are the values' min and sum, computed once, when the
+    values are checked.  Equality and hash are by identity.
     """
 
     grid: Grid
@@ -116,7 +118,7 @@ class Density:
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.total,):
             raise ValueError(
-                f"density has {values.shape} values, grid expects ({self.grid.total},)"
+                f"density shape {values.shape} does not match grid ({self.grid.total},)"
             )
         lowest = float(values.min())
         if not (lowest > 0.0 and values.max() < np.inf):  # a NaN fails both
@@ -167,12 +169,7 @@ def uniform_density(grid: Grid) -> Density:
 
 
 def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v as float64; ValueError unless it holds one value per site.
-
-    TypeError for a Density, and for complex or non-numeric values (see _real).
-    """
-    if isinstance(v, Density):
-        raise TypeError("got a Density where site values are expected: pass its .values")
+    """v as float64; ValueError unless it holds one value per site, TypeError as _real."""
     v = _real(v, "site values")
     if v.shape != (grid.total,):
         raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
@@ -183,8 +180,10 @@ def _real(v: np.ndarray, what: str) -> np.ndarray:
     """v as a float64 array; TypeError unless its dtype is integer or real float.
 
     Decided by the dtype alone, with no pass over the data.  A float64
-    array is returned as it is.
+    array is returned as it is, and a Density refused with a hint.
     """
+    if isinstance(v, Density):
+        raise TypeError("got a Density where site values are expected: pass its .values")
     v = np.asarray(v)
     if v.dtype.kind not in _REAL_KINDS:
         raise TypeError(f"{what} must be real numbers, got dtype {v.dtype}")

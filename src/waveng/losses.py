@@ -5,26 +5,26 @@ the weighted elliptic pseudo-inverse as kernel), the Kullback-Leibler
 divergence to mu in its mass-corrected form, and the Dirichlet energy of
 p - mu.  Every term is nonnegative and vanishes at mu, so E(mu) = 0 is the
 minimum; E2 vanishes only there.  Each evaluation takes p as a plain array
-of site values and raises ValueError unless it holds one finite, strictly
-positive value per site of mu's grid, at every alpha and before any solve,
-so every LossEval holds a gradient and its quadratic part.  Only a trial
-of a Line prices a site <= 0, as +inf, so that the backtracking line
-search rejects it like any other failed trial.
+of site values and builds from it the Density on mu's grid that the
+LossEval holds (`point`), so it raises ValueError, at every alpha and
+before any solve, unless p holds one finite, strictly positive value per
+site.  Only a trial of a Line prices a point that is no Density, as +inf,
+so that the backtracking line search rejects it like any other failed trial.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
 by mu for the whole run.  Along a line p - eta s it is a parabola in eta,
 so `along_line` forms Q s once (one K-solve) and returns a Line, on which
-a trial step costs one KL pass: two new arrays, t = p - eta s (at eta = 1
-the subtract alone, since 1 * s is exact; otherwise a multiply, then the
-subtract in place) and log(t/mu) (a divide, then the log in place), one
-dot product and one sum.  It returns a LineTrial holding the value, t
-and log(t/mu), and builds no gradient.  A feasible t is frozen, so the
-accepted trial's point becomes the next Density as it is, with no copy;
-mass(mu) is the sum that the Density mu stored when it was built.  The
+a trial step costs two new arrays, t = p - eta s (at eta = 1 the subtract
+alone, since 1 * s is exact; otherwise a multiply, then the subtract in
+place) and log(t/mu) (a divide, then the log in place), the Density
+check of t (its min, max and sum) and one dot product.  t is frozen
+first, so its Density holds it with no copy.  The Line returns a
+LineTrial holding the value, that Density and log(t/mu), and builds no
+gradient; the KL reads mass(t) and mass(mu) from their Densities.  The
 accepted trial alone forms its gradient and LossEval, by
-`Line.loss_eval(trial)`, whose Q r - eta Q s skips the multiply at
-eta = 1 too.
+`Line.loss_eval(trial)`, which holds the trial's Density as the next
+iterate and whose Q r - eta Q s skips the multiply at eta = 1 too.
 `Line.lower_bounds(eta, slope)` bounds a trial's value from below by
 scalar arithmetic, with no trial array.  `e1_eval`, `e2_eval` and `e3_eval` are
 `combined_eval` at a one-hot alpha, and the KL formula is written once, in
@@ -39,8 +39,8 @@ built on the first nonzero right-hand side and reused for the rest of
 the run, and never for alpha1 = 0.  Q 0 = 0 needs no case of its own:
 the K-solve returns +0 for a zero right-hand side before any set-up, and
 the Laplacian ends in + 0.0, so evaluating E(mu) builds nothing.  Every
-LossEval is read-only when built (its gradient and Q r refuse a write),
-so one evaluation can be shared, as the descent shares its start's.
+LossEval is read-only when built (its point, gradient and Q r refuse a
+write), so one evaluation can be shared, as the descent shares its start's.
 """
 
 from __future__ import annotations
@@ -116,18 +116,19 @@ def check_alphas(alphas: tuple[float, float, float]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LossEval:
-    """Loss value, its Euclidean gradient and its quadratic part.
+    """The loss at one point: the point, the value, its gradient and its quadratic part.
 
-    `quadratic` is (r^T Q r / 2, Q r), the value and gradient of the
-    quadratic terms, already included in both; along_line takes it from
-    combined_eval or Line.loss_eval.  The gradient and Q r are made
-    read-only when it is built, so a shared evaluation, such as the start
-    evaluation every descent from one start reuses, cannot be changed by a
-    metric.  Q 0 = 0, so E(mu) has a zero gradient and builds no K-solve
-    set-up: the K-solve returns zeros for a zero right-hand side.
-    Compared by identity.
+    `point` is the Density evaluated, so one LossEval is a descent's
+    iterate.  `quadratic` is (r^T Q r / 2, Q r), the value and gradient of
+    the quadratic terms, already included in both; along_line takes it
+    from combined_eval or Line.loss_eval.  The point, gradient and Q r are
+    read-only, so a shared evaluation, such as the start evaluation every
+    descent from one start reuses, cannot be changed by a metric.  Q 0 = 0,
+    so E(mu) has a zero gradient and builds no K-solve set-up: the K-solve
+    returns zeros for a zero right-hand side.  Compared by identity.
     """
 
+    point: Density
     value: float
     gradient: np.ndarray
     quadratic: tuple[float, np.ndarray]
@@ -161,11 +162,11 @@ def e3_eval(p: np.ndarray, mu: Density) -> LossEval:
     return combined_eval(p, LossSpec(0.0, 0.0, 1.0, mu))
 
 
-def _kl(p: np.ndarray, mu: np.ndarray, mu_mass: float) -> tuple[float, np.ndarray]:
-    """(E2, log(p/mu)) for a p > 0 of one value per site; mu_mass is mu's sum."""
-    log_ratio = np.divide(p, mu)
+def _kl(p: Density, mu: Density) -> tuple[float, np.ndarray]:
+    """(E2, log(p/mu)), with the masses each Density computed when it was built."""
+    log_ratio = np.divide(p.values, mu.values)
     np.log(log_ratio, out=log_ratio)
-    return float(p @ log_ratio) - float(p.sum()) + mu_mass, log_ratio
+    return float(p.values @ log_ratio) - p.mass + mu.mass, log_ratio
 
 
 def _quadratic_apply(spec: LossSpec, v: np.ndarray) -> np.ndarray:
@@ -194,26 +195,25 @@ def combined_eval(p: np.ndarray, spec: LossSpec) -> LossEval:
 
     The sum is alpha2 E2 + q with q = alpha1 E1 + alpha3 E3 formed as
     r^T Q r / 2, and q with its gradient Q r is also returned as
-    `quadratic`.  A site that is not finite and > 0 raises ValueError first.
+    `quadratic`.  p is checked first, as the Density it holds (`point`).
     """
-    pv = check_vector(spec.grid, p)
-    if not (pv.min() > 0.0 and pv.max() < np.inf):  # a NaN fails both
-        raise ValueError("density values must be finite and strictly positive")
-    r = pv - spec.mu.values
+    point = Density(spec.grid, p)
+    r = point.values - spec.mu.values
     qr = _quadratic_apply(spec, r)
     quadratic = (0.5 * float(r @ qr), qr)
     if spec.alpha2 == 0:
-        return LossEval(*quadratic, quadratic=quadratic)
-    kl, log_ratio = _kl(pv, spec.mu.values, spec.mu.mass)
-    return LossEval(spec.alpha2 * kl + quadratic[0], spec.alpha2 * log_ratio + qr, quadratic)
+        return LossEval(point, *quadratic, quadratic=quadratic)
+    kl, log_ratio = _kl(point, spec.mu)
+    value = spec.alpha2 * kl + quadratic[0]
+    return LossEval(point, value, spec.alpha2 * log_ratio + qr, quadratic)
 
 
 @dataclass(eq=False, slots=True)
 class LineTrial:
     """The combined loss at one trial point t = p - eta s of a `Line`.
 
-    `value` is alpha2 E2(t) + q(t), +inf when a site of t is <= 0.  A
-    feasible trial keeps t (`point`) and log(t/mu) (`log_ratio`, None when
+    `value` is alpha2 E2(t) + q(t), +inf when t is no Density.  A feasible
+    trial keeps t's Density (`point`) and log(t/mu) (`log_ratio`, None when
     alpha2 = 0), from which `Line.loss_eval` forms the gradient at t with
     no second KL pass.  Compared by identity; not frozen, since a
     frozen record takes 1.4 us to build against 0.4 us, a tenth of a
@@ -222,7 +222,7 @@ class LineTrial:
 
     value: float
     eta: float
-    point: np.ndarray | None = None
+    point: Density | None = None
     log_ratio: np.ndarray | None = None
 
 
@@ -230,14 +230,13 @@ class LineTrial:
 class Line:
     """The combined loss along p - eta s as a function of eta, built by along_line.
 
-    It holds the loss and the evaluation at p, not copies of their fields.
+    It holds the loss and the evaluation at p (p included), not copies of their fields.
     Calling it with eta prices that trial: one KL pass (none when alpha2 =
     0) and the quadratic part in closed form.  Compared by identity.
     """
 
     spec: LossSpec
-    start: LossEval  # the evaluation at p: E(p), g and (q(r), Q r)
-    p: np.ndarray
+    start: LossEval  # the evaluation at p: p, E(p), g and (q(r), Q r)
     s: np.ndarray
     qs: np.ndarray  # Q s
     s_qr: float
@@ -265,21 +264,23 @@ class Line:
         else:  # trial.log_ratio is left as it is, so a second call sees the same trial
             gradient = np.multiply(trial.log_ratio, self.spec.alpha2)
             gradient += grad_q
-        return LossEval(trial.value, gradient, (self.q_at(trial.eta), grad_q))
+        return LossEval(trial.point, trial.value, gradient, (self.q_at(trial.eta), grad_q))
 
     def __call__(self, eta: float) -> LineTrial:
+        p = self.start.point.values
         if eta == 1.0:
-            t = np.subtract(self.p, self.s)
+            t = np.subtract(p, self.s)
         else:
             t = np.multiply(self.s, eta)
-            np.subtract(self.p, t, out=t)
-        if t.min() <= 0.0:
+            np.subtract(p, t, out=t)
+        try:  # t frozen, so that the Density holds it with no copy
+            point = Density(self.spec.grid, frozen(t)[0])
+        except ValueError:  # a site not finite and > 0
             return LineTrial(np.inf, eta)
-        frozen(t)  # so that the accepted point becomes the next Density with no copy
         if self.spec.alpha2 == 0:
-            return LineTrial(self.q_at(eta), eta, t)
-        kl, log_ratio = _kl(t, self.spec.mu.values, self.spec.mu.mass)
-        return LineTrial(self.spec.alpha2 * kl + self.q_at(eta), eta, t, log_ratio)
+            return LineTrial(self.q_at(eta), eta, point)
+        kl, log_ratio = _kl(point, self.spec.mu)
+        return LineTrial(self.spec.alpha2 * kl + self.q_at(eta), eta, point, log_ratio)
 
     def lower_bounds(self, eta: float, slope: float) -> Iterator[float]:
         """Floats that self(eta).value provably cannot undercut, cheapest first.
@@ -294,7 +295,7 @@ class Line:
         above both.  The optimizer docstring derives both bounds.
         """
         alpha2 = self.spec.alpha2
-        kappa = (self.p.size + 16) * _EPS * self.spec.mu.mass
+        kappa = (self.s.size + 16) * _EPS * self.spec.mu.mass
         yield self.q_at(eta) - alpha2 * kappa
         if eta >= 1.0 or alpha2 == 0 or not eta * self.s_qs > slope:
             return
@@ -312,20 +313,20 @@ class Line:
             return math.sqrt(x @ x)
 
         alpha2, (qv, qr) = self.spec.alpha2, self.start.quadratic
-        n = self.p.size
+        n = self.s.size
         c = 2 * (n + 16) * _EPS
         gq = norm(self.start.gradient) + norm(qr) + alpha2 * math.sqrt(n)
-        p_norm = norm(self.p)
+        p_norm = norm(self.start.point.values)
         e0 = c * (p_norm * gq + 5 * alpha2 * self.spec.mu.mass)
         e0 += 8 * _EPS * (abs(self.start.value) + abs(qv))
         e1 = c * norm(self.s) * gq + 8 * _EPS * (abs(self.s_qr) + abs(slope))
         return e0, e1, 8 * _EPS * abs(self.s_qs)
 
 
-def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Line:
-    """The combined loss along p - eta s as a function of eta.
+def along_line(spec: LossSpec, ev: LossEval, s: np.ndarray) -> Line:
+    """The combined loss along p - eta s as a function of eta, p = ev.point.
 
-    ev is the evaluation at p.  The quadratic part is priced in closed form,
+    The quadratic part is priced in closed form,
 
         q(r - eta s) = q(r) - eta <s, Q r> + eta^2 / 2 <s, Q s>,
         grad q(r - eta s) = Q r - eta Q s,
@@ -334,12 +335,13 @@ def along_line(spec: LossSpec, p: np.ndarray, ev: LossEval, s: np.ndarray) -> Li
     pass (none when alpha2 = 0) and returns a LineTrial; its gradient is
     formed only by Line.loss_eval.  The quadratic part (q(r), Q r) is
     taken from ev, which must come from combined_eval or an accepted trial.
-    A trial point with a site <= 0 evaluates to +inf whatever the alphas.
+    A trial point that is no Density evaluates to +inf whatever the alphas,
+    and an ev on another grid than the loss's raises ValueError.
     """
-    pv = check_vector(spec.grid, p)
+    if ev.point.grid != spec.grid:
+        raise ValueError(f"evaluation grid {ev.point.grid} does not match grid {spec.grid}")
     s = check_vector(spec.grid, s)
     qs = _quadratic_apply(spec, s)
     return Line(
-        spec=spec, start=ev, p=pv, s=s, qs=qs,
-        s_qr=float(s @ ev.quadratic[1]), s_qs=float(s @ qs),
+        spec=spec, start=ev, s=s, qs=qs, s_qr=float(s @ ev.quadratic[1]), s_qs=float(s @ qs)
     )

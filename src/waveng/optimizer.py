@@ -11,18 +11,17 @@ up to a rounding slack (ROUNDING_SLACK), and never for a trial that
 raises the loss (`armijo_accepts`).  The loss E is the combined loss of a
 LossSpec.
 Every Density is strictly positive, the start included; a trial point
-with a site <= 0 evaluates to +inf and is rejected like any other failed
-trial, so every accepted point is a Density too.  A step stalls the run
-for one of two reasons: "non-descent direction", a slope <s, g> that is
-not a finite positive number (the run does not ascend), or "line search
-exhausted max_halvings".
+that is no Density evaluates to +inf and is rejected like any other failed
+trial.  A step stalls the run for one of two reasons: "non-descent
+direction", a slope <s, g> that is not a finite positive number (the run
+does not ascend), or "line search exhausted max_halvings".
 
 The trials go through `losses.along_line`, which prices the quadratic
 terms in closed form: a step costs one K-solve (for Q s) however many
 halvings it takes, and a trial one KL pass, with no gradient.  Only the
 accepted trial forms its evaluation, whose gradient and quadratic part
-the next step uses with no solve, and its trial point becomes the next
-density.
+the next step uses with no solve; it holds the trial's Density, so a step
+takes and returns one LossEval, the whole state of an iterate.
 
 One evaluation per start.  The paper compares its metrics from a common
 start, and so does every `waveng run` preset and benchmark panel, so
@@ -147,8 +146,6 @@ class StepDiagnostics:
     halvings: int
     trials: int  # trials priced; the other halvings - trials + 1 were ruled out unpriced
     slope: float
-    value_before: float
-    value_after: float
     reason: str = ""
 
 
@@ -201,46 +198,40 @@ def armijo_accepts(value: float, value_before: float, eta: float, slope: float) 
 
 
 def armijo_step(
-    p: Density,
-    spec: LossSpec,
-    metric: MetricFn,
-    evaluated: LossEval,
-) -> tuple[Density, LossEval, StepDiagnostics]:
-    """One backtracking step from p.
+    evaluated: LossEval, spec: LossSpec, metric: MetricFn
+) -> tuple[LossEval, StepDiagnostics]:
+    """One backtracking step from p = evaluated.point.
 
-    Returns (next density, its evaluation, diagnostics).  On a stall (see
-    the module docstring for its two reasons) the density is returned
-    unchanged and the evaluation is the one at p.
-    `evaluated` is the evaluation at p (combined_eval's or the previous
-    step's), whose quadratic part saves a K-solve.  The metric is called
-    as metric(p, g, spec.mu), so a metric built at mu (the two-level
-    combined one) gets the loss's own.  A p that is not a Density or a
-    spec that is not a LossSpec raises TypeError, and a p on another grid
-    than the loss's ValueError.  The slope <s, g> is formed once, here,
-    for the rule and the lower bounds.
+    Returns (the evaluation at the next density, diagnostics): the
+    accepted trial's evaluation, or on a stall (see the module docstring
+    for its two reasons) `evaluated` itself.  `evaluated` comes from
+    combined_eval or the previous step; its quadratic part saves a
+    K-solve.  The metric is called as metric(p, g, spec.mu), so a metric
+    built at mu (the two-level combined one) gets the loss's own.  An
+    `evaluated` that is not a LossEval or a spec that is not a LossSpec
+    raises TypeError, and a p on another grid than the loss's ValueError.
+    The slope <s, g> is formed once, here, for the rule and the lower
+    bounds.
     """
-    if not isinstance(p, Density):
-        raise TypeError(f"p must be a Density, got {type(p).__name__}")
+    if not isinstance(evaluated, LossEval):
+        raise TypeError(f"evaluated must be a LossEval, got {type(evaluated).__name__}")
     if not isinstance(spec, LossSpec):
         raise TypeError(f"spec must be a LossSpec, got {type(spec).__name__}")
+    p = evaluated.point
     if p.grid != spec.grid:
         raise ValueError(f"start grid {p.grid} is not the loss grid {spec.grid}")
 
     def stall(
         reason: str, slope: float, eta: float = 0.0, halvings: int = 0, trials: int = 0
-    ) -> tuple[Density, LossEval, StepDiagnostics]:
-        diag = StepDiagnostics(
-            accepted=False, eta=eta, halvings=halvings, trials=trials, slope=slope,
-            value_before=evaluated.value, value_after=evaluated.value, reason=reason,
-        )
-        return p, evaluated, diag
+    ) -> tuple[LossEval, StepDiagnostics]:
+        return evaluated, StepDiagnostics(False, eta, halvings, trials, slope, reason)
 
     g = evaluated.gradient
     s = metric(p, g, spec.mu)
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
         return stall("non-descent direction", slope)
-    line = along_line(spec, p.values, evaluated, s)
+    line = along_line(spec, evaluated, s)
     eta, trials = 1.0, 0
     for halvings in range(MAX_HALVINGS + 1):
         # a trial whose value a lower bound already shows to fail the rule
@@ -250,11 +241,7 @@ def armijo_step(
             trials += 1
             trial = line(eta)
             if armijo_accepts(trial.value, evaluated.value, eta, slope):
-                diag = StepDiagnostics(
-                    accepted=True, eta=eta, halvings=halvings, trials=trials, slope=slope,
-                    value_before=evaluated.value, value_after=trial.value,
-                )
-                return Density(p.grid, trial.point), line.loss_eval(trial), diag
+                return line.loss_eval(trial), StepDiagnostics(True, eta, halvings, trials, slope)
         eta *= 0.5
     return stall("line search exhausted max_halvings", slope, eta, MAX_HALVINGS, trials)
 
@@ -271,7 +258,7 @@ def run_descent(
     metric: MetricFn,
     cfg: DescentConfig = DescentConfig(),
 ) -> DescentHistory:
-    """Iterate armijo_step from p0 until the loss gap closes.
+    """Iterate armijo_step from E(p0) until the loss gap closes.
 
     The gap is E(p^k) - E(mu), which is E(p^k) itself: every term of the
     loss vanishes at mu.  Terminates on gap <= cfg.gap_tolerance
@@ -279,7 +266,8 @@ def run_descent(
     ("non-descent direction" or "line search exhausted max_halvings") in
     `stall_reason`.  p0 must be a Density and spec a LossSpec (TypeError
     otherwise), p0 strictly positive as every Density is, on the grid of mu
-    (ValueError otherwise).
+    (ValueError otherwise; combined_eval checks only p0's length).  Each
+    record reads its density from the step's LossEval (`point`).
 
     E(p0) comes from `_start_evaluation`, which holds one entry: the
     evaluation for the last (p0, spec) it was asked for, p0 matched by
@@ -295,35 +283,33 @@ def run_descent(
         raise ValueError(f"start grid {p0.grid} is not the loss grid {spec.grid}")
     history = DescentHistory()
 
-    def record(k: int, ev: LossEval, p: Density, eta: float, halvings: int) -> None:
-        r = p.values - spec.mu.values
+    def record(k: int, ev: LossEval, eta: float, halvings: int) -> None:
+        r = ev.point.values - spec.mu.values
         history.records.append(
             IterationRecord(
                 iteration=k,
                 loss=ev.value,
                 eta=eta,
                 halvings=halvings,
-                mass=p.mass,
-                min_value=p.min,
+                mass=ev.point.mass,
+                min_value=ev.point.min,
                 distance_to_reference=math.sqrt(r @ r),  # np.linalg.norm's arithmetic
             )
         )
 
-    p = p0
     ev = _start_evaluation(p0, spec)
-    record(0, ev, p, 0.0, 0)
+    record(0, ev, 0.0, 0)
     if ev.value <= cfg.gap_tolerance:
         history.status = "converged"
         return history
 
     for k in range(1, cfg.max_iterations + 1):
-        p_next, ev_next, diag = armijo_step(p, spec, metric, evaluated=ev)
+        ev, diag = armijo_step(ev, spec, metric)
         if not diag.accepted:
             history.status = "stalled"
             history.stall_reason = diag.reason
             return history
-        p, ev = p_next, ev_next
-        record(k, ev, p, diag.eta, diag.halvings)
+        record(k, ev, diag.eta, diag.halvings)
         if ev.value <= cfg.gap_tolerance:
             history.status = "converged"
             return history

@@ -9,31 +9,29 @@ gradient.
 
 import numpy as np
 
-from waveng.grid import Density
 from waveng.losses import along_line
 from waveng.optimizer import ARMIJO_COEFFICIENT, MAX_HALVINGS, ROUNDING_SLACK
 
 
-def armijo_step(p, spec, metric, evaluated):
-    """(next density, its LossEval, accepted, eta, halvings, value_after), pricing every trial.
+def armijo_step(evaluated, spec, metric):
+    """(the LossEval after the step, accepted, eta, halvings, value_after), pricing every trial.
 
-    On a stall the density and evaluation at p come back unchanged, as in
+    On a stall the evaluation at p comes back unchanged, as in
     `optimizer.armijo_step`.
     """
     ev = evaluated
     g = ev.gradient
-    s = metric(p, g, spec.mu)
+    s = metric(ev.point, g, spec.mu)
     slope = float(s @ g)
     if not np.isfinite(slope) or slope <= 0.0:
-        return p, ev, False, 0.0, 0, ev.value
-    line = along_line(spec, p.values, ev, s)
+        return ev, False, 0.0, 0, ev.value
+    line = along_line(spec, ev, s)
     eta = 1.0
     for halvings in range(MAX_HALVINGS + 1):
         trial = line(eta)
         decrease = trial.value - ev.value
         slack = ROUNDING_SLACK * (abs(ev.value) + eta * slope)
         if decrease <= 0.0 and decrease <= -ARMIJO_COEFFICIENT * eta * slope + slack:
-            next_p = Density(p.grid, trial.point)
-            return next_p, line.loss_eval(trial), True, eta, halvings, trial.value
+            return line.loss_eval(trial), True, eta, halvings, trial.value
         eta *= 0.5
-    return p, ev, False, eta, MAX_HALVINGS, ev.value
+    return ev, False, eta, MAX_HALVINGS, ev.value

@@ -189,7 +189,7 @@ def test_cached_and_keyed_arrays_are_read_only(dim, n):
     p0 = uniform_density(grid)
     spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
     start = optimizer._start_evaluation(p0, spec)
-    line = along_line(spec, p0.values, start, 0.5 * (p0.values - mu.values))
+    line = along_line(spec, start, 0.5 * (p0.values - mu.values))
     held = {
         "mu": mu,
         "basis": basis,
@@ -205,7 +205,8 @@ def test_cached_and_keyed_arrays_are_read_only(dim, n):
         held["closed_form_set_up"] = operators._closed_form_set_up(mu)
     names = [name for key, item in held.items() for name, _ in held_arrays(item, key)]
     want = {"basis.matrix.indptr", "precomp.h2.data", "precomp.h3", "block[0]", "block[1]",
-            "start_evaluation.gradient", "start_evaluation.quadratic[1]",
+            "start_evaluation.point.values", "start_evaluation.gradient",
+            "start_evaluation.quadratic[1]", "step_evaluation.point.values",
             "step_evaluation.gradient", "step_evaluation.quadratic[1]"}
     assert want <= set(names)
     assert ("scaled_operator.matrix.data" if dim == 2 else "closed_form_set_up[0]") in names

@@ -81,11 +81,11 @@ def drawn_problem(case):
 
 
 def assert_same_step(got, want):
-    (p, ev, diag), (want_p, want_ev, accepted, eta, halvings, value_after) = got, want
+    (ev, diag), (want_ev, accepted, eta, halvings, value_after) = got, want
     assert diag.accepted == accepted
     assert diag.eta.hex() == eta.hex() and diag.halvings == halvings
-    assert diag.value_after.hex() == value_after.hex()
-    assert p.values.tobytes() == want_p.values.tobytes()
+    assert ev.value.hex() == value_after.hex()
+    assert ev.point.values.tobytes() == want_ev.point.values.tobytes()
     assert ev.value.hex() == want_ev.value.hex()
     assert ev.gradient.tobytes() == want_ev.gradient.tobytes()
     assert ev.quadratic[0].hex() == want_ev.quadratic[0].hex()
@@ -95,21 +95,22 @@ def assert_same_step(got, want):
 
 
 def assert_matches_oracle(spec, p, metric, steps=1):
+    """The last step's (evaluation before, evaluation after, diagnostics)."""
     ev = combined_eval(p.values, spec)
     for _ in range(steps):
-        got = armijo_step(p, spec, metric, evaluated=ev)
-        assert_same_step(got, ref.armijo_step(p, spec, metric, evaluated=ev))
-        p, ev, diag = got
+        before = ev
+        ev, diag = armijo_step(before, spec, metric)
+        assert_same_step((ev, diag), ref.armijo_step(before, spec, metric))
         if not diag.accepted:
-            return diag
-    return diag
+            break
+    return before, ev, diag
 
 
 def certified_but_accepted(spec, p, s):
     """Every eta = 2^-k that a lower bound rules out although full pricing accepts it."""
     ev = combined_eval(p.values, spec)
     slope = float(s @ ev.gradient)
-    line = along_line(spec, p.values, ev, s)
+    line = along_line(spec, ev, s)
     wrong = []
     for k in range(SOUNDNESS_HALVINGS + 1):
         eta = 0.5**k
@@ -176,7 +177,7 @@ def crossing_line(seed, gap):
         p = random_density(grid, rng)
         eta_slope = 1e-6 * combined_eval(p.values, spec).value
     s = crossing_direction(spec, p, 0.25, 5e-10, eta_slope)
-    line = along_line(spec, p.values, combined_eval(p.values, spec), s)
+    line = along_line(spec, combined_eval(p.values, spec), s)
     ratio = 0.25 * line.s_qs / float(s @ combined_eval(p.values, spec).gradient)
     assert 1.0 < ratio <= 1.0 + 1e-9, ratio
     return spec, p, s
@@ -255,13 +256,13 @@ def test_step_matches_pricing_every_trial(case):
 @pytest.mark.parametrize("name", CONSTRUCTED)
 def test_constructed_step_matches_pricing_every_trial(name):
     spec, p, s = CONSTRUCTED[name]()
-    diag = assert_matches_oracle(spec, p, lambda dens, grad, mu: s)
+    before, after, diag = assert_matches_oracle(spec, p, lambda dens, grad, mu: s)
     if name == "huge":
         assert not diag.accepted and diag.halvings == MAX_HALVINGS == 60
         assert diag.trials == 0  # the scalar bound rules out every trial unpriced
     if name == "rise-inside-slack":
         assert diag.accepted and diag.halvings >= 1
-        assert diag.value_after <= diag.value_before
+        assert after.value <= before.value
 
 
 @PROPERTY_SETTINGS
@@ -298,7 +299,7 @@ def test_wasserstein_prices_few_trials_per_step():
     halvings = trials = 0
     steps = 200
     for _ in range(steps):
-        p, ev, diag = armijo_step(p, spec, wasserstein, evaluated=ev)
+        ev, diag = armijo_step(ev, spec, wasserstein)
         assert diag.accepted
         halvings += diag.halvings
         trials += diag.trials

@@ -6,9 +6,10 @@ import pytest
 import waveng
 from waveng import operators
 from waveng.experiments import build_potential, load_preset
-from waveng.grid import Density, make_grid, reference_measure, uniform_density
+from waveng.grid import Density, frozen, make_grid, reference_measure, uniform_density
 from waveng.losses import (
     KLForm,
+    Line,
     LossSpec,
     along_line,
     combined_eval,
@@ -334,10 +335,32 @@ class TestSiteArrays:
         s = np.random.default_rng(5).standard_normal(16) * 1e-3
         for bad in (np.array([1 / 16]), np.full(17, 1 / 16)):
             with pytest.raises(ValueError, match="does not match grid"):
-                along_line(spec, bad, ev, s)
+                along_line(spec, ev, np.zeros_like(bad))
+        # the start is the evaluation's point, on another grid here: 1D n = 32,
+        # and 2D 4 x 4 with mu's site count
+        for other in (make_grid(1, 32), make_grid(2, 4)):
+            other_spec = LossSpec(*alphas, mu=uniform_density(other))
+            other_ev = combined_eval(uniform_density(other).values, other_spec)
             with pytest.raises(ValueError, match="does not match grid"):
-                along_line(spec, p, ev, np.zeros_like(bad))
-        assert along_line(spec, p, ev, s)(1.0).point is not None
+                along_line(spec, other_ev, s)
+        assert along_line(spec, ev, s)(1.0).point is not None
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_evaluation_holds_its_point(self, dim, n):
+        # combined_eval checks p by building the Density it holds: a writable
+        # input is copied, so a later write leaves the point as it was, and a
+        # frozen float64 array that owns its data is held as it is
+        mu = self.measure(dim, n)
+        spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
+        uniform = uniform_density(mu.grid).values
+        p = uniform.copy()
+        ev = combined_eval(p, spec)
+        assert isinstance(ev.point, Density) and ev.point.grid == mu.grid
+        assert not np.shares_memory(ev.point.values, p)
+        p[3] = 1.0
+        np.testing.assert_array_equal(ev.point.values, uniform)
+        (held,) = frozen(uniform.copy())
+        assert combined_eval(held, spec).point.values is held
 
     @pytest.mark.parametrize("entry", [*LOSSES, "transform_forward"])
     def test_density_refused_with_a_hint(self, entry):
@@ -391,15 +414,22 @@ class TestDomain:
         assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
     @pytest.mark.parametrize("mix", MIXES)
-    @pytest.mark.parametrize("bad", [0.0, -1e-9])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_line_trial_prices_inf(self, mix, bad, dim, n):
+        # a trial point that is no Density is priced +inf and keeps no point;
+        # a NaN site used to pass the line's t.min() <= 0 test and price NaN
         mu = TestSiteArrays.measure(dim, n)
         spec = LossSpec(*self.MIXES[mix], mu=mu)
         p = mu.values
         t = p.copy()
         t[3] = bad
-        trial = along_line(spec, p, combined_eval(p, spec), p - t)(1.0)
+        s, ev = p - t, combined_eval(p, spec)
+        if np.isfinite(bad):
+            line = along_line(spec, ev, s)
+        else:  # along_line's Q s refuses a non-finite s; a +inf trial reads no Q s
+            line = Line(spec, ev, s, qs=np.zeros_like(s), s_qr=0.0, s_qs=0.0)
+        trial = line(1.0)
         assert trial.value == np.inf and trial.point is None
 
 

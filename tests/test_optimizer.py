@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waveng.experiments import build_potential, load_preset
-from waveng.grid import Density, make_grid, reference_measure, uniform_density
+from waveng.grid import Density, frozen, make_grid, reference_measure, uniform_density
 from waveng.losses import LossEval, LossSpec, along_line, combined_eval, e2_eval
 from waveng.metrics import (
     COARSE_BLOCK,
@@ -13,7 +13,7 @@ from waveng.metrics import (
     metric_apply_fn,
 )
 from waveng.operators import EllipticSolveConfig, laplacian_apply, weighted_elliptic_pinv_apply
-from waveng import optimizer
+from waveng import losses, optimizer
 from waveng.optimizer import MAX_HALVINGS, DescentConfig, armijo_step, run_descent
 from waveng.wavelets import make_basis
 
@@ -55,12 +55,13 @@ class TestArmijoStep:
         # the Newton step eta = 1 is accepted with no halving and lands on mu
         for dim, n in NEWTON_CASES:
             p, mu, spec, mahalanobis = newton_setup(dim, n)
-            p_next, ev, diag = armijo_step(p, spec, mahalanobis, combined_eval(p.values, spec))
+            before = combined_eval(p.values, spec)
+            ev, diag = armijo_step(before, spec, mahalanobis)
             case = f"dim {dim}, n {n}"
             assert diag.accepted and diag.eta == 1.0 and diag.halvings == 0, case
-            assert diag.value_after <= diag.value_before, case
-            np.testing.assert_allclose(p_next.values, mu.values, rtol=0.0, atol=1e-15, err_msg=case)
-            assert abs(ev.value) <= 1e-14 * diag.value_before, case
+            assert ev.value <= before.value, case
+            np.testing.assert_allclose(ev.point.values, mu.values, rtol=0.0, atol=1e-15, err_msg=case)
+            assert abs(ev.value) <= 1e-14 * before.value, case
 
     def test_slack_never_accepts_a_rise(self):
         # a direction almost orthogonal to g, with slope 1e-18 E(p), whose
@@ -74,10 +75,10 @@ class TestArmijoStep:
         v /= np.linalg.norm(v)
         s = np.sqrt(2e-15 * ev.value / (v @ laplacian_apply(p.grid, v))) * v
         s += 1e-18 * ev.value / (g @ g) * g
-        assert along_line(spec, p.values, ev, s)(1.0).value > ev.value
-        _, _, diag = armijo_step(p, spec, lambda dens, grad, mu: s, ev)
+        assert along_line(spec, ev, s)(1.0).value > ev.value
+        after, diag = armijo_step(ev, spec, lambda dens, grad, mu: s)
         assert diag.accepted and diag.halvings >= 1
-        assert diag.value_after <= diag.value_before
+        assert after.value <= ev.value
 
     def test_non_descent_direction_stalls(self):
         # an ascent direction, and a direction with a NaN or infinite site
@@ -90,10 +91,10 @@ class TestArmijoStep:
             directions.append(g.copy())
             directions[-1][0] = value
         for s in directions:
-            p_next, _, diag = armijo_step(p, spec, lambda dens, grad, mu: s, ev)
+            after, diag = armijo_step(ev, spec, lambda dens, grad, mu: s)
             assert not diag.accepted and diag.reason == "non-descent direction"
             assert diag.halvings == diag.trials == 0
-            np.testing.assert_array_equal(p_next.values, p.values)
+            np.testing.assert_array_equal(after.point.values, p.values)
 
     def test_infeasible_trial_forces_halving(self):
         # a direction large enough to leave the positive orthant at eta = 1
@@ -101,27 +102,28 @@ class TestArmijoStep:
         grid, mu, spec, _ = sin_setup(16, alphas=(0.0, 1.0, 0.0))
         p = uniform_density(grid)
         big = lambda dens, g, mu: np.full(16, 2.0 / 16) * np.sign(g.sum() or 1.0)
-        p_next, _, diag = armijo_step(p, spec, big, combined_eval(p.values, spec))
+        after, diag = armijo_step(combined_eval(p.values, spec), spec, big)
         assert diag.halvings >= 1
         if diag.accepted:
-            assert p_next.min > 0
+            assert after.point.min > 0
 
     def test_exhausts_max_halvings(self):
         # a direction 1e30 times the gradient leaves the positive orthant even
         # at eta = 2^-60, so every trial is +inf and every halving is spent
         p, _, spec, _ = newton_setup()
         huge = lambda dens, g, mu: 1e30 * g
-        p_next, ev, diag = armijo_step(p, spec, huge, combined_eval(p.values, spec))
+        before = combined_eval(p.values, spec)
+        ev, diag = armijo_step(before, spec, huge)
         assert not diag.accepted and diag.halvings == MAX_HALVINGS == 60
         assert "max_halvings" in diag.reason
-        np.testing.assert_array_equal(p_next.values, p.values)
-        assert ev.value == diag.value_before
+        np.testing.assert_array_equal(ev.point.values, p.values)
+        assert ev.value == before.value
 
     def test_fixed_point_at_mu(self):
         grid, mu, spec, metric = sin_setup()
-        p_next, _, diag = armijo_step(mu, spec, metric, combined_eval(mu.values, spec))
+        ev, diag = armijo_step(combined_eval(mu.values, spec), spec, metric)
         assert not diag.accepted  # zero gradient -> zero direction -> stall
-        assert np.max(np.abs(p_next.values - mu.values)) <= 1e-10
+        assert np.max(np.abs(ev.point.values - mu.values)) <= 1e-10
 
 
 def preset_setup(preset_id, solve_config=EllipticSolveConfig(), n=None,
@@ -161,9 +163,9 @@ class TestLineSearch:
         # comparison measures the carried update, not the CG error of both sides
         grid, spec, metric = preset_setup(preset_id, EllipticSolveConfig(rel_tolerance=1e-13))
         p = uniform_density(grid)
-        p_next, ev, diag = armijo_step(p, spec, metric, combined_eval(p.values, spec))
+        ev, diag = armijo_step(combined_eval(p.values, spec), spec, metric)
         assert diag.accepted
-        assert_matches_fresh(ev, p_next, spec, 1e-12)
+        assert_matches_fresh(ev, ev.point, spec, 1e-12)
 
     def test_carried_evaluation_after_2000_steps(self):
         grid, spec, _ = preset_setup("1d-4")
@@ -171,9 +173,9 @@ class TestLineSearch:
         p = uniform_density(grid)
         ev = combined_eval(p.values, spec)
         for _ in range(2000):
-            p, ev, diag = armijo_step(p, spec, wasserstein, evaluated=ev)
+            ev, diag = armijo_step(ev, spec, wasserstein)
             assert diag.accepted
-        assert_matches_fresh(ev, p, spec, 1e-9)
+        assert_matches_fresh(ev, ev.point, spec, 1e-9)
 
     @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
@@ -189,30 +191,57 @@ class TestLineSearch:
         g = ev.gradient
         # twice the step that first empties a site: eta = 1 is infeasible
         s = 2.0 * np.max(p.values[g > 0] / g[g > 0]) * g
-        line = along_line(spec, p.values, ev, s)
+        line = along_line(spec, ev, s)
         infeasible = line(1.0)
         assert infeasible.value == np.inf and infeasible.point is None
         with pytest.raises(ValueError, match="infeasible"):
             line.loss_eval(infeasible)
-        halved = armijo_step(p, spec, lambda dens, grad, mu: s, evaluated=ev)
-        assert halved[2].accepted and halved[2].halvings >= 1
-        full_s = halved[2].eta * s  # the accepted step as the direction, which eta = 1 takes
-        full = armijo_step(p, spec, lambda dens, grad, mu: full_s, evaluated=ev)
-        assert full[2].accepted and full[2].eta == 1.0 and full[2].halvings == 0
-        for s, (p_next, got, diag) in ((s, halved), (full_s, full)):
+        halved = armijo_step(ev, spec, lambda dens, grad, mu: s)
+        assert halved[1].accepted and halved[1].halvings >= 1
+        full_s = halved[1].eta * s  # the accepted step as the direction, which eta = 1 takes
+        full = armijo_step(ev, spec, lambda dens, grad, mu: full_s)
+        assert full[1].accepted and full[1].eta == 1.0 and full[1].halvings == 0
+        for s, (got, diag) in ((s, halved), (full_s, full)):
             eta = diag.eta
             t = p.values - eta * s
-            assert p_next.values.tobytes() == t.tobytes()
+            assert got.point.values.tobytes() == t.tobytes()
             qv, qr = ev.quadratic
             ks = weighted_elliptic_pinv_apply(mu, s, spec.solve_config)
             qs = a1 * ks + a3 * laplacian_apply(mu.grid, s)
             q = qv - eta * float(s @ qr) + 0.5 * eta * eta * float(s @ qs)
             grad_q = qr - eta * qs
             kl = e2_eval(t, mu)
-            assert got.value == a2 * kl.value + q == diag.value_after
+            assert got.value == a2 * kl.value + q
             np.testing.assert_array_equal(got.gradient, a2 * kl.gradient + grad_q)
             assert got.quadratic[0] == q
             np.testing.assert_array_equal(got.quadratic[1], grad_q)
+
+    @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
+    def test_accepted_step_holds_the_trial_density(self, alphas, monkeypatch):
+        # the step returns the accepted trial's evaluation, whose point is the
+        # very Density the line built for that trial, holding the t the line
+        # formed and froze: no second Density and no copy per accepted step
+        p, mu, _, _ = newton_setup(1, 64)
+        spec = LossSpec(*alphas, mu=mu)
+        trials, made = [], []
+        call = losses.Line.__call__
+
+        def recorded_call(line, eta):
+            trials.append(call(line, eta))
+            return trials[-1]
+
+        def recorded_frozen(*items):
+            made.extend(items)
+            return frozen(*items)
+
+        monkeypatch.setattr(losses.Line, "__call__", recorded_call)
+        monkeypatch.setattr(losses, "frozen", recorded_frozen)
+        ev = combined_eval(p.values, spec)
+        for scale in (0.5, 4.0):  # eta = 1 accepted, then a step after halvings
+            got, diag = armijo_step(ev, spec, lambda dens, grad, mu: scale * (p.values - mu.values))
+            assert diag.accepted and (diag.halvings >= 1) == (scale > 1)
+            assert got.point is trials[-1].point
+            assert any(got.point.values is t for t in made)
 
     @pytest.mark.parametrize("alphas", [(1.0, 0.0, 1e-4), (1.0, 1e-3, 1e-4)], ids=["a2=0", "a2>0"])
     def test_loss_eval_twice_is_the_same(self, alphas):
@@ -221,19 +250,20 @@ class TestLineSearch:
         p, mu, _, _ = newton_setup(1, 64)
         spec = LossSpec(*alphas, mu=mu)
         ev = combined_eval(p.values, spec)
-        line = along_line(spec, p.values, ev, 0.5 * ev.gradient * p.values)
+        line = along_line(spec, ev, 0.5 * ev.gradient * p.values)
         trial = line(0.5)
         assert trial.point is not None
-        # frozen, so an accepted point becomes the next density uncopied
-        assert Density(p.grid, trial.point).values is trial.point
-        point = trial.point.copy()
+        # frozen, so a Density built on the trial's values holds them uncopied
+        assert Density(p.grid, trial.point.values).values is trial.point.values
+        point = trial.point.values.copy()
         log_ratio = None if trial.log_ratio is None else trial.log_ratio.copy()
         first, second = line.loss_eval(trial), line.loss_eval(trial)
+        assert first.point is second.point is trial.point
         assert first.gradient is not second.gradient
         np.testing.assert_array_equal(first.gradient, second.gradient)
         np.testing.assert_array_equal(first.quadratic[1], second.quadratic[1])
         assert first.value == second.value and first.quadratic[0] == second.quadratic[0]
-        np.testing.assert_array_equal(trial.point, point)
+        np.testing.assert_array_equal(trial.point.values, point)
         if log_ratio is not None:
             np.testing.assert_array_equal(trial.log_ratio, log_ratio)
 
@@ -243,7 +273,7 @@ class TestLineSearch:
         grid, spec, _ = preset_setup("1d-4")
         ev = combined_eval(uniform_density(grid).values, spec)
         with pytest.raises(TypeError, match="quadratic"):
-            LossEval(value=ev.value, gradient=ev.gradient)
+            LossEval(point=ev.point, value=ev.value, gradient=ev.gradient)
 
 
 class TestRunDescent:
@@ -407,16 +437,17 @@ class TestRunDescent:
         with pytest.raises(TypeError, match="spec must be a LossSpec, got str"):
             run_descent(p, "1d-4", metric)
         with pytest.raises(TypeError, match="spec must be a LossSpec, got str"):
-            armijo_step(p, "1d-4", metric, combined_eval(p.values, spec))
+            armijo_step(combined_eval(p.values, spec), "1d-4", metric)
         with pytest.raises(TypeError, match="spec must be a LossSpec, got dict"):
             run_descent(p, {}, metric)  # refused before the start cache hashes it
 
-    def test_armijo_step_rejects_point_that_is_not_a_density(self):
-        # used to raise AttributeError: 'numpy.ndarray' object has no attribute 'grid'
+    def test_armijo_step_rejects_evaluated_that_is_not_a_loss_eval(self):
+        # a bare point, a Density or its values, carries no evaluation
         grid, mu, spec, metric = sin_setup(16)
-        p = uniform_density(grid).values
-        with pytest.raises(TypeError, match="p must be a Density, got ndarray"):
-            armijo_step(p, spec, metric, combined_eval(p, spec))
+        p = uniform_density(grid)
+        for bad in (p, p.values):
+            with pytest.raises(TypeError, match=f"must be a LossEval, got {type(bad).__name__}"):
+                armijo_step(bad, spec, metric)
 
     def test_rejects_nonpositive_start(self):
         # no start with a site <= 0 reaches run_descent: the Density refuses it
@@ -434,15 +465,16 @@ class TestRunDescent:
         with pytest.raises(ValueError, match="grid"):
             run_descent(uniform_density(make_grid(1, 16)), spec, identity_metric)
 
-    def test_armijo_step_rejects_density_on_another_grid(self):
-        # same site count (16), different grid: combined_eval checks only the
-        # length, so the step used to be accepted
-        grid = make_grid(2, 4)
-        mu = reference_measure(grid, np.linspace(0.0, 1.0, 16))
-        spec = LossSpec(1.0, 1e-3, 1e-4, mu=mu)
-        p = uniform_density(make_grid(1, 16))
+    def test_armijo_step_rejects_evaluation_on_another_grid(self):
+        # same site count (16), different grid: an evaluation at a point on
+        # 1D n = 16 under a loss on 2D 4 x 4
+        grid, other = make_grid(2, 4), make_grid(1, 16)
+        spec = LossSpec(1.0, 1e-3, 1e-4, mu=reference_measure(grid, np.linspace(0.0, 1.0, 16)))
+        other_spec = LossSpec(1.0, 1e-3, 1e-4, mu=uniform_density(other))
+        ev = combined_eval(uniform_density(other).values, other_spec)
+        assert ev.point.grid == other
         with pytest.raises(ValueError, match="start grid .* is not the loss grid"):
-            armijo_step(p, spec, identity_metric, combined_eval(p.values, spec))
+            armijo_step(ev, spec, identity_metric)
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_rejects_metric_bound_to_another_grid(self, kind):

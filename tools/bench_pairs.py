@@ -22,7 +22,10 @@ a tie counts for neither side.  Each metric then gets one verdict:
                         parent's median;
     no resolved change  otherwise.
 
-It then prints each side's failed and attempted operations.
+It then prints each side's failed and attempted operations and its
+`src_lines_total`, the source line count that each run's `env:` line
+reports, so a change that deletes code states its count from the same runs
+as its metrics.
 
 This tool imports nothing from perfbench/ and writes nothing there but what
 the benchmark itself writes.  It exits 1 when any run is not `correct`,
@@ -58,7 +61,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict | None:
-    """One benchmark run in root: its JSON result, or None when it printed none."""
+    """One benchmark run in root: its JSON result, with its `env:` line as "env", or None."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -70,6 +73,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict | None:
     if proc.returncode != 0 or not isinstance(result, dict):
         sys.stderr.write(f"{root}: exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
         return None
+    env = [line.removeprefix("env: ") for line in lines if line.startswith("env: ")]
+    result["env"] = json.loads(env[0]) if env else {}
     return result
 
 
@@ -140,7 +145,11 @@ def main(argv: list[str]) -> int:
         failed = sum(r["failed"] for r in done)
         attempted = sum(r["attempted"] for r in done)
         incorrect = sum(not r["correct"] for r in done) + results[side].count(None)
-        print(f"{side:6s} failed operations {failed} of {attempted}; runs not correct: {incorrect}")
+        src_lines = sorted({str(r["env"].get("src_lines_total", "-")) for r in done})
+        print(
+            f"{side:6s} failed operations {failed} of {attempted}; runs not correct: {incorrect}; "
+            f"src_lines_total {'/'.join(src_lines) or '-'}"
+        )
     return 0 if ok else 1
 
 
