@@ -1,23 +1,22 @@
 """Periodic uniform grids on [0,1]^d, densities over them, and the tensor rule.
 
 Grids are 1D or 2D with n sites per direction (n a power of two, as the
-wavelet layout requires).  A Density holds its mass per site, finite and
-strictly positive values, read-only: construction refuses any other, and
-that check is the one domain rule: a loss evaluation builds the Density it
-holds, a line-search trial that is no Density is priced +inf, and the
-weighted solve, the metrics and the descent take positivity as given.  It
+wavelet layout requires).  A Density holds its mass per site, read-only,
+and its construction is the one domain rule: the min is > 0 (which a NaN
+fails) and the mass is finite (which a site at +inf or a sum that
+overflows fails).  A loss evaluation builds the Density it holds, a
+line-search trial that is no Density is priced +inf, and the weighted
+solve, the metrics and the descent take positivity as given.  A Density
 copies the array it is given (a loss's writable p) unless that array is
 frozen, C-contiguous float64 and owns its data (a trial point, which the
 line froze), and keeps the min and the mass that its check computes.  It
 is compared and hashed by identity, so a cache can key on it (`operators`
 keeps the 2D solve's set-up per weight density); `frozen` alone makes
 arrays read-only.
-Every other site vector, a potential, a gradient or the argument of a
-loss, is a plain array of one value per site, and each public entry
-checks its length.
-Densities and site vectors take integer or real float dtypes, cast to
-float64; complex or non-numeric input raises TypeError, decided by the
-dtype alone.
+Every site vector, a density's values, a potential, a gradient or the
+argument of a loss, passes `check_vector`: one value per site, of an
+integer or real float dtype, cast to float64; complex or non-numeric
+input raises TypeError, decided by the dtype alone.
 Reference measures are Boltzmann weights of a potential V, exp(-V)/Z.
 
 Sites are flattened row-major, site (i1, i2) at i1*n + i2.  A 2D
@@ -94,15 +93,16 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Mass-per-site vector over a grid, of finite, strictly positive values.
+    """Mass-per-site vector over a grid: min > 0 and a finite mass.
 
-    `values` is read-only and no writable array shares its data, so neither
-    the density nor a cache keyed on it changes when the caller writes to
-    the array passed in.  A frozen, C-contiguous float64 array that owns
-    its data is held as it is (a line-search trial point, which the line
-    froze, or a Density's values); any other input is copied, then frozen.
-    `min` and `mass` are the values' min and sum, computed once, when the
-    values are checked.  Equality and hash are by identity.
+    The values pass `check_vector`.  They are read-only and no writable
+    array shares their data, so neither the density nor a cache keyed on
+    it changes when the caller writes to the array passed in.  A frozen,
+    C-contiguous float64 array that owns its data is held as it is (a
+    line-search trial point, which the line froze, or a Density's values);
+    any other input is copied, then frozen.  `min` and `mass` are the
+    values' min and sum, computed once, when the values are checked.
+    Equality and hash are by identity.
     """
 
     grid: Grid
@@ -111,20 +111,18 @@ class Density:
     mass: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = _real(self.values, "density values")
+        values = check_vector(self.grid, self.values)
         flags = values.flags
         if flags.writeable or not (flags.owndata and flags.c_contiguous):
             (values,) = frozen(np.array(values))
         object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.total,):
-            raise ValueError(
-                f"density shape {values.shape} does not match grid ({self.grid.total},)"
-            )
         lowest = float(values.min())
-        if not (lowest > 0.0 and values.max() < np.inf):  # a NaN fails both
-            raise ValueError("density values must be finite and strictly positive")
+        with np.errstate(over="ignore"):  # a sum that overflows is refused, not warned of
+            mass = float(values.sum())
+        if not (lowest > 0.0 and mass < math.inf):  # a NaN fails the min
+            raise ValueError("density values and their sum must be finite and strictly positive")
         object.__setattr__(self, "min", lowest)
-        object.__setattr__(self, "mass", float(values.sum()))
+        object.__setattr__(self, "mass", mass)
 
 
 def make_grid(dim: int, n: int) -> Grid:
@@ -141,25 +139,23 @@ def site_coordinates(grid: Grid) -> np.ndarray:
     return np.stack([x1.ravel(), x2.ravel()])
 
 
-def boltzmann_weights(v: np.ndarray) -> np.ndarray:
-    """Normalized exp(-v), max-shifted so large potentials cannot overflow."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.exp(-(v - v.min()))
-    return w / w.sum()
-
-
 def reference_measure(grid: Grid, potential: np.ndarray) -> Density:
-    """Reference density exp(-V)/Z, V one value per site; sums to 1, ValueError unless > 0."""
-    v = _real(potential, "potential values")
-    if v.shape != (grid.total,):
-        raise ValueError(f"potential has {v.shape} values, grid expects ({grid.total},)")
+    """Reference density exp(-V)/Z, V one value per site as `check_vector` takes it.
+
+    V must be finite.  exp(-(V - min V)) cannot overflow; where a site's
+    weight underflows to 0, or the span of V is past the float range, the
+    weights are no Density and ValueError names the span.
+    """
+    v = check_vector(grid, potential)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential values must be finite")
     span = float(v.max()) - float(v.min())  # Python floats: inf past the float range, no warning
     if math.isfinite(span):
-        w = boltzmann_weights(v)
-        if w.min() > 0.0:
-            return Density(grid, w)
+        w = np.exp(-(v - v.min()))
+        try:
+            return Density(grid, w / w.sum())
+        except ValueError:  # a site's weight underflowed to 0
+            pass
     raise ValueError(f"potential spans {span:.6g}: exp(-V) underflows to 0 at a site")
 
 
@@ -169,24 +165,19 @@ def uniform_density(grid: Grid) -> Density:
 
 
 def check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v as float64; ValueError unless it holds one value per site, TypeError as _real."""
-    v = _real(v, "site values")
-    if v.shape != (grid.total,):
-        raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
-    return v
+    """v as float64; ValueError unless it holds one value per site.
 
-
-def _real(v: np.ndarray, what: str) -> np.ndarray:
-    """v as a float64 array; TypeError unless its dtype is integer or real float.
-
-    Decided by the dtype alone, with no pass over the data.  A float64
-    array is returned as it is, and a Density refused with a hint.
+    TypeError unless its dtype is integer or real float, decided by the
+    dtype alone, with no pass over the data, and for a Density, with a
+    hint.  A float64 array is returned as it is.
     """
     if isinstance(v, Density):
         raise TypeError("got a Density where site values are expected: pass its .values")
     v = np.asarray(v)
     if v.dtype.kind not in _REAL_KINDS:
-        raise TypeError(f"{what} must be real numbers, got dtype {v.dtype}")
+        raise TypeError(f"site values must be real numbers, got dtype {v.dtype}")
+    if v.shape != (grid.total,):
+        raise ValueError(f"vector shape {v.shape} does not match grid ({grid.total},)")
     return v.astype(np.float64, copy=False)
 
 

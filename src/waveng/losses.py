@@ -7,9 +7,10 @@ p - mu.  Every term is nonnegative and vanishes at mu, so E(mu) = 0 is the
 minimum; E2 vanishes only there.  Each evaluation takes p as a plain array
 of site values and builds from it the Density on mu's grid that the
 LossEval holds (`point`), so it raises ValueError, at every alpha and
-before any solve, unless p holds one finite, strictly positive value per
-site.  Only a trial of a Line prices a point that is no Density, as +inf,
-so that the backtracking line search rejects it like any other failed trial.
+before any solve, unless p holds one value per site, with min > 0 and a
+finite mass.  Only a trial of a Line prices a point that is no Density,
+as +inf, so that the backtracking line search rejects it like any other
+failed trial.
 
 With r = p - mu the transport and Dirichlet terms together are the
 quadratic q(r) = r^T Q r / 2 with Q = alpha1 K + alpha3 A, where K is fixed
@@ -18,7 +19,7 @@ so `along_line` forms Q s once (one K-solve) and returns a Line, on which
 a trial step costs two new arrays, t = p - eta s (at eta = 1 the subtract
 alone, since 1 * s is exact; otherwise a multiply, then the subtract in
 place) and log(t/mu) (a divide, then the log in place), the Density
-check of t (its min, max and sum) and one dot product.  t is frozen
+check of t (its min and sum) and one dot product.  t is frozen
 first, so its Density holds it with no copy.  The Line returns a
 LineTrial holding the value, that Density and log(t/mu), and builds no
 gradient; the KL reads mass(t) and mass(mu) from their Densities.  The
@@ -275,7 +276,7 @@ class Line:
             np.subtract(p, t, out=t)
         try:  # t frozen, so that the Density holds it with no copy
             point = Density(self.spec.grid, frozen(t)[0])
-        except ValueError:  # a site not finite and > 0
+        except ValueError:  # a site not > 0, or a mass not finite
             return LineTrial(np.inf, eta)
         if self.spec.alpha2 == 0:
             return LineTrial(self.q_at(eta), eta, point)

@@ -15,7 +15,7 @@ Laplacian took 6.5 against 6.2 us, about its one CSR matvec's time.
 The Laplacian makes two site arrays, its output and 2 v, in which the 2D
 form then sums its axis-0 term once the last axis has read it.  D
 itself is built as a matrix only by the 2D solve's set-up
-(`scaled_operator`), which assembles L_w = sum_a D_a^T diag(w) D_a by
+(`_scaled_operator`), which assembles L_w = sum_a D_a^T diag(w) D_a by
 lifting D_a with Kronecker products.  L_w is inverted on the mean-zero
 subspace: in 1D in closed form with two cumulative sums, in 2D by
 conjugate gradients in the scaled variable y = S x, on A = S^-1 L_w S^-1
@@ -27,11 +27,12 @@ the exact inverse of A's Galerkin block on the low Fourier modes
 changes A as much as -Delta's own eigenvalues there, and the Laplacian
 pseudo-inverse on the other modes, where A and -Delta differ only at
 second order in the grid spacing for a smooth w.  The part of each solve
-fixed by w is cached, read-only, for the last weight density it was built
-for (a Density is keyed by identity), so a caller with a fixed w (the
-loss's mu) pays once per run: in 2D A as CSR, s, 1/s and the coarse
-block's inverse (`ScaledOperator`), in 1D 1/w, its sum, argmin w and
-max w.
+fixed by w is one private cache per dimension, kept for the last weight
+density it was built for (a Density is keyed by identity) and returning
+a tuple of read-only arrays, so a caller with a fixed w (the loss's mu)
+pays once per run: in 2D A as CSR, s, 1/s and the coarse block's inverse
+(`_scaled_operator`), in 1D 1/w, its sum, argmin w and max w
+(`_closed_form_set_up`).
 
 The constant-coefficient pseudo-inverse (-Delta)^+ is diagonalized by the
 periodic Fourier modes.  Each grid gets one cached map, v -> (-Delta)^+ v:
@@ -64,7 +65,6 @@ __all__ = [
     "laplacian_apply",
     "laplacian_pinv_apply",
     "weighted_flux_apply",
-    "scaled_operator",
     "symmetric_inverse",
     "weighted_elliptic_pinv_apply",
 ]
@@ -207,37 +207,25 @@ def weighted_flux_apply(w: Density, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledOperator:
-    """The part of the 2D weighted solve fixed by w, S = diag(scale); compared by identity."""
-
-    matrix: sp.csr_matrix  # A = S^-1 L_w S^-1
-    scale: np.ndarray  # s_i = sqrt(L_w[i, i] / (2 dim n^2)), the mean edge weight's root
-    inv_scale: np.ndarray
-    coarse_inverse: np.ndarray  # (E^T A E + beta c c^T)^-1 on the coarse modes E, symmetric
-
-
 @functools.lru_cache(maxsize=1)  # a run has one reference measure
-def scaled_operator(w: Density) -> ScaledOperator:
-    """A = S^-1 L_w S^-1 as CSR, its scale s, 1 / s and the coarse inverse, for a 2D w.
+def _scaled_operator(w: Density) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2D solve's set-up: A = S^-1 L_w S^-1 as CSR, its scale s, 1 / s, the coarse inverse.
 
     L_w = sum_a D_a^T diag(w) D_a is assembled as CSR (5 entries per row,
     sorted indices), with D (row s holds -n at s and +n at s + 1, wrapping,
     so D annihilates exactly the constants) and D_a = D (x) I or I (x) D
-    held only while it is assembled.  The scale is its Jacobi one: s_i^2 = L_w[i, i] / (2 dim n^2),
-    the mean of the 2 dim edge weights at site i (w_i for a constant w),
-    read off the diagonal before entry (i, j) is multiplied in place by
-    the one factor 1/s_j * 1/s_i, the same for (j, i), so the result is
-    exactly symmetric and the scaling holds one extra array of nnz floats.
-    The coarse block of the two-level preconditioner is built from A (see
-    _coarse_inverse).  Cached for the last w it was called with, so every
-    2D solve with one weight density shares one set-up, whose arrays are
-    read-only.  Raises ValueError for a 1D w: the 1D solve is closed form
-    and needs no set-up.
+    held only while it is assembled.  The scale is its Jacobi one:
+    s_i^2 = L_w[i, i] / (2 dim n^2), the mean of the 2 dim edge weights at
+    site i (w_i for a constant w), read off the diagonal before entry
+    (i, j) is multiplied in place by the one factor 1/s_j * 1/s_i, the
+    same for (j, i), so the result is exactly symmetric and the scaling
+    holds one extra array of nnz floats.  The coarse inverse,
+    (E^T A E + beta c c^T)^-1 on the coarse modes E, is built from A (see
+    _coarse_inverse).  Cached for the last w it was called with, as
+    `_closed_form_set_up` is for the 1D solve, so every 2D solve with one
+    weight density shares one set-up, whose arrays are read-only.
     """
     grid = w.grid
-    if grid.dim != 2:
-        raise ValueError(f"the scaled operator is 2D only, got a {grid.dim}D density")
     n = grid.n
     sites = np.arange(n)
     cols = np.stack([sites, np.roll(sites, -1)], axis=-1).ravel()
@@ -256,7 +244,7 @@ def scaled_operator(w: Density) -> ScaledOperator:
     factor *= inv_scale[:, None]
     matrix.data *= factor.ravel()
     coarse_inverse = _coarse_inverse(matrix, scale, n)
-    return ScaledOperator(*frozen(matrix, scale, inv_scale, coarse_inverse))
+    return frozen(matrix, scale, inv_scale, coarse_inverse)
 
 
 def _coarse_modes(q: np.ndarray) -> np.ndarray:
@@ -432,9 +420,9 @@ def weighted_elliptic_pinv_apply(
     on the low Fourier modes plus (-Delta)^+ on the rest: one sparse matvec
     with the cached A and one preconditioner application per iteration (see
     _pcg_2d).  The first solve for this w with a nonzero right-hand side
-    builds the part fixed by w, which later solves for it reuse: in 2D A
-    and the coarse inverse (`scaled_operator`), in 1D 1/w, its sum,
-    argmin w and max w (`_closed_form_set_up`).  A right-hand side whose
+    builds the part fixed by w, which later solves for it reuse: in 2D A,
+    s, 1/s and the coarse inverse (`_scaled_operator`), in 1D 1/w, its
+    sum, argmin w and max w (`_closed_form_set_up`).  A right-hand side whose
     largest entry is outside [2^-400, 2^400], where ||P rhs||^2 could under-
     or overflow, is solved times a power of two, and x scaled back; both
     scalings are exact.  w is strictly positive, as every Density is.
@@ -472,7 +460,7 @@ def weighted_elliptic_pinv_apply(
 def _closed_form_set_up(w: Density) -> tuple[np.ndarray, float, int, float]:
     """1 / w, its sum, argmin w and max w: the part of the 1D solve fixed by w.
 
-    Cached for the last w it was called with, as `scaled_operator` is for
+    Cached for the last w it was called with, as `_scaled_operator` is for
     the 2D solve; 1 / w is read-only.
     """
     inv_w = 1.0 / w.values
@@ -533,7 +521,8 @@ def _closed_form_1d(
 def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -> np.ndarray:
     """Preconditioned CG for the mean-zero b on the 2D grid, in the variable y = S x.
 
-    With S = diag(s) the Jacobi scale of scaled_operator, L_w x = b is
+    With S = diag(s) the Jacobi scale of `_scaled_operator`, whose
+    cached set-up (A, s, 1/s, coarse inverse) this unpacks, L_w x = b is
     A y = S^-1 b for A = S^-1 L_w S^-1.  A has -Delta's diagonal 2 dim n^2
     exactly, and as s_i^2 is the mean of the edge weights w_e at site i,
     the first-order parts of its off-diagonal entries -n^2 w_e / (s_i s_j)
@@ -564,11 +553,8 @@ def _pcg_2d(w: Density, b: np.ndarray, bnorm: float, cfg: EllipticSolveConfig) -
     system.
     """
     grid = w.grid
-    set_up = scaled_operator(w)
-    a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
-    precondition = functools.partial(
-        _laplacian_pinv_plan(grid), coarse_inverse=set_up.coarse_inverse
-    )
+    a, scale, inv_scale, coarse_inverse = _scaled_operator(w)
+    precondition = functools.partial(_laplacian_pinv_plan(grid), coarse_inverse=coarse_inverse)
     tol = cfg.rel_tolerance * bnorm
 
     y = np.zeros(grid.total)

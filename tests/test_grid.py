@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from stencil_reference import axis_apply, random_factor
 from waveng.grid import (
     Density,
     Grid,
-    boltzmann_weights,
     check_vector,
     make_grid,
     reference_measure,
@@ -72,11 +73,10 @@ class TestReferenceMeasure:
         mu = reference_measure(grid, np.zeros(8))
         np.testing.assert_array_equal(mu.values, np.full(8, 1 / 8))
 
-    def test_two_site_normalization(self):
-        # exp(-[0, ln 3]) = [1, 1/3] -> normalized [3/4, 1/4]
-        np.testing.assert_allclose(
-            boltzmann_weights(np.array([0.0, np.log(3.0)])), [0.75, 0.25], atol=1e-15
-        )
+    def test_two_level_normalization(self):
+        # exp(-[0, ln 3, 0, ln 3]) = [1, 1/3, 1, 1/3] -> normalized [3/8, 1/8, 3/8, 1/8]
+        mu = reference_measure(make_grid(1, 4), np.array([0.0, np.log(3.0)] * 2))
+        np.testing.assert_allclose(mu.values, [0.375, 0.125] * 2, atol=1e-15)
 
     def test_paper_potential(self):
         grid = make_grid(1, 512)
@@ -133,7 +133,7 @@ class TestReferenceMeasure:
 
     @pytest.mark.parametrize("dim,shape", [(1, (7,)), (1, (9,)), (2, (8, 8)), (2, (16,)), (1, ())])
     def test_rejects_potential_of_wrong_length(self, dim, shape):
-        with pytest.raises(ValueError, match="potential has"):
+        with pytest.raises(ValueError, match="does not match grid"):
             reference_measure(make_grid(dim, 8), np.zeros(shape))
 
     @pytest.mark.parametrize("dtype", [complex, bool, str, object])
@@ -182,6 +182,18 @@ class TestDensityValidation:
         values[grid.total // 2] = bad
         with pytest.raises(ValueError, match="finite and strictly positive"):
             Density(grid, values)
+
+    @pytest.mark.parametrize("dim,n,site", [(1, 16, 1.5e307), (2, 8, 3e306)])
+    def test_mass_that_overflows_rejected(self, dim, n, site):
+        # every site finite and > 0, but the sum past the float range: such a
+        # density used to be built with mass = inf after a RuntimeWarning
+        grid = make_grid(dim, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum must be finite"):
+                Density(grid, np.full(grid.total, site))
+            # half of each site is a density: the rule is on the sum, not the sites
+            assert Density(grid, np.full(grid.total, site / 2)).mass < np.inf
 
     @pytest.mark.parametrize("dtype", [complex, bool, str, object])
     def test_non_real_rejected(self, dtype):
@@ -234,7 +246,7 @@ class TestDensityValidation:
         assert Density(make_grid(1, 8), values).values is values
 
     def test_compared_and_hashed_by_identity(self):
-        # caches key on a density (operators.scaled_operator), so
+        # caches key on a density (operators._scaled_operator), so
         # equal values must not make two densities one key
         grid = make_grid(2, 4)
         a, b = uniform_density(grid), uniform_density(grid)
@@ -291,6 +303,25 @@ class TestTensorRule:
 
 
 class TestSiteVectors:
+    ENTRIES = (check_vector, Density, reference_measure)
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(np.zeros(15), ValueError), (np.zeros((4, 4)), ValueError),
+         (np.zeros(16, dtype=complex), TypeError), (np.zeros(16, dtype=bool), TypeError)],
+        ids=["short", "2d-shape", "complex", "bool"],
+    )
+    def test_one_rule_for_every_site_vector(self, bad, error):
+        # a density's values and a potential are site vectors: a wrong dtype
+        # or length gets check_vector's own error from all three entries
+        grid = make_grid(2, 4)
+        messages = set()
+        for entry in self.ENTRIES:
+            with pytest.raises(error) as excinfo:
+                entry(grid, bad)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+
     def test_check_vector(self):
         grid = make_grid(2, 4)
         out = check_vector(grid, [1] * 16)

@@ -20,7 +20,6 @@ from waveng import metrics, operators, optimizer
 from waveng.grid import Density, frozen, make_grid, uniform_density
 from waveng.losses import LossSpec, along_line
 from waveng.metrics import build_precomp
-from waveng.operators import scaled_operator
 from waveng.wavelets import daubechies_lowpass, make_basis
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "waveng").glob("*.py"))
@@ -200,7 +199,7 @@ def test_cached_and_keyed_arrays_are_read_only(dim, n):
         "step_evaluation": line.loss_eval(line(1.0)),
     }
     if dim == 2:
-        held["scaled_operator"] = scaled_operator(mu)
+        held["scaled_operator"] = operators._scaled_operator(mu)
     else:
         held["closed_form_set_up"] = operators._closed_form_set_up(mu)
     names = [name for key, item in held.items() for name, _ in held_arrays(item, key)]
@@ -209,7 +208,7 @@ def test_cached_and_keyed_arrays_are_read_only(dim, n):
             "start_evaluation.quadratic[1]", "step_evaluation.point.values",
             "step_evaluation.gradient", "step_evaluation.quadratic[1]"}
     assert want <= set(names)
-    assert ("scaled_operator.matrix.data" if dim == 2 else "closed_form_set_up[0]") in names
+    assert ("scaled_operator[0].data" if dim == 2 else "closed_form_set_up[0]") in names
     assert [name for key, item in held.items() for name in writable_arrays(item, key)] == []
 
 

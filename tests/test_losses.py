@@ -405,7 +405,7 @@ class TestDomain:
         mu = TestSiteArrays.measure(dim, n)
         p = uniform_density(mu.grid).values.copy()
         p[3] = bad
-        caches = (operators.scaled_operator, operators._closed_form_set_up)
+        caches = (operators._scaled_operator, operators._closed_form_set_up)
         for cache in caches:
             cache.cache_clear()
         with pytest.raises(ValueError, match="positive"):
@@ -432,6 +432,30 @@ class TestDomain:
         trial = line(1.0)
         assert trial.value == np.inf and trial.point is None
 
+    # every site finite and > 0, but the mass past the float range
+    OVERFLOWING = {(1, 16): 1.5e307, (2, 8): 3e306}
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_entry_refuses_a_mass_that_overflows(self, entry, dim, n):
+        # combined_eval used to return NaN here at alpha2 > 0, after a
+        # RuntimeWarning (an error under the suite's filter)
+        mu = TestSiteArrays.measure(dim, n)
+        p = np.full(mu.grid.total, self.OVERFLOWING[dim, n])
+        with pytest.raises(ValueError, match="sum must be finite"):
+            self.ENTRIES[entry](p, mu)
+
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_line_trial_with_a_mass_that_overflows_prices_inf(self, mix, dim, n):
+        mu = TestSiteArrays.measure(dim, n)
+        spec = LossSpec(*self.MIXES[mix], mu=mu)
+        p = mu.values
+        s = p - np.full(mu.grid.total, self.OVERFLOWING[dim, n])
+        line = Line(spec, combined_eval(p, spec), s, qs=np.zeros_like(s), s_qr=0.0, s_qs=0.0)
+        trial = line(1.0)
+        assert trial.value == np.inf and trial.point is None
+
 
 class TestSolveSetUp:
     """The mu-weighted operator behind E1 is assembled once per mu, on first use."""
@@ -439,7 +463,7 @@ class TestSolveSetUp:
     @pytest.fixture
     def builds(self):
         """The scaled-operator cache, emptied: its misses count the assemblies."""
-        cache = operators.scaled_operator
+        cache = operators._scaled_operator
         cache.cache_clear()
         return cache
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stencil_reference as ref
 from stencil_reference import axis_apply, diff_adjoint_apply, diff_apply, random_factor
+from waveng import operators
 from waveng.experiments import build_potential
 from waveng.grid import Density, make_grid, reference_measure, uniform_density
 from waveng.losses import LossSpec, combined_eval
@@ -22,7 +23,6 @@ from waveng.operators import (
     EllipticSolveError,
     laplacian_apply,
     laplacian_pinv_apply,
-    scaled_operator,
     symmetric_inverse,
     weighted_elliptic_pinv_apply,
     weighted_flux_apply,
@@ -335,7 +335,7 @@ class TestStencilOracles:
             [ref.flux_apply(w, e.reshape(grid.shape)).ravel() for e in np.eye(grid.total)]
         )
         s = 1.0 / jacobi_scale(grid, dense)
-        got = scaled_operator(Density(grid, w.ravel())).matrix
+        got = operators._scaled_operator(Density(grid, w.ravel()))[0]
         assert got.has_sorted_indices  # a CG matvec sums each row in column order
         assert got.nnz == np.count_nonzero(dense)
         np.testing.assert_array_equal(got.toarray(), dense * np.outer(s, s))
@@ -429,8 +429,7 @@ class TestWeightedLaplacianMatrix:
     def test_matches_dense_and_stencil(self, dim, n):
         grid = make_grid(dim, n)
         w = random_weight(grid, 30)
-        set_up = scaled_operator(w)
-        a, scale, inv_scale = set_up.matrix, set_up.scale, set_up.inv_scale
+        a, scale, inv_scale, _ = operators._scaled_operator(w)
         lw = dense_weighted_laplacian(grid, w.values)
         np.testing.assert_array_equal(scale, jacobi_scale(grid, lw))
         np.testing.assert_array_equal(inv_scale, 1.0 / jacobi_scale(grid, lw))
@@ -454,16 +453,16 @@ class TestWeightedLaplacianMatrix:
         # diagonal is then the constant 2 dim n^2 of -Delta's
         grid = make_grid(2, n)
         w = weight(grid, 45 + n)
-        set_up = scaled_operator(w)
+        a, scale = operators._scaled_operator(w)[:2]
         want = np.diag(dense_weighted_laplacian(grid, w.values)) / (2 * grid.dim * n**2)
-        assert np.max(np.abs(set_up.scale**2 - want) / want) <= 1e-15
-        np.testing.assert_allclose(set_up.scale, edge_mean_scale(w), rtol=1e-15, atol=0.0)
-        a = set_up.matrix
+        assert np.max(np.abs(scale**2 - want) / want) <= 1e-15
+        np.testing.assert_allclose(scale, edge_mean_scale(w), rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(a.diagonal(), 2 * grid.dim * n**2, rtol=1e-15)
-        assert np.max(np.abs(a @ set_up.scale)) <= 1e-12 * np.max(np.abs(a.data))
+        assert np.max(np.abs(a @ scale)) <= 1e-12 * np.max(np.abs(a.data))
         # a constant w is its own scale: then S = diag(sqrt w)
         flat = Density(grid, np.full(grid.total, 1.0 / grid.total))
-        np.testing.assert_allclose(scaled_operator(flat).scale, np.sqrt(flat.values), rtol=1e-15)
+        flat_scale = operators._scaled_operator(flat)[1]
+        np.testing.assert_allclose(flat_scale, np.sqrt(flat.values), rtol=1e-15)
 
     def test_galerkin_block_matches_dense(self):
         # n = 16 has fine modes beside the 13^2 coarse ones; the set-up keeps
@@ -471,7 +470,7 @@ class TestWeightedLaplacianMatrix:
         grid = make_grid(2, 16)
         w = random_weight(grid, 39)
         block, a_c, _ = dense_two_level(w)
-        coarse_inverse = scaled_operator(w).coarse_inverse
+        coarse_inverse = operators._scaled_operator(w)[3]
         assert coarse_inverse.shape == ((2 * COARSE_WAVENUMBER + 1) ** 2,) * 2
         np.testing.assert_array_equal(coarse_inverse, coarse_inverse.T)
         got = np.linalg.inv(coarse_inverse)
@@ -488,30 +487,25 @@ class TestWeightedLaplacianMatrix:
             "import hashlib\n"
             "from waveng.experiments import build_potential\n"
             "from waveng.grid import make_grid, reference_measure\n"
-            "from waveng.operators import scaled_operator\n"
+            "from waveng import operators\n"
             "grid = make_grid(2, 16)\n"
             "mu = reference_measure(grid, build_potential(grid, 'sin4pi-product'))\n"
-            "print(hashlib.sha256(scaled_operator(mu).coarse_inverse.tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(operators._scaled_operator(mu)[3].tobytes()).hexdigest())\n"
         )
         digests = stdout_at_1_and_2_threads(code)
         assert digests[0] == digests[1]
 
     def test_set_up_is_read_only(self):
         # every later solve with this w shares the set-up: a write must raise
-        set_up = scaled_operator(random_weight(make_grid(2, 8), 41))
-        a = set_up.matrix
-        for array in (a.data, a.indices, a.indptr, set_up.scale, set_up.inv_scale,
-                      set_up.coarse_inverse):
+        a, scale, inv_scale, coarse_inverse = operators._scaled_operator(
+            random_weight(make_grid(2, 8), 41)
+        )
+        for array in (a.data, a.indices, a.indptr, scale, inv_scale, coarse_inverse):
             with pytest.raises(ValueError):
                 array.flat[0] += 1
 
-    def test_1d_density_raises(self):
-        # the 1D solve is closed form: it has no set-up to build
-        with pytest.raises(ValueError, match="2D only"):
-            scaled_operator(random_weight(make_grid(1, 32), 40))
-
     def test_set_up_is_lazy_and_reused(self):
-        cache = scaled_operator
+        cache = operators._scaled_operator
         cache.cache_clear()
         grid = make_grid(2, 16)
         w = random_weight(grid, 32)
@@ -664,7 +658,7 @@ class TestWeightedPinv:
             weighted_elliptic_pinv_apply(w, np.ones(grid.total))
 
     def test_nonpositive_weight_rejected_before_2d_set_up(self):
-        scaled_operator.cache_clear()
+        operators._scaled_operator.cache_clear()
         grid = make_grid(2, 4)
         wv = np.full(16, 1 / 16)
         wv[3] = -1e-3
@@ -672,7 +666,7 @@ class TestWeightedPinv:
             Density(grid, wv)
         with pytest.raises(TypeError, match="w must be a Density"):
             weighted_elliptic_pinv_apply(wv, np.arange(16.0))
-        assert scaled_operator.cache_info().currsize == 0
+        assert operators._scaled_operator.cache_info().currsize == 0
 
     def test_nonconvergence_reports_residual(self):
         # 2D, where max_iterations caps the CG loop
@@ -895,7 +889,7 @@ def test_fft_two_level_capped_solve_matches_oracle(cap):
     b = rhs - rhs.mean()
     q_c = coarse_modes(n)
     m = q_c.shape[1]
-    c = scaled_operator(mu).coarse_inverse
+    c = operators._scaled_operator(mu)[3]
     s_inv = 1.0 / edge_mean_scale(mu)
 
     def two_level(r):
